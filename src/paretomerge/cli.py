@@ -300,8 +300,16 @@ def _cmd_evolve(args) -> int:
     }
     _write_json_atomic(out_dir / "config.json", echo)
 
+    # history.jsonl only grows, so each entry is encoded once and the file is
+    # rewritten from the cached lines.
+    history_lines: list[str] = []
+
+    def write_history(history: list[HistoryEntry]) -> None:
+        history_lines.extend(_history_line(e) for e in history[len(history_lines):])
+        _write_text_atomic(out_dir / "history.jsonl", "".join(history_lines))
+
     def on_generation(history: list[HistoryEntry], gen: int, pop: Population) -> None:
-        _write_history_atomic(out_dir / "history.jsonl", history)
+        write_history(history)
         if history:
             from .nsga2 import extract_pareto
 
@@ -321,7 +329,7 @@ def _cmd_evolve(args) -> int:
         )
         raise
 
-    _write_history_atomic(out_dir / "history.jsonl", history)
+    write_history(history)
     _write_pareto_atomic(out_dir / "pareto.json", front)
     if baseline_length is not None:
         (out_dir / "front_points.csv").write_text(
@@ -474,30 +482,30 @@ def _group_by_benchmark(outcomes: Sequence[ItemOutcome]) -> dict[str, list[ItemO
 # ---------------------------------------------------------------------------
 
 
+def _write_text_atomic(path: Path, text: str) -> None:
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def _write_json_atomic(path: Path, payload) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    _write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _write_history_atomic(path: Path, history: Sequence[HistoryEntry]) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for entry in history:
-            fh.write(
-                json.dumps(
-                    {
-                        "generation": entry.generation,
-                        "candidate_id": candidate_id(entry.genotype),
-                        "genotype": entry.genotype.to_dict(),
-                        "accuracy": entry.fitness.accuracy,
-                        "mean_length": entry.fitness.mean_length,
-                        "fitness": list(entry.fitness.fitness),
-                    }
-                )
-                + "\n"
-            )
-    os.replace(tmp, path)
+def _history_line(entry: HistoryEntry) -> str:
+    return (
+        json.dumps(
+            {
+                "generation": entry.generation,
+                "candidate_id": candidate_id(entry.genotype),
+                "genotype": entry.genotype.to_dict(),
+                "accuracy": entry.fitness.accuracy,
+                "mean_length": entry.fitness.mean_length,
+                "fitness": list(entry.fitness.fitness),
+            }
+        )
+        + "\n"
+    )
 
 
 def _write_pareto_atomic(path: Path, front: ParetoFront) -> None:

@@ -24,6 +24,10 @@ from .errors import GenotypeError, MissingCandidatesError, RecordFormatError
 from .merge import Genotype, MergeKind
 
 
+# ``bool`` subclasses ``int`` but is never a valid count or measurement.
+_BOOL_TYPES = (bool, np.bool_)
+
+
 @dataclass(frozen=True)
 class ItemOutcome:
     """One candidate's result on one item: solved or not, and output tokens."""
@@ -35,10 +39,11 @@ class ItemOutcome:
     def __post_init__(self):
         if not self.item_id:
             raise ValueError("item_id must be non-empty")
-        if self.correct not in (0, 1):
-            raise ValueError(f"correct must be 0 or 1, got {self.correct}")
-        if self.length < 0:
-            raise ValueError(f"length must be >= 0, got {self.length}")
+        if type(self.correct) in _BOOL_TYPES or self.correct not in (0, 1):
+            raise ValueError(f"correct must be 0 or 1, got {self.correct!r}")
+        # The chained comparison also rejects NaN and infinity.
+        if type(self.length) in _BOOL_TYPES or not 0 <= self.length < math.inf:
+            raise ValueError(f"length must be a finite number >= 0, got {self.length!r}")
 
 
 @dataclass(frozen=True)
@@ -49,10 +54,12 @@ class ObjectiveVector:
     mean_length: float
 
     def __post_init__(self):
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ValueError(f"accuracy must lie in [0, 1], got {self.accuracy}")
-        if self.mean_length < 0:
-            raise ValueError(f"mean_length must be >= 0, got {self.mean_length}")
+        if type(self.accuracy) in _BOOL_TYPES or not 0.0 <= self.accuracy <= 1.0:
+            raise ValueError(f"accuracy must lie in [0, 1], got {self.accuracy!r}")
+        if type(self.mean_length) in _BOOL_TYPES or not 0 <= self.mean_length < math.inf:
+            raise ValueError(
+                f"mean_length must be a finite number >= 0, got {self.mean_length!r}"
+            )
 
     @property
     def fitness(self) -> tuple[float, float]:
@@ -288,7 +295,7 @@ def save_benchmark(bench: SimulatedBenchmark, path) -> None:
         for it in bench.items
     ]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def load_benchmark(path, noise_seed: int = 0) -> SimulatedBenchmark:
@@ -352,18 +359,15 @@ def load_record_evaluations(path) -> dict[str, list[ItemOutcome]]:
                 raise RecordFormatError(
                     f"{path}: line {lineno}: candidate_id and item_id must be non-empty strings"
                 )
-            if obj["correct"] not in (0, 1):
+            correct, length = obj["correct"], obj["length"]
+            if type(correct) not in (int, float) or correct not in (0, 1):
                 raise RecordFormatError(
-                    f"{path}: line {lineno}: correctness must be 0 or 1, got {obj['correct']!r}"
+                    f"{path}: line {lineno}: correctness must be 0 or 1, got {correct!r}"
                 )
-            try:
-                length = float(obj["length"])
-            except (TypeError, ValueError):
+            if type(length) not in (int, float) or not 0 <= length < math.inf:
                 raise RecordFormatError(
-                    f"{path}: line {lineno}: length must be numeric, got {obj['length']!r}"
-                ) from None
-            if length < 0:
-                raise RecordFormatError(f"{path}: line {lineno}: length must be >= 0")
+                    f"{path}: line {lineno}: length must be a finite number >= 0, got {length!r}"
+                )
             key = (cand, iid)
             if key in seen:
                 raise RecordFormatError(
@@ -372,7 +376,7 @@ def load_record_evaluations(path) -> dict[str, list[ItemOutcome]]:
                 )
             seen.add(key)
             grouped.setdefault(cand, []).append(
-                ItemOutcome(item_id=iid, correct=int(obj["correct"]), length=length)
+                ItemOutcome(item_id=iid, correct=int(correct), length=float(length))
             )
     return grouped
 

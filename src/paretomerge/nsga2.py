@@ -9,6 +9,7 @@ just the final population.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -150,25 +151,41 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
 
 
 def fast_nondominated_sort(objectives: Sequence[ObjectiveVector]) -> list[list[int]]:
-    """Partition indices into successive non-dominated fronts (front 0 first)."""
+    """Partition indices into successive non-dominated fronts (front 0 first).
+
+    Two objectives only, O(N log N) time and O(N) memory: a lexicographic sort
+    by (f0, f1) followed by one sweep (Kung, Luccio & Preparata 1975 for
+    front 0; Jensen 2003, IEEE TEC 7(5), for all fronts). In that order a
+    front's most recently added member is the only one that can dominate the
+    next point, so each front keeps that member's key (f1, f0), the keys stay
+    ascending across fronts, and a point joins the first front whose key is
+    not below its own. Exact duplicates share a front. Each front lists its
+    indices in ascending order, which crowding selection relies on to break
+    ties.
+    """
     if any(o is None for o in objectives):
         raise ValueError("all individuals must be evaluated before sorting")
-    n = len(objectives)
-    if n == 0:
+    if not objectives:
         return []
     f = np.array([o.fitness for o in objectives], dtype=np.float64)
-    le = (f[:, None, :] <= f[None, :, :]).all(axis=2)
-    lt = (f[:, None, :] < f[None, :, :]).any(axis=2)
-    dom = le & lt  # dom[i, j]: i dominates j
-    dominator_count = dom.sum(axis=0)
-
+    if f.ndim != 2 or f.shape[1] != 2:
+        raise ValueError("non-dominated sorting needs exactly two objectives per point")
+    if np.isnan(f).any():
+        raise ValueError("objectives must not be NaN")
+    order = np.lexsort((f[:, 1], f[:, 0]))
+    keys: list[tuple[float, float]] = []
     fronts: list[list[int]] = []
-    assigned = np.zeros(n, dtype=bool)
-    while not assigned.all():
-        current = np.flatnonzero((dominator_count == 0) & ~assigned)
-        fronts.append([int(i) for i in current])
-        assigned[current] = True
-        dominator_count = dominator_count - dom[current].sum(axis=0)
+    for i, f0, f1 in zip(order.tolist(), f[order, 0].tolist(), f[order, 1].tolist()):
+        key = (f1, f0)
+        k = bisect_left(keys, key)
+        if k == len(keys):
+            keys.append(key)
+            fronts.append([i])
+        else:
+            keys[k] = key
+            fronts[k].append(i)
+    for front in fronts:
+        front.sort()
     return fronts
 
 
@@ -288,7 +305,9 @@ def extract_pareto(history: Sequence[HistoryEntry]) -> ParetoFront:
     """Non-dominated subset of all evaluated points.
 
     Duplicate fitness vectors collapse to their first occurrence, so the
-    result is deterministic for a deterministic history.
+    result is deterministic for a deterministic history. Front 0 comes from
+    ``fast_nondominated_sort``: two objectives, O(H log H) time and O(H)
+    memory in the history length H.
     """
     if not history:
         raise ValueError("cannot extract a front from an empty history")

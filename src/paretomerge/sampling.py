@@ -76,7 +76,7 @@ class CorrectnessMatrix:
 
 def save_matrix(matrix: CorrectnessMatrix, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix.to_json_dict(), fh)
+        fh.write(json.dumps(matrix.to_json_dict()))
 
 
 def load_matrix(path) -> CorrectnessMatrix:
@@ -121,15 +121,13 @@ class EvaluationSubset:
 
 
 def save_subset(subset: EvaluationSubset, path) -> None:
+    payload = {
+        "strategy": subset.strategy.value,
+        "seed": subset.seed,
+        "item_ids": list(subset.item_ids),
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "strategy": subset.strategy.value,
-                "seed": subset.seed,
-                "item_ids": list(subset.item_ids),
-            },
-            fh,
-        )
+        fh.write(json.dumps(payload))
 
 
 def load_subset(path) -> EvaluationSubset:

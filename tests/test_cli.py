@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -366,6 +367,45 @@ def test_evolve_records_missing_item_named(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     rc = main(["evolve", "--config", str(cfg_path)])
     assert rc == 1  # either missing candidates or missing item, both domain errors
+
+
+@pytest.mark.parametrize("length", ["NaN", "Infinity", "true"])
+def test_evolve_rejects_non_finite_record_with_line_number(tmp_path, capsys, length):
+    records_path = tmp_path / "records.jsonl"
+    cid = candidate_id(Genotype(MergeKind.TA, (0.5,)))
+    records_path.write_text(
+        f'{{"candidate_id": "{cid}", "item_id": "q1", "correct": 1, "length": 10.0}}\n'
+        f'{{"candidate_id": "{cid}", "item_id": "q2", "correct": 1, "length": {length}}}\n'
+    )
+    cfg_path, _ = evolve_config(
+        tmp_path, "nanrun",
+        evaluator={"records": {"path": str(records_path)}},
+        subset={"item_ids": ["q1", "q2"]},
+    )
+    assert main(["evolve", "--config", str(cfg_path)]) == 1
+    assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "population,generations,digest",
+    [
+        (20, 10, "07b2f9692af9908d"),  # the README default run
+        (40, 20, "991ffc76af67ce0c"),
+    ],
+)
+def test_evolve_golden_digest(tmp_path, population, generations, digest):
+    """history.jsonl + pareto.json bytes are pinned for fixed seeds."""
+    cfg_path, out_dir = evolve_config(
+        tmp_path,
+        search={"population_size": population, "generations": generations, "seed": 0},
+        evaluator={"simulated": {"generator_seed": 0, "n_items": 1000}},
+        subset={"strategy": "entropy", "size": 50, "seed": 0, "calibration_k": 10},
+    )
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+    h = hashlib.sha256()
+    for name in ("history.jsonl", "pareto.json"):
+        h.update((out_dir / name).read_bytes())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_fidelity_csv_shapes(tmp_path, capsys):

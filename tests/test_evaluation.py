@@ -142,6 +142,29 @@ def test_item_outcome_validation():
         ItemOutcome("", 1, 1.0)
 
 
+@pytest.mark.parametrize(
+    "correct,length",
+    [(True, 1.0), (np.True_, 1.0), (1, float("nan")), (1, float("inf")), (1, True)],
+)
+def test_item_outcome_rejects_non_finite_and_boolean(correct, length):
+    with pytest.raises(ValueError):
+        ItemOutcome("a", correct, length)
+
+
+@pytest.mark.parametrize(
+    "accuracy,mean_length",
+    [(0.5, float("nan")), (0.5, float("inf")), (float("nan"), 1.0), (True, 1.0), (0.5, False)],
+)
+def test_objective_vector_rejects_non_finite_and_boolean(accuracy, mean_length):
+    with pytest.raises(ValueError):
+        ObjectiveVector(accuracy, mean_length)
+
+
+def test_numpy_scalars_remain_valid_inputs():
+    assert ItemOutcome("a", np.int64(1), np.float32(2.5)).length == 2.5
+    assert ObjectiveVector(np.float64(0.5), np.int32(7)).fitness == (-0.5, 7)
+
+
 def test_sim_item_validation():
     with pytest.raises(ValueError):
         SimItem("x", ResponseKind.THRESHOLD_UP, 1.5)
@@ -226,6 +249,12 @@ def test_load_records_grouping(tmp_path):
         ('{"candidate_id": "m0", "item_id": "q1", "correct": 2, "length": 1}', "0 or 1"),
         ('{"candidate_id": "m0", "item_id": "q1", "correct": 1}', "missing field"),
         ('{"candidate_id": "m0", "item_id": "q1", "correct": 1, "length": -3}', ">= 0"),
+        ('{"candidate_id": "m0", "item_id": "q1", "correct": true, "length": 5}', "line 1: corr"),
+        ('{"candidate_id": "m0", "item_id": "q1", "correct": 1, "length": NaN}', "line 1: len"),
+        ('{"candidate_id": "m0", "item_id": "q1", "correct": 1, "length": Infinity}', "finite"),
+        ('{"candidate_id": "m0", "item_id": "q1", "correct": 1, "length": -Infinity}', "finite"),
+        ('{"candidate_id": "m0", "item_id": "q1", "correct": 1, "length": true}', "finite"),
+        ('{"candidate_id": "m0", "item_id": "q1", "correct": 1, "length": "12"}', "finite"),
         ("{not json", "invalid JSON"),
     ],
 )

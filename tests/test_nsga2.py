@@ -446,3 +446,69 @@ def test_front_sorted_by_first_fitness_and_mutually_nondominated():
         for j, q in enumerate(pairs):
             if i != j:
                 assert not (q[0] <= p[0] and q[1] <= p[1] and (q[0] < p[0] or q[1] < p[1]))
+
+
+def tied_float_points(rng, n):
+    """Float objectives with injected exact duplicates and shared-coordinate ties."""
+    pts = rng.uniform(0.0, 1.0, size=(n, 2))
+    if n >= 4:
+        for _ in range(n // 4):
+            i, j = rng.integers(0, n, 2)
+            pts[i] = pts[j]  # exact duplicate
+        for _ in range(n // 4):
+            i, j = rng.integers(0, n, 2)
+            axis = int(rng.integers(0, 2))
+            pts[i, axis] = pts[j, axis]  # tie on one objective only
+    return [(float(a), float(b)) for a, b in pts]
+
+
+def test_sort_matches_brute_force_on_float_ties_and_duplicates():
+    rng = np.random.default_rng(21)
+    for n in [1, 2, 3, 5, 10, 50, 200, 1000]:
+        for _ in range(20 if n <= 50 else 2):
+            raw = tied_float_points(rng, n)
+            assert fast_nondominated_sort([Fit(a, b) for a, b in raw]) == brute_force_fronts(raw)
+
+
+def test_extract_pareto_is_brute_force_front_zero_after_dedup():
+    rng = np.random.default_rng(22)
+    for n in [1, 7, 60, 400]:
+        raw = tied_float_points(rng, n)
+        hist = [
+            HistoryEntry(Genotype(MergeKind.TA, (i / n,)), ObjectiveVector(a, 1000.0 * b), 0)
+            for i, (a, b) in enumerate(raw)
+        ]
+        first_seen = {}
+        for entry in hist:
+            first_seen.setdefault(entry.fitness.fitness, entry)
+        unique = list(first_seen.values())
+        front0 = brute_force_fronts([e.fitness.fitness for e in unique])[0]
+        expected = sorted((unique[i] for i in front0), key=lambda e: e.fitness.fitness)
+        assert [(m.genotype, m.objectives) for m in extract_pareto(hist).members] == [
+            (e.genotype, e.fitness) for e in expected
+        ]
+
+
+def test_sort_10k_points_memory_is_linear():
+    import tracemalloc
+
+    rng = np.random.default_rng(23)
+    pts = [Fit(a, b) for a, b in rng.uniform(0, 1, size=(10_000, 2))]
+    tracemalloc.start()
+    try:
+        fronts = fast_nondominated_sort(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(i for front in fronts for i in front) == list(range(10_000))
+    assert peak < 50 * 2**20  # N x N dominance arrays would need > 190 MiB
+
+
+def test_sort_rejects_other_objective_counts_and_nan():
+    class Fit3:
+        fitness = (1.0, 2.0, 3.0)
+
+    with pytest.raises(ValueError, match="two objectives"):
+        fast_nondominated_sort([Fit3(), Fit3()])
+    with pytest.raises(ValueError, match="NaN"):
+        fast_nondominated_sort([Fit(0.0, 1.0), Fit(float("nan"), 0.0)])
