@@ -18,9 +18,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import MissingCandidatesError, ParetoMergeError
+from .errors import MissingCandidatesError, ParetoMergeError, RecordFormatError
 from .evaluation import (
     ItemOutcome,
+    ObjectiveVector,
     RecordsFitness,
     SimulatedBenchmark,
     SimulatedFitness,
@@ -36,6 +37,7 @@ from .merge import Genotype, MergeEndpoints, MergeKind, decode_genotype
 from .nsga2 import HistoryEntry, ParetoFront, Population, SearchConfig, run_nsga2
 from .reporting import build_report, format_report_table, front_points_csv, report_to_csv
 from .sampling import (
+    CorrectnessMatrix,
     SubsetStrategy,
     bernoulli_entropy,
     build_calibration_matrix,
@@ -183,30 +185,22 @@ def _cmd_merge(args) -> int:
 def _cmd_calibrate(args) -> int:
     if args.k < 2:
         raise UsageError(f"--k must be >= 2, got {args.k}")
-    grid = default_lambda_grid(args.k)
+    bench, records = None, None
     if args.records is not None:
+        if args.bench is not None or args.gen_seed is not None or args.save_bench:
+            raise UsageError("--records excludes --bench, --gen-seed and --save-bench")
         records = load_record_evaluations(args.records)
-        genotypes = [Genotype(MergeKind.TA, (lam,)) for lam in grid]
-        missing = [g for g in genotypes if candidate_id(g) not in records]
-        if missing:
-            manifest = args.manifest or str(Path(args.out).with_suffix(".manifest.jsonl"))
-            write_manifest(manifest, missing)
-            print(f"wrote manifest for {len(missing)} candidate(s) to {manifest}", file=sys.stderr)
-            raise MissingCandidatesError([(candidate_id(g), g) for g in missing])
-
-        def evaluate_at(lam: float) -> list[ItemOutcome]:
-            outcomes = records[candidate_id(Genotype(MergeKind.TA, (lam,)))]
-            return sorted(outcomes, key=lambda o: o.item_id)
-
     else:
         bench = _resolve_bench(args)
         if args.save_bench:
             save_benchmark(bench, args.save_bench)
-
-        def evaluate_at(lam: float) -> list[ItemOutcome]:
-            return evaluate_simulated(bench, lam)
-
-    matrix = build_calibration_matrix(evaluate_at, grid)
+    try:
+        matrix = _calibration_matrix(default_lambda_grid(args.k), bench, records)
+    except MissingCandidatesError as exc:
+        manifest = args.manifest or str(Path(args.out).with_suffix(".manifest.jsonl"))
+        write_manifest(manifest, [g for _, g in exc.pending])
+        print(f"wrote manifest for {len(exc.pending)} candidate(s) to {manifest}", file=sys.stderr)
+        raise
     save_matrix(matrix, args.out)
     print(f"calibration matrix: {len(matrix.model_ids)} models x {len(matrix.item_ids)} items")
     print(f"wrote {args.out}")
@@ -244,14 +238,21 @@ def _cmd_sample_subset(args) -> int:
 def _cmd_evolve(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise UsageError("config must be a JSON object")
+    search_dict, merge_block, evaluator_block = (
+        _config_object(raw, key) for key in ("search", "merge", "evaluator")
+    )
+    subset_block = raw.get("subset")
+    _check_subset_block(subset_block)
+    if not isinstance(raw.get("output_dir") or "", str):
+        raise UsageError("config 'output_dir' must be a string")
 
-    search_dict = dict(raw.get("search", {}))
-    merge_block = raw.get("merge", {})
+    search_dict = dict(search_dict)
     if "genotype_kind" not in search_dict and "kind" in merge_block:
         search_dict["genotype_kind"] = merge_block["kind"]
     search = SearchConfig.from_json_dict(search_dict)
 
-    evaluator_block = raw.get("evaluator", {})
     sources = [k for k in ("simulated", "records") if k in evaluator_block]
     if len(sources) != 1:
         raise UsageError("config must name exactly one evaluator source (simulated or records)")
@@ -259,7 +260,6 @@ def _cmd_evolve(args) -> int:
     out_dir = Path(args.out or raw.get("output_dir") or "paretomerge-run")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    subset_block = raw.get("subset")
     bench: SimulatedBenchmark | None = None
     records = None
     if sources[0] == "simulated":
@@ -278,18 +278,9 @@ def _cmd_evolve(args) -> int:
         save_benchmark(bench, out_dir / "benchmark.json")
     else:
         rec_block = evaluator_block["records"]
-        if not isinstance(rec_block, dict) or "path" not in rec_block:
-            raise UsageError("evaluator.records must be an object with a 'path'")
+        if not isinstance(rec_block, dict) or not isinstance(rec_block.get("path"), str):
+            raise UsageError("evaluator.records must be an object with a string 'path'")
         records = load_record_evaluations(rec_block["path"])
-
-    subset_ids = _resolve_subset(subset_block, bench, records, out_dir)
-
-    if bench is not None:
-        evaluator = SimulatedFitness(bench, subset_ids)
-        baseline_length = evaluator.evaluate_at(0.0).mean_length
-    else:
-        evaluator = RecordsFitness(records, subset_ids)
-        baseline_length = _records_baseline_length(records, subset_ids)
 
     echo = {
         "search": search.to_json_dict(),
@@ -298,7 +289,6 @@ def _cmd_evolve(args) -> int:
         "subset": subset_block,
         "output_dir": str(out_dir),
     }
-    _write_json_atomic(out_dir / "config.json", echo)
 
     # history.jsonl only grows, so each entry is encoded once and the file is
     # rewritten from the cached lines.
@@ -316,6 +306,12 @@ def _cmd_evolve(args) -> int:
             _write_pareto_atomic(out_dir / "pareto.json", extract_pareto(history))
 
     try:
+        subset_ids = _resolve_subset(subset_block, bench, records, out_dir)
+        if bench is not None:
+            evaluator = SimulatedFitness(bench, subset_ids)
+        else:
+            evaluator = RecordsFitness(records, subset_ids)
+        _write_json_atomic(out_dir / "config.json", echo)
         front, history = run_nsga2(
             search, evaluator, workers=args.workers, on_generation=on_generation
         )
@@ -331,9 +327,13 @@ def _cmd_evolve(args) -> int:
 
     write_history(history)
     _write_pareto_atomic(out_dir / "pareto.json", front)
-    if baseline_length is not None:
+    try:
+        baseline = evaluator.evaluate(Genotype(MergeKind.TA, (0.0,)))
+    except (MissingCandidatesError, RecordFormatError):
+        pass  # no lambda = 0 records on the subset: no baseline to plot against
+    else:
         (out_dir / "front_points.csv").write_text(
-            front_points_csv(front, baseline_length), encoding="utf-8"
+            front_points_csv(front, baseline.mean_length), encoding="utf-8"
         )
 
     print(f"evaluated {len(history)} candidates over {search.generations} generations")
@@ -348,6 +348,29 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
+def _config_object(raw: dict, key: str) -> dict:
+    block = raw.get(key, {})
+    if not isinstance(block, dict):
+        raise UsageError(f"config {key!r} must be an object, got {type(block).__name__}")
+    return block
+
+
+def _check_subset_block(block) -> None:
+    """A subset block is absent (all items), a strategy spec, or explicit item ids."""
+    if block is None:
+        return
+    if not isinstance(block, dict):
+        raise UsageError(f"config 'subset' must be an object, got {type(block).__name__}")
+    ids = block.get("item_ids")
+    if "item_ids" in block and not (
+        isinstance(ids, list)
+        and ids
+        and all(isinstance(i, str) and i for i in ids)
+        and len(set(ids)) == len(ids)
+    ):
+        raise UsageError("subset.item_ids must be a non-empty list of unique, non-empty strings")
+
+
 def _resolve_subset(subset_block, bench, records, out_dir) -> list[str] | None:
     """Turn the config subset block into explicit item ids (None = all items)."""
     if subset_block is None:
@@ -359,45 +382,28 @@ def _resolve_subset(subset_block, bench, records, out_dir) -> list[str] | None:
     size = int(subset_block.get("size", 50))
     seed = int(subset_block.get("seed", 0))
     k = int(subset_block.get("calibration_k", 10))
-    grid = default_lambda_grid(k)
-
-    if bench is not None:
-        matrix = build_calibration_matrix(lambda lam: evaluate_simulated(bench, lam), grid)
-    else:
-        genotypes = [Genotype(MergeKind.TA, (lam,)) for lam in grid]
-        missing = [g for g in genotypes if candidate_id(g) not in records]
-        if missing:
-            manifest = out_dir / "manifest.jsonl"
-            write_manifest(manifest, missing)
-            print(
-                f"wrote manifest for {len(missing)} calibration candidate(s) to {manifest}",
-                file=sys.stderr,
-            )
-            raise MissingCandidatesError([(candidate_id(g), g) for g in missing])
-        matrix = build_calibration_matrix(
-            lambda lam: sorted(
-                records[candidate_id(Genotype(MergeKind.TA, (lam,)))],
-                key=lambda o: o.item_id,
-            ),
-            grid,
-        )
+    matrix = _calibration_matrix(default_lambda_grid(k), bench, records)
     save_matrix(matrix, out_dir / "matrix.json")
     subset = select_subset(matrix, strategy, size, seed=seed)
     save_subset(subset, out_dir / "subset.json")
     return list(subset.item_ids)
 
 
-def _records_baseline_length(records, subset_ids) -> float | None:
-    base_id = candidate_id(Genotype(MergeKind.TA, (0.0,)))
-    outcomes = records.get(base_id)
-    if outcomes is None:
-        return None
-    if subset_ids is not None:
-        by_id = {o.item_id: o for o in outcomes}
-        if any(i not in by_id for i in subset_ids):
-            return None
-        outcomes = [by_id[i] for i in subset_ids]
-    return sum(o.length for o in outcomes) / len(outcomes)
+def _calibration_matrix(grid, bench, records) -> CorrectnessMatrix:
+    """One matrix row per grid coefficient, simulated when ``bench`` is given, else from records.
+
+    Record rows are sorted by item id. Raises :class:`MissingCandidatesError`
+    naming every grid candidate without records.
+    """
+    if bench is not None:
+        return build_calibration_matrix(lambda lam: evaluate_simulated(bench, lam), grid)
+    ids = {lam: candidate_id(Genotype(MergeKind.TA, (lam,))) for lam in grid}
+    missing = [(c, Genotype(MergeKind.TA, (lam,))) for lam, c in ids.items() if c not in records]
+    if missing:
+        raise MissingCandidatesError(missing)
+    return build_calibration_matrix(
+        lambda lam: sorted(records[ids[lam]], key=lambda o: o.item_id), grid
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -492,36 +498,24 @@ def _write_json_atomic(path: Path, payload) -> None:
     _write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
+def _member_dict(genotype: Genotype, objectives: ObjectiveVector) -> dict:
+    return {
+        "candidate_id": candidate_id(genotype),
+        "genotype": genotype.to_dict(),
+        "accuracy": objectives.accuracy,
+        "mean_length": objectives.mean_length,
+        "fitness": list(objectives.fitness),
+    }
+
+
 def _history_line(entry: HistoryEntry) -> str:
-    return (
-        json.dumps(
-            {
-                "generation": entry.generation,
-                "candidate_id": candidate_id(entry.genotype),
-                "genotype": entry.genotype.to_dict(),
-                "accuracy": entry.fitness.accuracy,
-                "mean_length": entry.fitness.mean_length,
-                "fitness": list(entry.fitness.fitness),
-            }
-        )
-        + "\n"
-    )
+    member = _member_dict(entry.genotype, entry.fitness)
+    return json.dumps({"generation": entry.generation, **member}) + "\n"
 
 
 def _write_pareto_atomic(path: Path, front: ParetoFront) -> None:
-    payload = {
-        "members": [
-            {
-                "candidate_id": candidate_id(m.genotype),
-                "genotype": m.genotype.to_dict(),
-                "accuracy": m.objectives.accuracy,
-                "mean_length": m.objectives.mean_length,
-                "fitness": list(m.objectives.fitness),
-            }
-            for m in front.members
-        ]
-    }
-    _write_json_atomic(path, payload)
+    members = [_member_dict(m.genotype, m.objectives) for m in front.members]
+    _write_json_atomic(path, {"members": members})
 
 
 if __name__ == "__main__":

@@ -7,6 +7,11 @@ Two fitness backends share one contract (genotype in, accuracy/length out):
   rules, so the whole pipeline runs at desk scale with no model inference.
 * ``RecordsFitness`` replays per-item outcomes produced by an external
   harness from a JSONL record file, keyed by deterministic candidate ids.
+
+The search scores each generation with one
+``FitnessEvaluator.evaluate_population(genotypes, workers)`` call, which
+returns one objective vector per genotype in input order; see
+``FitnessEvaluator`` for the batch contract.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -99,8 +105,12 @@ class SimItem:
 
     def __post_init__(self):
         object.__setattr__(self, "response_kind", ResponseKind(self.response_kind))
-        if not self.item_id:
-            raise ValueError("item_id must be non-empty")
+        if not isinstance(self.item_id, str) or not self.item_id:
+            raise ValueError("item_id must be a non-empty string")
+        for name in ("t", "a", "len_long", "len_short"):
+            value = getattr(self, name)
+            if type(value) in _BOOL_TYPES or not math.isfinite(value):
+                raise ValueError(f"{self.item_id}: {name} must be a finite number, got {value!r}")
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"{self.item_id}: t must lie in [0, 1], got {self.t}")
         if self.a <= 0:
@@ -306,19 +316,29 @@ def load_benchmark(path, noise_seed: int = 0) -> SimulatedBenchmark:
     items = []
     for pos, entry in enumerate(payload):
         try:
+            if not isinstance(entry, dict):
+                raise ValueError("item must be an object")
             items.append(
                 SimItem(
                     item_id=entry["item_id"],
                     response_kind=ResponseKind(entry["response_kind"]),
-                    t=float(entry["t"]),
-                    a=float(entry.get("a", 1.0)),
-                    len_long=float(entry["len_long"]),
-                    len_short=float(entry["len_short"]),
+                    t=_json_number(entry["t"], "t"),
+                    a=_json_number(entry.get("a", 1.0), "a"),
+                    len_long=_json_number(entry["len_long"], "len_long"),
+                    len_short=_json_number(entry["len_short"], "len_short"),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: item {pos}: {exc}") from exc
     return SimulatedBenchmark(items, noise_seed=noise_seed)
+
+
+def _json_number(value, name: str) -> float:
+    # Exact JSON types: ``true`` and numeric strings such as "Infinity" are
+    # not numbers here; SimItem then rejects the non-finite floats.
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +436,25 @@ def load_manifest(path) -> list[tuple[str, Genotype]]:
 
 
 class FitnessEvaluator:
-    """Maps genotypes to objective vectors; batches default to a loop."""
+    """Maps genotypes to objective vectors.
+
+    Batch contract: ``evaluate_population(genotypes, workers)`` returns one
+    objective vector per genotype, in input order, and the result never
+    depends on ``workers``. The default scores each genotype with
+    ``evaluate``, on a pool of ``workers`` threads when ``workers > 1``.
+    Evaluators that must see the whole batch at once override it.
+    """
 
     def evaluate(self, genotype: Genotype) -> ObjectiveVector:
         raise NotImplementedError
 
-    def evaluate_population(self, genotypes: Sequence[Genotype]) -> list[ObjectiveVector]:
-        return [self.evaluate(g) for g in genotypes]
+    def evaluate_population(
+        self, genotypes: Sequence[Genotype], workers: int = 1
+    ) -> list[ObjectiveVector]:
+        if workers <= 1 or len(genotypes) <= 1:
+            return [self.evaluate(g) for g in genotypes]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(self.evaluate, genotypes))
 
 
 class CallableFitness(FitnessEvaluator):
@@ -446,10 +478,8 @@ class SimulatedFitness(FitnessEvaluator):
         self.bench = bench
         if subset_ids is None:
             self.subset_indices = np.arange(len(bench))
-            self.subset_ids = list(bench.item_ids)
         else:
-            self.subset_ids = list(subset_ids)
-            self.subset_indices = np.array([bench.index_of(i) for i in self.subset_ids])
+            self.subset_indices = np.array([bench.index_of(i) for i in subset_ids])
             if len(self.subset_indices) == 0:
                 raise ValueError("subset must contain at least one item")
 
@@ -467,9 +497,6 @@ class SimulatedFitness(FitnessEvaluator):
         lengths = self.bench.length_vector(lam)[self.subset_indices]
         return ObjectiveVector(accuracy=float(correct.mean()), mean_length=float(lengths.mean()))
 
-    def outcomes_at(self, lam: float) -> list[ItemOutcome]:
-        return evaluate_simulated(self.bench, lam, subset=self.subset_ids)
-
     def evaluate(self, genotype: Genotype) -> ObjectiveVector:
         return self.evaluate_at(self.coefficient_of(genotype))
 
@@ -477,9 +504,9 @@ class SimulatedFitness(FitnessEvaluator):
 class RecordsFitness(FitnessEvaluator):
     """Resolves genotypes against a pre-computed record map.
 
-    Unknown candidates raise :class:`MissingCandidatesError`; the population
-    batch path collects every missing candidate of the batch so one manifest
-    round-trip per generation is enough.
+    Unknown candidates raise :class:`MissingCandidatesError`. The batch
+    method ignores ``workers`` and collects every missing candidate of the
+    batch into one error, so one manifest round-trip per generation is enough.
     """
 
     def __init__(
@@ -491,25 +518,9 @@ class RecordsFitness(FitnessEvaluator):
         self.subset_ids = list(subset_ids) if subset_ids is not None else None
 
     def evaluate(self, genotype: Genotype) -> ObjectiveVector:
-        return self._resolve(genotype, collect=None)
-
-    def evaluate_population(self, genotypes: Sequence[Genotype]) -> list[ObjectiveVector]:
-        pending: list[tuple[str, Genotype]] = []
-        results = []
-        for g in genotypes:
-            results.append(self._resolve(g, collect=pending))
-        if pending:
-            deduped = list({cid: (cid, g) for cid, g in pending}.values())
-            raise MissingCandidatesError(deduped)
-        return results  # type: ignore[return-value]
-
-    def _resolve(self, genotype: Genotype, collect):
         cid = candidate_id(genotype)
         outcomes = self.records.get(cid)
         if outcomes is None:
-            if collect is not None:
-                collect.append((cid, genotype))
-                return None
             raise MissingCandidatesError([(cid, genotype)])
         if self.subset_ids is not None:
             by_id = {o.item_id: o for o in outcomes}
@@ -521,3 +532,17 @@ class RecordsFitness(FitnessEvaluator):
                 )
             outcomes = [by_id[i] for i in self.subset_ids]
         return compute_objectives(outcomes)
+
+    def evaluate_population(
+        self, genotypes: Sequence[Genotype], workers: int = 1
+    ) -> list[ObjectiveVector]:
+        results = []
+        pending: dict[str, Genotype] = {}  # first occurrence order, one entry per id
+        for g in genotypes:
+            try:
+                results.append(self.evaluate(g))
+            except MissingCandidatesError as exc:
+                pending.update(exc.pending)
+        if pending:
+            raise MissingCandidatesError(pending.items())
+        return results

@@ -10,7 +10,6 @@ just the final population.
 from __future__ import annotations
 
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -339,23 +338,6 @@ def _assign_ranks(pop: Population) -> None:
             pop.individuals[i].crowding = d
 
 
-def _evaluate_batch(
-    evaluator: FitnessEvaluator,
-    genotypes: Sequence[Genotype],
-    workers: int,
-) -> list[ObjectiveVector]:
-    has_custom_batch = (
-        type(evaluator).evaluate_population is not FitnessEvaluator.evaluate_population
-    )
-    if workers <= 1 or len(genotypes) <= 1 or has_custom_batch:
-        # Batch-aware evaluators control their own evaluation (and may raise
-        # a collected missing-candidates error); threading stays opt-in for
-        # plain per-genotype evaluators.
-        return evaluator.evaluate_population(genotypes)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluator.evaluate, genotypes))
-
-
 def run_nsga2(
     cfg: SearchConfig,
     evaluate: FitnessEvaluator | Callable[[Genotype], ObjectiveVector],
@@ -364,8 +346,10 @@ def run_nsga2(
 ) -> tuple[ParetoFront, list[HistoryEntry]]:
     """Run the elitist search and return the all-evaluations front plus history.
 
-    ``on_generation`` fires after each generation's evaluations (and before
-    raising on evaluation failure) so callers can persist partial state.
+    Each generation is scored with one ``evaluate_population(genotypes,
+    workers=workers)`` call. ``on_generation`` fires after each generation's
+    evaluations (and before raising on evaluation failure) so callers can
+    persist partial state.
     """
     evaluator = evaluate if isinstance(evaluate, FitnessEvaluator) else CallableFitness(evaluate)
     n = cfg.population_size
@@ -379,7 +363,7 @@ def run_nsga2(
 
     def evaluated(gen: int, gs: list[Genotype]) -> list[Individual]:
         try:
-            fits = _evaluate_batch(evaluator, gs, workers)
+            fits = evaluator.evaluate_population(gs, workers=workers)
         except Exception:
             if on_generation is not None:
                 on_generation(history, gen, Population([], generation=gen))

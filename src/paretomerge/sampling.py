@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SubsetSelectionError
-from .evaluation import ItemOutcome, SimulatedBenchmark, candidate_id
+from .evaluation import ItemOutcome, SimulatedBenchmark, candidate_id, evaluate_simulated
 from .merge import Genotype, MergeKind
 
 
@@ -335,7 +335,7 @@ def rank_fidelity_curve(
     strategies = [SubsetStrategy(s) for s in strategies]
 
     matrix = build_calibration_matrix(
-        lambda lam: _outcomes_fast(bench, lam), default_lambda_grid(calibration_k)
+        lambda lam: evaluate_simulated(bench, lam), default_lambda_grid(calibration_k)
     )
 
     # Entropy / disagreement subsets are functions of the matrix alone;
@@ -382,12 +382,3 @@ def _safe_rho(x: np.ndarray, y: np.ndarray) -> float:
     if np.all(x == x[0]) or np.all(y == y[0]):
         return 0.0
     return spearman_rho(x, y)
-
-
-def _outcomes_fast(bench: SimulatedBenchmark, lam: float) -> list[ItemOutcome]:
-    correct = bench.correctness_vector(lam)
-    lengths = bench.length_vector(lam)
-    return [
-        ItemOutcome(item_id=iid, correct=int(c), length=float(l))
-        for iid, c, l in zip(bench.item_ids, correct, lengths)
-    ]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,10 @@ from paretomerge import (
     save_checkpoint,
 )
 from paretomerge.cli import main
+
+
+def sha16(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
 @pytest.fixture
@@ -111,7 +116,40 @@ def test_calibrate_k1_usage_error(tmp_path):
 
 
 def test_calibrate_needs_exactly_one_source(tmp_path):
-    assert main(["calibrate", "--out", str(tmp_path / "m.json")]) == 2
+    out = tmp_path / "m.json"
+    bench = tmp_path / "bench.json"
+    assert main(["calibrate", "--out", str(out)]) == 2
+    assert main(["calibrate", "--gen-seed", "0", "--bench", str(bench), "--out", str(out)]) == 2
+
+    records = tmp_path / "records.jsonl"
+    records.write_text("")
+    for extra in (["--gen-seed", "0"], ["--bench", str(bench)], ["--save-bench", str(bench)]):
+        assert main(["calibrate", "--records", str(records), *extra, "--out", str(out)]) == 2
+    assert not out.exists() and not bench.exists()
+
+
+def test_calibrate_simulated_matrix_digest(tmp_path):
+    out = tmp_path / "m.json"
+    assert main(["calibrate", "--gen-seed", "0", "--n-items", "200", "--out", str(out)]) == 0
+    assert sha16(out) == "1a8f0a0f0b698745"
+
+
+def test_calibrate_records_matrix_and_manifest_digests(tmp_path):
+    bench = generate_benchmark(seed=0, n_items=60)
+    grid = [Genotype(MergeKind.TA, (k / 4,)) for k in range(5)]
+    records_path = tmp_path / "records.jsonl"
+    simulated_records_for(bench, grid[::2], records_path)
+    out = tmp_path / "m.json"
+    base = ["calibrate", "--records", str(records_path), "--k", "5", "--out", str(out)]
+
+    assert main(base) == 1
+    assert not out.exists()
+    # without --manifest the manifest sits next to --out
+    assert sha16(tmp_path / "m.manifest.jsonl") == "71e0560664b0210a"
+
+    simulated_records_for(bench, grid, records_path)
+    assert main(base) == 0
+    assert sha16(out) == "6b507919aef71a11"
 
 
 def test_calibrate_from_records_with_manifest_round_trip(tmp_path):
@@ -260,6 +298,36 @@ def test_evolve_config_validation(tmp_path):
     assert main(["evolve", "--config", str(cfg_path2)]) == 1  # domain error: odd N
 
 
+SIM = {"simulated": {"generator_seed": 0, "n_items": 20}}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        [],
+        "run",
+        {"search": 5, "evaluator": SIM},
+        {"search": None, "evaluator": SIM},
+        {"merge": [], "evaluator": SIM},
+        {"evaluator": "simulated"},
+        {"evaluator": SIM, "subset": 5},
+        {"evaluator": SIM, "subset": ["item-00"]},
+        {"evaluator": SIM, "subset": {"item_ids": "item-00"}},
+        {"evaluator": SIM, "subset": {"item_ids": []}},
+        {"evaluator": SIM, "subset": {"item_ids": ["item-00", "item-00"]}},
+        {"evaluator": SIM, "subset": {"item_ids": ["item-00", ""]}},
+        {"evaluator": SIM, "subset": {"item_ids": ["item-00", 3]}},
+        {"evaluator": SIM, "output_dir": 5},
+        {"evaluator": {"records": {"path": 5}}},
+    ],
+)
+def test_evolve_config_shape_is_usage_error(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def simulated_records_for(bench, genotypes, path, subset=None):
     """Produce a records file by replaying the simulated benchmark."""
     lines = []
@@ -344,6 +412,22 @@ def test_evolve_records_with_strategy_subset_from_calibration(tmp_path):
     front = json.loads((tmp_path / "calrun" / "pareto.json").read_text())
     assert front["members"]
 
+    # Every file of the finished run is pinned; config.json echoes tmp_path,
+    # so it is hashed with that prefix replaced.
+    run_dir = tmp_path / "calrun"
+    config = (run_dir / "config.json").read_text().replace(str(tmp_path), "TMP")
+    digests = {p.name: sha16(p) for p in sorted(run_dir.iterdir()) if p.name != "config.json"}
+    digests["config.json"] = hashlib.sha256(config.encode()).hexdigest()[:16]
+    assert digests == {
+        "config.json": "7488f13490b4eb41",
+        "front_points.csv": "287eb1b3b186cbf2",
+        "history.jsonl": "12a622cbb21e1557",
+        "manifest.jsonl": "47ec47bc48dcacef",
+        "matrix.json": "3521bc76ec507e10",
+        "pareto.json": "b8c4c966d7a14895",
+        "subset.json": "8eb7246244d44eb5",
+    }
+
 
 def test_evolve_records_missing_item_named(tmp_path):
     bench = generate_benchmark(seed=0, n_items=30)
@@ -387,14 +471,14 @@ def test_evolve_rejects_non_finite_record_with_line_number(tmp_path, capsys, len
 
 
 @pytest.mark.parametrize(
-    "population,generations,digest",
+    "population,generations,digest,front_digest",
     [
-        (20, 10, "07b2f9692af9908d"),  # the README default run
-        (40, 20, "991ffc76af67ce0c"),
+        (20, 10, "07b2f9692af9908d", "782abd0659f5b23d"),  # the README default run
+        (40, 20, "991ffc76af67ce0c", "f9313175fe46a145"),
     ],
 )
-def test_evolve_golden_digest(tmp_path, population, generations, digest):
-    """history.jsonl + pareto.json bytes are pinned for fixed seeds."""
+def test_evolve_golden_digest(tmp_path, population, generations, digest, front_digest):
+    """history.jsonl + pareto.json bytes, and front_points.csv, are pinned for fixed seeds."""
     cfg_path, out_dir = evolve_config(
         tmp_path,
         search={"population_size": population, "generations": generations, "seed": 0},
@@ -406,6 +490,7 @@ def test_evolve_golden_digest(tmp_path, population, generations, digest):
     for name in ("history.jsonl", "pareto.json"):
         h.update((out_dir / name).read_bytes())
     assert h.hexdigest()[:16] == digest
+    assert sha16(out_dir / "front_points.csv") == front_digest
 
 
 def test_fidelity_csv_shapes(tmp_path, capsys):
@@ -443,6 +528,15 @@ def test_fidelity_outputs_byte_reproducible(tmp_path):
     assert main(args + ["--out", str(tmp_path / "f2")]) == 0
     for name in ("fidelity.csv", "fidelity_mean.csv"):
         assert (tmp_path / "f1" / name).read_bytes() == (tmp_path / "f2" / name).read_bytes()
+
+
+def test_fidelity_csv_digests(tmp_path):
+    out_dir = tmp_path / "fid"
+    assert main(["fidelity", "--gen-seed", "2", "--n-items", "150",
+                 "--strategies", "entropy,random", "--sizes", "15,30",
+                 "--n-models", "8", "--seeds", "4", "--out", str(out_dir)]) == 0
+    assert sha16(out_dir / "fidelity.csv") == "81e055e690ff0054"
+    assert sha16(out_dir / "fidelity_mean.csv") == "829d36d8694230dd"
 
 
 def test_report_six_benchmark_aggregate(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from paretomerge import (
     save_benchmark,
     write_manifest,
 )
+from paretomerge.evaluation import CallableFitness
 
 
 def bench_of(*items, noise_seed=0):
@@ -163,15 +165,33 @@ def test_objective_vector_rejects_non_finite_and_boolean(accuracy, mean_length):
 def test_numpy_scalars_remain_valid_inputs():
     assert ItemOutcome("a", np.int64(1), np.float32(2.5)).length == 2.5
     assert ObjectiveVector(np.float64(0.5), np.int32(7)).fitness == (-0.5, 7)
+    item = SimItem("s", ResponseKind.LOGISTIC, np.float64(0.5), a=np.float32(4), len_long=np.int64(9))
+    assert item.a == 4
 
 
-def test_sim_item_validation():
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"t": 1.5},
+        {"t": math.nan},
+        {"t": True},
+        {"a": 0.0},
+        {"a": math.inf},
+        {"a": math.nan},  # a NaN slope would make the logistic item never solve
+        {"a": np.bool_(True)},
+        {"len_long": 10.0, "len_short": 20.0},
+        {"len_long": math.inf},
+        {"len_short": math.nan},
+        {"len_short": False},
+        {"item_id": ""},
+        {"item_id": 7},
+    ],
+)
+def test_sim_item_validation(fields):
+    kwargs = {"item_id": "x", "response_kind": ResponseKind.LOGISTIC, "t": 0.5,
+              "len_long": 100.0, "len_short": 10.0, **fields}
     with pytest.raises(ValueError):
-        SimItem("x", ResponseKind.THRESHOLD_UP, 1.5)
-    with pytest.raises(ValueError):
-        SimItem("x", ResponseKind.LOGISTIC, 0.5, a=0.0)
-    with pytest.raises(ValueError):
-        SimItem("x", ResponseKind.THRESHOLD_UP, 0.5, len_long=10.0, len_short=20.0)
+        SimItem(**kwargs)
 
 
 def test_default_generator_profile_and_endpoint_invariant():
@@ -221,6 +241,33 @@ def test_load_benchmark_malformed_entry(tmp_path):
         load_benchmark(path)
     path.write_text('{"not": "an array"}')
     with pytest.raises(ValueError, match="array"):
+        load_benchmark(path)
+    path.write_text("[5]")
+    with pytest.raises(ValueError, match="item 0: item must be an object"):
+        load_benchmark(path)
+
+
+@pytest.mark.parametrize(
+    "field,raw",
+    [
+        ("t", "true"),
+        ("t", '"0.5"'),
+        ("t", "NaN"),
+        ("a", "Infinity"),
+        ("a", "NaN"),
+        ("a", "null"),
+        ("len_long", '"Infinity"'),
+        ("len_long", "Infinity"),
+        ("len_short", "false"),
+    ],
+)
+def test_load_benchmark_rejects_non_numbers_and_non_finite(tmp_path, field, raw):
+    good = {"item_id": "q0", "response_kind": "LOGISTIC", "t": 0.5, "a": 4.0,
+            "len_long": 500.0, "len_short": 100.0}
+    bad = json.dumps({**good, "item_id": "q1", field: "@"}).replace('"@"', raw)
+    path = tmp_path / "bench.json"
+    path.write_text(f"[{json.dumps(good)}, {bad}]")
+    with pytest.raises(ValueError, match=rf"item 1: .*{field}"):
         load_benchmark(path)
 
 
@@ -326,6 +373,11 @@ def test_records_fitness_resolution_and_errors():
         batch_err = exc
     assert batch_err is not None and len(batch_err.pending) == 2
 
+    # the batch ignores workers and still names each missing candidate once
+    with pytest.raises(MissingCandidatesError) as info:
+        fit.evaluate_population([g_missing, g_known, g_missing], workers=4)
+    assert info.value.pending == [(candidate_id(g_missing), g_missing)]
+
     narrow = RecordsFitness(records, subset_ids=["q1", "q9"])
     with pytest.raises(RecordFormatError, match="q9"):
         narrow.evaluate(g_known)
@@ -336,3 +388,12 @@ def test_records_fitness_full_outcomes_when_no_subset():
     records = {candidate_id(g): [ItemOutcome("q1", 1, 50.0)]}
     ov = RecordsFitness(records).evaluate(g)
     assert ov.accuracy == 1.0 and ov.mean_length == 50.0
+
+
+def test_default_batch_keeps_input_order_for_any_worker_count():
+    fit = CallableFitness(lambda g: ObjectiveVector(g.values[0], 10.0 * g.values[0]))
+    genotypes = [Genotype(MergeKind.TA, (i / 8,)) for i in range(9)]
+    serial = fit.evaluate_population(genotypes)
+    assert [o.accuracy for o in serial] == [g.values[0] for g in genotypes]
+    for workers in (2, 4):
+        assert fit.evaluate_population(genotypes, workers=workers) == serial

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from paretomerge import (
+    FitnessEvaluator,
     Genotype,
     HistoryEntry,
     Individual,
@@ -331,6 +332,25 @@ def test_run_nsga2_deterministic_and_thread_invariant():
         assert [(m.genotype.values, m.objectives.fitness) for m in front.members] == [
             (m.genotype.values, m.objectives.fitness) for m in base_front.members
         ]
+
+
+def test_run_nsga2_makes_one_batch_call_per_generation():
+    class CountingFitness(FitnessEvaluator):
+        def __init__(self):
+            self.batches = []
+
+        def evaluate(self, genotype):
+            return linear_objectives(genotype)
+
+        def evaluate_population(self, genotypes, workers=1):
+            self.batches.append((len(genotypes), workers))
+            return super().evaluate_population(genotypes, workers)
+
+    fit = CountingFitness()
+    cfg = SearchConfig(population_size=6, generations=3, seed=2)
+    front, history = run_nsga2(cfg, fit, workers=2)
+    assert fit.batches == [(6, 2)] * 4
+    assert history == run_nsga2(cfg, linear_objectives)[1]
 
 
 def test_run_nsga2_bounds_closure():
