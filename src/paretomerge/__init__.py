@@ -5,95 +5,11 @@ with an elitist evolutionary algorithm, scoring candidates either on a
 simulated item-response benchmark or on record files produced by an external
 evaluation harness. Entropy-based subset selection keeps fitness estimation
 cheap while preserving candidate rankings.
+
+The library is imported from its modules (``paretomerge.merge``,
+``paretomerge.nsga2``, ...); the package re-exports only the names below.
 """
 
-from .checkpoint import (
-    Checkpoint,
-    CompatibilityReport,
-    check_compatible,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .errors import (
-    CheckpointFormatError,
-    CompatibilityError,
-    GenotypeError,
-    MissingCandidatesError,
-    ParetoMergeError,
-    RecordFormatError,
-    SearchConfigError,
-    SubsetSelectionError,
-)
-from .evaluation import (
-    FitnessEvaluator,
-    ItemOutcome,
-    ObjectiveVector,
-    RecordsFitness,
-    ResponseKind,
-    SimItem,
-    SimulatedBenchmark,
-    SimulatedFitness,
-    candidate_id,
-    compute_objectives,
-    evaluate_simulated,
-    generate_benchmark,
-    load_benchmark,
-    load_manifest,
-    load_record_evaluations,
-    logistic_response,
-    save_benchmark,
-    write_manifest,
-)
-from .merge import (
-    Genotype,
-    MergeEndpoints,
-    MergeKind,
-    compute_displacement,
-    decode_genotype,
-    default_genotype_bounds,
-    merge_linear,
-    merge_task_arithmetic,
-    merge_ties,
-)
-from .nsga2 import (
-    FrontMember,
-    HistoryEntry,
-    Individual,
-    MutationParams,
-    ParetoFront,
-    Population,
-    SbxParams,
-    SearchConfig,
-    crowding_distance,
-    dominates,
-    extract_pareto,
-    fast_nondominated_sort,
-    polynomial_mutation,
-    run_nsga2,
-    sbx_crossover,
-    tournament_select,
-)
-from .reporting import AggregateReport, BenchmarkRow, build_report, front_points_csv, report_to_csv
-from .sampling import (
-    CorrectnessMatrix,
-    EvaluationSubset,
-    FidelityCell,
-    ItemStats,
-    SubsetStrategy,
-    bernoulli_entropy,
-    build_calibration_matrix,
-    default_lambda_grid,
-    empirical_solve_rate,
-    expected_distinction,
-    item_stats,
-    load_matrix,
-    load_subset,
-    mean_fidelity,
-    rank_fidelity_curve,
-    save_matrix,
-    save_subset,
-    select_subset,
-    spearman_rho,
-)
-
-__version__ = "0.1.0"
+from .checkpoint import load_checkpoint, save_checkpoint
+from .evaluation import SimulatedFitness, candidate_id, generate_benchmark
+from .merge import Genotype, MergeKind

@@ -10,6 +10,7 @@ the identical deterministic trajectory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import statistics
@@ -137,16 +138,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_bench_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bench", help="simulated benchmark JSON path")
     p.add_argument("--gen-seed", type=int, help="generate the default benchmark with this seed")
-    p.add_argument("--n-items", type=int, default=1000)
-    p.add_argument("--noise-seed", type=int, default=0)
+    p.add_argument("--n-items", type=int, help="items to generate (default 1000)")
+    p.add_argument("--noise-seed", type=int, help="seed of the logistic draws (default 0)")
 
 
 def _resolve_bench(args) -> SimulatedBenchmark:
     if (args.bench is None) == (args.gen_seed is None):
         raise UsageError("provide exactly one of --bench or --gen-seed")
+    noise_seed = 0 if args.noise_seed is None else args.noise_seed
     if args.bench is not None:
-        return load_benchmark(args.bench, noise_seed=args.noise_seed)
-    return generate_benchmark(seed=args.gen_seed, n_items=args.n_items, noise_seed=args.noise_seed)
+        return load_benchmark(args.bench, noise_seed=noise_seed)
+    n_items = 1000 if args.n_items is None else args.n_items
+    return generate_benchmark(seed=args.gen_seed, n_items=n_items, noise_seed=noise_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +190,14 @@ def _cmd_calibrate(args) -> int:
         raise UsageError(f"--k must be >= 2, got {args.k}")
     bench, records = None, None
     if args.records is not None:
-        if args.bench is not None or args.gen_seed is not None or args.save_bench:
-            raise UsageError("--records excludes --bench, --gen-seed and --save-bench")
+        simulated = (args.bench, args.gen_seed, args.save_bench, args.n_items, args.noise_seed)
+        if any(v is not None for v in simulated):
+            raise UsageError(
+                "--records excludes --bench, --gen-seed, --save-bench, --n-items and --noise-seed"
+            )
         records = load_record_evaluations(args.records)
+    elif args.manifest is not None:
+        raise UsageError("--manifest needs --records")
     else:
         bench = _resolve_bench(args)
         if args.save_bench:
@@ -243,19 +251,37 @@ def _cmd_evolve(args) -> int:
     search_dict, merge_block, evaluator_block = (
         _config_object(raw, key) for key in ("search", "merge", "evaluator")
     )
+    _check_fields(search_dict, "search")
+    for key in ("sbx", "mutation"):
+        _check_fields(_config_object(search_dict, key, "search."), f"search.{key}")
+    bounds = search_dict.get("genotype_bounds")
+    if bounds is not None and not (isinstance(bounds, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(type(v) in (int, float) for v in p)
+        for p in bounds
+    )):
+        raise UsageError("config 'search.genotype_bounds' must be a list of [low, high] numbers")
     subset_block = raw.get("subset")
     _check_subset_block(subset_block)
     if not isinstance(raw.get("output_dir") or "", str):
         raise UsageError("config 'output_dir' must be a string")
 
+    sources = [k for k in ("simulated", "records") if k in evaluator_block]
+    if len(sources) != 1:
+        raise UsageError("config must name exactly one evaluator source (simulated or records)")
+    if sources[0] == "simulated":
+        sim = evaluator_block["simulated"] or {}
+        if not isinstance(sim, dict):
+            raise UsageError("evaluator.simulated must be an object")
+        _check_fields(sim, "evaluator.simulated")
+    else:
+        rec_block = evaluator_block["records"]
+        if not isinstance(rec_block, dict) or not isinstance(rec_block.get("path"), str):
+            raise UsageError("evaluator.records must be an object with a string 'path'")
+
     search_dict = dict(search_dict)
     if "genotype_kind" not in search_dict and "kind" in merge_block:
         search_dict["genotype_kind"] = merge_block["kind"]
     search = SearchConfig.from_json_dict(search_dict)
-
-    sources = [k for k in ("simulated", "records") if k in evaluator_block]
-    if len(sources) != 1:
-        raise UsageError("config must name exactly one evaluator source (simulated or records)")
 
     out_dir = Path(args.out or raw.get("output_dir") or "paretomerge-run")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -263,27 +289,20 @@ def _cmd_evolve(args) -> int:
     bench: SimulatedBenchmark | None = None
     records = None
     if sources[0] == "simulated":
-        sim = evaluator_block["simulated"] or {}
-        if not isinstance(sim, dict):
-            raise UsageError("evaluator.simulated must be an object")
         if sim.get("benchmark"):
-            bench = load_benchmark(sim["benchmark"], noise_seed=int(sim.get("noise_seed", 0)))
+            bench = load_benchmark(sim["benchmark"], noise_seed=sim.get("noise_seed", 0))
         else:
-            gen_seed = int(sim.get("generator_seed", 0))
             bench = generate_benchmark(
-                seed=gen_seed,
-                n_items=int(sim.get("n_items", 1000)),
+                seed=sim.get("generator_seed", 0),
+                n_items=sim.get("n_items", 1000),
                 noise_seed=sim.get("noise_seed"),
             )
         save_benchmark(bench, out_dir / "benchmark.json")
     else:
-        rec_block = evaluator_block["records"]
-        if not isinstance(rec_block, dict) or not isinstance(rec_block.get("path"), str):
-            raise UsageError("evaluator.records must be an object with a string 'path'")
         records = load_record_evaluations(rec_block["path"])
 
     echo = {
-        "search": search.to_json_dict(),
+        "search": dataclasses.asdict(search),
         "merge": merge_block,
         "evaluator": evaluator_block,
         "subset": subset_block,
@@ -291,15 +310,12 @@ def _cmd_evolve(args) -> int:
     }
 
     # history.jsonl only grows, so each entry is encoded once and the file is
-    # rewritten from the cached lines.
+    # rewritten from the cached lines. The last call leaves the final files.
     history_lines: list[str] = []
 
-    def write_history(history: list[HistoryEntry]) -> None:
+    def on_generation(history: list[HistoryEntry], gen: int, pop: Population) -> None:
         history_lines.extend(_history_line(e) for e in history[len(history_lines):])
         _write_text_atomic(out_dir / "history.jsonl", "".join(history_lines))
-
-    def on_generation(history: list[HistoryEntry], gen: int, pop: Population) -> None:
-        write_history(history)
         if history:
             from .nsga2 import extract_pareto
 
@@ -325,8 +341,6 @@ def _cmd_evolve(args) -> int:
         )
         raise
 
-    write_history(history)
-    _write_pareto_atomic(out_dir / "pareto.json", front)
     try:
         baseline = evaluator.evaluate(Genotype(MergeKind.TA, (0.0,)))
     except (MissingCandidatesError, RecordFormatError):
@@ -348,11 +362,39 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _config_object(raw: dict, key: str) -> dict:
+def _config_object(raw: dict, key: str, prefix: str = "") -> dict:
     block = raw.get(key, {})
     if not isinstance(block, dict):
-        raise UsageError(f"config {key!r} must be an object, got {type(block).__name__}")
+        raise UsageError(f"config '{prefix}{key}' must be an object, got {type(block).__name__}")
     return block
+
+
+# Exact JSON types of the typed config fields, per block: ``true`` is no
+# number and 5.9 no integer. Other fields are untyped.
+_INT, _NUMBER = ((int,), "an integer"), ((int, float), "a number")
+_FIELD_TYPES = {
+    "search": {"population_size": _INT, "generations": _INT, "seed": _INT},
+    "search.sbx": {"probability": _NUMBER, "eta": _NUMBER},
+    "search.mutation": {
+        "per_variable_probability": ((int, float, type(None)), "a number or null"),
+        "eta": _NUMBER,
+    },
+    "subset": {"size": _INT, "seed": _INT, "calibration_k": _INT},
+    "evaluator.simulated": {
+        "benchmark": ((str,), "a string"),
+        "n_items": _INT,
+        "generator_seed": _INT,
+        "noise_seed": _INT,
+    },
+}
+
+
+def _check_fields(block: dict, where: str) -> None:
+    for name, (types, what) in _FIELD_TYPES[where].items():
+        if name in block and type(block[name]) not in types:
+            raise UsageError(
+                f"config '{where}.{name}' must be {what}, got {json.dumps(block[name])}"
+            )
 
 
 def _check_subset_block(block) -> None:
@@ -361,6 +403,7 @@ def _check_subset_block(block) -> None:
         return
     if not isinstance(block, dict):
         raise UsageError(f"config 'subset' must be an object, got {type(block).__name__}")
+    _check_fields(block, "subset")
     ids = block.get("item_ids")
     if "item_ids" in block and not (
         isinstance(ids, list)
@@ -379,9 +422,9 @@ def _resolve_subset(subset_block, bench, records, out_dir) -> list[str] | None:
         return list(subset_block["item_ids"])
 
     strategy = SubsetStrategy(subset_block.get("strategy", "entropy"))
-    size = int(subset_block.get("size", 50))
-    seed = int(subset_block.get("seed", 0))
-    k = int(subset_block.get("calibration_k", 10))
+    size = subset_block.get("size", 50)
+    seed = subset_block.get("seed", 0)
+    k = subset_block.get("calibration_k", 10)
     matrix = _calibration_matrix(default_lambda_grid(k), bench, records)
     save_matrix(matrix, out_dir / "matrix.json")
     subset = select_subset(matrix, strategy, size, seed=seed)

@@ -219,20 +219,19 @@ def evaluate_simulated(
 # ---------------------------------------------------------------------------
 
 
+# The default difficulty profile: role fractions (logistic items take the
+# rest) and the uniform ranges each role draws its parameters from.
+EASY_FRAC, HARD_FRAC, UP_FRAC, DOWN_FRAC = 0.476, 0.476, 0.020, 0.016
+UP_BAND = (0.25, 0.50)
+DOWN_BAND = (0.50, 0.75)
+LOGISTIC_B_BAND = (0.30, 0.70)
+LOGISTIC_A_RANGE = (4.0, 12.0)
+LEN_LONG_RANGE = (1500.0, 6000.0)
+LEN_SHORT_RANGE = (100.0, 800.0)
+
+
 def generate_benchmark(
-    seed: int = 0,
-    n_items: int = 1000,
-    easy_frac: float = 0.476,
-    hard_frac: float = 0.476,
-    up_frac: float = 0.020,
-    down_frac: float = 0.016,
-    up_band: tuple[float, float] = (0.25, 0.50),
-    down_band: tuple[float, float] = (0.50, 0.75),
-    logistic_b_band: tuple[float, float] = (0.30, 0.70),
-    logistic_a_range: tuple[float, float] = (4.0, 12.0),
-    len_long_range: tuple[float, float] = (1500.0, 6000.0),
-    len_short_range: tuple[float, float] = (100.0, 800.0),
-    noise_seed: int | None = None,
+    seed: int = 0, n_items: int = 1000, noise_seed: int | None = None
 ) -> SimulatedBenchmark:
     """Build the default simulated benchmark.
 
@@ -241,22 +240,19 @@ def generate_benchmark(
     candidate (ascending threshold at 0) or failed by every candidate
     (descending threshold at 0), and carry no ranking signal. A small
     informative core does the discriminating: ascending thresholds spread
-    over ``up_band`` (accuracy climbs as the coefficient grows), descending
-    thresholds over ``down_band`` (accuracy decays past the optimum, so the
+    over ``UP_BAND`` (accuracy climbs as the coefficient grows), descending
+    thresholds over ``DOWN_BAND`` (accuracy decays past the optimum, so the
     accuracy curve peaks in the interior), and a few stochastic logistic
     items. Output lengths shrink linearly from a long endpoint draw to a
-    short one.
+    short one. ``noise_seed`` keys the logistic draws and defaults to ``seed``.
     """
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
-    fracs = (easy_frac, hard_frac, up_frac, down_frac)
-    if any(f < 0 for f in fracs) or sum(fracs) > 1.0 + 1e-9:
-        raise ValueError("role fractions must be non-negative and sum to <= 1")
     rng = np.random.default_rng(seed)
-    n_easy = int(round(easy_frac * n_items))
-    n_hard = int(round(hard_frac * n_items))
-    n_up = int(round(up_frac * n_items))
-    n_down = int(round(down_frac * n_items))
+    n_easy = int(round(EASY_FRAC * n_items))
+    n_hard = int(round(HARD_FRAC * n_items))
+    n_up = int(round(UP_FRAC * n_items))
+    n_down = int(round(DOWN_FRAC * n_items))
     n_log = n_items - n_easy - n_hard - n_up - n_down
     roles = ["easy"] * n_easy + ["hard"] * n_hard + ["up"] * n_up + ["down"] * n_down + ["log"] * n_log
     roles = [roles[i] for i in rng.permutation(n_items)]
@@ -269,15 +265,15 @@ def generate_benchmark(
         elif role == "hard":
             kind, t, a = ResponseKind.THRESHOLD_DOWN, 0.0, 1.0
         elif role == "up":
-            kind, t, a = ResponseKind.THRESHOLD_UP, float(rng.uniform(*up_band)), 1.0
+            kind, t, a = ResponseKind.THRESHOLD_UP, float(rng.uniform(*UP_BAND)), 1.0
         elif role == "down":
-            kind, t, a = ResponseKind.THRESHOLD_DOWN, float(rng.uniform(*down_band)), 1.0
+            kind, t, a = ResponseKind.THRESHOLD_DOWN, float(rng.uniform(*DOWN_BAND)), 1.0
         else:
             kind = ResponseKind.LOGISTIC
-            t = float(rng.uniform(*logistic_b_band))
-            a = float(rng.uniform(*logistic_a_range))
-        len_long = float(rng.uniform(*len_long_range))
-        len_short = float(rng.uniform(*len_short_range))
+            t = float(rng.uniform(*LOGISTIC_B_BAND))
+            a = float(rng.uniform(*LOGISTIC_A_RANGE))
+        len_long = float(rng.uniform(*LEN_LONG_RANGE))
+        len_short = float(rng.uniform(*LEN_SHORT_RANGE))
         items.append(
             SimItem(
                 item_id=f"item-{i:0{width}d}",

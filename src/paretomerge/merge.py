@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint import Checkpoint, check_compatible
 from .errors import CompatibilityError, GenotypeError
 
-DEFAULT_LINEAR_BOUNDS = (0.0, 1.5)
+LINEAR_BOUNDS = (0.0, 1.5)
 MIN_TIES_DENSITY = 1e-3
 
 
@@ -26,9 +26,6 @@ class MergeKind(str, Enum):
     TA = "ta"
     TIES = "ties"
     LINEAR = "linear"
-
-
-_ARITY = {MergeKind.TA: 1, MergeKind.TIES: 2, MergeKind.LINEAR: 2}
 
 
 @dataclass(frozen=True)
@@ -46,8 +43,8 @@ class Genotype:
         object.__setattr__(self, "kind", MergeKind(self.kind))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
-    def validate(self, linear_bounds: tuple[float, float] = DEFAULT_LINEAR_BOUNDS) -> None:
-        expected = _ARITY[self.kind]
+    def validate(self) -> None:
+        expected = len(default_genotype_bounds(self.kind))
         if len(self.values) != expected:
             raise GenotypeError(
                 f"{self.kind.value} genotype takes {expected} value(s), got {len(self.values)}"
@@ -63,12 +60,7 @@ class Genotype:
             if not 0.0 < k <= 1.0:
                 raise GenotypeError(f"ties: density k must lie in (0, 1], got {k}")
         else:
-            lo, hi = linear_bounds
-            for label, w in zip(("w_system2", "w_system1"), self.values):
-                if not lo <= w <= hi:
-                    raise GenotypeError(
-                        f"linear: {label}={w} outside configured bounds [{lo}, {hi}]"
-                    )
+            _check_linear_weights(*self.values)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, "values": list(self.values)}
@@ -84,7 +76,7 @@ def default_genotype_bounds(kind: MergeKind) -> tuple[tuple[float, float], ...]:
         return ((0.0, 1.0),)
     if kind == MergeKind.TIES:
         return ((0.0, 1.0), (MIN_TIES_DENSITY, 1.0))
-    return (DEFAULT_LINEAR_BOUNDS, DEFAULT_LINEAR_BOUNDS)
+    return (LINEAR_BOUNDS, LINEAR_BOUNDS)
 
 
 @dataclass
@@ -98,15 +90,6 @@ class MergeEndpoints:
         report = check_compatible(self.system2, self.system1)
         if not report.compatible:
             raise CompatibilityError(report)
-
-
-def compute_displacement(endpoints: MergeEndpoints) -> Checkpoint:
-    """Elementwise system1 - system2, the direction from verbose to concise."""
-    tensors = {
-        name: endpoints.system1.tensors[name] - s2
-        for name, s2 in endpoints.system2.tensors.items()
-    }
-    return Checkpoint(tensors=tensors, metadata={"op": "displacement"})
 
 
 def merge_task_arithmetic(endpoints: MergeEndpoints, lam: float) -> Checkpoint:
@@ -153,17 +136,16 @@ def merge_ties(endpoints: MergeEndpoints, lam: float, k: float) -> Checkpoint:
     )
 
 
-def merge_linear(
-    endpoints: MergeEndpoints,
-    w_system2: float,
-    w_system1: float,
-    bounds: tuple[float, float] = DEFAULT_LINEAR_BOUNDS,
-) -> Checkpoint:
-    """Unconstrained weighted sum w_system2 * system2 + w_system1 * system1."""
-    lo, hi = bounds
+def _check_linear_weights(w_system2: float, w_system1: float) -> None:
+    lo, hi = LINEAR_BOUNDS
     for label, w in (("w_system2", w_system2), ("w_system1", w_system1)):
         if not lo <= w <= hi:
-            raise GenotypeError(f"linear: {label}={w} outside configured bounds [{lo}, {hi}]")
+            raise GenotypeError(f"linear: {label}={w} outside bounds [{lo}, {hi}]")
+
+
+def merge_linear(endpoints: MergeEndpoints, w_system2: float, w_system1: float) -> Checkpoint:
+    """Weighted sum w_system2 * system2 + w_system1 * system1, each weight in LINEAR_BOUNDS."""
+    _check_linear_weights(w_system2, w_system1)
     w2 = np.float32(w_system2)
     w1 = np.float32(w_system1)
     tensors = {
@@ -180,15 +162,11 @@ def merge_linear(
     )
 
 
-def decode_genotype(
-    genotype: Genotype,
-    endpoints: MergeEndpoints,
-    linear_bounds: tuple[float, float] = DEFAULT_LINEAR_BOUNDS,
-) -> Checkpoint:
+def decode_genotype(genotype: Genotype, endpoints: MergeEndpoints) -> Checkpoint:
     """Dispatch a genotype to its merge operator."""
-    genotype.validate(linear_bounds=linear_bounds)
+    genotype.validate()
     if genotype.kind == MergeKind.TA:
         return merge_task_arithmetic(endpoints, genotype.values[0])
     if genotype.kind == MergeKind.TIES:
         return merge_ties(endpoints, genotype.values[0], genotype.values[1])
-    return merge_linear(endpoints, genotype.values[0], genotype.values[1], bounds=linear_bounds)
+    return merge_linear(endpoints, genotype.values[0], genotype.values[1])

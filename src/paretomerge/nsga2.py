@@ -54,7 +54,12 @@ class MutationParams:
 
 @dataclass
 class SearchConfig:
-    """Search hyperparameters; defaults give a 20-candidate, 10-generation run."""
+    """Search hyperparameters; defaults give a 20-candidate, 10-generation run.
+
+    ``genotype_bounds``, one (low, high) pair per decision variable, must lie
+    inside ``default_genotype_bounds(genotype_kind)``, its default. The
+    ``config.json`` echo is ``dataclasses.asdict`` of this object.
+    """
 
     population_size: int = 20
     generations: int = 10
@@ -81,9 +86,16 @@ class SearchConfig:
             )
         if self.generations < 1:
             raise SearchConfigError(f"generations must be >= 1, got {self.generations}")
-        for lo, hi in self.genotype_bounds:
-            if not lo < hi:
-                raise SearchConfigError(f"bounds must satisfy low < high, got ({lo}, {hi})")
+        # Every candidate in the search box must be decodable by its merge operator.
+        box = default_genotype_bounds(self.genotype_kind)
+        if len(self.genotype_bounds) != len(box) or not all(
+            box_lo <= lo < hi <= box_hi
+            for (lo, hi), (box_lo, box_hi) in zip(self.genotype_bounds, box)
+        ):
+            raise SearchConfigError(
+                f"{self.genotype_kind.value} genotype_bounds must be {len(box)} (low, high) "
+                f"pair(s) with low < high inside {box}, got {self.genotype_bounds}"
+            )
         if not 0.0 <= self.sbx.probability <= 1.0:
             raise SearchConfigError("sbx probability must lie in [0, 1]")
         if self.sbx.eta <= 0 or self.mutation.eta <= 0:
@@ -99,20 +111,6 @@ class SearchConfig:
     def mutation_probability(self) -> float:
         pm = self.mutation.per_variable_probability
         return 1.0 / self.n_variables if pm is None else pm
-
-    def to_json_dict(self) -> dict:
-        return {
-            "population_size": self.population_size,
-            "generations": self.generations,
-            "seed": self.seed,
-            "genotype_kind": self.genotype_kind.value,
-            "genotype_bounds": [list(b) for b in self.genotype_bounds],
-            "sbx": {"probability": self.sbx.probability, "eta": self.sbx.eta},
-            "mutation": {
-                "per_variable_probability": self.mutation.per_variable_probability,
-                "eta": self.mutation.eta,
-            },
-        }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SearchConfig":

@@ -88,15 +88,6 @@ def load_matrix(path) -> CorrectnessMatrix:
         raise ValueError(f"{path}: malformed matrix file: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ItemStats:
-    """Empirical solve rate and its Bernoulli entropy for one item."""
-
-    item_id: str
-    p: float
-    entropy: float
-
-
 class SubsetStrategy(str, Enum):
     ENTROPY = "entropy"
     RANDOM = "random"
@@ -143,7 +134,7 @@ def load_subset(path) -> EvaluationSubset:
         raise ValueError(f"{path}: malformed subset file: {exc}") from exc
 
 
-def default_lambda_grid(k: int = 10) -> list[float]:
+def default_lambda_grid(k: int) -> list[float]:
     """K coefficients uniformly spaced over [0, 1], endpoints included."""
     if k < 2:
         raise ValueError(f"grid needs at least 2 points, got {k}")
@@ -153,13 +144,12 @@ def default_lambda_grid(k: int = 10) -> list[float]:
 def build_calibration_matrix(
     evaluate_at: Callable[[float], Sequence[ItemOutcome]],
     lam_grid: Sequence[float],
-    model_ids: Sequence[str] | None = None,
 ) -> CorrectnessMatrix:
     """Evaluate one candidate per grid coefficient and stack the outcomes.
 
     Row k holds the outcomes of the candidate at ``lam_grid[k]`` over all
     items; every row must cover the same items in the same order. Model ids
-    default to the deterministic candidate ids of the interpolation genotypes.
+    are the deterministic candidate ids of the interpolation genotypes.
     """
     grid = [float(v) for v in lam_grid]
     if len(grid) < 2:
@@ -168,10 +158,6 @@ def build_calibration_matrix(
         raise ValueError("lambda grid values must lie in [0, 1]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be strictly increasing")
-    if model_ids is None:
-        model_ids = [candidate_id(Genotype(MergeKind.TA, (lam,))) for lam in grid]
-    elif len(model_ids) != len(grid):
-        raise ValueError("model_ids must match the grid length")
 
     item_ids: list[str] | None = None
     correct_rows, length_rows = [], []
@@ -185,16 +171,11 @@ def build_calibration_matrix(
         correct_rows.append([o.correct for o in outcomes])
         length_rows.append([o.length for o in outcomes])
     return CorrectnessMatrix(
-        model_ids=list(model_ids),
+        model_ids=[candidate_id(Genotype(MergeKind.TA, (lam,))) for lam in grid],
         item_ids=list(item_ids or []),
         correct=np.array(correct_rows, dtype=np.int8),
         lengths=np.array(length_rows, dtype=np.float64),
     )
-
-
-def empirical_solve_rate(matrix: CorrectnessMatrix, item_id: str) -> float:
-    """Fraction of calibration models that solved the item."""
-    return float(matrix.column(item_id).mean())
 
 
 def bernoulli_entropy(p: float) -> float:
@@ -204,14 +185,6 @@ def bernoulli_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def item_stats(matrix: CorrectnessMatrix) -> list[ItemStats]:
-    rates = matrix.correct.mean(axis=0)
-    return [
-        ItemStats(item_id=iid, p=float(p), entropy=bernoulli_entropy(float(p)))
-        for iid, p in zip(matrix.item_ids, rates)
-    ]
 
 
 def expected_distinction(t: float) -> float:

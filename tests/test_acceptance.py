@@ -12,24 +12,19 @@ import pytest
 from mpmath import mp, mpf
 
 import paretomerge
-from paretomerge import (
-    Checkpoint,
-    ItemOutcome,
-    MergeEndpoints,
+from paretomerge.checkpoint import Checkpoint
+from paretomerge.cli import main as cli_main
+from paretomerge.evaluation import ItemOutcome, generate_benchmark, load_benchmark
+from paretomerge.merge import MergeEndpoints, merge_linear, merge_task_arithmetic, merge_ties
+from paretomerge.nsga2 import fast_nondominated_sort
+from paretomerge.reporting import build_report
+from paretomerge.sampling import (
     SubsetStrategy,
     bernoulli_entropy,
-    build_report,
     expected_distinction,
-    fast_nondominated_sort,
-    generate_benchmark,
-    load_benchmark,
     mean_fidelity,
-    merge_linear,
-    merge_task_arithmetic,
-    merge_ties,
     rank_fidelity_curve,
 )
-from paretomerge.cli import main as cli_main
 
 
 @contextmanager

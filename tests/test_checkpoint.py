@@ -3,14 +3,14 @@ import struct
 import numpy as np
 import pytest
 
-from paretomerge import (
+from paretomerge.checkpoint import (
     Checkpoint,
-    CheckpointFormatError,
+    MAGIC,
     check_compatible,
     load_checkpoint,
     save_checkpoint,
 )
-from paretomerge.checkpoint import MAGIC
+from paretomerge.errors import CheckpointFormatError
 
 
 def make_ckpt(arrays, metadata=None):

@@ -5,17 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paretomerge import (
-    Checkpoint,
-    Genotype,
-    MergeKind,
+from paretomerge.checkpoint import Checkpoint, save_checkpoint
+from paretomerge.cli import main
+from paretomerge.evaluation import (
     candidate_id,
     evaluate_simulated,
     generate_benchmark,
     load_manifest,
-    save_checkpoint,
 )
-from paretomerge.cli import main
+from paretomerge.merge import Genotype, MergeKind
 
 
 def sha16(path) -> str:
@@ -103,7 +101,7 @@ def test_calibrate_save_bench_round_trips(tmp_path):
     bench_path = tmp_path / "bench.json"
     assert main(["calibrate", "--gen-seed", "3", "--n-items", "40",
                  "--save-bench", str(bench_path), "--out", str(out)]) == 0
-    from paretomerge import load_benchmark
+    from paretomerge.evaluation import load_benchmark
 
     reloaded = load_benchmark(bench_path, noise_seed=3)
     assert len(reloaded) == 40
@@ -123,15 +121,29 @@ def test_calibrate_needs_exactly_one_source(tmp_path):
 
     records = tmp_path / "records.jsonl"
     records.write_text("")
-    for extra in (["--gen-seed", "0"], ["--bench", str(bench)], ["--save-bench", str(bench)]):
+    for extra in (["--gen-seed", "0"], ["--bench", str(bench)], ["--save-bench", str(bench)],
+                  ["--n-items", "50"], ["--noise-seed", "0"]):
         assert main(["calibrate", "--records", str(records), *extra, "--out", str(out)]) == 2
-    assert not out.exists() and not bench.exists()
+    manifest = tmp_path / "pending.jsonl"
+    assert main(["calibrate", "--gen-seed", "0", "--n-items", "50", "--manifest", str(manifest),
+                 "--out", str(out)]) == 2
+    assert not out.exists() and not bench.exists() and not manifest.exists()
 
 
 def test_calibrate_simulated_matrix_digest(tmp_path):
     out = tmp_path / "m.json"
     assert main(["calibrate", "--gen-seed", "0", "--n-items", "200", "--out", str(out)]) == 0
     assert sha16(out) == "1a8f0a0f0b698745"
+
+    # the generated benchmark itself, at 200 items and at the default 1000
+    bench = tmp_path / "bench.json"
+    assert main(["calibrate", "--gen-seed", "0", "--n-items", "200", "--save-bench", str(bench),
+                 "--out", str(out)]) == 0
+    assert sha16(bench) == "f6805b532c60b49b"
+    assert main(["calibrate", "--gen-seed", "7", "--save-bench", str(bench),
+                 "--out", str(out)]) == 0
+    assert sha16(bench) == "f8e210c7e4dbda41"
+    assert sha16(out) == "32b006df773912fc"
 
 
 def test_calibrate_records_matrix_and_manifest_digests(tmp_path):
@@ -260,7 +272,8 @@ def test_evolve_rerun_is_byte_identical(tmp_path):
 
 
 def test_evolve_full_item_set_front_matches_history_pareto(tmp_path):
-    from paretomerge import HistoryEntry, ObjectiveVector, extract_pareto
+    from paretomerge.evaluation import ObjectiveVector
+    from paretomerge.nsga2 import HistoryEntry, extract_pareto
 
     cfg_path, out_dir = evolve_config(tmp_path, "full", subset=None)
     assert main(["evolve", "--config", str(cfg_path)]) == 0
@@ -297,6 +310,13 @@ def test_evolve_config_validation(tmp_path):
     )
     assert main(["evolve", "--config", str(cfg_path2)]) == 1  # domain error: odd N
 
+    # a search box outside the kind's box, or of the wrong arity, fails before any output
+    for name, bounds in [("box3", [[0, 2]]), ("box4", [[0, 1], [0, 1]])]:
+        search = {"population_size": 4, "generations": 1, "genotype_bounds": bounds}
+        cfg_path3, out_dir = evolve_config(tmp_path, name, search=search)
+        assert main(["evolve", "--config", str(cfg_path3)]) == 1
+        assert not out_dir.exists()
+
 
 SIM = {"simulated": {"generator_seed": 0, "n_items": 20}}
 
@@ -319,6 +339,26 @@ SIM = {"simulated": {"generator_seed": 0, "n_items": 20}}
         {"evaluator": SIM, "subset": {"item_ids": ["item-00", 3]}},
         {"evaluator": SIM, "output_dir": 5},
         {"evaluator": {"records": {"path": 5}}},
+        {"search": {"population_size": None}, "evaluator": SIM},
+        {"evaluator": SIM, "subset": {"size": None}},
+        {"search": {"sbx": 5}, "evaluator": SIM},
+        {"search": {"population_size": 5.9}, "evaluator": SIM},
+        {"search": {"generations": True}, "evaluator": SIM},
+        {"search": {"seed": "0"}, "evaluator": SIM},
+        {"search": {"mutation": []}, "evaluator": SIM},
+        {"search": {"sbx": {"eta": "15"}}, "evaluator": SIM},
+        {"search": {"sbx": {"probability": None}}, "evaluator": SIM},
+        {"search": {"mutation": {"eta": True}}, "evaluator": SIM},
+        {"search": {"mutation": {"per_variable_probability": "0.5"}}, "evaluator": SIM},
+        {"search": {"genotype_bounds": 0}, "evaluator": SIM},
+        {"search": {"genotype_bounds": [0, 1]}, "evaluator": SIM},
+        {"search": {"genotype_bounds": [[0, "1"]]}, "evaluator": SIM},
+        {"evaluator": SIM, "subset": {"seed": 1.5}},
+        {"evaluator": SIM, "subset": {"calibration_k": True}},
+        {"evaluator": {"simulated": {"n_items": "20"}}},
+        {"evaluator": {"simulated": {"n_items": 20, "generator_seed": 0.5}}},
+        {"evaluator": {"simulated": {"n_items": 20, "noise_seed": None}}},
+        {"evaluator": {"simulated": {"benchmark": 5}}},
     ],
 )
 def test_evolve_config_shape_is_usage_error(tmp_path, capsys, config):
@@ -326,6 +366,20 @@ def test_evolve_config_shape_is_usage_error(tmp_path, capsys, config):
     path.write_text(json.dumps(config))
     assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_evolve_config_type_error_names_field(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    for block, message in [
+        ({"search": {"population_size": 5.9}}, "'search.population_size' must be an integer"),
+        ({"search": {"sbx": 5}}, "'search.sbx' must be an object"),
+        ({"subset": {"size": None}}, "'subset.size' must be an integer, got null"),
+        ({"evaluator": {"simulated": {"n_items": True}}}, "'evaluator.simulated.n_items'"),
+    ]:
+        path.write_text(json.dumps({"evaluator": SIM, **block}))
+        assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert message in capsys.readouterr().err
 
 
 def simulated_records_for(bench, genotypes, path, subset=None):

@@ -4,14 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from paretomerge import (
-    Genotype,
-    GenotypeError,
+from paretomerge.errors import GenotypeError, MissingCandidatesError, RecordFormatError
+from paretomerge.evaluation import (
+    CallableFitness,
     ItemOutcome,
-    MergeKind,
-    MissingCandidatesError,
     ObjectiveVector,
-    RecordFormatError,
     RecordsFitness,
     ResponseKind,
     SimItem,
@@ -28,7 +25,7 @@ from paretomerge import (
     save_benchmark,
     write_manifest,
 )
-from paretomerge.evaluation import CallableFitness
+from paretomerge.merge import Genotype, MergeKind
 
 
 def bench_of(*items, noise_seed=0):

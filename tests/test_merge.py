@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from paretomerge import (
-    Checkpoint,
-    CompatibilityError,
+from paretomerge.checkpoint import Checkpoint
+from paretomerge.errors import CompatibilityError, GenotypeError
+from paretomerge.merge import (
     Genotype,
-    GenotypeError,
     MergeEndpoints,
     MergeKind,
-    compute_displacement,
     decode_genotype,
     merge_linear,
     merge_task_arithmetic,
@@ -32,18 +30,6 @@ def random_endpoints(seed, n_tensors=3, max_elems=200):
 def test_endpoints_require_compatibility():
     with pytest.raises(CompatibilityError):
         MergeEndpoints(system2=ckpt({"w": [1.0]}), system1=ckpt({"v": [1.0]}))
-
-
-def test_displacement_examples():
-    ep = MergeEndpoints(system2=ckpt({"w": [1.0, 1.0]}), system1=ckpt({"w": [3.0, 3.0]}))
-    assert np.array_equal(compute_displacement(ep).tensors["w"], [2.0, 2.0])
-
-    same = ckpt({"w": [0.25, -4.0]})
-    ep = MergeEndpoints(system2=same, system1=ckpt({"w": [0.25, -4.0]}))
-    assert np.array_equal(compute_displacement(ep).tensors["w"], [0.0, 0.0])
-
-    ep = MergeEndpoints(system2=ckpt({"w": [1.5]}), system1=ckpt({"w": [0.5]}))
-    assert np.array_equal(compute_displacement(ep).tensors["w"], [-1.0])
 
 
 def test_ta_endpoints_byte_exact():
@@ -171,7 +157,7 @@ def test_linear_bounds_enforced():
     ep = random_endpoints(8)
     with pytest.raises(GenotypeError):
         merge_linear(ep, 2.0, 0.5)
-    assert merge_linear(ep, 2.0, 0.5, bounds=(0.0, 2.5)) is not None
+    assert merge_linear(ep, 1.5, 0.0) is not None
 
 
 def test_genotype_validation():
@@ -184,7 +170,7 @@ def test_genotype_validation():
         Genotype(MergeKind.TIES, (0.5, 0.0)).validate()
     with pytest.raises(GenotypeError):
         Genotype(MergeKind.LINEAR, (1.6, 0.0)).validate()
-    Genotype(MergeKind.LINEAR, (1.6, 0.0)).validate(linear_bounds=(0.0, 2.0))
+    Genotype(MergeKind.LINEAR, (1.5, 0.0)).validate()
 
 
 def test_decode_genotype_dispatch():

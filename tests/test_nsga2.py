@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from paretomerge import (
-    FitnessEvaluator,
-    Genotype,
+from paretomerge.errors import SearchConfigError
+from paretomerge.evaluation import FitnessEvaluator, ObjectiveVector
+from paretomerge.merge import Genotype, MergeKind, default_genotype_bounds
+from paretomerge.nsga2 import (
     HistoryEntry,
     Individual,
-    MergeKind,
     MutationParams,
-    ObjectiveVector,
     Population,
     SbxParams,
     SearchConfig,
-    SearchConfigError,
     crowding_distance,
     dominates,
     extract_pareto,
@@ -296,6 +296,53 @@ def test_search_config_validation():
         SearchConfig(generations=0)
     with pytest.raises(SearchConfigError):
         SearchConfig(genotype_bounds=((1.0, 1.0),))
+    # the search box has the kind's arity and lies inside the kind's box
+    for kind, bounds in [
+        (MergeKind.TA, ((0.0, 2.0),)),
+        (MergeKind.TA, ((-0.1, 1.0),)),
+        (MergeKind.TA, ((0.0, 1.0), (0.0, 1.0))),
+        (MergeKind.TIES, ((0.0, 1.0),)),
+        (MergeKind.TIES, ((0.0, 1.0), (0.0, 1.0))),
+        (MergeKind.LINEAR, ((0.0, 1.5), (0.0, 1.6))),
+        (MergeKind.LINEAR, ((0.0, float("nan")), (0.0, 1.0))),
+    ]:
+        with pytest.raises(SearchConfigError):
+            SearchConfig(genotype_kind=kind, genotype_bounds=bounds)
+    assert SearchConfig(
+        genotype_kind=MergeKind.LINEAR, genotype_bounds=((0.2, 1.0), (0.0, 1.5))
+    ).genotype_bounds == ((0.2, 1.0), (0.0, 1.5))
+
+
+@st.composite
+def in_box_config(draw):
+    kind = draw(st.sampled_from(list(MergeKind)))
+    bounds = []
+    for box_lo, box_hi in default_genotype_bounds(kind):
+        a, b = (draw(st.floats(box_lo, box_hi)) for _ in range(2))
+        assume(a != b)
+        bounds.append((min(a, b), max(a, b)))
+    return SearchConfig(
+        genotype_kind=kind,
+        genotype_bounds=tuple(bounds),
+        mutation=MutationParams(per_variable_probability=1.0),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(cfg=in_box_config(), data=st.data())
+def test_offspring_stay_in_any_in_box_search_box(cfg, data):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    box = cfg.genotype_bounds
+    parents = [
+        Genotype(cfg.genotype_kind, tuple(data.draw(st.floats(lo, hi)) for lo, hi in box))
+        for _ in range(2)
+    ]
+    children = sbx_crossover(*parents, cfg, rng)
+    for child in (*children, *(polynomial_mutation(c, cfg, rng) for c in children)):
+        for v, (lo, hi) in zip(child.values, cfg.genotype_bounds):
+            assert lo <= v <= hi
+        child.validate()
 
 
 def linear_objectives(g: Genotype) -> ObjectiveVector:

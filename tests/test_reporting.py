@@ -1,15 +1,9 @@
 import pytest
 
-from paretomerge import (
-    Genotype,
-    ItemOutcome,
-    MergeKind,
-    ObjectiveVector,
-    build_report,
-    front_points_csv,
-    report_to_csv,
-)
+from paretomerge.evaluation import ItemOutcome, ObjectiveVector
+from paretomerge.merge import Genotype, MergeKind
 from paretomerge.nsga2 import FrontMember, ParetoFront
+from paretomerge.reporting import build_report, front_points_csv, report_to_csv
 
 
 def outcomes(n, acc, length):

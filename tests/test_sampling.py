@@ -2,18 +2,15 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from paretomerge import (
+from paretomerge.errors import SubsetSelectionError
+from paretomerge.evaluation import evaluate_simulated, generate_benchmark
+from paretomerge.sampling import (
     CorrectnessMatrix,
-    SubsetSelectionError,
     SubsetStrategy,
     bernoulli_entropy,
     build_calibration_matrix,
     default_lambda_grid,
-    empirical_solve_rate,
-    evaluate_simulated,
     expected_distinction,
-    generate_benchmark,
-    item_stats,
     load_matrix,
     load_subset,
     mean_fidelity,
@@ -78,11 +75,11 @@ def test_build_calibration_matrix_shape_and_grid_checks():
 
 def test_empirical_solve_rate():
     m = matrix_from_columns([0.4, 1.0, 0.0])
-    assert empirical_solve_rate(m, "item-0") == 0.4
-    assert empirical_solve_rate(m, "item-1") == 1.0
-    assert empirical_solve_rate(m, "item-2") == 0.0
+    assert m.column("item-0").mean() == 0.4
+    assert m.column("item-1").mean() == 1.0
+    assert m.column("item-2").mean() == 0.0
     with pytest.raises(ValueError):
-        empirical_solve_rate(m, "missing")
+        m.column("missing")
 
 
 def test_bernoulli_entropy_values():
@@ -234,14 +231,6 @@ def test_spearman_errors():
         spearman_rho([1], [2])
     with pytest.raises(ValueError, match="constant"):
         spearman_rho([1, 1, 1], [1, 2, 3])
-
-
-def test_item_stats_consistency():
-    m = matrix_from_columns([0.2, 0.5])
-    stats = item_stats(m)
-    assert stats[0].p == 0.2 and stats[1].p == 0.5
-    assert stats[1].entropy == 1.0
-    assert stats[0].entropy == pytest.approx(bernoulli_entropy(0.2))
 
 
 def test_rank_fidelity_full_size_is_perfect():
