@@ -71,6 +71,30 @@ def test_merge_usage_errors(endpoints, tmp_path):
     assert main(base + ["--op", "dare", "--params", "0.5"]) == 2  # argparse choices
 
 
+@pytest.mark.parametrize("op, params, digest", [
+    ("ta", "0.3", "9a78278b64edfeaa"),
+    ("linear", "0.6,0.5", "5bebc1b5b4df1d44"),
+    ("ties", "0.5,0.2", "e31ce4ccc7abe2dc"),
+    ("ties", "0.7,0.55", "94172c8630d08bad"),
+])
+def test_merge_output_digests(tmp_path, op, params, digest):
+    # quantized endpoints: |system1 - system2| is exact in float32 and full of
+    # magnitude ties (zeros of both signs included), so k lands inside tie runs
+    rng = np.random.default_rng(3)
+    shapes = {"emb": (13, 7), "bias": (29,), "w": (6, 5, 4)}
+    s2 = {n: (rng.integers(-16, 17, s) / 8).astype(np.float32) for n, s in shapes.items()}
+    s1 = {n: s2[n] + (rng.integers(-3, 4, s) / 4).astype(np.float32) for n, s in shapes.items()}
+    s1["bias"][::3] = -0.0
+    s2["bias"][::3] = 0.0
+    s1["w"] = s2["w"] + rng.standard_normal(shapes["w"]).astype(np.float32)
+    p2, p1, out = tmp_path / "s2.pmrg", tmp_path / "s1.pmrg", tmp_path / "out.pmrg"
+    save_checkpoint(Checkpoint(tensors=s2, metadata={"name": "system2"}), p2)
+    save_checkpoint(Checkpoint(tensors=s1, metadata={"name": "system1"}), p1)
+    assert main(["merge", "--system2", str(p2), "--system1", str(p1),
+                 "--op", op, "--params", params, "--out", str(out)]) == 0
+    assert sha16(out) == digest
+
+
 def test_merge_domain_error_on_missing_file(tmp_path):
     rc = main(["merge", "--system2", str(tmp_path / "none.pmrg"),
                "--system1", str(tmp_path / "none.pmrg"),
