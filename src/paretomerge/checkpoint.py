@@ -5,12 +5,18 @@ length, a UTF-8 JSON header describing tensor shapes/offsets plus free-form
 string metadata, then the raw float32 payload. Offsets are relative to the
 payload start and 8-byte aligned, so a canonical save of the same checkpoint
 is byte-identical every time.
+
+I/O is per tensor in both directions: a load reads the prefix and header,
+then reads each tensor straight into its own array at its offset, and a save
+writes each array's buffer without an intermediate bytes copy. Peak memory of
+a load is therefore about one copy of the file, not the file plus its tensors.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -118,9 +124,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             aligned = _align_up(pos)
             if aligned > pos:
                 fh.write(b"\x00" * (aligned - pos))
-            data = arr.astype("<f4", copy=False).tobytes()
-            fh.write(data)
-            pos = aligned + len(data)
+            data = np.ascontiguousarray(arr, dtype="<f4")
+            fh.write(memoryview(data).cast("B"))
+            pos = aligned + data.nbytes
 
 
 def load_checkpoint(path, validate: bool = True) -> Checkpoint:
@@ -130,64 +136,77 @@ def load_checkpoint(path, validate: bool = True) -> Checkpoint:
     load, reported with its tensor name and absolute file offset.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MAGIC) + 4:
-        raise CheckpointFormatError(f"{path}: file too short for container header")
-    if blob[:4] != MAGIC:
-        raise CheckpointFormatError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    (header_len,) = struct.unpack("<I", blob[4:8])
-    header_end = 8 + header_len
-    if len(blob) < header_end:
-        raise CheckpointFormatError(f"{path}: truncated header ({header_len} bytes declared)")
-    try:
-        header = json.loads(blob[8:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointFormatError(f"{path}: header is not valid JSON: {exc}") from exc
-
-    if not isinstance(header, dict) or "tensors" not in header:
-        raise CheckpointFormatError(f"{path}: header missing 'tensors' table")
-    entries = header["tensors"]
-    if not isinstance(entries, dict) or not entries:
-        raise CheckpointFormatError(f"{path}: container must hold at least one tensor")
-    metadata = header.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise CheckpointFormatError(f"{path}: metadata must be a string map")
-
-    payload = blob[header_end:]
-    tensors: dict[str, np.ndarray] = {}
-    for name, entry in entries.items():
+        file_size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(len(MAGIC) + 4)
+        if len(prefix) < len(MAGIC) + 4:
+            raise CheckpointFormatError(f"{path}: file too short for container header")
+        if prefix[:4] != MAGIC:
+            raise CheckpointFormatError(f"{path}: bad magic {prefix[:4]!r}, expected {MAGIC!r}")
+        (header_len,) = struct.unpack("<I", prefix[4:8])
+        header_end = 8 + header_len
+        if file_size < header_end:
+            raise CheckpointFormatError(f"{path}: truncated header ({header_len} bytes declared)")
         try:
-            shape = tuple(int(d) for d in entry["shape"])
-            offset = int(entry["offset"])
-            nbytes = int(entry["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointFormatError(f"{path}: tensor {name!r}: malformed header entry") from exc
-        if not shape or any(d < 1 for d in shape):
-            raise CheckpointFormatError(f"{path}: tensor {name!r}: invalid shape {shape}")
-        count = math.prod(shape)
-        if nbytes != count * 4:
-            raise CheckpointFormatError(
-                f"{path}: tensor {name!r}: header declares {nbytes} bytes "
-                f"but shape {shape} needs {count * 4}"
-            )
-        if offset % _ALIGN != 0:
-            raise CheckpointFormatError(
-                f"{path}: tensor {name!r}: offset {offset} is not {_ALIGN}-byte aligned"
-            )
-        if offset + nbytes > len(payload):
-            raise CheckpointFormatError(
-                f"{path}: tensor {name!r}: payload truncated "
-                f"(needs bytes [{offset}, {offset + nbytes}) of {len(payload)})"
-            )
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset).reshape(shape)
-        if validate and not np.isfinite(arr).all():
-            bad = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
-            raise CheckpointFormatError(
-                f"{path}: tensor {name!r}: non-finite element at flat index {bad} "
-                f"(file offset {header_end + offset + 4 * bad})"
-            )
-        tensors[name] = arr.copy()
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointFormatError(f"{path}: header is not valid JSON: {exc}") from exc
+
+        if not isinstance(header, dict) or "tensors" not in header:
+            raise CheckpointFormatError(f"{path}: header missing 'tensors' table")
+        entries = header["tensors"]
+        if not isinstance(entries, dict) or not entries:
+            raise CheckpointFormatError(f"{path}: container must hold at least one tensor")
+        metadata = header.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise CheckpointFormatError(f"{path}: metadata must be a string map")
+
+        payload_size = file_size - header_end
+        tensors: dict[str, np.ndarray] = {}
+        for name, entry in entries.items():
+            try:
+                shape = tuple(int(d) for d in entry["shape"])
+                offset = int(entry["offset"])
+                nbytes = int(entry["nbytes"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointFormatError(
+                    f"{path}: tensor {name!r}: malformed header entry"
+                ) from exc
+            if not shape or any(d < 1 for d in shape):
+                raise CheckpointFormatError(f"{path}: tensor {name!r}: invalid shape {shape}")
+            count = math.prod(shape)
+            if nbytes != count * 4:
+                raise CheckpointFormatError(
+                    f"{path}: tensor {name!r}: header declares {nbytes} bytes "
+                    f"but shape {shape} needs {count * 4}"
+                )
+            if offset < 0:
+                raise CheckpointFormatError(f"{path}: tensor {name!r}: negative offset {offset}")
+            if offset % _ALIGN != 0:
+                raise CheckpointFormatError(
+                    f"{path}: tensor {name!r}: offset {offset} is not {_ALIGN}-byte aligned"
+                )
+            if offset + nbytes > payload_size:
+                raise _truncated(path, name, offset, nbytes, payload_size)
+            arr = np.empty(shape, dtype="<f4")
+            fh.seek(header_end + offset)
+            got = fh.readinto(memoryview(arr).cast("B"))
+            if got < nbytes:  # the file shrank after it was measured
+                raise _truncated(path, name, offset, nbytes, offset + got)
+            if validate and not np.isfinite(arr).all():
+                bad = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
+                raise CheckpointFormatError(
+                    f"{path}: tensor {name!r}: non-finite element at flat index {bad} "
+                    f"(file offset {header_end + offset + 4 * bad})"
+                )
+            tensors[name] = arr
     return Checkpoint(tensors=tensors, metadata={str(k): str(v) for k, v in metadata.items()})
+
+
+def _truncated(path, name: str, offset: int, nbytes: int, available: int) -> CheckpointFormatError:
+    return CheckpointFormatError(
+        f"{path}: tensor {name!r}: payload truncated "
+        f"(needs bytes [{offset}, {offset + nbytes}) of {available})"
+    )
 
 
 def _align_up(n: int) -> int:

@@ -108,8 +108,18 @@ def merge_task_arithmetic(endpoints: MergeEndpoints, lam: float) -> Checkpoint:
 def merge_ties(endpoints: MergeEndpoints, lam: float, k: float) -> Checkpoint:
     """Interpolate only the ceil(k*n) largest-magnitude displacement entries per tensor.
 
-    Entries outside the kept set stay exactly at system2. Magnitude ties keep
-    the lower flat index first.
+    This is TIES-Merging (Yadav et al., NeurIPS 2023) for a single task vector
+    tau = system1 - system2: with one vector the sign election and disjoint mean
+    are trivial, so trimming to the top-k magnitudes is the whole operator.
+    Entries outside the kept set stay exactly at system2.
+
+    The kept set is the first ceil(k*n) entries of a stable sort of -|tau|,
+    found without sorting: ``np.partition`` gives the threshold t, every
+    entry strictly above it in magnitude is kept, and the remaining slots go
+    to the entries equal to t, lowest flat index first. NaN displacements
+    (possible only when loading skipped validation) rank after every number,
+    so they are kept only when ceil(k*n) exceeds the count of non-NaN entries,
+    again lowest index first.
     """
     if not 0.0 <= lam <= 1.0:
         raise GenotypeError(f"ties: lambda must lie in [0, 1], got {lam}")
@@ -120,12 +130,16 @@ def merge_ties(endpoints: MergeEndpoints, lam: float, k: float) -> Checkpoint:
     tensors = {}
     for name, s2 in endpoints.system2.tensors.items():
         s1 = endpoints.system1.tensors[name]
-        tau = (s1 - s2).ravel()
-        n = tau.size
+        neg = -np.abs(s1 - s2).ravel()
+        n = neg.size
         keep_count = min(n, math.ceil(k * n))
-        order = np.argsort(-np.abs(tau), kind="stable")
-        mask = np.zeros(n, dtype=bool)
-        mask[order[:keep_count]] = True
+        t = np.partition(neg, keep_count - 1)[keep_count - 1]
+        if np.isnan(t):  # NaNs sort last: every number is kept, then NaNs fill
+            ties = np.isnan(neg)
+            mask = ~ties
+        else:
+            mask, ties = neg < t, neg == t
+        mask[np.flatnonzero(ties)[: keep_count - np.count_nonzero(mask)]] = True
         merged = np.where(
             mask.reshape(s2.shape), one_minus * s2 + lam32 * s1, s2
         ).astype(np.float32, copy=False)

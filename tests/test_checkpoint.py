@@ -1,7 +1,12 @@
+import os
+import re
 import struct
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paretomerge.checkpoint import (
     Checkpoint,
@@ -96,6 +101,85 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(CheckpointFormatError, match="truncated"):
         load_checkpoint(path)
+
+
+def three_tensor_file(tmp_path):
+    ckpt = make_ckpt({"a": np.arange(7), "b": np.arange(3), "c": np.arange(2)})
+    path = tmp_path / "three.pmrg"
+    save_checkpoint(ckpt, path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    return path, blob, 8 + hlen  # payload offsets: a 0, b 32, c 48
+
+
+def test_file_cut_mid_tensor_raises_located_truncation(tmp_path):
+    path, blob, header_end = three_tensor_file(tmp_path)
+    path.write_bytes(blob[: header_end + 38])  # 6 of b's 12 bytes
+    message = "tensor 'b': payload truncated (needs bytes [32, 44) of 38)"
+    with pytest.raises(CheckpointFormatError, match=re.escape(message)):
+        load_checkpoint(path)
+
+
+def test_short_read_raises_truncation_not_partial_array(tmp_path, monkeypatch):
+    # the file shrinks between measuring it and reading tensor b
+    path, blob, header_end = three_tensor_file(tmp_path)
+    path.write_bytes(blob[: header_end + 38])
+    real_fstat = os.fstat
+
+    def uncut_fstat(fd):
+        fields = list(real_fstat(fd))
+        fields[6] = len(blob)  # st_size
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(os, "fstat", uncut_fstat)
+    message = "tensor 'b': payload truncated (needs bytes [32, 44) of 38)"
+    with pytest.raises(CheckpointFormatError, match=re.escape(message)):
+        load_checkpoint(path)
+
+
+def test_negative_offset_rejected(tmp_path):
+    header = b'{"tensors":{"w":{"shape":[2],"offset":-8,"nbytes":8}},"metadata":{}}'
+    path = tmp_path / "neg.pmrg"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + b"\x00" * 8)
+    with pytest.raises(CheckpointFormatError, match="tensor 'w': negative offset -8"):
+        load_checkpoint(path)
+
+
+def test_loaded_arrays_are_writeable_and_independent(tmp_path):
+    path, _, _ = three_tensor_file(tmp_path)
+    arrays = list(load_checkpoint(path).tensors.values())
+    for i, arr in enumerate(arrays):
+        assert arr.flags.writeable and arr.flags.c_contiguous
+        assert not any(np.shares_memory(arr, other) for other in arrays[i + 1 :])
+        arr[...] = -1.0
+    assert all((arr == -1.0).all() for arr in arrays)
+
+
+names = st.text(min_size=1, max_size=12)
+tensor_maps = st.dictionaries(
+    names,
+    hnp.arrays(np.float32, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+               elements=st.floats(width=32)),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tensors=tensor_maps, metadata=st.dictionaries(st.text(max_size=12), st.text(max_size=12)))
+def test_save_load_round_trip_property(tmp_path, tensors, metadata):
+    p1, p2 = tmp_path / "p1.pmrg", tmp_path / "p2.pmrg"
+    save_checkpoint(Checkpoint(tensors=tensors, metadata=metadata), p1)
+    loaded = load_checkpoint(p1, validate=False)
+    assert list(loaded.tensors) == list(tensors)
+    assert loaded.metadata == metadata
+    for name, arr in tensors.items():
+        got = loaded.tensors[name]
+        assert got.shape == arr.shape
+        assert np.array_equal(got.view(np.uint32), arr.view(np.uint32))
+    save_checkpoint(loaded, p2)
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_header_shape_nbytes_mismatch_rejected(tmp_path):

@@ -142,6 +142,9 @@ def test_calibrate_needs_exactly_one_source(tmp_path):
     bench = tmp_path / "bench.json"
     assert main(["calibrate", "--out", str(out)]) == 2
     assert main(["calibrate", "--gen-seed", "0", "--bench", str(bench), "--out", str(out)]) == 2
+    assert main(["calibrate", "--bench", str(bench), "--n-items", "50", "--out", str(out)]) == 2
+    assert main(["calibrate", "--bench", str(bench), "--n-items", "50", "--save-bench",
+                 str(bench), "--out", str(out)]) == 2
 
     records = tmp_path / "records.jsonl"
     records.write_text("")
@@ -596,6 +599,17 @@ def test_fidelity_full_size_rho_one(tmp_path):
 def test_fidelity_unknown_strategy_usage_error(tmp_path):
     assert main(["fidelity", "--gen-seed", "0", "--strategies", "bogus",
                  "--sizes", "10", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_fidelity_bench_with_n_items_usage_error(tmp_path, capsys):
+    bench = tmp_path / "bench.json"
+    assert main(["calibrate", "--gen-seed", "0", "--n-items", "40", "--save-bench", str(bench),
+                 "--out", str(tmp_path / "m.json")]) == 0
+    out_dir = tmp_path / "fid"
+    assert main(["fidelity", "--bench", str(bench), "--n-items", "40",
+                 "--out", str(out_dir)]) == 2
+    assert "usage error: --n-items applies only to --gen-seed" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_fidelity_outputs_byte_reproducible(tmp_path):

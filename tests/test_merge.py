@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paretomerge.checkpoint import Checkpoint
 from paretomerge.errors import CompatibilityError, GenotypeError
@@ -112,6 +116,79 @@ def test_ties_magnitude_ties_keep_lower_flat_index():
     )
     merged = merge_ties(ep, lam=1.0, k=0.5)
     assert np.array_equal(merged.tensors["w"], [0.5, -0.5, 0.0, 0.0])
+
+
+def argsort_mask(tau, k):
+    """Slow oracle: the first ceil(k*n) entries of a stable argsort of -|tau|."""
+    flat = tau.ravel()
+    keep = min(flat.size, math.ceil(k * flat.size))
+    mask = np.zeros(flat.size, dtype=bool)
+    mask[np.argsort(-np.abs(flat), kind="stable")[:keep]] = True
+    return mask.reshape(tau.shape)
+
+
+def assert_ties_matches_oracle(s2, s1, lam, k):
+    s2, s1 = np.asarray(s2, dtype=np.float32), np.asarray(s1, dtype=np.float32)
+    ep = MergeEndpoints(system2=ckpt({"w": s2}), system1=ckpt({"w": s1}))
+    lam32 = np.float32(lam)
+    with np.errstate(invalid="ignore"):  # 0 * inf where tau is infinite
+        got = merge_ties(ep, lam, k).tensors["w"]
+        want = np.where(argsort_mask(s1 - s2, k), (np.float32(1.0) - lam32) * s2 + lam32 * s1, s2)
+    assert got.dtype == np.float32 and got.shape == s2.shape
+    assert np.array_equal(got.view(np.uint32), want.astype(np.float32).view(np.uint32))
+    return got
+
+
+QUANTIZED = np.random.default_rng(21).integers(-3, 4, (9, 11)) / 4
+
+
+@pytest.mark.parametrize("s2, s1, k", [
+    (np.zeros((9, 11)), QUANTIZED, 0.3),  # quantized tau, k inside the 0.75 run
+    (np.zeros((9, 11)), QUANTIZED, 0.55),  # k inside the 0.5 run
+    (QUANTIZED, QUANTIZED + 0.5, 0.37),  # all-equal |tau|
+    (np.zeros(8), [0.0, -0.0, 0.5, -0.0, 0.0, -0.5, -0.0, 0.0], 0.5),  # k inside the zeros
+    (np.zeros(6), [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0], 0.5),  # all signed zeros
+    (np.zeros(7), [0.25, -1.0, 0.25, 1.0, -0.25, 0.5, 1.0], 0.001),  # keep_count == 1
+    (np.zeros(7), [0.25, -1.0, 0.25, 1.0, -0.25, 0.5, 1.0], 1.0),  # keep_count == n
+    (np.ones(5), [np.inf, 1.0, -np.inf, 2.0, 0.0], 0.4),  # infinite tau ranks first
+])
+def test_ties_matches_stable_argsort_oracle_on_ties(s2, s1, k):
+    for lam in (0.0, 0.5, 0.7, 1.0):
+        assert_ties_matches_oracle(s2, s1, lam, k)
+
+
+def test_ties_nan_entries_follow_every_number():
+    # 6 numbers and 4 NaNs; NaN tau is kept only once k*n exceeds 6, lowest index first
+    s1 = np.array([np.nan, 0.5, np.nan, -0.5, 0.25, np.nan, 0.0, 1.0, np.nan, -0.25])
+    s2 = np.zeros(10)
+    nan_kept = []
+    for keep in range(1, 11):
+        merged = assert_ties_matches_oracle(s2, s1, 0.5, (keep - 0.5) / 10)
+        nan_kept.append(int(np.isnan(merged).sum()))
+    assert nan_kept == [0, 0, 0, 0, 0, 0, 1, 2, 3, 4]
+    merged = assert_ties_matches_oracle(s2, s1, 0.5, 0.75)
+    assert np.isnan(merged[[0, 2]]).all() and merged[5] == 0.0 and merged[8] == 0.0
+    # all-NaN tensor: the threshold itself is NaN and there are no numbers
+    merged = assert_ties_matches_oracle(np.zeros(4), np.full(4, np.nan), 0.5, 0.5)
+    assert np.isnan(merged).tolist() == [True, True, False, False]
+
+
+TIE_VALUES = [0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, np.nan]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    shape=st.one_of(st.tuples(st.integers(1, 40)), st.tuples(st.integers(1, 6), st.integers(1, 6))),
+    data=st.data(),
+    lam=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    k=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_ties_mask_equals_stable_argsort_property(shape, data, lam, k):
+    n = math.prod(shape)
+    tau = data.draw(st.lists(st.sampled_from(TIE_VALUES), min_size=n, max_size=n))
+    base = data.draw(st.lists(st.sampled_from([0.0, 0.5, -2.0]), min_size=n, max_size=n))
+    s2 = np.array(base, dtype=np.float32).reshape(shape)
+    assert_ties_matches_oracle(s2, s2 + np.array(tau, dtype=np.float32).reshape(shape), lam, k)
 
 
 def test_ties_k1_reduces_to_ta_element_exact():
