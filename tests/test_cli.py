@@ -510,6 +510,36 @@ def test_evolve_records_with_strategy_subset_from_calibration(tmp_path):
     }
 
 
+def test_evolve_records_without_subset_digests(tmp_path):
+    # No subset block: each candidate is scored on all of its records, summed in
+    # file order. Items are written in reverse benchmark order so that file
+    # order differs from item-id order.
+    bench = generate_benchmark(seed=0, n_items=40)
+    records_path = tmp_path / "records.jsonl"
+    records_path.write_text("")
+    cfg_path, run_dir = evolve_config(
+        tmp_path, "fullrun",
+        search={"population_size": 6, "generations": 2, "seed": 3},
+        evaluator={"records": {"path": str(records_path)}},
+        subset=None,
+    )
+    known = []
+    for _ in range(5):
+        rc = main(["evolve", "--config", str(cfg_path)])
+        if rc == 0:
+            break
+        assert rc == 1
+        known.extend(g for _, g in load_manifest(run_dir / "manifest.jsonl"))
+        simulated_records_for(bench, known, records_path, subset=bench.item_ids[::-1])
+    else:
+        pytest.fail("records evolve did not converge in 5 harness rounds")
+
+    assert {name: sha16(run_dir / name) for name in ("history.jsonl", "pareto.json")} == {
+        "history.jsonl": "d0b8325e88f0598b",
+        "pareto.json": "23948e73f47df518",
+    }
+
+
 def test_evolve_records_missing_item_named(tmp_path):
     bench = generate_benchmark(seed=0, n_items=30)
     records_path = tmp_path / "records.jsonl"
@@ -701,3 +731,30 @@ def test_report_command(tmp_path, capsys):
 
     assert main(["report", "--records", str(records), "--candidate", "nope",
                  "--baseline", "base"]) == 1
+
+
+def test_report_csv_digest_with_prefixed_ids_and_fractional_lengths(tmp_path):
+    # Item ids with a benchmark prefix (three suites, interleaved in file
+    # order), a leading '/' (the empty benchmark name) and none at all
+    # ("default"); lengths are non-integers, so the per-group sums depend on
+    # record order. A third candidate is interleaved and must be ignored.
+    rng = np.random.default_rng(7)
+    names = ["gsm", "math", "aime", "", None]
+    lines = []
+    for i in range(60):
+        name = names[int(rng.integers(len(names)))]
+        item = f"q{i}" if name is None else f"{name}/q{i}"
+        for cid in ("base", "other", "cand"):
+            lines.append(json.dumps({
+                "candidate_id": cid,
+                "item_id": item,
+                "correct": int(rng.integers(2)),
+                "length": float(rng.uniform(50.0, 4000.0)),
+            }))
+    records = tmp_path / "records.jsonl"
+    records.write_text("\n".join(lines) + "\n")
+
+    out_dir = tmp_path / "rep"
+    assert main(["report", "--records", str(records), "--candidate", "cand",
+                 "--baseline", "base", "--out", str(out_dir)]) == 0
+    assert sha16(out_dir / "report.csv") == "99d15553ce2cd657"
