@@ -21,13 +21,12 @@ from typing import Sequence
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import MissingCandidatesError, ParetoMergeError, RecordFormatError
 from .evaluation import (
-    ItemOutcome,
     ObjectiveVector,
+    Outcomes,
     RecordsFitness,
     SimulatedBenchmark,
     SimulatedFitness,
     candidate_id,
-    evaluate_simulated,
     generate_benchmark,
     load_benchmark,
     load_record_evaluations,
@@ -89,7 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True, choices=["ta", "ties", "linear"])
     p.add_argument("--params", required=True, help="comma-separated operator parameters")
     p.add_argument("--out", required=True)
-    p.add_argument("--no-validate", action="store_true", help="skip NaN/Inf checks on load")
+    p.add_argument("--no-validate", action="store_true",
+                   help="skip NaN/Inf checks on load; lambda 0/1 then reproduce an endpoint "
+                   "exactly only where both inputs are finite (0 * inf is NaN)")
     p.set_defaults(func=_cmd_merge)
 
     p = sub.add_parser("calibrate", help="build the K-row calibration correctness matrix")
@@ -441,13 +442,15 @@ def _calibration_matrix(grid, bench, records) -> CorrectnessMatrix:
     naming every grid candidate without records.
     """
     if bench is not None:
-        return build_calibration_matrix(lambda lam: evaluate_simulated(bench, lam), grid)
+        def row(lam):
+            return Outcomes(bench.item_ids, bench.correctness_vector(lam), bench.length_vector(lam))
+        return build_calibration_matrix(row, grid)
     ids = {lam: candidate_id(Genotype(MergeKind.TA, (lam,))) for lam in grid}
     missing = [(c, Genotype(MergeKind.TA, (lam,))) for lam, c in ids.items() if c not in records]
     if missing:
         raise MissingCandidatesError(missing)
     return build_calibration_matrix(
-        lambda lam: sorted(records[ids[lam]], key=lambda o: o.item_id), grid
+        lambda lam: records[ids[lam]].select(sorted(records[ids[lam]].item_ids)), grid
     )
 
 
@@ -519,13 +522,12 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _group_by_benchmark(outcomes: Sequence[ItemOutcome]) -> dict[str, list[ItemOutcome]]:
-    """Group items by the benchmark prefix of their id (before the first '/')."""
-    groups: dict[str, list[ItemOutcome]] = {}
-    for o in outcomes:
-        name = o.item_id.split("/", 1)[0] if "/" in o.item_id else "default"
-        groups.setdefault(name, []).append(o)
-    return groups
+def _group_by_benchmark(outcomes: Outcomes) -> dict[str, Outcomes]:
+    """Split items by the benchmark prefix of their id (before the first '/'), keeping order."""
+    groups: dict[str, list[str]] = {}
+    for iid in outcomes.item_ids:
+        groups.setdefault(iid.split("/", 1)[0] if "/" in iid else "default", []).append(iid)
+    return {name: outcomes.select(ids) for name, ids in groups.items()}
 
 
 # ---------------------------------------------------------------------------

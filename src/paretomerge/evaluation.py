@@ -8,6 +8,9 @@ Two fitness backends share one contract (genotype in, accuracy/length out):
 * ``RecordsFitness`` replays per-item outcomes produced by an external
   harness from a JSONL record file, keyed by deterministic candidate ids.
 
+Per-item results are held per candidate as columns (``Outcomes``: item ids,
+0/1 correctness, output lengths) and reduced by ``Outcomes.objectives``.
+
 The search scores each generation with one
 ``FitnessEvaluator.evaluate_population(genotypes, workers)`` call, which
 returns one objective vector per genotype in input order; see
@@ -22,7 +25,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,24 +35,6 @@ from .merge import Genotype, MergeKind
 
 # ``bool`` subclasses ``int`` but is never a valid count or measurement.
 _BOOL_TYPES = (bool, np.bool_)
-
-
-@dataclass(frozen=True)
-class ItemOutcome:
-    """One candidate's result on one item: solved or not, and output tokens."""
-
-    item_id: str
-    correct: int
-    length: float
-
-    def __post_init__(self):
-        if not self.item_id:
-            raise ValueError("item_id must be non-empty")
-        if type(self.correct) in _BOOL_TYPES or self.correct not in (0, 1):
-            raise ValueError(f"correct must be 0 or 1, got {self.correct!r}")
-        # The chained comparison also rejects NaN and infinity.
-        if type(self.length) in _BOOL_TYPES or not 0 <= self.length < math.inf:
-            raise ValueError(f"length must be a finite number >= 0, got {self.length!r}")
 
 
 @dataclass(frozen=True)
@@ -72,13 +57,48 @@ class ObjectiveVector:
         return (-self.accuracy, self.mean_length)
 
 
-def compute_objectives(outcomes: Sequence[ItemOutcome]) -> ObjectiveVector:
-    """Mean correctness and mean token length over a non-empty outcome list."""
-    if not outcomes:
-        raise ValueError("cannot compute objectives from an empty outcome list")
-    acc = sum(o.correct for o in outcomes) / len(outcomes)
-    mean_len = sum(o.length for o in outcomes) / len(outcomes)
-    return ObjectiveVector(accuracy=acc, mean_length=mean_len)
+@dataclass(frozen=True, eq=False)
+class Outcomes:
+    """One candidate's per-item results as columns: entry i of ``correct`` (0/1,
+    ``int8``) and ``lengths`` (output tokens, ``float64``) belongs to ``item_ids[i]``.
+
+    Values are not checked here; the record loader and the benchmark produce them.
+    """
+
+    item_ids: tuple[str, ...]
+    correct: np.ndarray
+    lengths: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "item_ids", tuple(self.item_ids))
+        object.__setattr__(self, "correct", np.asarray(self.correct, dtype=np.int8))
+        object.__setattr__(self, "lengths", np.asarray(self.lengths, dtype=np.float64))
+        if not len(self.item_ids) == len(self.correct) == len(self.lengths):
+            raise ValueError("item_ids, correct and lengths must have the same length")
+
+    def __len__(self) -> int:
+        return len(self.item_ids)
+
+    def objectives(self) -> ObjectiveVector:
+        """Mean correctness and mean length over a non-empty column set."""
+        n = len(self)
+        if n == 0:
+            raise ValueError("cannot compute objectives from no outcomes")
+        # A left-to-right sum in item order: ``np.mean`` sums pairwise, which
+        # changes the last bit of the mean and with it the output files.
+        return ObjectiveVector(
+            accuracy=np.count_nonzero(self.correct) / n,
+            mean_length=sum(self.lengths.tolist()) / n,
+        )
+
+    def select(self, item_ids: Sequence[str]) -> "Outcomes":
+        """The outcomes of ``item_ids`` in that order; ``KeyError(missing ids)`` if any lack one."""
+        index = {iid: i for i, iid in enumerate(self.item_ids)}
+        missing = [iid for iid in item_ids if iid not in index]
+        if missing:
+            raise KeyError(missing)
+        rows = np.array([index[iid] for iid in item_ids], dtype=np.intp)
+        return Outcomes(tuple(item_ids), self.correct[rows], self.lengths[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -190,28 +210,6 @@ def _keyed_uniform(item_id: str, lam: float, seed: int) -> float:
     key = f"{item_id}:{round(lam * 1_000_000)}:{seed}".encode("utf-8")
     digest = hashlib.blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "little") / 2.0**64
-
-
-def evaluate_simulated(
-    bench: SimulatedBenchmark,
-    lam: float,
-    subset: Iterable[str] | None = None,
-) -> list[ItemOutcome]:
-    """Evaluate one candidate coefficient on all items or a named subset.
-
-    Outcomes follow benchmark order, or the given id order when ``subset``
-    is provided; unknown subset ids are rejected.
-    """
-    correct = bench.correctness_vector(lam)
-    lengths = bench.length_vector(lam)
-    if subset is None:
-        indices = range(len(bench))
-    else:
-        indices = [bench.index_of(iid) for iid in subset]
-    return [
-        ItemOutcome(item_id=bench.item_ids[i], correct=int(correct[i]), length=float(lengths[i]))
-        for i in indices
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +342,17 @@ def _json_number(value, name: str) -> float:
 _RECORD_FIELDS = ("candidate_id", "item_id", "correct", "length")
 
 
-def load_record_evaluations(path) -> dict[str, list[ItemOutcome]]:
-    """Parse a JSONL record file into per-candidate outcome lists.
+def load_record_evaluations(path) -> dict[str, Outcomes]:
+    """Parse a JSONL record file into one ``Outcomes`` per candidate id.
 
     One object per line: ``{"candidate_id", "item_id", "correct", "length"}``.
-    Duplicate (candidate, item) pairs and malformed lines are rejected with
-    the offending line number.
+    Candidates appear in order of their first record and each one's columns
+    follow record order. The per-line checks here are the only validation of
+    record values: malformed lines, correctness other than 0/1, booleans,
+    negative or non-finite lengths and duplicate (candidate, item) pairs are
+    rejected with the offending line number.
     """
-    grouped: dict[str, list[ItemOutcome]] = {}
+    rows: dict[str, list[tuple[str, int | float, int | float]]] = {}
     seen: set[tuple[str, str]] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -391,10 +392,8 @@ def load_record_evaluations(path) -> dict[str, list[ItemOutcome]]:
                     f"{cand!r}, item {iid!r}"
                 )
             seen.add(key)
-            grouped.setdefault(cand, []).append(
-                ItemOutcome(item_id=iid, correct=int(correct), length=float(length))
-            )
-    return grouped
+            rows.setdefault(cand, []).append((iid, correct, length))
+    return {cand: Outcomes(*zip(*cand_rows)) for cand, cand_rows in rows.items()}
 
 
 def candidate_id(genotype: Genotype) -> str:
@@ -498,18 +497,17 @@ class SimulatedFitness(FitnessEvaluator):
 
 
 class RecordsFitness(FitnessEvaluator):
-    """Resolves genotypes against a pre-computed record map.
+    """Resolves genotypes against the per-candidate ``Outcomes`` of a record file.
+
+    A candidate is scored on the subset items in subset order, or on all of
+    its records in record order when no subset is given.
 
     Unknown candidates raise :class:`MissingCandidatesError`. The batch
     method ignores ``workers`` and collects every missing candidate of the
     batch into one error, so one manifest round-trip per generation is enough.
     """
 
-    def __init__(
-        self,
-        records: dict[str, list[ItemOutcome]],
-        subset_ids: Sequence[str] | None = None,
-    ):
+    def __init__(self, records: dict[str, Outcomes], subset_ids: Sequence[str] | None = None):
         self.records = records
         self.subset_ids = list(subset_ids) if subset_ids is not None else None
 
@@ -519,15 +517,15 @@ class RecordsFitness(FitnessEvaluator):
         if outcomes is None:
             raise MissingCandidatesError([(cid, genotype)])
         if self.subset_ids is not None:
-            by_id = {o.item_id: o for o in outcomes}
-            missing = [i for i in self.subset_ids if i not in by_id]
-            if missing:
+            try:
+                outcomes = outcomes.select(self.subset_ids)
+            except KeyError as exc:
+                missing = exc.args[0]
                 raise RecordFormatError(
                     f"candidate {cid!r} has no record for item(s): {', '.join(missing[:5])}"
                     + ("" if len(missing) <= 5 else f" (+{len(missing) - 5} more)")
-                )
-            outcomes = [by_id[i] for i in self.subset_ids]
-        return compute_objectives(outcomes)
+                ) from None
+        return outcomes.objectives()
 
     def evaluate_population(
         self, genotypes: Sequence[Genotype], workers: int = 1

@@ -2,9 +2,11 @@
 
 All arithmetic runs in float32 with a fixed expression per operator so the
 results are reproducible bit-for-bit: task arithmetic evaluates
-``(1 - lam) * s2 + lam * s1`` (endpoints come back exactly at lam 0/1), and
-trimmed merging applies the same interpolation form to the kept entries so a
-density of 1 reproduces task arithmetic without drift.
+``(1 - lam) * s2 + lam * s1``, and trimmed merging applies the same
+interpolation form to the kept entries so a density of 1 reproduces task
+arithmetic without drift. Endpoints come back exactly at lam 0/1 only for
+finite inputs: under ``merge --no-validate`` a non-finite entry of the other
+endpoint makes the result NaN there (``0 * inf`` and ``0 * nan`` are NaN).
 """
 
 from __future__ import annotations

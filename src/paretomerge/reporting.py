@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .evaluation import ItemOutcome, compute_objectives
+from .evaluation import Outcomes
 from .nsga2 import ParetoFront
 
 
@@ -41,13 +41,15 @@ class AggregateReport:
 
 
 def build_report(
-    groups: Mapping[str, Sequence[ItemOutcome]],
-    baseline: Mapping[str, Sequence[ItemOutcome]],
+    groups: Mapping[str, Outcomes],
+    baseline: Mapping[str, Outcomes],
 ) -> AggregateReport:
     """Summarize candidate outcomes per benchmark against a baseline.
 
-    Both maps must cover the same benchmark names and every group must be
-    non-empty; per-benchmark item counts come from the candidate side.
+    Each map holds one ``Outcomes`` per benchmark name; a row's accuracy and
+    mean length are ``Outcomes.objectives`` of that group. Both maps must
+    cover the same benchmark names and every group must be non-empty;
+    per-benchmark item counts come from the candidate side.
     """
     if set(groups) != set(baseline):
         only_g = sorted(set(groups) - set(baseline))
@@ -60,8 +62,8 @@ def build_report(
 
     rows = []
     for name in groups:
-        cand = compute_objectives(list(groups[name]))
-        base = compute_objectives(list(baseline[name]))
+        cand = groups[name].objectives()
+        base = baseline[name].objectives()
         if base.mean_length == 0:
             raise ValueError(f"benchmark {name!r}: baseline mean length is zero")
         rows.append(

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SubsetSelectionError
-from .evaluation import ItemOutcome, SimulatedBenchmark, candidate_id, evaluate_simulated
+from .evaluation import Outcomes, SimulatedBenchmark, candidate_id
 from .merge import Genotype, MergeKind
 
 
@@ -32,22 +32,24 @@ class CorrectnessMatrix:
     lengths: np.ndarray
 
     def __post_init__(self):
-        self.correct = np.asarray(self.correct, dtype=np.int8)
-        self.lengths = np.asarray(self.lengths, dtype=np.float64)
+        correct, lengths = np.asarray(self.correct), np.asarray(self.lengths)
         k, n = len(self.model_ids), len(self.item_ids)
         if k < 2:
             raise ValueError(f"calibration needs at least 2 models, got {k}")
         if len(set(self.model_ids)) != k or len(set(self.item_ids)) != n:
             raise ValueError("model and item ids must be unique")
-        if self.correct.shape != (k, n) or self.lengths.shape != (k, n):
+        if correct.shape != (k, n) or lengths.shape != (k, n):
             raise ValueError(
-                f"matrix shapes must be ({k}, {n}), got correct {self.correct.shape} "
-                f"and lengths {self.lengths.shape}"
+                f"matrix shapes must be ({k}, {n}), got correct {correct.shape} "
+                f"and lengths {lengths.shape}"
             )
-        if not np.isin(self.correct, (0, 1)).all():
-            raise ValueError("correctness entries must be binary")
-        if (self.lengths < 0).any():
-            raise ValueError("lengths must be >= 0")
+        # Checked before the casts, which would turn 0.5 and 256 into 0.
+        if correct.dtype.kind not in "iuf" or not np.isin(correct, (0, 1)).all():
+            raise ValueError("correctness entries must be binary (0 or 1)")
+        if lengths.dtype.kind not in "iuf" or not (np.isfinite(lengths) & (lengths >= 0)).all():
+            raise ValueError("lengths must be finite numbers >= 0")
+        self.correct = correct.astype(np.int8, copy=False)
+        self.lengths = lengths.astype(np.float64, copy=False)
         self._item_index = {iid: i for i, iid in enumerate(self.item_ids)}
 
     def column(self, item_id: str) -> np.ndarray:
@@ -56,35 +58,33 @@ class CorrectnessMatrix:
         except KeyError:
             raise ValueError(f"unknown item id {item_id!r}") from None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model_ids": list(self.model_ids),
-            "item_ids": list(self.item_ids),
-            "correct": self.correct.tolist(),
-            "lengths": self.lengths.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CorrectnessMatrix":
-        return cls(
-            model_ids=list(d["model_ids"]),
-            item_ids=list(d["item_ids"]),
-            correct=np.array(d["correct"]),
-            lengths=np.array(d["lengths"]),
-        )
-
 
 def save_matrix(matrix: CorrectnessMatrix, path) -> None:
+    payload = {
+        "model_ids": list(matrix.model_ids),
+        "item_ids": list(matrix.item_ids),
+        "correct": matrix.correct.tolist(),
+        "lengths": matrix.lengths.tolist(),
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(matrix.to_json_dict()))
+        fh.write(json.dumps(payload))
 
 
 def load_matrix(path) -> CorrectnessMatrix:
+    """Read a matrix file; a malformed file or entry is a ``ValueError`` naming ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
-        return CorrectnessMatrix.from_json_dict(payload)
-    except (KeyError, TypeError) as exc:
+        # On the JSON values: numpy would cast a row like [true, 1] to integers.
+        if any(type(v) is bool for key in ("correct", "lengths") for row in payload[key] for v in row):
+            raise ValueError("correct and lengths entries must be numbers, not booleans")
+        return CorrectnessMatrix(
+            model_ids=list(payload["model_ids"]),
+            item_ids=list(payload["item_ids"]),
+            correct=np.array(payload["correct"]),
+            lengths=np.array(payload["lengths"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed matrix file: {exc}") from exc
 
 
@@ -142,10 +142,10 @@ def default_lambda_grid(k: int) -> list[float]:
 
 
 def build_calibration_matrix(
-    evaluate_at: Callable[[float], Sequence[ItemOutcome]],
+    evaluate_at: Callable[[float], Outcomes],
     lam_grid: Sequence[float],
 ) -> CorrectnessMatrix:
-    """Evaluate one candidate per grid coefficient and stack the outcomes.
+    """Evaluate one candidate per grid coefficient and stack the outcome columns.
 
     Row k holds the outcomes of the candidate at ``lam_grid[k]`` over all
     items; every row must cover the same items in the same order. Model ids
@@ -159,22 +159,15 @@ def build_calibration_matrix(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be strictly increasing")
 
-    item_ids: list[str] | None = None
-    correct_rows, length_rows = [], []
-    for lam in grid:
-        outcomes = list(evaluate_at(lam))
-        row_ids = [o.item_id for o in outcomes]
-        if item_ids is None:
-            item_ids = row_ids
-        elif row_ids != item_ids:
+    rows = [evaluate_at(lam) for lam in grid]
+    for lam, row in zip(grid, rows):
+        if row.item_ids != rows[0].item_ids:
             raise ValueError(f"candidate at lambda={lam} returned a different item set")
-        correct_rows.append([o.correct for o in outcomes])
-        length_rows.append([o.length for o in outcomes])
     return CorrectnessMatrix(
         model_ids=[candidate_id(Genotype(MergeKind.TA, (lam,))) for lam in grid],
-        item_ids=list(item_ids or []),
-        correct=np.array(correct_rows, dtype=np.int8),
-        lengths=np.array(length_rows, dtype=np.float64),
+        item_ids=list(rows[0].item_ids),
+        correct=np.stack([row.correct for row in rows]),
+        lengths=np.stack([row.lengths for row in rows]),
     )
 
 
@@ -307,9 +300,10 @@ def rank_fidelity_curve(
         raise ValueError(f"subset sizes must lie in [1, {n}]")
     strategies = [SubsetStrategy(s) for s in strategies]
 
-    matrix = build_calibration_matrix(
-        lambda lam: evaluate_simulated(bench, lam), default_lambda_grid(calibration_k)
-    )
+    def row(lam):
+        return Outcomes(bench.item_ids, bench.correctness_vector(lam), bench.length_vector(lam))
+
+    matrix = build_calibration_matrix(row, default_lambda_grid(calibration_k))
 
     # Entropy / disagreement subsets are functions of the matrix alone;
     # random subsets are drawn per seed below.

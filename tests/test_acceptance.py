@@ -14,7 +14,7 @@ from mpmath import mp, mpf
 import paretomerge
 from paretomerge.checkpoint import Checkpoint
 from paretomerge.cli import main as cli_main
-from paretomerge.evaluation import ItemOutcome, generate_benchmark, load_benchmark
+from paretomerge.evaluation import Outcomes, generate_benchmark, load_benchmark
 from paretomerge.merge import MergeEndpoints, merge_linear, merge_task_arithmetic, merge_ties
 from paretomerge.nsga2 import fast_nondominated_sort
 from paretomerge.reporting import build_report
@@ -253,10 +253,9 @@ def test_report_arithmetic_and_sign_convention():
     """Weighted average equals pooled accuracy; longer candidate reports negative reduction."""
     with criterion("report arithmetic: pooled weighted average and negative reduction sign"):
         def group(n, n_correct, length):
-            return [
-                ItemOutcome(f"q{i}", 1 if i < n_correct else 0, float(length))
-                for i in range(n)
-            ]
+            return Outcomes(
+                [f"q{i}" for i in range(n)], [1] * n_correct + [0] * (n - n_correct), [length] * n
+            )
 
         # candidate slower than baseline on one benchmark: reduction -24.2%
         report = build_report(
@@ -269,8 +268,6 @@ def test_report_arithmetic_and_sign_convention():
         groups = {"small": group(30, 12, 100.0), "large": group(1319, 1056, 400.0)}
         base = {"small": group(30, 15, 300.0), "large": group(1319, 700, 800.0)}
         report = build_report(groups, base)
-        pooled = groups["small"] + groups["large"]
-        assert report.weighted_average_accuracy == pytest.approx(
-            sum(o.correct for o in pooled) / len(pooled)
-        )
+        pooled = groups["small"].correct.tolist() + groups["large"].correct.tolist()
+        assert report.weighted_average_accuracy == pytest.approx(sum(pooled) / len(pooled))
         assert report.average_accuracy == pytest.approx(0.5 * (12 / 30 + 1056 / 1319))

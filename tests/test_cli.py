@@ -7,12 +7,7 @@ import pytest
 
 from paretomerge.checkpoint import Checkpoint, save_checkpoint
 from paretomerge.cli import main
-from paretomerge.evaluation import (
-    candidate_id,
-    evaluate_simulated,
-    generate_benchmark,
-    load_manifest,
-)
+from paretomerge.evaluation import candidate_id, generate_benchmark, load_manifest
 from paretomerge.merge import Genotype, MergeKind
 
 
@@ -204,13 +199,16 @@ def test_calibrate_from_records_with_manifest_round_trip(tmp_path):
     pending = [g for _, g in load_manifest(manifest)]
     assert [g.values[0] for g in pending] == pytest.approx([0.0, 1 / 3, 2 / 3, 1.0])
 
-    simulated_records_for(bench, pending, records_path)
+    # records written in reverse item order
+    simulated_records_for(bench, pending, records_path, subset=bench.item_ids[::-1])
     assert main(["calibrate", "--records", str(records_path), "--k", "4",
                  "--out", str(out)]) == 0
     matrix = json.loads(out.read_text())
     assert len(matrix["correct"]) == 4
-    # records-mode columns are sorted by item id
-    assert matrix["item_ids"] == sorted(bench.item_ids)
+    # records-mode columns are sorted by item id, each row with them
+    assert matrix["item_ids"] == sorted(bench.item_ids) == bench.item_ids
+    for row, g in zip(matrix["correct"], pending):
+        assert row == bench.correctness_vector(g.values[0]).tolist()
 
 
 def test_sample_subset_disagreement_shortfall_is_domain_error(tmp_path):
@@ -224,6 +222,43 @@ def test_sample_subset_disagreement_shortfall_is_domain_error(tmp_path):
     }))
     assert main(["sample-subset", "--matrix", str(matrix_path), "--strategy",
                  "disagreement", "--size", "3", "--out", str(tmp_path / "s.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "correct,lengths",
+    [
+        ("[[0.5, 1], [1, 0]]", "[[1, 1], [1, 1]]"),  # an int8 cast would read 0
+        ("[[0.9, 1], [1, 0]]", "[[1, 1], [1, 1]]"),
+        ("[[256, 1], [1, 0]]", "[[1, 1], [1, 1]]"),  # an int8 cast would wrap to 0
+        ("[[2, 1], [1, 0]]", "[[1, 1], [1, 1]]"),
+        ("[[true, 1], [1, 0]]", "[[1, 1], [1, 1]]"),  # mixed row: numpy reads 1
+        ("[[true, false], [false, true]]", "[[1, 1], [1, 1]]"),
+        ('[["1", 1], [1, 0]]', "[[1, 1], [1, 1]]"),
+        ("[[null, 1], [1, 0]]", "[[1, 1], [1, 1]]"),
+        ("[[NaN, 1], [1, 0]]", "[[1, 1], [1, 1]]"),
+        ("[[1, 0], [1, 0]]", "[[NaN, 1], [1, 1]]"),
+        ("[[1, 0], [1, 0]]", "[[Infinity, 1], [1, 1]]"),
+        ("[[1, 0], [1, 0]]", "[[-1, 1], [1, 1]]"),
+        ("[[1, 0], [1, 0]]", "[[true, 1], [1, 1]]"),
+        ("[[1, 0], [1]]", "[[1, 1], [1, 1]]"),  # ragged rows
+        ("[[1, 0], [1, 0]]", "[[1, 1], [1, 1, 1]]"),
+        ("[1, 0]", "[[1, 1], [1, 1]]"),
+    ],
+    ids=["half", "0.9", "256", "2", "mixed-true", "all-bool", "string", "null", "nan-correct",
+         "nan-length", "inf-length", "negative-length", "true-length", "ragged-correct",
+         "ragged-lengths", "flat-correct"],
+)
+def test_sample_subset_rejects_corrupt_matrix_entries(tmp_path, capsys, correct, lengths):
+    matrix_path = tmp_path / "m.json"
+    matrix_path.write_text(
+        f'{{"model_ids": ["m0", "m1"], "item_ids": ["i0", "i1"], '
+        f'"correct": {correct}, "lengths": {lengths}}}'
+    )
+    out = tmp_path / "s.json"
+    assert main(["sample-subset", "--matrix", str(matrix_path), "--strategy", "entropy",
+                 "--size", "1", "--out", str(out)]) == 1
+    assert f"{matrix_path}: malformed matrix file" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_subset_flow(tmp_path, capsys):
@@ -411,15 +446,18 @@ def test_evolve_config_type_error_names_field(tmp_path, capsys):
 
 def simulated_records_for(bench, genotypes, path, subset=None):
     """Produce a records file by replaying the simulated benchmark."""
+    item_ids = bench.item_ids if subset is None else list(subset)
+    rows = [bench.index_of(i) for i in item_ids]
     lines = []
     for g in genotypes:
-        outs = evaluate_simulated(bench, g.values[0], subset=subset)
-        for o in outs:
+        correct = bench.correctness_vector(g.values[0])
+        lengths = bench.length_vector(g.values[0])
+        for iid, i in zip(item_ids, rows):
             lines.append(json.dumps({
                 "candidate_id": candidate_id(g),
-                "item_id": o.item_id,
-                "correct": o.correct,
-                "length": o.length,
+                "item_id": iid,
+                "correct": int(correct[i]),
+                "length": float(lengths[i]),
             }))
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
 

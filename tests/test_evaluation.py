@@ -3,20 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paretomerge.errors import GenotypeError, MissingCandidatesError, RecordFormatError
 from paretomerge.evaluation import (
     CallableFitness,
-    ItemOutcome,
     ObjectiveVector,
+    Outcomes,
     RecordsFitness,
     ResponseKind,
     SimItem,
     SimulatedBenchmark,
     SimulatedFitness,
     candidate_id,
-    compute_objectives,
-    evaluate_simulated,
     generate_benchmark,
     load_benchmark,
     load_manifest,
@@ -42,30 +42,35 @@ def down(iid, t, ll=1000.0, ls=100.0):
 
 def test_threshold_up_rule():
     b = bench_of(up("q", 0.3))
-    assert evaluate_simulated(b, 0.5)[0].correct == 1
-    assert evaluate_simulated(b, 0.2)[0].correct == 0
-    assert evaluate_simulated(b, 0.3)[0].correct == 1  # boundary inclusive
+    assert b.correctness_vector(0.5)[0] == 1
+    assert b.correctness_vector(0.2)[0] == 0
+    assert b.correctness_vector(0.3)[0] == 1  # boundary inclusive
 
 
 def test_threshold_down_rule():
     b = bench_of(down("q", 0.6))
-    assert evaluate_simulated(b, 0.5)[0].correct == 1
-    assert evaluate_simulated(b, 0.7)[0].correct == 0
+    assert b.correctness_vector(0.5)[0] == 1
+    assert b.correctness_vector(0.7)[0] == 0
 
 
 def test_length_linear_interpolation():
     b = bench_of(up("q", 0.0, ll=1000.0, ls=200.0))
-    assert evaluate_simulated(b, 0.5)[0].length == 600.0
-    assert evaluate_simulated(b, 0.0)[0].length == 1000.0
-    assert evaluate_simulated(b, 1.0)[0].length == 200.0
+    assert b.length_vector(0.5)[0] == 600.0
+    assert b.length_vector(0.0)[0] == 1000.0
+    assert b.length_vector(1.0)[0] == 200.0
 
 
 def test_subset_restriction_and_unknown_id():
-    b = bench_of(up("a", 0.1), up("b", 0.2), up("c", 0.9))
-    out = evaluate_simulated(b, 0.5, subset=["c", "a"])
-    assert [o.item_id for o in out] == ["c", "a"]
-    with pytest.raises(ValueError, match="unknown item id"):
-        evaluate_simulated(b, 0.5, subset=["nope"])
+    out = Outcomes(["a", "b", "c"], [1, 0, 1], [10.0, 20.0, 30.5])
+    picked = out.select(["c", "a"])
+    assert picked.item_ids == ("c", "a")
+    assert picked.correct.tolist() == [1, 1] and picked.lengths.tolist() == [30.5, 10.0]
+    assert picked.correct.dtype == np.int8 and picked.lengths.dtype == np.float64
+    with pytest.raises(KeyError) as info:
+        out.select(["a", "nope", "gone"])
+    assert info.value.args[0] == ["nope", "gone"]
+    with pytest.raises(ValueError, match="same length"):
+        Outcomes(["a", "b"], [1], [1.0, 2.0])
 
 
 def test_logistic_response_values():
@@ -93,35 +98,43 @@ def test_logistic_draws_deterministic_and_bucketed():
     b1 = bench_of(item, noise_seed=3)
     b2 = bench_of(item, noise_seed=3)
     lams = np.random.default_rng(0).uniform(0, 1, 50)
-    r1 = [evaluate_simulated(b1, float(l))[0].correct for l in lams]
-    r2 = [evaluate_simulated(b2, float(l))[0].correct for l in lams]
+    r1 = [b1.correctness_vector(float(l))[0] for l in lams]
+    r2 = [b2.correctness_vector(float(l))[0] for l in lams]
     assert r1 == r2
     # different noise seed changes at least one draw on 50 coin-flip-ish items
     b3 = bench_of(item, noise_seed=4)
-    r3 = [evaluate_simulated(b3, float(l))[0].correct for l in lams]
+    r3 = [b3.correctness_vector(float(l))[0] for l in lams]
     assert r1 != r3
 
 
-def test_compute_objectives_examples():
-    outs = [
-        ItemOutcome("a", 1, 100.0),
-        ItemOutcome("b", 0, 200.0),
-        ItemOutcome("c", 1, 300.0),
-        ItemOutcome("d", 1, 400.0),
-    ]
-    ov = compute_objectives(outs)
+def test_outcomes_objectives_examples():
+    ov = Outcomes(["a", "b", "c", "d"], [1, 0, 1, 1], [100.0, 200.0, 300.0, 400.0]).objectives()
     assert ov.accuracy == 0.75
     assert ov.mean_length == 250.0
     assert ov.fitness == (-0.75, 250.0)
 
-    ov = compute_objectives([ItemOutcome("a", 1, 0.0), ItemOutcome("b", 1, 0.0)])
+    ov = Outcomes(["a", "b"], [1, 1], [0.0, 0.0]).objectives()
     assert ov.accuracy == 1.0 and ov.mean_length == 0.0
 
-    ov = compute_objectives([ItemOutcome("only", 0, 1234.0)])
+    ov = Outcomes(["only"], [0], [1234.0]).objectives()
     assert ov.accuracy == 0.0 and ov.mean_length == 1234.0
 
     with pytest.raises(ValueError):
-        compute_objectives([])
+        Outcomes([], [], []).objectives()
+
+
+def test_outcomes_mean_length_sums_left_to_right():
+    # The mean is the left-to-right Python sum in item order, which differs
+    # from numpy's pairwise mean in the last bit for these lengths.
+    lengths = np.random.default_rng(0).uniform(100.0, 5000.0, 1000)
+    out = Outcomes([f"q{i}" for i in range(1000)], np.zeros(1000), lengths)
+    expected = 0.0
+    for v in lengths.tolist():
+        expected += v
+    assert out.objectives().mean_length == expected / 1000
+    assert expected / 1000 != float(np.mean(lengths))
+    reversed_ids = list(reversed(out.item_ids))
+    assert out.select(reversed_ids).objectives().mean_length == sum(lengths.tolist()[::-1]) / 1000
 
 
 def test_fitness_orientation():
@@ -130,24 +143,6 @@ def test_fitness_orientation():
     assert better_acc.fitness[0] < worse_acc.fitness[0]
     shorter = ObjectiveVector(accuracy=0.5, mean_length=50.0)
     assert shorter.fitness[1] < worse_acc.fitness[1]
-
-
-def test_item_outcome_validation():
-    with pytest.raises(ValueError):
-        ItemOutcome("a", 2, 10.0)
-    with pytest.raises(ValueError):
-        ItemOutcome("a", 1, -1.0)
-    with pytest.raises(ValueError):
-        ItemOutcome("", 1, 1.0)
-
-
-@pytest.mark.parametrize(
-    "correct,length",
-    [(True, 1.0), (np.True_, 1.0), (1, float("nan")), (1, float("inf")), (1, True)],
-)
-def test_item_outcome_rejects_non_finite_and_boolean(correct, length):
-    with pytest.raises(ValueError):
-        ItemOutcome("a", correct, length)
 
 
 @pytest.mark.parametrize(
@@ -160,7 +155,6 @@ def test_objective_vector_rejects_non_finite_and_boolean(accuracy, mean_length):
 
 
 def test_numpy_scalars_remain_valid_inputs():
-    assert ItemOutcome("a", np.int64(1), np.float32(2.5)).length == 2.5
     assert ObjectiveVector(np.float64(0.5), np.int32(7)).fitness == (-0.5, 7)
     item = SimItem("s", ResponseKind.LOGISTIC, np.float64(0.5), a=np.float32(4), len_long=np.int64(9))
     assert item.a == 4
@@ -283,8 +277,9 @@ def test_load_records_grouping(tmp_path):
     )
     recs = load_record_evaluations(path)
     assert list(recs) == ["m0"]
-    assert [o.item_id for o in recs["m0"]] == ["q1", "q2"]
-    assert recs["m0"][1].length == 80.5
+    assert recs["m0"].item_ids == ("q1", "q2")
+    assert recs["m0"].correct.tolist() == [1, 0]
+    assert recs["m0"].lengths.tolist() == [120.0, 80.5]
 
 
 @pytest.mark.parametrize(
@@ -299,6 +294,7 @@ def test_load_records_grouping(tmp_path):
         ('{"candidate_id": "m0", "item_id": "q1", "correct": 1, "length": -Infinity}', "finite"),
         ('{"candidate_id": "m0", "item_id": "q1", "correct": 1, "length": true}', "finite"),
         ('{"candidate_id": "m0", "item_id": "q1", "correct": 1, "length": "12"}', "finite"),
+        ('{"candidate_id": "m0", "item_id": "", "correct": 1, "length": 1}', "non-empty"),
         ("{not json", "invalid JSON"),
     ],
 )
@@ -307,6 +303,108 @@ def test_load_records_malformed_lines(tmp_path, line, match):
     path.write_text(line + "\n")
     with pytest.raises(RecordFormatError, match=match):
         load_record_evaluations(path)
+
+
+_record_ids = st.text(min_size=1, max_size=5)
+
+
+@st.composite
+def record_lines(draw):
+    """Lines of a valid record file: unique (candidate, item) pairs, varied
+    number types and spacing, blank lines and an ignored extra field."""
+    cands = st.one_of(st.sampled_from(["m0", "m1", "ta-0a1b"]), _record_ids)
+    keys = draw(st.lists(st.tuples(cands, _record_ids), unique=True, max_size=25))
+    lines = []
+    for cand, iid in keys:
+        record = {
+            "candidate_id": cand,
+            "item_id": iid,
+            "correct": draw(st.sampled_from([0, 1, 0.0, 1.0])),
+            "length": draw(st.one_of(
+                st.integers(0, 10**6),
+                st.floats(0.0, 1e7, allow_nan=False, allow_infinity=False),
+            )),
+        }
+        if draw(st.booleans()):
+            record["note"] = "ignored"
+        separators = draw(st.sampled_from([(", ", ": "), (",", ":")]))
+        lines += [""] * draw(st.integers(0, 1))
+        lines.append(" " * draw(st.integers(0, 2)) + json.dumps(record, separators=separators))
+    return lines
+
+
+def reference_columns(lines):
+    """The oracle: one ``json.loads`` per non-blank line, grouped by candidate."""
+    columns = {}
+    for line in lines:
+        if line.strip():
+            rec = json.loads(line)
+            ids, correct, lengths = columns.setdefault(rec["candidate_id"], ([], [], []))
+            ids.append(rec["item_id"])
+            correct.append(int(rec["correct"]))
+            lengths.append(float(rec["length"]))
+    return columns
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=record_lines(), newline=st.sampled_from(["\n", "\r\n"]))
+def test_load_records_matches_per_line_reference_property(tmp_path, lines, newline):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    loaded = load_record_evaluations(path)
+    expected = reference_columns(lines)
+    assert list(loaded) == list(expected)
+    for cand, (ids, correct, lengths) in expected.items():
+        out = loaded[cand]
+        assert len(out) == len(ids)
+        assert out.item_ids == tuple(ids)
+        assert out.correct.dtype == np.int8 and out.correct.tolist() == correct
+        assert out.lengths.dtype == np.float64 and out.lengths.tolist() == lengths
+
+
+_BAD_RECORD = '{"candidate_id": "m0", "item_id": "x", "correct": %s, "length": %s}'
+BAD_LINES = [
+    ("{not json", None),
+    ("[1, 2]", "record must be an object"),
+    ('{"candidate_id": "m0", "item_id": "x"}', "missing field(s) correct, length"),
+    ('{"candidate_id": "m0", "item_id": "", "correct": 1, "length": 1}',
+     "candidate_id and item_id must be non-empty strings"),
+    (_BAD_RECORD % ("2", "1"), "correctness must be 0 or 1, got 2"),
+    (_BAD_RECORD % ("true", "1"), "correctness must be 0 or 1, got True"),
+    (_BAD_RECORD % ("1", "-1"), "length must be a finite number >= 0, got -1"),
+    (_BAD_RECORD % ("1", "NaN"), "length must be a finite number >= 0, got nan"),
+    (_BAD_RECORD % ("1", "Infinity"), "length must be a finite number >= 0, got inf"),
+    (_BAD_RECORD % ("1", '"5"'), "length must be a finite number >= 0, got '5'"),
+]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=record_lines(), data=st.data())
+def test_load_records_injected_bad_line_property(tmp_path, lines, data):
+    records = [i for i, line in enumerate(lines) if line.strip()]
+    kinds = len(BAD_LINES) + (1 if records else 0)  # the last kind repeats a record
+    kind = data.draw(st.integers(0, kinds - 1))
+    if kind == len(BAD_LINES):
+        copied = data.draw(st.sampled_from(records))
+        pos = data.draw(st.integers(copied + 1, len(lines)))
+        rec = json.loads(lines[copied])
+        bad = lines[copied]
+        message = (f"duplicate record for candidate {rec['candidate_id']!r}, "
+                   f"item {rec['item_id']!r}")
+    else:
+        pos = data.draw(st.integers(0, len(lines)))
+        bad, message = BAD_LINES[kind]
+        if message is None:
+            with pytest.raises(json.JSONDecodeError) as info:
+                json.loads(bad)
+            message = f"invalid JSON: {info.value}"
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(lines[:pos] + [bad] + lines[pos:]) + "\n", encoding="utf-8")
+    with pytest.raises(RecordFormatError) as info:
+        load_record_evaluations(path)
+    assert str(info.value) == f"{path}: line {pos + 1}: {message}"
 
 
 def test_load_records_duplicate_pair(tmp_path):
@@ -350,12 +448,7 @@ def test_simulated_fitness_subset_and_kind_check():
 def test_records_fitness_resolution_and_errors():
     g_known = Genotype(MergeKind.TA, (0.5,))
     g_missing = Genotype(MergeKind.TA, (0.75,))
-    records = {
-        candidate_id(g_known): [
-            ItemOutcome("q1", 1, 100.0),
-            ItemOutcome("q2", 0, 300.0),
-        ]
-    }
+    records = {candidate_id(g_known): Outcomes(["q1", "q2"], [1, 0], [100.0, 300.0])}
     fit = RecordsFitness(records, subset_ids=["q1", "q2"])
     ov = fit.evaluate(g_known)
     assert ov.accuracy == 0.5 and ov.mean_length == 200.0
@@ -382,7 +475,7 @@ def test_records_fitness_resolution_and_errors():
 
 def test_records_fitness_full_outcomes_when_no_subset():
     g = Genotype(MergeKind.TA, (0.0,))
-    records = {candidate_id(g): [ItemOutcome("q1", 1, 50.0)]}
+    records = {candidate_id(g): Outcomes(["q1"], [1], [50.0])}
     ov = RecordsFitness(records).evaluate(g)
     assert ov.accuracy == 1.0 and ov.mean_length == 50.0
 

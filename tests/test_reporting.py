@@ -1,6 +1,6 @@
 import pytest
 
-from paretomerge.evaluation import ItemOutcome, ObjectiveVector
+from paretomerge.evaluation import ObjectiveVector, Outcomes
 from paretomerge.merge import Genotype, MergeKind
 from paretomerge.nsga2 import FrontMember, ParetoFront
 from paretomerge.reporting import build_report, front_points_csv, report_to_csv
@@ -8,9 +8,7 @@ from paretomerge.reporting import build_report, front_points_csv, report_to_csv
 
 def outcomes(n, acc, length):
     correct = int(round(acc * n))
-    return [
-        ItemOutcome(f"q{i}", 1 if i < correct else 0, float(length)) for i in range(n)
-    ]
+    return Outcomes([f"q{i}" for i in range(n)], [1] * correct + [0] * (n - correct), [length] * n)
 
 
 def test_single_benchmark_reduction():
@@ -34,11 +32,9 @@ def test_weighted_average_is_pooled_accuracy():
     # 0.8 * 1319 is not integral, so the synthetic accuracy lands one item short
     # of the ideal (0.4*30 + 0.8*1319)/1349 = 0.7911
     assert report.weighted_average_accuracy == pytest.approx(0.7911, abs=2e-3)
-    # brute-force pooled accuracy over concatenated outcome lists
-    pooled = groups["small"] + groups["large"]
-    assert report.weighted_average_accuracy == pytest.approx(
-        sum(o.correct for o in pooled) / len(pooled)
-    )
+    # brute-force pooled accuracy over the concatenated correctness columns
+    pooled = groups["small"].correct.tolist() + groups["large"].correct.tolist()
+    assert report.weighted_average_accuracy == pytest.approx(sum(pooled) / len(pooled))
     assert report.average_accuracy == pytest.approx((acc["small"] + acc["large"]) / 2)
 
 
@@ -57,7 +53,7 @@ def test_name_mismatch_and_empty_group():
     with pytest.raises(ValueError, match="names differ"):
         build_report({"a": outcomes(5, 1.0, 10.0)}, {"b": outcomes(5, 1.0, 10.0)})
     with pytest.raises(ValueError):
-        build_report({"a": []}, {"a": outcomes(5, 1.0, 10.0)})
+        build_report({"a": Outcomes([], [], [])}, {"a": outcomes(5, 1.0, 10.0)})
 
 
 def test_report_csv_layout():

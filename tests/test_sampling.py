@@ -3,7 +3,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from paretomerge.errors import SubsetSelectionError
-from paretomerge.evaluation import evaluate_simulated, generate_benchmark
+from paretomerge.evaluation import Outcomes, generate_benchmark
 from paretomerge.sampling import (
     CorrectnessMatrix,
     SubsetStrategy,
@@ -58,9 +58,11 @@ def test_default_lambda_grid():
 
 def test_build_calibration_matrix_shape_and_grid_checks():
     bench = generate_benchmark(seed=1, n_items=30)
-    matrix = build_calibration_matrix(
-        lambda lam: evaluate_simulated(bench, lam), default_lambda_grid(10)
-    )
+
+    def outcomes_at(lam):
+        return Outcomes(bench.item_ids, bench.correctness_vector(lam), bench.length_vector(lam))
+
+    matrix = build_calibration_matrix(outcomes_at, default_lambda_grid(10))
     assert matrix.correct.shape == (10, 30)
     assert matrix.item_ids == bench.item_ids
     # row k equals the candidate evaluated at grid point k
@@ -68,9 +70,11 @@ def test_build_calibration_matrix_shape_and_grid_checks():
         assert np.array_equal(row, bench.correctness_vector(lam))
 
     with pytest.raises(ValueError, match="strictly increasing"):
-        build_calibration_matrix(lambda lam: evaluate_simulated(bench, lam), [0.5, 0.2])
+        build_calibration_matrix(outcomes_at, [0.5, 0.2])
     with pytest.raises(ValueError, match="at least 2"):
-        build_calibration_matrix(lambda lam: evaluate_simulated(bench, lam), [0.5])
+        build_calibration_matrix(outcomes_at, [0.5])
+    with pytest.raises(ValueError, match="lambda=1.0 returned a different item set"):
+        build_calibration_matrix(lambda lam: Outcomes([f"q{lam}"], [1], [1.0]), [0.0, 1.0])
 
 
 def test_empirical_solve_rate():
