@@ -121,12 +121,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         fh.write(header_bytes)
         pos = 0
         for name, arr in ckpt.tensors.items():
-            aligned = _align_up(pos)
-            if aligned > pos:
-                fh.write(b"\x00" * (aligned - pos))
+            offset = entries[name]["offset"]
+            fh.write(b"\x00" * (offset - pos))
             data = np.ascontiguousarray(arr, dtype="<f4")
             fh.write(memoryview(data).cast("B"))
-            pos = aligned + data.nbytes
+            pos = offset + data.nbytes
 
 
 def load_checkpoint(path, validate: bool = True) -> Checkpoint:

@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merge", help="merge two checkpoints with one operator")
     p.add_argument("--system2", required=True, help="slow/verbose endpoint checkpoint")
     p.add_argument("--system1", required=True, help="fast/concise endpoint checkpoint")
-    p.add_argument("--op", required=True, choices=["ta", "ties", "linear"])
+    p.add_argument("--op", required=True, choices=[k.value for k in MergeKind])
     p.add_argument("--params", required=True, help="comma-separated operator parameters")
     p.add_argument("--out", required=True)
     p.add_argument("--no-validate", action="store_true",
@@ -442,9 +442,7 @@ def _calibration_matrix(grid, bench, records) -> CorrectnessMatrix:
     naming every grid candidate without records.
     """
     if bench is not None:
-        def row(lam):
-            return Outcomes(bench.item_ids, bench.correctness_vector(lam), bench.length_vector(lam))
-        return build_calibration_matrix(row, grid)
+        return build_calibration_matrix(bench.outcomes, grid)
     ids = {lam: candidate_id(Genotype(MergeKind.TA, (lam,))) for lam in grid}
     missing = [(c, Genotype(MergeKind.TA, (lam,))) for lam, c in ids.items() if c not in records]
     if missing:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -35,6 +36,8 @@ from .merge import Genotype, MergeKind
 
 # ``bool`` subclasses ``int`` but is never a valid count or measurement.
 _BOOL_TYPES = (bool, np.bool_)
+# A JSON integer beyond this compares below ``math.inf`` yet has no float64 value.
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -192,6 +195,10 @@ class SimulatedBenchmark:
         """Deterministic per-item output length, linear between the endpoints."""
         return self._len_long + (self._len_short - self._len_long) * lam
 
+    def outcomes(self, lam: float) -> Outcomes:
+        """Every item's outcome at ``lam``, in benchmark order."""
+        return Outcomes(self.item_ids, self.correctness_vector(lam), self.length_vector(lam))
+
 
 def logistic_response(a: float, b: float, lam: float) -> float:
     """Standard logistic curve sigmoid(a * (lam - b)); a must be positive."""
@@ -329,9 +336,12 @@ def load_benchmark(path, noise_seed: int = 0) -> SimulatedBenchmark:
 
 def _json_number(value, name: str) -> float:
     # Exact JSON types: ``true`` and numeric strings such as "Infinity" are
-    # not numbers here; SimItem then rejects the non-finite floats.
+    # not numbers here; SimItem then rejects the non-finite floats. An integer
+    # beyond the float64 range is rejected here, where ``float`` would overflow.
     if type(value) not in (int, float):
         raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    if type(value) is int and abs(value) > _FLOAT_MAX:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -361,7 +371,7 @@ def load_record_evaluations(path) -> dict[str, Outcomes]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer literal over the digit limit
                 raise RecordFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise RecordFormatError(f"{path}: line {lineno}: record must be an object")
@@ -381,7 +391,7 @@ def load_record_evaluations(path) -> dict[str, Outcomes]:
                 raise RecordFormatError(
                     f"{path}: line {lineno}: correctness must be 0 or 1, got {correct!r}"
                 )
-            if type(length) not in (int, float) or not 0 <= length < math.inf:
+            if type(length) not in (int, float) or not 0 <= length <= _FLOAT_MAX:
                 raise RecordFormatError(
                     f"{path}: line {lineno}: length must be a finite number >= 0, got {length!r}"
                 )

@@ -299,11 +299,7 @@ def rank_fidelity_curve(
     if any(s < 1 or s > n for s in sizes):
         raise ValueError(f"subset sizes must lie in [1, {n}]")
     strategies = [SubsetStrategy(s) for s in strategies]
-
-    def row(lam):
-        return Outcomes(bench.item_ids, bench.correctness_vector(lam), bench.length_vector(lam))
-
-    matrix = build_calibration_matrix(row, default_lambda_grid(calibration_k))
+    matrix = build_calibration_matrix(bench.outcomes, default_lambda_grid(calibration_k))
 
     # Entropy / disagreement subsets are functions of the matrix alone;
     # random subsets are drawn per seed below.

@@ -15,7 +15,7 @@ import paretomerge
 from paretomerge.checkpoint import Checkpoint
 from paretomerge.cli import main as cli_main
 from paretomerge.evaluation import Outcomes, generate_benchmark, load_benchmark
-from paretomerge.merge import MergeEndpoints, merge_linear, merge_task_arithmetic, merge_ties
+from paretomerge.merge import Genotype, MergeEndpoints, MergeKind, decode_genotype
 from paretomerge.nsga2 import fast_nondominated_sort
 from paretomerge.reporting import build_report
 from paretomerge.sampling import (
@@ -162,20 +162,23 @@ def test_merge_identities_large_random_checkpoints():
         )
         assert ep.system2.total_parameters == 1_000_000
 
-        at0 = merge_task_arithmetic(ep, 0.0)
-        at1 = merge_task_arithmetic(ep, 1.0)
+        def merge(kind, *values):
+            return decode_genotype(Genotype(kind, values), ep)
+
+        at0 = merge(MergeKind.TA, 0.0)
+        at1 = merge(MergeKind.TA, 1.0)
         for name in tensors2:
             assert at0.tensors[name].tobytes() == tensors2[name].tobytes()
             assert at1.tensors[name].tobytes() == tensors1[name].tobytes()
 
         for lam in (0.0, 0.25, 0.5, 0.9, 1.0):
-            ties = merge_ties(ep, lam, 1.0)
-            ta = merge_task_arithmetic(ep, lam)
+            ties = merge(MergeKind.TIES, lam, 1.0)
+            ta = merge(MergeKind.TA, lam)
             for name in ties.tensors:
                 assert np.array_equal(ties.tensors[name], ta.tensors[name])
 
-        avg = merge_linear(ep, 0.5, 0.5)
-        ta_half = merge_task_arithmetic(ep, 0.5)
+        avg = merge(MergeKind.LINEAR, 0.5, 0.5)
+        ta_half = merge(MergeKind.TA, 0.5)
         for name in avg.tensors:
             a, b = avg.tensors[name], ta_half.tensors[name]
             ulp = np.spacing(np.maximum(np.abs(a), np.abs(b)))

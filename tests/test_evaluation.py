@@ -250,6 +250,7 @@ def test_load_benchmark_malformed_entry(tmp_path):
         ("len_long", '"Infinity"'),
         ("len_long", "Infinity"),
         ("len_short", "false"),
+        pytest.param("len_long", "1" + "0" * 400, id="len_long-beyond-float64"),
     ],
 )
 def test_load_benchmark_rejects_non_numbers_and_non_finite(tmp_path, field, raw):
@@ -296,6 +297,12 @@ def test_load_records_grouping(tmp_path):
         ('{"candidate_id": "m0", "item_id": "q1", "correct": 1, "length": "12"}', "finite"),
         ('{"candidate_id": "m0", "item_id": "", "correct": 1, "length": 1}', "non-empty"),
         ("{not json", "invalid JSON"),
+        pytest.param(  # an integer beyond the float64 range has no column value
+            '{"candidate_id": "m0", "item_id": "q1", "correct": 1, "length": 1' + "0" * 400 + "}",
+            "line 1: length must be a finite number >= 0", id="length-beyond-float64"),
+        pytest.param(  # an integer literal over the digit limit fails json.loads itself
+            '{"candidate_id": "m0", "item_id": "q1", "correct": 1, "length": 1' + "0" * 4300 + "}",
+            "line 1: invalid JSON: Exceeds the limit", id="length-over-digit-limit"),
     ],
 )
 def test_load_records_malformed_lines(tmp_path, line, match):

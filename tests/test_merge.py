@@ -12,14 +12,16 @@ from paretomerge.merge import (
     MergeEndpoints,
     MergeKind,
     decode_genotype,
-    merge_linear,
-    merge_task_arithmetic,
-    merge_ties,
+    merge_tensor,
 )
 
 
 def ckpt(arrays):
     return Checkpoint(tensors={k: np.asarray(v, dtype=np.float32) for k, v in arrays.items()})
+
+
+def merge(ep, kind, *values):
+    return decode_genotype(Genotype(kind, values), ep)
 
 
 def random_endpoints(seed, n_tensors=3, max_elems=200):
@@ -38,8 +40,8 @@ def test_endpoints_require_compatibility():
 
 def test_ta_endpoints_byte_exact():
     ep = random_endpoints(0)
-    at0 = merge_task_arithmetic(ep, 0.0)
-    at1 = merge_task_arithmetic(ep, 1.0)
+    at0 = merge(ep, MergeKind.TA, 0.0)
+    at1 = merge(ep, MergeKind.TA, 1.0)
     for name in ep.system2.tensors:
         assert at0.tensors[name].tobytes() == ep.system2.tensors[name].tobytes()
         assert at1.tensors[name].tobytes() == ep.system1.tensors[name].tobytes()
@@ -47,22 +49,22 @@ def test_ta_endpoints_byte_exact():
 
 def test_ta_midpoint():
     ep = MergeEndpoints(system2=ckpt({"w": [0.0]}), system1=ckpt({"w": [1.0]}))
-    assert merge_task_arithmetic(ep, 0.5).tensors["w"][0] == 0.5
+    assert merge(ep, MergeKind.TA, 0.5).tensors["w"][0] == 0.5
 
 
 def test_ta_lambda_bounds():
     ep = random_endpoints(1)
-    with pytest.raises(GenotypeError):
-        merge_task_arithmetic(ep, 1.5)
-    with pytest.raises(GenotypeError):
-        merge_task_arithmetic(ep, -0.1)
+    with pytest.raises(GenotypeError, match=r"^ta: lambda must lie in \[0, 1\], got 1.5$"):
+        merge(ep, MergeKind.TA, 1.5)
+    with pytest.raises(GenotypeError, match=r"^ta: lambda must lie in \[0, 1\], got -0.1$"):
+        merge(ep, MergeKind.TA, -0.1)
 
 
 def test_ta_interpolation_stays_within_endpoint_envelope():
     rng = np.random.default_rng(11)
     ep = random_endpoints(2)
     for lam in rng.uniform(0, 1, 25):
-        merged = merge_task_arithmetic(ep, float(lam))
+        merged = merge(ep, MergeKind.TA, float(lam))
         for name in merged.tensors:
             lo = np.minimum(ep.system2.tensors[name], ep.system1.tensors[name])
             hi = np.maximum(ep.system2.tensors[name], ep.system1.tensors[name])
@@ -87,7 +89,7 @@ def test_ties_trim_matches_brute_force_example():
     s2 = ckpt({"w": [0.0, 0.0, 0.0, 0.0]})
     s1 = ckpt({"w": [0.1, -0.5, 0.3, -0.05]})
     ep = MergeEndpoints(system2=s2, system1=s1)
-    merged = merge_ties(ep, lam=1.0, k=0.5)
+    merged = merge(ep, MergeKind.TIES, 1.0, 0.5)
     tau = s1.tensors["w"] - s2.tensors["w"]
     expected = brute_force_trim(tau, 0.5)
     assert np.array_equal(merged.tensors["w"], expected)
@@ -101,7 +103,7 @@ def test_ties_trim_matches_brute_force_random():
     for seed in range(10):
         ep = random_endpoints(100 + seed)
         k = float(rng.uniform(0.05, 1.0))
-        merged = merge_ties(ep, lam=1.0, k=k)
+        merged = merge(ep, MergeKind.TIES, 1.0, k)
         for name, s2 in ep.system2.tensors.items():
             tau = ep.system1.tensors[name] - s2
             expected = s2 + brute_force_trim(tau, k)
@@ -114,7 +116,7 @@ def test_ties_magnitude_ties_keep_lower_flat_index():
         system2=ckpt({"w": [0.0, 0.0, 0.0, 0.0]}),
         system1=ckpt({"w": [0.5, -0.5, 0.5, -0.5]}),
     )
-    merged = merge_ties(ep, lam=1.0, k=0.5)
+    merged = merge(ep, MergeKind.TIES, 1.0, 0.5)
     assert np.array_equal(merged.tensors["w"], [0.5, -0.5, 0.0, 0.0])
 
 
@@ -129,10 +131,9 @@ def argsort_mask(tau, k):
 
 def assert_ties_matches_oracle(s2, s1, lam, k):
     s2, s1 = np.asarray(s2, dtype=np.float32), np.asarray(s1, dtype=np.float32)
-    ep = MergeEndpoints(system2=ckpt({"w": s2}), system1=ckpt({"w": s1}))
     lam32 = np.float32(lam)
     with np.errstate(invalid="ignore"):  # 0 * inf where tau is infinite
-        got = merge_ties(ep, lam, k).tensors["w"]
+        got = merge_tensor(Genotype(MergeKind.TIES, (lam, k)), s2, s1)
         want = np.where(argsort_mask(s1 - s2, k), (np.float32(1.0) - lam32) * s2 + lam32 * s1, s2)
     assert got.dtype == np.float32 and got.shape == s2.shape
     assert np.array_equal(got.view(np.uint32), want.astype(np.float32).view(np.uint32))
@@ -195,35 +196,37 @@ def test_ties_k1_reduces_to_ta_element_exact():
     for seed in range(5):
         ep = random_endpoints(200 + seed)
         for lam in (0.0, 0.3, 0.5, 0.71, 1.0):
-            ties = merge_ties(ep, lam, 1.0)
-            ta = merge_task_arithmetic(ep, lam)
+            ties = merge(ep, MergeKind.TIES, lam, 1.0)
+            ta = merge(ep, MergeKind.TA, lam)
             for name in ties.tensors:
                 assert np.array_equal(ties.tensors[name], ta.tensors[name])
 
 
 def test_ties_lambda_zero_returns_system2():
     ep = random_endpoints(9)
-    merged = merge_ties(ep, 0.0, 0.25)
+    merged = merge(ep, MergeKind.TIES, 0.0, 0.25)
     for name, s2 in ep.system2.tensors.items():
         assert np.array_equal(merged.tensors[name], s2)
 
 
 def test_ties_bounds():
     ep = random_endpoints(4)
-    with pytest.raises(GenotypeError):
-        merge_ties(ep, 0.5, 0.0)
-    with pytest.raises(GenotypeError):
-        merge_ties(ep, 0.5, 1.2)
+    with pytest.raises(GenotypeError, match=r"^ties: density k must lie in \(0, 1\], got 0.0$"):
+        merge(ep, MergeKind.TIES, 0.5, 0.0)
+    with pytest.raises(GenotypeError, match=r"^ties: density k must lie in \(0, 1\], got 1.2$"):
+        merge(ep, MergeKind.TIES, 0.5, 1.2)
+    with pytest.raises(GenotypeError, match=r"^ties: lambda must lie in \[0, 1\], got 1.1$"):
+        merge(ep, MergeKind.TIES, 1.1, 0.5)
 
 
 def test_linear_identity_and_average_equivalence():
     ep = random_endpoints(6)
-    ident = merge_linear(ep, 1.0, 0.0)
+    ident = merge(ep, MergeKind.LINEAR, 1.0, 0.0)
     for name, s2 in ep.system2.tensors.items():
         assert np.array_equal(ident.tensors[name], s2)
 
-    avg = merge_linear(ep, 0.5, 0.5)
-    ta_half = merge_task_arithmetic(ep, 0.5)
+    avg = merge(ep, MergeKind.LINEAR, 0.5, 0.5)
+    ta_half = merge(ep, MergeKind.TA, 0.5)
     for name in avg.tensors:
         a, b = avg.tensors[name], ta_half.tensors[name]
         ulp = np.spacing(np.maximum(np.abs(a), np.abs(b)))
@@ -232,9 +235,11 @@ def test_linear_identity_and_average_equivalence():
 
 def test_linear_bounds_enforced():
     ep = random_endpoints(8)
-    with pytest.raises(GenotypeError):
-        merge_linear(ep, 2.0, 0.5)
-    assert merge_linear(ep, 1.5, 0.0) is not None
+    with pytest.raises(GenotypeError, match=r"^linear: w_system2=2.0 outside bounds \[0.0, 1.5\]$"):
+        merge(ep, MergeKind.LINEAR, 2.0, 0.5)
+    with pytest.raises(GenotypeError, match=r"^linear: w_system1=-0.1 outside bounds \[0.0, 1.5\]$"):
+        merge(ep, MergeKind.LINEAR, 0.5, -0.1)
+    assert merge(ep, MergeKind.LINEAR, 1.5, 0.0) is not None
 
 
 def test_genotype_validation():
@@ -264,3 +269,18 @@ def test_decode_genotype_dispatch():
     lin_out = decode_genotype(Genotype(MergeKind.LINEAR, (1.0, 0.0)), ep)
     for name, s2 in ep.system2.tensors.items():
         assert np.array_equal(lin_out.tensors[name], s2)
+
+    # metadata keys in header order, each value written as repr(float)
+    assert list(s2_out.metadata.items()) == [("op", "ta"), ("lambda", "0.0")]
+    assert list(ties_out.metadata.items()) == [("op", "ties"), ("lambda", "0.5"), ("k", "1.0")]
+    assert list(lin_out.metadata.items()) == [
+        ("op", "linear"), ("w_system2", "1.0"), ("w_system1", "0.0")
+    ]
+    # tensors follow system2's order, not system1's or a sorted one
+    flipped = MergeEndpoints(
+        system2=Checkpoint(dict(reversed(ep.system2.tensors.items()))), system1=ep.system1
+    )
+    flipped_out = decode_genotype(Genotype(MergeKind.TIES, (0.5, 1.0)), flipped)
+    assert list(flipped_out.tensors) == ["t2", "t1", "t0"]
+    for name in ties_out.tensors:
+        assert np.array_equal(flipped_out.tensors[name], ties_out.tensors[name])
