@@ -21,7 +21,6 @@ from typing import Sequence
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import MissingCandidatesError, ParetoMergeError, RecordFormatError
 from .evaluation import (
-    ObjectiveVector,
     Outcomes,
     RecordsFitness,
     SimulatedBenchmark,
@@ -29,12 +28,13 @@ from .evaluation import (
     candidate_id,
     generate_benchmark,
     load_benchmark,
+    load_json,
     load_record_evaluations,
     save_benchmark,
     write_manifest,
 )
 from .merge import Genotype, MergeEndpoints, MergeKind, decode_genotype
-from .nsga2 import HistoryEntry, ParetoFront, Population, SearchConfig, run_nsga2
+from .nsga2 import HistoryEntry, SearchConfig, run_nsga2
 from .reporting import build_report, format_report_table, front_points_csv, report_to_csv
 from .sampling import (
     CorrectnessMatrix,
@@ -66,10 +66,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except MissingCandidatesError as exc:
-        # The command-specific handler already wrote the manifest.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ParetoMergeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -247,8 +243,7 @@ def _cmd_sample_subset(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = load_json(args.config)
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
     search_dict, merge_block, evaluator_block = (
@@ -316,7 +311,7 @@ def _cmd_evolve(args) -> int:
     # rewritten from the cached lines. The last call leaves the final files.
     history_lines: list[str] = []
 
-    def on_generation(history: list[HistoryEntry], gen: int, pop: Population) -> None:
+    def on_generation(history: list[HistoryEntry], gen: int) -> None:
         history_lines.extend(_history_line(e) for e in history[len(history_lines):])
         _write_text_atomic(out_dir / "history.jsonl", "".join(history_lines))
         if history:
@@ -355,11 +350,11 @@ def _cmd_evolve(args) -> int:
 
     print(f"evaluated {len(history)} candidates over {search.generations} generations")
     print(f"{'genotype':<28} {'accuracy':>9} {'mean_length':>12}")
-    for member in front.members:
-        values = ", ".join(f"{v:.4f}" for v in member.genotype.values)
+    for entry in front:
+        values = ", ".join(f"{v:.4f}" for v in entry.genotype.values)
         print(
-            f"{member.genotype.kind.value}[{values}]".ljust(28)
-            + f" {member.objectives.accuracy:>9.4f} {member.objectives.mean_length:>12.2f}"
+            f"{entry.genotype.kind.value}[{values}]".ljust(28)
+            + f" {entry.fitness.accuracy:>9.4f} {entry.fitness.mean_length:>12.2f}"
         )
     print(f"run directory: {out_dir}")
     return 0
@@ -543,24 +538,22 @@ def _write_json_atomic(path: Path, payload) -> None:
     _write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _member_dict(genotype: Genotype, objectives: ObjectiveVector) -> dict:
+def _member_dict(entry: HistoryEntry) -> dict:
     return {
-        "candidate_id": candidate_id(genotype),
-        "genotype": genotype.to_dict(),
-        "accuracy": objectives.accuracy,
-        "mean_length": objectives.mean_length,
-        "fitness": list(objectives.fitness),
+        "candidate_id": candidate_id(entry.genotype),
+        "genotype": entry.genotype.to_dict(),
+        "accuracy": entry.fitness.accuracy,
+        "mean_length": entry.fitness.mean_length,
+        "fitness": list(entry.fitness.fitness),
     }
 
 
 def _history_line(entry: HistoryEntry) -> str:
-    member = _member_dict(entry.genotype, entry.fitness)
-    return json.dumps({"generation": entry.generation, **member}) + "\n"
+    return json.dumps({"generation": entry.generation, **_member_dict(entry)}) + "\n"
 
 
-def _write_pareto_atomic(path: Path, front: ParetoFront) -> None:
-    members = [_member_dict(m.genotype, m.objectives) for m in front.members]
-    _write_json_atomic(path, {"members": members})
+def _write_pareto_atomic(path: Path, front: list[HistoryEntry]) -> None:
+    _write_json_atomic(path, {"members": [_member_dict(e) for e in front]})
 
 
 if __name__ == "__main__":

@@ -309,9 +309,17 @@ def save_benchmark(bench: SimulatedBenchmark, path) -> None:
         fh.write(json.dumps(payload))
 
 
-def load_benchmark(path, noise_seed: int = 0) -> SimulatedBenchmark:
+def load_json(path):
+    """Parse a whole JSON file; a file that is not JSON is a ``ValueError`` naming ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_benchmark(path, noise_seed: int = 0) -> SimulatedBenchmark:
+    payload = load_json(path)
     if not isinstance(payload, list):
         raise ValueError(f"{path}: benchmark file must be a JSON array of items")
     items = []

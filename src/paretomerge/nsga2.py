@@ -27,20 +27,6 @@ _OP_MUTATION = 3
 
 
 @dataclass
-class Individual:
-    genotype: Genotype
-    fitness: ObjectiveVector | None = None
-    rank: int | None = None
-    crowding: float | None = None
-
-
-@dataclass
-class Population:
-    individuals: list[Individual]
-    generation: int = 0
-
-
-@dataclass
 class SbxParams:
     probability: float = 0.9
     eta: float = 15.0
@@ -114,30 +100,23 @@ class SearchConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SearchConfig":
-        sbx = d.get("sbx", {})
-        mut = d.get("mutation", {})
+        """Build from a config ``search`` block; absent keys keep the dataclass defaults.
+
+        Unknown keys are ignored. ``sbx`` and ``mutation`` numbers become
+        floats, so the ``config.json`` echo writes ``1.0`` for ``1``.
+        """
+
+        def floats(block: dict, names: tuple[str, ...]) -> dict:
+            return {k: None if block[k] is None else float(block[k]) for k in names if k in block}
+
+        kw = {k: d[k] for k in ("genotype_kind", "genotype_bounds") if k in d}
+        kw.update((k, int(d[k])) for k in ("population_size", "generations", "seed") if k in d)
         return cls(
-            population_size=int(d.get("population_size", 20)),
-            generations=int(d.get("generations", 10)),
-            seed=int(d.get("seed", 0)),
-            genotype_kind=MergeKind(d.get("genotype_kind", "ta")),
-            genotype_bounds=(
-                tuple(tuple(b) for b in d["genotype_bounds"])
-                if d.get("genotype_bounds") is not None
-                else None
-            ),
-            sbx=SbxParams(
-                probability=float(sbx.get("probability", 0.9)),
-                eta=float(sbx.get("eta", 15.0)),
-            ),
+            sbx=SbxParams(**floats(d.get("sbx", {}), ("probability", "eta"))),
             mutation=MutationParams(
-                per_variable_probability=(
-                    None
-                    if mut.get("per_variable_probability") is None
-                    else float(mut["per_variable_probability"])
-                ),
-                eta=float(mut.get("eta", 20.0)),
+                **floats(d.get("mutation", {}), ("per_variable_probability", "eta"))
             ),
+            **kw,
         )
 
 
@@ -207,18 +186,19 @@ def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
     return [float(d) for d in dist]
 
 
-def tournament_select(pop: Population, rng: np.random.Generator) -> Individual:
-    """Binary tournament: lower rank wins, then larger crowding, then lower index."""
-    n = len(pop.individuals)
-    i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-    a, b = pop.individuals[i], pop.individuals[j]
-    if a.rank is None or b.rank is None or a.crowding is None or b.crowding is None:
-        raise ValueError("tournament requires rank and crowding to be assigned")
-    if a.rank != b.rank:
-        return a if a.rank < b.rank else b
-    if a.crowding != b.crowding:
-        return a if a.crowding > b.crowding else b
-    return a if i < j else b
+def tournament_select(
+    rank: Sequence[int], crowding: Sequence[float], rng: np.random.Generator
+) -> int:
+    """Binary tournament over population indices; returns the winner's index.
+
+    Lower rank wins, then larger crowding, then lower index.
+    """
+    i, j = (int(v) for v in rng.choice(len(rank), size=2, replace=False))
+    if rank[i] != rank[j]:
+        return i if rank[i] < rank[j] else j
+    if crowding[i] != crowding[j]:
+        return i if crowding[i] > crowding[j] else j
+    return min(i, j)
 
 
 def sbx_crossover(
@@ -277,29 +257,15 @@ def polynomial_mutation(
 
 @dataclass(frozen=True)
 class HistoryEntry:
+    """One evaluated candidate; populations, fronts and the history are lists of it."""
+
     genotype: Genotype
     fitness: ObjectiveVector
     generation: int
 
 
-@dataclass(frozen=True)
-class FrontMember:
-    genotype: Genotype
-    objectives: ObjectiveVector
-
-
-@dataclass(frozen=True)
-class ParetoFront:
-    """Mutually non-dominated members, sorted by ascending fitness.first."""
-
-    members: tuple[FrontMember, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def extract_pareto(history: Sequence[HistoryEntry]) -> ParetoFront:
-    """Non-dominated subset of all evaluated points.
+def extract_pareto(history: Sequence[HistoryEntry]) -> list[HistoryEntry]:
+    """Non-dominated subset of all evaluated points, by ascending fitness.
 
     Duplicate fitness vectors collapse to their first occurrence, so the
     result is deterministic for a deterministic history. Front 0 comes from
@@ -313,12 +279,7 @@ def extract_pareto(history: Sequence[HistoryEntry]) -> ParetoFront:
         first_seen.setdefault(entry.fitness.fitness, entry)
     unique = list(first_seen.values())
     fronts = fast_nondominated_sort([e.fitness for e in unique])
-    members = [
-        FrontMember(genotype=unique[i].genotype, objectives=unique[i].fitness)
-        for i in fronts[0]
-    ]
-    members.sort(key=lambda m: m.objectives.fitness)
-    return ParetoFront(members=tuple(members))
+    return sorted((unique[i] for i in fronts[0]), key=lambda e: e.fitness.fitness)
 
 
 def _stream(seed: int, generation: int, op: int, idx: int) -> np.random.Generator:
@@ -327,21 +288,23 @@ def _stream(seed: int, generation: int, op: int, idx: int) -> np.random.Generato
     )
 
 
-def _assign_ranks(pop: Population) -> None:
-    fronts = fast_nondominated_sort([ind.fitness for ind in pop.individuals])
-    for rank, front in enumerate(fronts):
-        dists = crowding_distance([pop.individuals[i].fitness for i in front])
-        for i, d in zip(front, dists):
-            pop.individuals[i].rank = rank
-            pop.individuals[i].crowding = d
+def _rank_and_crowding(pop: Sequence[HistoryEntry]) -> tuple[list[int], list[float]]:
+    """Per-member non-domination rank and crowding distance within its front."""
+    rank = [0] * len(pop)
+    crowding = [0.0] * len(pop)
+    for r, front in enumerate(fast_nondominated_sort([e.fitness for e in pop])):
+        for i, d in zip(front, crowding_distance([pop[i].fitness for i in front])):
+            rank[i] = r
+            crowding[i] = d
+    return rank, crowding
 
 
 def run_nsga2(
     cfg: SearchConfig,
     evaluate: FitnessEvaluator | Callable[[Genotype], ObjectiveVector],
     workers: int = 1,
-    on_generation: Callable[[list[HistoryEntry], int, Population], None] | None = None,
-) -> tuple[ParetoFront, list[HistoryEntry]]:
+    on_generation: Callable[[list[HistoryEntry], int], None] | None = None,
+) -> tuple[list[HistoryEntry], list[HistoryEntry]]:
     """Run the elitist search and return the all-evaluations front plus history.
 
     Each generation is scored with one ``evaluate_population(genotypes,
@@ -359,29 +322,29 @@ def run_nsga2(
         values = tuple(rng.uniform(lo, hi) for lo, hi in cfg.genotype_bounds)
         genotypes.append(Genotype(cfg.genotype_kind, values))
 
-    def evaluated(gen: int, gs: list[Genotype]) -> list[Individual]:
+    def evaluated(gen: int, gs: list[Genotype]) -> list[HistoryEntry]:
         try:
             fits = evaluator.evaluate_population(gs, workers=workers)
         except Exception:
             if on_generation is not None:
-                on_generation(history, gen, Population([], generation=gen))
+                on_generation(history, gen)
             raise
-        inds = []
-        for g, f in zip(gs, fits):
-            history.append(HistoryEntry(genotype=g, fitness=f, generation=gen))
-            inds.append(Individual(genotype=g, fitness=f))
-        return inds
+        entries = [HistoryEntry(genotype=g, fitness=f, generation=gen) for g, f in zip(gs, fits)]
+        history.extend(entries)
+        return entries
 
-    pop = Population(evaluated(0, genotypes), generation=0)
-    _assign_ranks(pop)
+    pop = evaluated(0, genotypes)
     if on_generation is not None:
-        on_generation(history, 0, pop)
+        on_generation(history, 0)
 
     for gen in range(1, cfg.generations + 1):
+        rank, crowding = _rank_and_crowding(pop)
         offspring_genotypes: list[Genotype] = []
         for pair in range(n // 2):
-            parent1 = tournament_select(pop, _stream(cfg.seed, gen, _OP_TOURNAMENT, 2 * pair))
-            parent2 = tournament_select(pop, _stream(cfg.seed, gen, _OP_TOURNAMENT, 2 * pair + 1))
+            parent1, parent2 = (
+                pop[tournament_select(rank, crowding, _stream(cfg.seed, gen, _OP_TOURNAMENT, k))]
+                for k in (2 * pair, 2 * pair + 1)
+            )
             child1, child2 = sbx_crossover(
                 parent1.genotype, parent2.genotype, cfg, _stream(cfg.seed, gen, _OP_CROSSOVER, pair)
             )
@@ -389,29 +352,19 @@ def run_nsga2(
             child2 = polynomial_mutation(child2, cfg, _stream(cfg.seed, gen, _OP_MUTATION, 2 * pair + 1))
             offspring_genotypes.extend((child1, child2))
 
-        offspring = evaluated(gen, offspring_genotypes)
-        pooled = pop.individuals + offspring
-        fronts = fast_nondominated_sort([ind.fitness for ind in pooled])
-
-        selected: list[Individual] = []
-        for front in fronts:
+        pooled = pop + evaluated(gen, offspring_genotypes)
+        selected: list[int] = []
+        for front in fast_nondominated_sort([e.fitness for e in pooled]):
             if len(selected) + len(front) <= n:
-                selected.extend(pooled[i] for i in front)
+                selected.extend(front)
             else:
                 dists = crowding_distance([pooled[i].fitness for i in front])
-                order = sorted(
-                    range(len(front)), key=lambda j: (-dists[j], front[j])
-                )
-                selected.extend(pooled[front[j]] for j in order[: n - len(selected)])
+                order = sorted(range(len(front)), key=lambda j: (-dists[j], front[j]))
+                selected.extend(front[j] for j in order[: n - len(selected)])
             if len(selected) == n:
                 break
-
-        pop = Population(
-            [Individual(genotype=ind.genotype, fitness=ind.fitness) for ind in selected],
-            generation=gen,
-        )
-        _assign_ranks(pop)
+        pop = [pooled[i] for i in selected]
         if on_generation is not None:
-            on_generation(history, gen, pop)
+            on_generation(history, gen)
 
     return extract_pareto(history), history

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .evaluation import Outcomes
-from .nsga2 import ParetoFront
+from .nsga2 import HistoryEntry
 
 
 @dataclass(frozen=True)
@@ -137,16 +137,16 @@ def format_report_table(report: AggregateReport) -> str:
     return "\n".join(lines)
 
 
-def front_points_csv(front: ParetoFront, baseline_length: float) -> str:
+def front_points_csv(front: Sequence[HistoryEntry], baseline_length: float) -> str:
     """Front members as (length reduction %, accuracy %) rows, reduction ascending."""
     if baseline_length <= 0:
         raise ValueError("baseline length must be > 0")
     pts = sorted(
         (
-            100.0 * (1.0 - m.objectives.mean_length / baseline_length),
-            100.0 * m.objectives.accuracy,
+            100.0 * (1.0 - e.fitness.mean_length / baseline_length),
+            100.0 * e.fitness.accuracy,
         )
-        for m in front.members
+        for e in front
     )
     lines = ["length_reduction_pct,accuracy_pct"]
     lines.extend(f"{red:.4f},{acc:.4f}" for red, acc in pts)

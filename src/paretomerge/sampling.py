@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SubsetSelectionError
-from .evaluation import Outcomes, SimulatedBenchmark, candidate_id
+from .evaluation import Outcomes, SimulatedBenchmark, candidate_id, load_json
 from .merge import Genotype, MergeKind
 
 
@@ -72,8 +72,7 @@ def save_matrix(matrix: CorrectnessMatrix, path) -> None:
 
 def load_matrix(path) -> CorrectnessMatrix:
     """Read a matrix file; a malformed file or entry is a ``ValueError`` naming ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = load_json(path)
     try:
         # On the JSON values: numpy would cast a row like [true, 1] to integers.
         if any(type(v) is bool for key in ("correct", "lengths") for row in payload[key] for v in row):
@@ -119,19 +118,6 @@ def save_subset(subset: EvaluationSubset, path) -> None:
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload))
-
-
-def load_subset(path) -> EvaluationSubset:
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    try:
-        return EvaluationSubset(
-            item_ids=tuple(d["item_ids"]),
-            strategy=SubsetStrategy(d["strategy"]),
-            seed=int(d["seed"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed subset file: {exc}") from exc
 
 
 def default_lambda_grid(k: int) -> list[float]:

@@ -351,7 +351,7 @@ def test_evolve_full_item_set_front_matches_history_pareto(tmp_path):
     expected = extract_pareto(entries)
     persisted = json.loads((out_dir / "pareto.json").read_text())["members"]
     assert [(m["accuracy"], m["mean_length"]) for m in persisted] == [
-        (m.objectives.accuracy, m.objectives.mean_length) for m in expected.members
+        (m.fitness.accuracy, m.fitness.mean_length) for m in expected
     ]
 
 
@@ -640,6 +640,41 @@ def test_evolve_golden_digest(tmp_path, population, generations, digest, front_d
         h.update((out_dir / name).read_bytes())
     assert h.hexdigest()[:16] == digest
     assert sha16(out_dir / "front_points.csv") == front_digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--bench", "BAD", "--out", "OUT"],
+    ["sample-subset", "--matrix", "BAD", "--strategy", "entropy", "--size", "5", "--out", "OUT"],
+    ["evolve", "--config", "BAD", "--out", "OUT"],
+])
+def test_non_json_input_file_is_named(tmp_path, capsys, argv):
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    bad.write_text("[{not json")
+    assert main([{"BAD": str(bad), "OUT": str(out)}.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not valid JSON: Expecting property name")
+    assert not out.exists()
+
+
+def test_evolve_config_echo_digest(tmp_path):
+    # Integer-valued sbx/mutation numbers echo as floats; null fields echo as
+    # their dataclass defaults (bounds) or stay null (per-variable probability).
+    search = {
+        "population_size": 4,
+        "generations": 1,
+        "sbx": {"probability": 1, "eta": 15},
+        "mutation": {"per_variable_probability": None, "eta": 20},
+        "genotype_bounds": None,
+    }
+    cfg_path, out_dir = evolve_config(
+        tmp_path, "echo", search=search,
+        evaluator={"simulated": {"generator_seed": 0, "n_items": 20}}, subset=None,
+    )
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+    config = (out_dir / "config.json").read_text()
+    assert '"probability": 1.0' in config and '"eta": 20.0' in config
+    echo = config.replace(str(tmp_path), "TMP").encode()
+    assert hashlib.sha256(echo).hexdigest()[:16] == "1f597e9bdb8f64bd"
 
 
 def test_fidelity_csv_shapes(tmp_path, capsys):

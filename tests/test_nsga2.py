@@ -8,11 +8,10 @@ from paretomerge.evaluation import FitnessEvaluator, ObjectiveVector
 from paretomerge.merge import Genotype, MergeKind, default_genotype_bounds
 from paretomerge.nsga2 import (
     HistoryEntry,
-    Individual,
     MutationParams,
-    Population,
     SbxParams,
     SearchConfig,
+    _rank_and_crowding,
     crowding_distance,
     dominates,
     extract_pareto,
@@ -90,26 +89,17 @@ def test_tournament_winners_scale_free():
     rng = np.random.default_rng(13)
     raw = rng.uniform(0, 1, size=(16, 2))
 
-    def build_pop(scale):
-        inds = []
-        for i, (f1, f2) in enumerate(raw):
-            ind = Individual(genotype=Genotype(MergeKind.TA, (i / 16,)))
-            ind.fitness = Fit(f1, scale * f2)
-            inds.append(ind)
-        pop = Population(inds)
-        fronts = fast_nondominated_sort([x.fitness for x in inds])
-        for rank, front in enumerate(fronts):
-            dists = crowding_distance([inds[i].fitness for i in front])
-            for i, d in zip(front, dists):
-                inds[i].rank = rank
-                inds[i].crowding = d
-        return pop
+    def rank_and_crowding(scale):
+        return _rank_and_crowding([
+            HistoryEntry(Genotype(MergeKind.TA, (i / 16,)), ObjectiveVector(f1, scale * f2), 0)
+            for i, (f1, f2) in enumerate(raw)
+        ])
 
-    plain, scaled = build_pop(1.0), build_pop(250.0)
+    plain, scaled = rank_and_crowding(1.0), rank_and_crowding(250.0)
     for seed in range(200):
-        w1 = tournament_select(plain, np.random.default_rng(seed))
-        w2 = tournament_select(scaled, np.random.default_rng(seed))
-        assert w1.genotype.values == w2.genotype.values
+        w1 = tournament_select(*plain, np.random.default_rng(seed))
+        w2 = tournament_select(*scaled, np.random.default_rng(seed))
+        assert w1 == w2
 
 
 def test_crowding_distance_hand_example():
@@ -134,14 +124,8 @@ def test_crowding_distance_degenerate_objective():
 
 
 def make_pop(specs):
-    inds = []
-    for i, (rank, crowd) in enumerate(specs):
-        ind = Individual(genotype=Genotype(MergeKind.TA, (i / 10,)))
-        ind.fitness = ObjectiveVector(0.5, 100.0)
-        ind.rank = rank
-        ind.crowding = crowd
-        inds.append(ind)
-    return Population(inds)
+    """(rank, crowding) pairs -> the two per-member lists a tournament reads."""
+    return [r for r, _ in specs], [c for _, c in specs]
 
 
 class FixedPairRng:
@@ -155,15 +139,17 @@ class FixedPairRng:
 
 
 def test_tournament_rank_crowding_index_tiebreaks():
-    pop = make_pop([(0, 1.0), (1, float("inf"))])
-    assert tournament_select(pop, FixedPairRng(0, 1)).rank == 0
+    rank, crowding = make_pop([(0, 1.0), (1, float("inf"))])
+    assert rank[tournament_select(rank, crowding, FixedPairRng(0, 1))] == 0
+    assert rank[tournament_select(rank, crowding, FixedPairRng(1, 0))] == 0
 
-    pop = make_pop([(0, float("inf")), (0, 2.0)])
-    assert tournament_select(pop, FixedPairRng(0, 1)).crowding == float("inf")
+    rank, crowding = make_pop([(0, float("inf")), (0, 2.0)])
+    assert crowding[tournament_select(rank, crowding, FixedPairRng(0, 1))] == float("inf")
+    assert crowding[tournament_select(rank, crowding, FixedPairRng(1, 0))] == float("inf")
 
-    pop = make_pop([(0, 2.0), (0, 2.0)])
-    winner = tournament_select(pop, FixedPairRng(1, 0))
-    assert winner is pop.individuals[0]  # lower population index wins
+    rank, crowding = make_pop([(0, 2.0), (0, 2.0)])
+    winner = tournament_select(rank, crowding, FixedPairRng(1, 0))
+    assert winner == 0  # lower population index wins
 
 
 def test_sbx_probability_zero_copies_parents():
@@ -356,7 +342,7 @@ def test_run_nsga2_budget_and_extremes():
     assert len(history) == 8  # N * (T + 1)
     # objectives conflict affinely in lam: every evaluated point is non-dominated
     assert len(front) == len({h.fitness.fitness for h in history})
-    lams = [m.genotype.values[0] for m in front.members]
+    lams = [m.genotype.values[0] for m in front]
     assert max(lams) == max(h.genotype.values[0] for h in history)
     assert min(lams) == min(h.genotype.values[0] for h in history)
 
@@ -376,8 +362,8 @@ def test_run_nsga2_deterministic_and_thread_invariant():
         assert [(h.genotype.values, h.fitness.fitness, h.generation) for h in hist] == [
             (h.genotype.values, h.fitness.fitness, h.generation) for h in base_hist
         ]
-        assert [(m.genotype.values, m.objectives.fitness) for m in front.members] == [
-            (m.genotype.values, m.objectives.fitness) for m in base_front.members
+        assert [(m.genotype.values, m.fitness.fitness) for m in front] == [
+            (m.genotype.values, m.fitness.fitness) for m in base_front
         ]
 
 
@@ -428,14 +414,14 @@ def test_run_nsga2_elitism_preserves_single_objective_bests():
     front, history = run_nsga2(cfg, noisy)
     best_acc = max(h.fitness.accuracy for h in history)
     best_len = min(h.fitness.mean_length for h in history)
-    assert any(m.objectives.accuracy == best_acc for m in front.members)
-    assert any(m.objectives.mean_length == best_len for m in front.members)
+    assert any(m.fitness.accuracy == best_acc for m in front)
+    assert any(m.fitness.mean_length == best_len for m in front)
 
 
 def test_run_nsga2_generation_callback_and_failure_persistence():
     calls = []
 
-    def cb(history, gen, pop):
+    def cb(history, gen):
         calls.append((gen, len(history)))
 
     cfg = SearchConfig(population_size=4, generations=2, seed=0)
@@ -468,7 +454,7 @@ def test_extract_pareto_examples():
 
     hist = [entry(0.5, 100.0), entry(0.6, 120.0), entry(0.5, 130.0)]
     front = extract_pareto(hist)
-    assert [(m.objectives.accuracy, m.objectives.mean_length) for m in front.members] == [
+    assert [(m.fitness.accuracy, m.fitness.mean_length) for m in front] == [
         (0.6, 120.0),
         (0.5, 100.0),
     ]
@@ -491,7 +477,7 @@ def test_extract_pareto_duplicate_fitness_keeps_first():
         HistoryEntry(g2, ObjectiveVector(0.5, 100.0), 1),
     ]
     front = extract_pareto(hist)
-    assert len(front) == 1 and front.members[0].genotype == g1
+    assert front == [hist[0]]
 
 
 def test_front_sorted_by_first_fitness_and_mutually_nondominated():
@@ -505,10 +491,10 @@ def test_front_sorted_by_first_fitness_and_mutually_nondominated():
         for i, (a, l) in enumerate(zip(rng.uniform(0, 1, 300), rng.uniform(10, 1000, 300)))
     ]
     front = extract_pareto(hist)
-    firsts = [m.objectives.fitness[0] for m in front.members]
+    firsts = [m.fitness.fitness[0] for m in front]
     assert firsts == sorted(firsts)
     # oracle: raw pairwise comparison on the fitness tuples
-    pairs = [m.objectives.fitness for m in front.members]
+    pairs = [m.fitness.fitness for m in front]
     for i, p in enumerate(pairs):
         for j, q in enumerate(pairs):
             if i != j:
@@ -551,9 +537,7 @@ def test_extract_pareto_is_brute_force_front_zero_after_dedup():
         unique = list(first_seen.values())
         front0 = brute_force_fronts([e.fitness.fitness for e in unique])[0]
         expected = sorted((unique[i] for i in front0), key=lambda e: e.fitness.fitness)
-        assert [(m.genotype, m.objectives) for m in extract_pareto(hist).members] == [
-            (e.genotype, e.fitness) for e in expected
-        ]
+        assert extract_pareto(hist) == expected
 
 
 def test_sort_10k_points_memory_is_linear():
