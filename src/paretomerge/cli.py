@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import statistics
 import sys
 from pathlib import Path
@@ -31,6 +30,7 @@ from .evaluation import (
     load_json,
     load_record_evaluations,
     save_benchmark,
+    write_atomic,
     write_manifest,
 )
 from .merge import Genotype, MergeEndpoints, MergeKind, decode_genotype
@@ -250,6 +250,7 @@ def _cmd_evolve(args) -> int:
         _config_object(raw, key) for key in ("search", "merge", "evaluator")
     )
     _check_fields(search_dict, "search")
+    _check_fields(merge_block, "merge")
     for key in ("sbx", "mutation"):
         _check_fields(_config_object(search_dict, key, "search."), f"search.{key}")
     bounds = search_dict.get("genotype_bounds")
@@ -297,7 +298,7 @@ def _cmd_evolve(args) -> int:
             )
         save_benchmark(bench, out_dir / "benchmark.json")
     else:
-        records = load_record_evaluations(rec_block["path"])
+        records = load_record_evaluations(rec_block["path"], index=out_dir / "records.index")
 
     echo = {
         "search": dataclasses.asdict(search),
@@ -313,7 +314,7 @@ def _cmd_evolve(args) -> int:
 
     def on_generation(history: list[HistoryEntry], gen: int) -> None:
         history_lines.extend(_history_line(e) for e in history[len(history_lines):])
-        _write_text_atomic(out_dir / "history.jsonl", "".join(history_lines))
+        write_atomic(out_dir / "history.jsonl", "".join(history_lines).encode("utf-8"))
         if history:
             from .nsga2 import extract_pareto
 
@@ -387,11 +388,26 @@ _FIELD_TYPES = {
 }
 
 
+# The config fields that name an enum member, per block.
+_FIELD_CHOICES = {
+    "search": {"genotype_kind": MergeKind},
+    "merge": {"kind": MergeKind},
+    "subset": {"strategy": SubsetStrategy},
+}
+
+
 def _check_fields(block: dict, where: str) -> None:
-    for name, (types, what) in _FIELD_TYPES[where].items():
+    for name, (types, what) in _FIELD_TYPES.get(where, {}).items():
         if name in block and type(block[name]) not in types:
             raise UsageError(
                 f"config '{where}.{name}' must be {what}, got {json.dumps(block[name])}"
+            )
+    for name, choices in _FIELD_CHOICES.get(where, {}).items():
+        allowed = [c.value for c in choices]
+        if name in block and block[name] not in allowed:
+            raise UsageError(
+                f"config '{where}.{name}' must be one of {', '.join(allowed)}, "
+                f"got {json.dumps(block[name])}"
             )
 
 
@@ -528,14 +544,8 @@ def _group_by_benchmark(outcomes: Outcomes) -> dict[str, Outcomes]:
 # ---------------------------------------------------------------------------
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _write_json_atomic(path: Path, payload) -> None:
-    _write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
+    write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
 
 
 def _member_dict(entry: HistoryEntry) -> dict:

@@ -20,12 +20,16 @@ returns one objective vector per genotype in input order; see
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+import os
+import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -360,7 +364,7 @@ def _json_number(value, name: str) -> float:
 _RECORD_FIELDS = ("candidate_id", "item_id", "correct", "length")
 
 
-def load_record_evaluations(path) -> dict[str, Outcomes]:
+def load_record_evaluations(path, index=None) -> dict[str, Outcomes]:
     """Parse a JSONL record file into one ``Outcomes`` per candidate id.
 
     One object per line: ``{"candidate_id", "item_id", "correct", "length"}``.
@@ -369,11 +373,31 @@ def load_record_evaluations(path) -> dict[str, Outcomes]:
     record values: malformed lines, correctness other than 0/1, booleans,
     negative or non-finite lengths and duplicate (candidate, item) pairs are
     rejected with the offending line number.
+
+    ``index`` names a resume index (see ``_RecordColumns``) for a file that
+    only grows. When it covers a byte-identical prefix of the file, only the
+    lines after that prefix are parsed, with line numbers and the duplicate
+    check continuing across it. An index that is missing, unreadable, corrupt
+    or made for other bytes is ignored: the whole file is parsed. After a
+    successful parse that read new bytes, the index is rewritten atomically to
+    cover the file, provided the file ends in a newline. The result never
+    depends on the index.
     """
-    rows: dict[str, list[tuple[str, int | float, int | float]]] = {}
-    seen: set[tuple[str, str]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb", buffering=0) as fh:
+        resumed = _resume(index, fh) if index is not None else None
+        if resumed is None:
+            fh.seek(0)
+            resumed = _RecordColumns.empty(), hashlib.blake2b(digest_size=_DIGEST_SIZE)
+        prefix, hasher = resumed
+        tail = _DigestingReader(fh, hasher)
+        cands = {cand: code for code, cand in enumerate(prefix.cand_ids)}
+        items = {iid: code for code, iid in enumerate(prefix.item_ids)}
+        # One integer per (candidate, item) pair: the codes are int32.
+        seen = set((prefix.cand.astype(np.int64) << 32 | prefix.item).tolist())
+        cand_col, item_col, correct_col, length_col = [], [], [], []
+        lineno = prefix.nlines
+        lines = io.TextIOWrapper(io.BufferedReader(tail), encoding="utf-8")
+        for lineno, line in enumerate(lines, start=prefix.nlines + 1):
             line = line.strip()
             if not line:
                 continue
@@ -403,15 +427,179 @@ def load_record_evaluations(path) -> dict[str, Outcomes]:
                 raise RecordFormatError(
                     f"{path}: line {lineno}: length must be a finite number >= 0, got {length!r}"
                 )
-            key = (cand, iid)
+            c = cands.setdefault(cand, len(cands))
+            i = items.setdefault(iid, len(items))
+            key = c << 32 | i
             if key in seen:
                 raise RecordFormatError(
                     f"{path}: line {lineno}: duplicate record for candidate "
                     f"{cand!r}, item {iid!r}"
                 )
             seen.add(key)
-            rows.setdefault(cand, []).append((iid, correct, length))
-    return {cand: Outcomes(*zip(*cand_rows)) for cand, cand_rows in rows.items()}
+            cand_col.append(c)
+            item_col.append(i)
+            correct_col.append(correct)
+            length_col.append(length)
+    columns = _RecordColumns(
+        nbytes=prefix.nbytes + tail.nbytes,
+        nlines=lineno,
+        cand_ids=list(cands),
+        item_ids=list(items),
+        cand=np.concatenate([prefix.cand, np.array(cand_col, dtype=np.int32)]),
+        item=np.concatenate([prefix.item, np.array(item_col, dtype=np.int32)]),
+        correct=np.concatenate([prefix.correct, np.array(correct_col, dtype=np.int8)]),
+        length=np.concatenate([prefix.length, np.array(length_col, dtype=np.float64)]),
+    )
+    if index is not None and tail.last == b"\n":
+        write_atomic(index, columns.to_index(hasher.digest()))
+    return columns.outcomes()
+
+
+# records.index layout, little-endian: ``_INDEX_HEAD`` (magic, prefix bytes,
+# prefix lines, record count, candidate-table and item-table byte lengths,
+# blake2b digest of the prefix), the two id tables as JSON arrays, the record
+# columns (int32 candidate codes, int32 item codes, int8 correct, float64
+# length) and a blake2b checksum of everything before it.
+_INDEX_MAGIC = b"PMRIDX1\n"
+_DIGEST_SIZE = 32
+_CHECKSUM_SIZE = 16
+_INDEX_HEAD = struct.Struct(f"<8s5Q{_DIGEST_SIZE}s")
+# Stored and in-memory dtype of the candidate, item, correct and length columns.
+_INDEX_COLUMNS = (("<i4", np.int32), ("<i4", np.int32), ("i1", np.int8), ("<f8", np.float64))
+_RECORD_BYTES = sum(np.dtype(stored).itemsize for stored, _ in _INDEX_COLUMNS)
+
+
+@dataclass(frozen=True, eq=False)
+class _RecordColumns:
+    """The records of a file's first ``nbytes`` bytes (``nlines`` lines), in
+    file order: codes into the candidate and item id tables (each in order of
+    first appearance), 0/1 correctness and length. These, with the digest of
+    those bytes, are the content of a resume index."""
+
+    nbytes: int
+    nlines: int
+    cand_ids: list[str]
+    item_ids: list[str]
+    cand: np.ndarray
+    item: np.ndarray
+    correct: np.ndarray
+    length: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "_RecordColumns":
+        no_codes = np.zeros(0, dtype=np.int32)
+        return cls(0, 0, [], [], no_codes, no_codes,
+                   np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.float64))
+
+    def outcomes(self) -> dict[str, Outcomes]:
+        order = np.argsort(self.cand, kind="stable")
+        ends = np.cumsum(np.bincount(self.cand, minlength=len(self.cand_ids))).tolist()
+        item_ids = np.array(self.item_ids, dtype=object)
+        out, start = {}, 0
+        for cand, end in zip(self.cand_ids, ends):
+            rows = order[start:end]
+            out[cand] = Outcomes(
+                tuple(item_ids[self.item[rows]]), self.correct[rows], self.length[rows]
+            )
+            start = end
+        return out
+
+    def to_index(self, digest: bytes) -> bytes:
+        cand_table = json.dumps(self.cand_ids).encode("ascii")
+        item_table = json.dumps(self.item_ids).encode("ascii")
+        body = b"".join([
+            _INDEX_HEAD.pack(_INDEX_MAGIC, self.nbytes, self.nlines, len(self.cand),
+                             len(cand_table), len(item_table), digest),
+            cand_table,
+            item_table,
+            *(col.astype(stored).tobytes() for col, (stored, _) in zip(
+                (self.cand, self.item, self.correct, self.length), _INDEX_COLUMNS)),
+        ])
+        return body + hashlib.blake2b(body, digest_size=_CHECKSUM_SIZE).digest()
+
+    @classmethod
+    def from_index(cls, blob: bytes) -> tuple["_RecordColumns", bytes]:
+        """The columns and prefix digest of an index; ``ValueError`` if it is malformed."""
+        body, checksum = blob[:-_CHECKSUM_SIZE], blob[-_CHECKSUM_SIZE:]
+        if (
+            len(blob) < _INDEX_HEAD.size + _CHECKSUM_SIZE
+            or hashlib.blake2b(body, digest_size=_CHECKSUM_SIZE).digest() != checksum
+        ):
+            raise ValueError("index checksum mismatch")
+        magic, nbytes, nlines, n, cand_len, item_len, digest = _INDEX_HEAD.unpack_from(body)
+        pos = _INDEX_HEAD.size
+        if magic != _INDEX_MAGIC or len(body) != pos + cand_len + item_len + n * _RECORD_BYTES:
+            raise ValueError("not a record index")
+        tables = []
+        for size in (cand_len, item_len):
+            ids = json.loads(body[pos:pos + size])
+            pos += size
+            if not (isinstance(ids, list) and all(isinstance(i, str) and i for i in ids)
+                    and len(set(ids)) == len(ids)):
+                raise ValueError("bad id table")
+            tables.append(ids)
+        columns = []
+        for stored, native in _INDEX_COLUMNS:
+            col = np.frombuffer(body, dtype=stored, count=n, offset=pos)
+            pos += col.nbytes
+            columns.append(col.astype(native))
+        # The checksum catches damage; these keep a forged index from raising later.
+        cand, item, correct, length = columns
+        for codes, table in ((cand, tables[0]), (item, tables[1])):
+            if n and not 0 <= codes.min() <= codes.max() < len(table):
+                raise ValueError("code out of range")
+        if not (np.isin(correct, (0, 1)).all() and np.isfinite(length).all()
+                and (length >= 0).all()):
+            raise ValueError("bad record column")
+        return cls(nbytes, nlines, *tables, *columns), digest
+
+
+def _resume(index, fh):
+    """The indexed columns and the running digest of the prefix they cover,
+    with ``fh`` positioned after it; None when the index cannot be read or
+    does not match the file's first bytes."""
+    try:
+        prefix, digest = _RecordColumns.from_index(Path(index).read_bytes())
+    except (OSError, ValueError):
+        return None
+    hasher = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+    remaining = prefix.nbytes
+    while remaining:
+        chunk = fh.read(min(remaining, 1 << 20))
+        if not chunk:
+            return None  # the file is shorter than the prefix
+        hasher.update(chunk)
+        remaining -= len(chunk)
+    return (prefix, hasher) if hasher.digest() == digest else None
+
+
+class _DigestingReader(io.RawIOBase):
+    """Reads ``fh`` to its end, feeding every byte to ``hasher``; keeps the
+    count and the last byte read."""
+
+    def __init__(self, fh, hasher):
+        self._fh, self._hasher = fh, hasher
+        self.nbytes, self.last = 0, b""
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._fh.readinto(buffer)
+        if n:
+            data = memoryview(buffer)[:n]
+            self._hasher.update(data)
+            self.nbytes += n
+            self.last = bytes(data[-1:])
+        return n
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` through a sibling ``.tmp`` file."""
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 def candidate_id(genotype: Genotype) -> str:

@@ -7,7 +7,12 @@ import pytest
 
 from paretomerge.checkpoint import Checkpoint, save_checkpoint
 from paretomerge.cli import main
-from paretomerge.evaluation import candidate_id, generate_benchmark, load_manifest
+from paretomerge.evaluation import (
+    candidate_id,
+    generate_benchmark,
+    load_manifest,
+    load_record_evaluations,
+)
 from paretomerge.merge import Genotype, MergeKind
 
 
@@ -421,6 +426,9 @@ SIM = {"simulated": {"generator_seed": 0, "n_items": 20}}
         {"evaluator": {"simulated": {"n_items": 20, "generator_seed": 0.5}}},
         {"evaluator": {"simulated": {"n_items": 20, "noise_seed": None}}},
         {"evaluator": {"simulated": {"benchmark": 5}}},
+        {"evaluator": SIM, "subset": {"strategy": "bogus"}},
+        {"merge": {"kind": "dare"}, "evaluator": SIM},
+        {"search": {"genotype_kind": "TA"}, "evaluator": SIM},
     ],
 )
 def test_evolve_config_shape_is_usage_error(tmp_path, capsys, config):
@@ -438,6 +446,9 @@ def test_evolve_config_type_error_names_field(tmp_path, capsys):
         ({"search": {"sbx": 5}}, "'search.sbx' must be an object"),
         ({"subset": {"size": None}}, "'subset.size' must be an integer, got null"),
         ({"evaluator": {"simulated": {"n_items": True}}}, "'evaluator.simulated.n_items'"),
+        ({"subset": {"strategy": "bogus"}},
+         "'subset.strategy' must be one of entropy, random, disagreement, got \"bogus\""),
+        ({"merge": {"kind": "dare"}}, "'merge.kind' must be one of ta, ties, linear, got \"dare\""),
     ]:
         path.write_text(json.dumps({"evaluator": SIM, **block}))
         assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
@@ -544,14 +555,21 @@ def test_evolve_records_with_strategy_subset_from_calibration(tmp_path):
         "manifest.jsonl": "47ec47bc48dcacef",
         "matrix.json": "3521bc76ec507e10",
         "pareto.json": "b8c4c966d7a14895",
+        "records.index": "4cff495659377329",
         "subset.json": "8eb7246244d44eb5",
     }
+    # The resume index written round by round is the one a single parse of the
+    # final record file writes: its bytes are a function of that file alone.
+    fresh = tmp_path / "fresh.index"
+    load_record_evaluations(records_path, index=fresh)
+    assert fresh.read_bytes() == (run_dir / "records.index").read_bytes()
 
 
-def test_evolve_records_without_subset_digests(tmp_path):
+def run_records_without_subset(tmp_path, between_rounds=lambda index: None):
     # No subset block: each candidate is scored on all of its records, summed in
     # file order. Items are written in reverse benchmark order so that file
-    # order differs from item-id order.
+    # order differs from item-id order. ``between_rounds`` gets the path of the
+    # resume index after each harness round.
     bench = generate_benchmark(seed=0, n_items=40)
     records_path = tmp_path / "records.jsonl"
     records_path.write_text("")
@@ -569,13 +587,42 @@ def test_evolve_records_without_subset_digests(tmp_path):
         assert rc == 1
         known.extend(g for _, g in load_manifest(run_dir / "manifest.jsonl"))
         simulated_records_for(bench, known, records_path, subset=bench.item_ids[::-1])
+        between_rounds(run_dir / "records.index")
     else:
         pytest.fail("records evolve did not converge in 5 harness rounds")
+    return {name: sha16(run_dir / name) for name in ("history.jsonl", "pareto.json")}
 
-    assert {name: sha16(run_dir / name) for name in ("history.jsonl", "pareto.json")} == {
-        "history.jsonl": "d0b8325e88f0598b",
-        "pareto.json": "23948e73f47df518",
-    }
+
+RECORDS_WITHOUT_SUBSET_DIGESTS = {
+    "history.jsonl": "d0b8325e88f0598b",
+    "pareto.json": "23948e73f47df518",
+}
+
+
+def test_evolve_records_without_subset_digests(tmp_path):
+    assert run_records_without_subset(tmp_path) == RECORDS_WITHOUT_SUBSET_DIGESTS
+
+
+def _roll_back_to_first_index(index):
+    first = index.parent.parent / "first.index"
+    if first.exists():
+        index.write_bytes(first.read_bytes())
+    elif index.exists():
+        first.write_bytes(index.read_bytes())
+
+
+@pytest.mark.parametrize("between_rounds", [
+    pytest.param(lambda index: index.unlink(missing_ok=True), id="deleted"),
+    pytest.param(lambda index: index.write_bytes(b"junk"), id="junk"),
+    pytest.param(lambda index: index.write_bytes(b""), id="empty"),
+    pytest.param(lambda index: index.exists() and index.write_bytes(index.read_bytes()[:-1]),
+                 id="cut-short"),
+    pytest.param(_roll_back_to_first_index, id="stale"),  # resumes from the oldest prefix
+])
+def test_evolve_records_resume_index_is_disposable(tmp_path, between_rounds):
+    """Deleting, damaging or rolling back records.index between harness rounds
+    leaves every output byte unchanged."""
+    assert run_records_without_subset(tmp_path, between_rounds) == RECORDS_WITHOUT_SUBSET_DIGESTS
 
 
 def test_evolve_records_missing_item_named(tmp_path):

@@ -424,6 +424,202 @@ def test_load_records_duplicate_pair(tmp_path):
         load_record_evaluations(path)
 
 
+def assert_same_outcomes(loaded, expected):
+    """Same candidate ids in the same order, and equal columns of the same dtypes."""
+    assert list(loaded) == list(expected)
+    for cand, want in expected.items():
+        got = loaded[cand]
+        assert got.item_ids == want.item_ids
+        assert got.correct.dtype == np.int8 and got.correct.tolist() == want.correct.tolist()
+        assert got.lengths.dtype == np.float64 and got.lengths.tolist() == want.lengths.tolist()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=record_lines(), newline=st.sampled_from(["\n", "\r\n"]),
+       final_newline=st.booleans(), data=st.data())
+def test_load_records_resume_index_matches_full_parse_property(
+    tmp_path, lines, newline, final_newline, data
+):
+    """Cut a valid file at a newline, index the prefix, then load the whole
+    file through that index: the result is the no-index loader's."""
+    cut = data.draw(st.integers(0, len(lines)))
+    head = "".join(line + newline for line in lines[:cut]).encode("utf-8")
+    rest = newline.join(lines[cut:]) + (newline if final_newline and lines[cut:] else "")
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    index.unlink(missing_ok=True)
+
+    path.write_bytes(head)
+    assert_same_outcomes(load_record_evaluations(path, index=index), load_record_evaluations(path))
+    assert index.exists() == bool(head)
+
+    path.write_bytes(head + rest.encode("utf-8"))
+    assert_same_outcomes(load_record_evaluations(path, index=index), load_record_evaluations(path))
+    # The index now covers the whole file, and is the one a fresh parse writes.
+    fresh = tmp_path / "fresh.index"
+    fresh.unlink(missing_ok=True)
+    load_record_evaluations(path, index=fresh)
+    assert fresh.exists() == path.read_bytes().endswith(b"\n")
+    if fresh.exists():
+        assert index.read_bytes() == fresh.read_bytes()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=record_lines(), newline=st.sampled_from(["\n", "\r\n"]), data=st.data())
+def test_load_records_resume_index_bad_tail_line_property(tmp_path, lines, newline, data):
+    """A bad line or a repeated record after the indexed prefix raises the
+    no-index loader's exact message and line number, and leaves the index alone."""
+    records = [i for i, line in enumerate(lines) if line.strip()]
+    cut = data.draw(st.integers(0, len(lines)))
+    kinds = len(BAD_LINES) + (1 if records else 0)  # the last kind repeats a record
+    kind = data.draw(st.integers(0, kinds - 1))
+    if kind == len(BAD_LINES):
+        copied = data.draw(st.sampled_from(records))  # in the prefix or earlier in the tail
+        pos = data.draw(st.integers(max(cut, copied + 1), len(lines)))
+        rec = json.loads(lines[copied])
+        bad = lines[copied]
+        message = (f"duplicate record for candidate {rec['candidate_id']!r}, "
+                   f"item {rec['item_id']!r}")
+    else:
+        pos = data.draw(st.integers(cut, len(lines)))
+        bad, message = BAD_LINES[kind]
+        if message is None:
+            with pytest.raises(json.JSONDecodeError) as info:
+                json.loads(bad)
+            message = f"invalid JSON: {info.value}"
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    index.unlink(missing_ok=True)
+    path.write_bytes("".join(line + newline for line in lines[:cut]).encode("utf-8"))
+    load_record_evaluations(path, index=index)
+    indexed = index.read_bytes() if index.exists() else None
+
+    with_bad = lines[:pos] + [bad] + lines[pos:]
+    path.write_bytes("".join(line + newline for line in with_bad).encode("utf-8"))
+    with pytest.raises(RecordFormatError) as oracle:
+        load_record_evaluations(path)
+    with pytest.raises(RecordFormatError) as resumed:
+        load_record_evaluations(path, index=index)
+    assert str(resumed.value) == str(oracle.value) == f"{path}: line {pos + 1}: {message}"
+    assert (index.read_bytes() if index.exists() else None) == indexed
+
+
+def _record(cand, item, correct=1, length=100):
+    return json.dumps({"candidate_id": cand, "item_id": item, "correct": correct,
+                       "length": length}) + "\n"
+
+
+GRID = "".join(_record(f"m{c}", f"q{i}", (c + i) % 2, 100 + 10 * c + i)
+               for c in range(3) for i in range(4))
+MORE = "".join(_record(f"m{c}", f"q{i}", 1, 7) for c in (2, 3) for i in (4, 5))
+
+
+def _index_then_load(tmp_path, indexed: str, now: str, damage=None):
+    """Index ``indexed``, make the file ``now`` (and apply ``damage`` to the
+    index), then load with the index; returns (resumed result, oracle result)."""
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    path.write_text(indexed)
+    load_record_evaluations(path, index=index)
+    assert index.exists()
+    path.write_text(now)
+    if damage is not None:
+        damage(index)
+    return load_record_evaluations(path, index=index), load_record_evaluations(path)
+
+
+def _flip_digit(text: str) -> str:
+    pos = text.index('"length": 1') + len('"length": ')
+    return text[:pos] + "9" + text[pos + 1:]
+
+
+@pytest.mark.parametrize("indexed,now", [
+    pytest.param(GRID, _flip_digit(GRID) + MORE, id="prefix-byte-edited"),
+    pytest.param(GRID + MORE, GRID, id="truncated-at-line"),
+    pytest.param(GRID + MORE, GRID.replace('"correct": 1', '"correct": 0', 1), id="truncated-and-edited"),
+    pytest.param(GRID, GRID.replace('"correct": 1', '"correct": 0', 1), id="same-size-replaced"),
+    pytest.param(GRID + MORE, MORE, id="index-claims-more-bytes-than-the-file"),
+])
+def test_load_records_stale_index_means_full_parse(tmp_path, indexed, now):
+    resumed, oracle = _index_then_load(tmp_path, indexed, now)
+    assert_same_outcomes(resumed, oracle)
+
+
+def _flip_bit(blob: bytes, pos: int) -> bytes:
+    flipped = bytearray(blob)
+    flipped[pos] ^= 1
+    return bytes(flipped)
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda index: index.write_bytes(b"not an index\n" * 50), id="garbage"),
+    pytest.param(lambda index: index.write_bytes(b""), id="empty"),
+    pytest.param(lambda index: index.write_bytes(index.read_bytes()[:100]), id="cut-short"),
+    pytest.param(lambda index: index.write_bytes(index.read_bytes()[:-1]), id="last-byte-cut"),
+    pytest.param(lambda index: index.write_bytes(_flip_bit(index.read_bytes(), -20)),
+                 id="length-bit-flipped"),  # in the last length, before the checksum
+])
+def test_load_records_unreadable_index_means_full_parse(tmp_path, damage):
+    resumed, oracle = _index_then_load(tmp_path, GRID, GRID + MORE, damage)
+    assert_same_outcomes(resumed, oracle)
+
+
+def _covered_bytes(index) -> int:
+    from paretomerge.evaluation import _RecordColumns
+
+    return _RecordColumns.from_index(index.read_bytes())[0].nbytes
+
+
+def test_load_records_index_covers_only_newline_terminated_files(tmp_path):
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    unterminated = _record("m9", "q0").rstrip("\n")
+    path.write_text(GRID + unterminated)
+    load_record_evaluations(path, index=index)
+    assert not index.exists()
+
+    path.write_text(GRID)
+    load_record_evaluations(path, index=index)
+    assert _covered_bytes(index) == len(GRID)
+    path.write_text(GRID + unterminated)
+    assert_same_outcomes(load_record_evaluations(path, index=index), load_record_evaluations(path))
+    assert _covered_bytes(index) == len(GRID)  # the unfinished last line is not covered
+
+    # The harness finishes the line and appends more: the index is still reused.
+    path.write_text(GRID + unterminated + "\n" + MORE)
+    assert_same_outcomes(load_record_evaluations(path, index=index), load_record_evaluations(path))
+    assert _covered_bytes(index) == len(GRID + unterminated + "\n" + MORE)
+
+
+def test_load_records_failed_parse_writes_no_index(tmp_path):
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    path.write_text(GRID + "{not json\n")
+    with pytest.raises(RecordFormatError, match="line 13: invalid JSON"):
+        load_record_evaluations(path, index=index)
+    assert not index.exists()
+
+    path.write_text(GRID)
+    load_record_evaluations(path, index=index)
+    before = index.read_bytes()
+    path.write_text(GRID + MORE + _record("m0", "q0"))  # a repeat of line 1
+    with pytest.raises(RecordFormatError, match="line 17: duplicate record for candidate 'm0'"):
+        load_record_evaluations(path, index=index)
+    assert index.read_bytes() == before
+
+
+def test_load_records_resume_parses_only_the_tail(tmp_path, monkeypatch):
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    path.write_text(GRID)
+    load_record_evaluations(path, index=index)
+    path.write_text(GRID + MORE)
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, *a, **kw: calls.append(s) or loads(s, *a, **kw))
+    resumed = load_record_evaluations(path, index=index)
+    monkeypatch.undo()
+    records = [c for c in calls if isinstance(c, str)]  # the index's id tables are bytes
+    assert records == [line.strip() for line in MORE.splitlines()]
+    assert_same_outcomes(resumed, load_record_evaluations(path))
+
+
 def test_candidate_id_stable_and_distinct():
     g1 = Genotype(MergeKind.TA, (0.5,))
     g2 = Genotype(MergeKind.TA, (0.5,))
