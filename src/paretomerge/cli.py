@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import statistics
 import sys
@@ -345,8 +346,9 @@ def _cmd_evolve(args) -> int:
     except (MissingCandidatesError, RecordFormatError):
         pass  # no lambda = 0 records on the subset: no baseline to plot against
     else:
-        (out_dir / "front_points.csv").write_text(
-            front_points_csv(front, baseline.mean_length), encoding="utf-8"
+        write_atomic(
+            out_dir / "front_points.csv",
+            front_points_csv(front, baseline.mean_length).encode("utf-8"),
         )
 
     print(f"evaluated {len(history)} candidates over {search.generations} generations")
@@ -429,7 +431,12 @@ def _check_subset_block(block) -> None:
 
 
 def _resolve_subset(subset_block, bench, records, out_dir) -> list[str] | None:
-    """Turn the config subset block into explicit item ids (None = all items)."""
+    """Turn the config subset block into explicit item ids (None = all items).
+
+    In records mode the subset is reused when ``calibration.key`` matches the
+    inputs of the matrix and the files it was written with (see
+    :func:`_calibration_key_file`); anything else rebuilds both files.
+    """
     if subset_block is None:
         return None
     if "item_ids" in subset_block:
@@ -438,11 +445,24 @@ def _resolve_subset(subset_block, bench, records, out_dir) -> list[str] | None:
     strategy = SubsetStrategy(subset_block.get("strategy", "entropy"))
     size = subset_block.get("size", 50)
     seed = subset_block.get("seed", 0)
-    k = subset_block.get("calibration_k", 10)
-    matrix = _calibration_matrix(default_lambda_grid(k), bench, records)
+    grid = default_lambda_grid(subset_block.get("calibration_k", 10))
+    key_path = out_dir / "calibration.key"
+    key = None
+    if bench is None:
+        key = _calibration_key(strategy, size, seed, grid, _grid_records(grid, records))
+        try:
+            reuse = key_path.read_bytes() == _calibration_key_file(key, out_dir)
+        except OSError:
+            reuse = False  # a missing file means a rebuild
+        if reuse:
+            return load_json(out_dir / "subset.json")["item_ids"]
+    key_path.unlink(missing_ok=True)
+    matrix = _calibration_matrix(grid, bench, records)
     save_matrix(matrix, out_dir / "matrix.json")
     subset = select_subset(matrix, strategy, size, seed=seed)
     save_subset(subset, out_dir / "subset.json")
+    if key is not None:
+        write_atomic(key_path, _calibration_key_file(key, out_dir))
     return list(subset.item_ids)
 
 
@@ -454,13 +474,53 @@ def _calibration_matrix(grid, bench, records) -> CorrectnessMatrix:
     """
     if bench is not None:
         return build_calibration_matrix(bench.outcomes, grid)
-    ids = {lam: candidate_id(Genotype(MergeKind.TA, (lam,))) for lam in grid}
-    missing = [(c, Genotype(MergeKind.TA, (lam,))) for lam, c in ids.items() if c not in records]
+    rows = dict(zip(grid, _grid_records(grid, records).values()))
+    return build_calibration_matrix(lambda lam: rows[lam].select(sorted(rows[lam].item_ids)), grid)
+
+
+def _grid_records(grid, records) -> dict[str, Outcomes]:
+    """The records of each grid candidate by candidate id, in grid order.
+
+    Raises :class:`MissingCandidatesError` naming every grid candidate without records.
+    """
+    genotypes = {candidate_id(g): g for g in (Genotype(MergeKind.TA, (lam,)) for lam in grid)}
+    missing = [(c, g) for c, g in genotypes.items() if c not in records]
     if missing:
         raise MissingCandidatesError(missing)
-    return build_calibration_matrix(
-        lambda lam: records[ids[lam]].select(sorted(records[ids[lam]].item_ids)), grid
-    )
+    return {c: records[c] for c in genotypes}
+
+
+_CALIBRATION_KEY_TAG = b"paretomerge calibration key 1"
+
+
+def _calibration_key(strategy, size, seed, grid, rows: dict[str, Outcomes]) -> str:
+    """blake2b over everything the matrix and the subset depend on: the
+    selection parameters, the grid and each grid candidate's records in
+    loader order. Every field is length-prefixed, so the encoding is unambiguous."""
+    h = hashlib.blake2b(digest_size=32)
+
+    def put(data: bytes) -> None:
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+
+    put(_CALIBRATION_KEY_TAG)
+    put(json.dumps([strategy.value, size, seed, grid]).encode("utf-8"))
+    for cid, row in rows.items():
+        put(cid.encode("utf-8"))
+        put(json.dumps(row.item_ids).encode("utf-8"))
+        put(row.correct.astype("i1").tobytes())
+        put(row.lengths.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def _calibration_key_file(key: str, out_dir: Path) -> bytes:
+    """The bytes of ``calibration.key``: the key and the blake2b digests of
+    ``matrix.json`` and ``subset.json`` as they are now in ``out_dir``."""
+    lines = [f"key {key}"] + [
+        f"{name} {hashlib.blake2b((out_dir / name).read_bytes(), digest_size=32).hexdigest()}"
+        for name in ("matrix.json", "subset.json")
+    ]
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 # ---------------------------------------------------------------------------

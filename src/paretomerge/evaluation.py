@@ -309,8 +309,7 @@ def save_benchmark(bench: SimulatedBenchmark, path) -> None:
         }
         for it in bench.items
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload))
+    write_atomic(path, json.dumps(payload).encode("utf-8"))
 
 
 def load_json(path):
@@ -611,9 +610,11 @@ def candidate_id(genotype: Genotype) -> str:
 
 def write_manifest(path, genotypes: Sequence[Genotype]) -> None:
     """Emit the candidate manifest consumed by an external evaluation harness."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for g in genotypes:
-            fh.write(json.dumps({"candidate_id": candidate_id(g), "genotype": g.to_dict()}) + "\n")
+    lines = (
+        json.dumps({"candidate_id": candidate_id(g), "genotype": g.to_dict()}) + "\n"
+        for g in genotypes
+    )
+    write_atomic(path, "".join(lines).encode("utf-8"))
 
 
 def load_manifest(path) -> list[tuple[str, Genotype]]:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SubsetSelectionError
-from .evaluation import Outcomes, SimulatedBenchmark, candidate_id, load_json
+from .evaluation import Outcomes, SimulatedBenchmark, candidate_id, load_json, write_atomic
 from .merge import Genotype, MergeKind
 
 
@@ -66,8 +66,7 @@ def save_matrix(matrix: CorrectnessMatrix, path) -> None:
         "correct": matrix.correct.tolist(),
         "lengths": matrix.lengths.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload))
+    write_atomic(path, json.dumps(payload).encode("utf-8"))
 
 
 def load_matrix(path) -> CorrectnessMatrix:
@@ -116,8 +115,7 @@ def save_subset(subset: EvaluationSubset, path) -> None:
         "seed": subset.seed,
         "item_ids": list(subset.item_ids),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload))
+    write_atomic(path, json.dumps(payload).encode("utf-8"))
 
 
 def default_lambda_grid(k: int) -> list[float]:

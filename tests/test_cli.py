@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import paretomerge.cli as cli
 from paretomerge.checkpoint import Checkpoint, save_checkpoint
 from paretomerge.cli import main
 from paretomerge.evaluation import (
@@ -508,61 +509,183 @@ def test_evolve_records_manifest_round_trips(tmp_path):
     assert len(history) == 8
 
 
-def test_evolve_records_with_strategy_subset_from_calibration(tmp_path):
+CALIBRATION_GRID = [Genotype(MergeKind.TA, (k / 3,)) for k in range(4)]
+
+
+def calibrated_config(tmp_path, out_name="calrun"):
+    """A records-mode config whose entropy subset is calibrated on ``CALIBRATION_GRID``."""
+    return evolve_config(
+        tmp_path, out_name,
+        search={"population_size": 4, "generations": 1, "seed": 0},
+        evaluator={"records": {"path": str(tmp_path / "records.jsonl")}},
+        subset={"strategy": "entropy", "size": 10, "seed": 0, "calibration_k": 4},
+    )
+
+
+def run_calibrated_harness(tmp_path, between_rounds=lambda run_dir: None):
+    """The harness loop with the grid candidates recorded up front, so that the
+    first round builds the subset; ``between_rounds`` gets the run directory
+    after each round that exits 1. Returns the run directory."""
     bench = generate_benchmark(seed=0, n_items=80)
     records_path = tmp_path / "records.jsonl"
-    # pre-populate the calibration grid candidates so subset selection works
-    grid_genotypes = [Genotype(MergeKind.TA, (k / 3,)) for k in range(4)]
-    simulated_records_for(bench, grid_genotypes, records_path)
-
-    cfg = {
-        "search": {"population_size": 4, "generations": 1, "seed": 0},
-        "evaluator": {"records": {"path": str(records_path)}},
-        "subset": {"strategy": "entropy", "size": 10, "seed": 0, "calibration_k": 4},
-        "output_dir": str(tmp_path / "calrun"),
-    }
-    cfg_path = tmp_path / "cal-config.json"
-    cfg_path.write_text(json.dumps(cfg))
-
-    known = list(grid_genotypes)
+    simulated_records_for(bench, CALIBRATION_GRID, records_path)
+    cfg_path, run_dir = calibrated_config(tmp_path)
+    known = list(CALIBRATION_GRID)
     for _ in range(4):
         rc = main(["evolve", "--config", str(cfg_path)])
         if rc == 0:
-            break
+            return run_dir
         assert rc == 1
-        pending = [g for _, g in load_manifest(tmp_path / "calrun" / "manifest.jsonl")]
-        known.extend(pending)
+        known.extend(g for _, g in load_manifest(run_dir / "manifest.jsonl"))
         simulated_records_for(bench, known, records_path)
-    else:
-        pytest.fail("did not converge")
+        between_rounds(run_dir)
+    pytest.fail("did not converge")
 
-    subset = json.loads((tmp_path / "calrun" / "subset.json").read_text())
-    assert len(subset["item_ids"]) == 10 and subset["strategy"] == "entropy"
-    assert (tmp_path / "calrun" / "matrix.json").exists()
-    front = json.loads((tmp_path / "calrun" / "pareto.json").read_text())
-    assert front["members"]
 
-    # Every file of the finished run is pinned; config.json echoes tmp_path,
-    # so it is hashed with that prefix replaced.
-    run_dir = tmp_path / "calrun"
+def run_dir_digests(tmp_path, run_dir) -> dict[str, str]:
+    """Every file of the run directory; config.json echoes tmp_path, so it is
+    hashed with that prefix replaced."""
     config = (run_dir / "config.json").read_text().replace(str(tmp_path), "TMP")
     digests = {p.name: sha16(p) for p in sorted(run_dir.iterdir()) if p.name != "config.json"}
     digests["config.json"] = hashlib.sha256(config.encode()).hexdigest()[:16]
-    assert digests == {
-        "config.json": "7488f13490b4eb41",
-        "front_points.csv": "287eb1b3b186cbf2",
-        "history.jsonl": "12a622cbb21e1557",
-        "manifest.jsonl": "47ec47bc48dcacef",
-        "matrix.json": "3521bc76ec507e10",
-        "pareto.json": "b8c4c966d7a14895",
-        "records.index": "4cff495659377329",
-        "subset.json": "8eb7246244d44eb5",
-    }
-    # The resume index written round by round is the one a single parse of the
-    # final record file writes: its bytes are a function of that file alone.
+    return digests
+
+
+CALIBRATED_RUN_DIGESTS = {
+    "calibration.key": "c22a0523c7795e81",
+    "config.json": "7488f13490b4eb41",
+    "front_points.csv": "287eb1b3b186cbf2",
+    "history.jsonl": "12a622cbb21e1557",
+    "manifest.jsonl": "47ec47bc48dcacef",
+    "matrix.json": "3521bc76ec507e10",
+    "pareto.json": "b8c4c966d7a14895",
+    "records.index": "4cff495659377329",
+    "subset.json": "8eb7246244d44eb5",
+}
+
+
+def test_evolve_records_with_strategy_subset_from_calibration(tmp_path):
+    run_dir = run_calibrated_harness(tmp_path)
+    subset = json.loads((run_dir / "subset.json").read_text())
+    assert len(subset["item_ids"]) == 10 and subset["strategy"] == "entropy"
+    front = json.loads((run_dir / "pareto.json").read_text())
+    assert front["members"]
+    assert run_dir_digests(tmp_path, run_dir) == CALIBRATED_RUN_DIGESTS
+
+    # The resume index and the calibration key written round by round are the
+    # ones a single run over the final record file writes: their bytes are a
+    # function of that file (and the config) alone.
     fresh = tmp_path / "fresh.index"
-    load_record_evaluations(records_path, index=fresh)
+    load_record_evaluations(tmp_path / "records.jsonl", index=fresh)
     assert fresh.read_bytes() == (run_dir / "records.index").read_bytes()
+    cfg_path, fresh_dir = calibrated_config(tmp_path, "fresh")
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+    key = (run_dir / "calibration.key").read_bytes()
+    assert (fresh_dir / "calibration.key").read_bytes() == key
+
+
+def _first_call_only(fn, calls):
+    def call(*args, **kwargs):
+        assert fn.__name__ not in calls, f"{fn.__name__} ran again after the first build"
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return call
+
+
+def test_evolve_records_reuses_calibration_across_rounds(tmp_path, monkeypatch):
+    """After the first build, each harness round takes its subset from subset.json."""
+    calls = []
+    for name in ("build_calibration_matrix", "save_matrix", "select_subset"):
+        monkeypatch.setattr(cli, name, _first_call_only(getattr(cli, name), calls))
+    run_dir = run_calibrated_harness(tmp_path)
+    assert calls == ["build_calibration_matrix", "save_matrix", "select_subset"]
+    assert run_dir_digests(tmp_path, run_dir) == CALIBRATED_RUN_DIGESTS
+
+
+@pytest.mark.parametrize("between_rounds", [
+    pytest.param(lambda run_dir: (run_dir / "calibration.key").unlink(), id="deleted"),
+    pytest.param(lambda run_dir: (run_dir / "calibration.key").write_bytes(b"junk"), id="junk"),
+])
+def test_evolve_records_calibration_key_is_disposable(tmp_path, between_rounds):
+    run_dir = run_calibrated_harness(tmp_path, between_rounds)
+    assert run_dir_digests(tmp_path, run_dir) == CALIBRATED_RUN_DIGESTS
+
+
+def _edit_subset(**change):
+    def edit(cfg_path, run_dir):
+        cfg = json.loads(cfg_path.read_text())
+        cfg["subset"].update(change)
+        cfg_path.write_text(json.dumps(cfg))
+    return edit
+
+
+def _edit_grid_length(cfg_path, run_dir):
+    # The first record belongs to the lambda = 0 grid candidate; one digit of
+    # its length changes and the file keeps its size.
+    records = cfg_path.parent / "records.jsonl"
+    size = records.stat().st_size
+    first, rest = records.read_text().split("\n", 1)
+    head, sep, length = first.rpartition('"length": ')
+    records.write_text(head + sep + ("2" if length[0] == "1" else "1") + length[1:] + "\n" + rest)
+    assert records.stat().st_size == size
+
+
+def _edit_file(name, edit):
+    return lambda cfg_path, run_dir: edit(run_dir / name)
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param(_edit_subset(strategy="random"), id="strategy"),
+    pytest.param(_edit_subset(size=12), id="size"),
+    pytest.param(_edit_subset(seed=1), id="seed"),
+    pytest.param(_edit_subset(calibration_k=2), id="calibration_k"),
+    pytest.param(_edit_grid_length, id="record-length"),
+    *(pytest.param(_edit_file(name, lambda p: p.write_bytes(p.read_bytes() + b" ")),
+                   id=f"{name}-edited") for name in ("matrix.json", "subset.json")),
+    *(pytest.param(_edit_file(name, Path.unlink), id=f"{name}-deleted")
+      for name in ("matrix.json", "subset.json")),
+    pytest.param(_edit_file("calibration.key", lambda p: p.write_bytes(b"junk")), id="key-junk"),
+    pytest.param(_edit_file("calibration.key", lambda p: p.write_bytes(b"")), id="key-empty"),
+    pytest.param(_edit_file("calibration.key", lambda p: p.write_bytes(p.read_bytes()[:-1])),
+                 id="key-cut-short"),
+])
+def test_evolve_records_calibration_rebuilds_on_change(tmp_path, monkeypatch, capsys, change):
+    """A change to anything the subset depends on rebuilds it, and the rebuilt
+    files equal those of a fresh run directory over the same inputs."""
+    simulated_records_for(generate_benchmark(seed=0, n_items=80), CALIBRATION_GRID,
+                          tmp_path / "records.jsonl")
+    cfg_path, run_dir = calibrated_config(tmp_path)
+    builds = []
+    build = cli.build_calibration_matrix
+    monkeypatch.setattr(cli, "build_calibration_matrix", lambda *a: builds.append(a) or build(*a))
+    assert main(["evolve", "--config", str(cfg_path)]) == 1
+    change(cfg_path, run_dir)
+    assert main(["evolve", "--config", str(cfg_path)]) == 1
+    assert len(builds) == 2
+    fresh = tmp_path / "fresh"
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(fresh)]) == 1
+    # Each round stops only on the search candidates that have no records yet.
+    err = capsys.readouterr().err
+    assert err.count("error: ") == err.count("have no evaluation records") == 3
+    for name in ("matrix.json", "subset.json", "calibration.key"):
+        assert (run_dir / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_evolve_records_new_grid_item_still_fails_the_rebuild(tmp_path, capsys):
+    """A grid candidate that gains a record for a new item changes the key, and
+    the rebuild rejects the mismatched rows as before."""
+    records = tmp_path / "records.jsonl"
+    simulated_records_for(generate_benchmark(seed=0, n_items=80), CALIBRATION_GRID, records)
+    cfg_path, run_dir = calibrated_config(tmp_path)
+    assert main(["evolve", "--config", str(cfg_path)]) == 1
+    assert (run_dir / "calibration.key").exists()
+    with open(records, "a") as fh:
+        fh.write(json.dumps({"candidate_id": candidate_id(CALIBRATION_GRID[0]),
+                             "item_id": "extra/q0", "correct": 1, "length": 10.0}) + "\n")
+    capsys.readouterr()
+    assert main(["evolve", "--config", str(cfg_path)]) == 1
+    assert "returned a different item set" in capsys.readouterr().err
+    assert not (run_dir / "calibration.key").exists()
 
 
 def run_records_without_subset(tmp_path, between_rounds=lambda index: None):
