@@ -1,4 +1,5 @@
-"""Binary tensor-container checkpoints and endpoint compatibility checks.
+"""Binary tensor-container checkpoints, the endpoint compatibility check and
+the atomic writer every output of the package goes through.
 
 Container layout (little-endian): 4 magic bytes ``PMRG``, a u32 header
 length, a UTF-8 JSON header describing tensor shapes/offsets plus free-form
@@ -19,10 +20,12 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from .errors import CheckpointFormatError
+from .errors import CheckpointFormatError, CompatibilityError
 
 MAGIC = b"PMRG"
 _ALIGN = 8
@@ -58,53 +61,26 @@ class Checkpoint:
     def total_parameters(self) -> int:
         return sum(int(a.size) for a in self.tensors.values())
 
-    def equal_elements(self, other: "Checkpoint") -> bool:
-        if list(self.tensors) != list(other.tensors):
-            return False
-        return all(
-            a.shape == other.tensors[n].shape and np.array_equal(a, other.tensors[n])
-            for n, a in self.tensors.items()
-        )
 
-
-@dataclass
-class CompatibilityReport:
-    """Name-set and shape differences between two checkpoints."""
-
-    missing_in_b: list[str]
-    missing_in_a: list[str]
-    shape_mismatches: list[str]
-
-    @property
-    def compatible(self) -> bool:
-        return not (self.missing_in_b or self.missing_in_a or self.shape_mismatches)
-
-    def describe(self) -> str:
-        if self.compatible:
-            return "compatible"
-        parts = []
-        if self.missing_in_b:
-            parts.append(f"missing in b: {self.missing_in_b}")
-        if self.missing_in_a:
-            parts.append(f"missing in a: {self.missing_in_a}")
-        if self.shape_mismatches:
-            parts.append(f"shape mismatches: {self.shape_mismatches}")
-        return "; ".join(parts)
-
-
-def check_compatible(a: Checkpoint, b: Checkpoint) -> CompatibilityReport:
-    """Compare tensor name sets and shapes; compatible iff both agree."""
+def check_compatible(a: Checkpoint, b: Checkpoint) -> None:
+    """Raise :class:`CompatibilityError` unless both hold the same tensor names and shapes."""
     names_a, names_b = set(a.tensors), set(b.tensors)
-    missing_in_b = sorted(names_a - names_b)
-    missing_in_a = sorted(names_b - names_a)
-    mismatches = sorted(
-        n for n in names_a & names_b if a.tensors[n].shape != b.tensors[n].shape
-    )
-    return CompatibilityReport(missing_in_b, missing_in_a, mismatches)
+    shapes = sorted(n for n in names_a & names_b if a.tensors[n].shape != b.tensors[n].shape)
+    parts = [
+        f"{label}: {names}"
+        for label, names in (
+            ("missing in b", sorted(names_a - names_b)),
+            ("missing in a", sorted(names_b - names_a)),
+            ("shape mismatches", shapes),
+        )
+        if names
+    ]
+    if parts:
+        raise CompatibilityError(f"incompatible checkpoints: {'; '.join(parts)}")
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write the canonical container; overwrites any existing file."""
+    """Write the canonical container atomically, one tensor buffer at a time."""
     entries = {}
     offset = 0
     for name, arr in ckpt.tensors.items():
@@ -115,17 +91,19 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     header = {"tensors": entries, "metadata": dict(ckpt.metadata)}
     header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
+    def chunks():
+        yield MAGIC
+        yield struct.pack("<I", len(header_bytes))
+        yield header_bytes
         pos = 0
         for name, arr in ckpt.tensors.items():
             offset = entries[name]["offset"]
-            fh.write(b"\x00" * (offset - pos))
+            yield b"\x00" * (offset - pos)
             data = np.ascontiguousarray(arr, dtype="<f4")
-            fh.write(memoryview(data).cast("B"))
+            yield memoryview(data).cast("B")
             pos = offset + data.nbytes
+
+    write_atomic(path, chunks())
 
 
 def load_checkpoint(path, validate: bool = True) -> Checkpoint:
@@ -210,3 +188,18 @@ def _truncated(path, name: str, offset: int, nbytes: int, available: int) -> Che
 
 def _align_up(n: int) -> int:
     return (n + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
+def write_atomic(path, data: bytes | Iterable[bytes]) -> None:
+    """Replace ``path`` with ``data`` (bytes, or bytes-like chunks written in order)
+    through a sibling ``.tmp`` file. This is the package's only file writer: on
+    any error the temp file is removed and ``path`` keeps its previous bytes."""
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines([data] if isinstance(data, bytes) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

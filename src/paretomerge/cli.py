@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .errors import MissingCandidatesError, ParetoMergeError, RecordFormatError
 from .evaluation import (
     Outcomes,
@@ -27,15 +27,15 @@ from .evaluation import (
     SimulatedFitness,
     candidate_id,
     generate_benchmark,
+    is_json_number,
     load_benchmark,
     load_json,
     load_record_evaluations,
     save_benchmark,
-    write_atomic,
     write_manifest,
 )
 from .merge import Genotype, MergeEndpoints, MergeKind, decode_genotype
-from .nsga2 import HistoryEntry, SearchConfig, run_nsga2
+from .nsga2 import HistoryEntry, MutationParams, SbxParams, SearchConfig, run_nsga2
 from .reporting import build_report, format_report_table, front_points_csv, report_to_csv
 from .sampling import (
     CorrectnessMatrix,
@@ -143,6 +143,8 @@ def _add_bench_args(p: argparse.ArgumentParser) -> None:
 def _resolve_bench(args) -> SimulatedBenchmark:
     if (args.bench is None) == (args.gen_seed is None):
         raise UsageError("provide exactly one of --bench or --gen-seed")
+    if (args.gen_seed or 0) < 0:
+        raise UsageError(f"--gen-seed must be >= 0, got {args.gen_seed}")
     noise_seed = 0 if args.noise_seed is None else args.noise_seed
     if args.bench is not None:
         if args.n_items is not None:
@@ -223,6 +225,8 @@ def _cmd_calibrate(args) -> int:
 def _cmd_sample_subset(args) -> int:
     if args.size < 1:
         raise UsageError(f"--size must be >= 1, got {args.size}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     matrix = load_matrix(args.matrix)
     subset = select_subset(matrix, args.strategy, args.size, seed=args.seed)
     save_subset(subset, args.out)
@@ -247,41 +251,19 @@ def _cmd_evolve(args) -> int:
     raw = load_json(args.config)
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
-    search_dict, merge_block, evaluator_block = (
-        _config_object(raw, key) for key in ("search", "merge", "evaluator")
-    )
-    _check_fields(search_dict, "search")
-    _check_fields(merge_block, "merge")
-    for key in ("sbx", "mutation"):
-        _check_fields(_config_object(search_dict, key, "search."), f"search.{key}")
-    bounds = search_dict.get("genotype_bounds")
-    if bounds is not None and not (isinstance(bounds, list) and all(
-        isinstance(p, list) and len(p) == 2 and all(type(v) in (int, float) for v in p)
-        for p in bounds
-    )):
-        raise UsageError("config 'search.genotype_bounds' must be a list of [low, high] numbers")
+    _check_config(raw, _CONFIG)
+    merge_block, evaluator_block = raw.get("merge", {}), raw.get("evaluator", {})
     subset_block = raw.get("subset")
-    _check_subset_block(subset_block)
-    if not isinstance(raw.get("output_dir") or "", str):
-        raise UsageError("config 'output_dir' must be a string")
-
     sources = [k for k in ("simulated", "records") if k in evaluator_block]
     if len(sources) != 1:
         raise UsageError("config must name exactly one evaluator source (simulated or records)")
     if sources[0] == "simulated":
         sim = evaluator_block["simulated"] or {}
-        if not isinstance(sim, dict):
-            raise UsageError("evaluator.simulated must be an object")
-        _check_fields(sim, "evaluator.simulated")
     else:
         rec_block = evaluator_block["records"]
         if not isinstance(rec_block, dict) or not isinstance(rec_block.get("path"), str):
             raise UsageError("evaluator.records must be an object with a string 'path'")
-
-    search_dict = dict(search_dict)
-    if "genotype_kind" not in search_dict and "kind" in merge_block:
-        search_dict["genotype_kind"] = merge_block["kind"]
-    search = SearchConfig.from_json_dict(search_dict)
+    search = _search_config(raw.get("search", {}), merge_block)
 
     out_dir = Path(args.out or raw.get("output_dir") or "paretomerge-run")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -363,71 +345,96 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _config_object(raw: dict, key: str, prefix: str = "") -> dict:
-    block = raw.get(key, {})
-    if not isinstance(block, dict):
-        raise UsageError(f"config '{prefix}{key}' must be an object, got {type(block).__name__}")
-    return block
+def _is_bounds(value) -> bool:
+    return value is None or isinstance(value, list) and all(
+        isinstance(pair, list) and len(pair) == 2 and all(map(is_json_number, pair))
+        for pair in value
+    )
 
 
-# Exact JSON types of the typed config fields, per block: ``true`` is no
-# number and 5.9 no integer. Other fields are untyped.
-_INT, _NUMBER = ((int,), "an integer"), ((int, float), "a number")
-_FIELD_TYPES = {
-    "search": {"population_size": _INT, "generations": _INT, "seed": _INT},
-    "search.sbx": {"probability": _NUMBER, "eta": _NUMBER},
-    "search.mutation": {
-        "per_variable_probability": ((int, float, type(None)), "a number or null"),
-        "eta": _NUMBER,
+def _is_item_ids(value) -> bool:
+    # Strings are checked first: ``set`` of a list that holds a list raises.
+    strings = isinstance(value, list) and all(isinstance(i, str) and i for i in value)
+    return strings and 0 < len(set(value)) == len(value)
+
+
+# Predicates on a field's exact JSON value, with the phrase its error uses:
+# ``true`` is no number and 5.9 no integer.
+_INT = (lambda v: type(v) is int, "an integer")
+_SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_NUMBER = (is_json_number, "a finite number")
+_NUMBER_OR_NULL = (lambda v: v is None or is_json_number(v), "a finite number or null")
+_STRING = (lambda v: isinstance(v, str), "a string")
+
+# Every checked field of an ``evolve`` config. A rule is an enum (the field
+# holds one of its values), a nested block (a dict of rules) or a predicate
+# pair. Fields that no rule names are ignored.
+_CONFIG = {
+    "search": {
+        "population_size": _INT,
+        "generations": _INT,
+        "seed": _SEED,
+        "genotype_kind": MergeKind,
+        "genotype_bounds": (_is_bounds, "a list of [low, high] finite numbers"),
+        "sbx": {"probability": _NUMBER, "eta": _NUMBER},
+        "mutation": {"per_variable_probability": _NUMBER_OR_NULL, "eta": _NUMBER},
     },
-    "subset": {"size": _INT, "seed": _INT, "calibration_k": _INT},
-    "evaluator.simulated": {
-        "benchmark": ((str,), "a string"),
-        "n_items": _INT,
-        "generator_seed": _INT,
-        "noise_seed": _INT,
-    },
-}
-
-
-# The config fields that name an enum member, per block.
-_FIELD_CHOICES = {
-    "search": {"genotype_kind": MergeKind},
     "merge": {"kind": MergeKind},
-    "subset": {"strategy": SubsetStrategy},
+    "subset": {
+        "strategy": SubsetStrategy,
+        "size": _INT,
+        "seed": _SEED,
+        "calibration_k": _INT,
+        "item_ids": (_is_item_ids, "a non-empty list of unique, non-empty strings"),
+    },
+    "evaluator": {"simulated": {
+        "benchmark": _STRING, "n_items": _INT, "generator_seed": _SEED, "noise_seed": _INT,
+    }},
+    # Any falsy output_dir falls back to the default directory.
+    "output_dir": (lambda v: not v or isinstance(v, str), "a string"),
 }
 
-
-def _check_fields(block: dict, where: str) -> None:
-    for name, (types, what) in _FIELD_TYPES.get(where, {}).items():
-        if name in block and type(block[name]) not in types:
-            raise UsageError(
-                f"config '{where}.{name}' must be {what}, got {json.dumps(block[name])}"
-            )
-    for name, choices in _FIELD_CHOICES.get(where, {}).items():
-        allowed = [c.value for c in choices]
-        if name in block and block[name] not in allowed:
-            raise UsageError(
-                f"config '{where}.{name}' must be one of {', '.join(allowed)}, "
-                f"got {json.dumps(block[name])}"
-            )
+# Blocks with a value that stands for "no settings": a null subset selects
+# every item, and a falsy simulated block generates the default benchmark.
+_NO_SETTINGS = {"subset": lambda v: v is None, "evaluator.simulated": lambda v: not v}
 
 
-def _check_subset_block(block) -> None:
-    """A subset block is absent (all items), a strategy spec, or explicit item ids."""
-    if block is None:
-        return
-    if not isinstance(block, dict):
-        raise UsageError(f"config 'subset' must be an object, got {type(block).__name__}")
-    _check_fields(block, "subset")
-    ids = block.get("item_ids")
-    if "item_ids" in block and not (
-        isinstance(ids, list)
-        and ids
-        and all(isinstance(i, str) and i for i in ids)
-        and len(set(ids)) == len(ids)
-    ):
-        raise UsageError("subset.item_ids must be a non-empty list of unique, non-empty strings")
+def _check_config(block: dict, rules: dict, prefix: str = "") -> None:
+    """Check each field of ``block`` that ``rules`` names, depth first."""
+    for name, rule in rules.items():
+        if name not in block:
+            continue
+        value, where = block[name], prefix + name
+        if isinstance(rule, dict):
+            if where in _NO_SETTINGS and _NO_SETTINGS[where](value):
+                continue
+            ok, phrase = isinstance(value, dict), "an object"
+        elif isinstance(rule, type):
+            allowed = [c.value for c in rule]
+            ok, phrase = value in allowed, f"one of {', '.join(allowed)}"
+        else:
+            ok, phrase = rule[0](value), rule[1]
+        if not ok:
+            raise UsageError(f"config '{where}' must be {phrase}, got {json.dumps(value)}")
+        if isinstance(rule, dict):
+            _check_config(value, rule, where + ".")
+
+
+def _search_config(search: dict, merge: dict) -> SearchConfig:
+    """Build from a checked ``search`` block; absent fields keep the dataclass defaults.
+
+    ``merge.kind`` fills a missing ``genotype_kind``. ``sbx`` and ``mutation``
+    numbers become floats, so the ``config.json`` echo writes ``1.0`` for ``1``.
+    """
+    names = ("population_size", "generations", "seed", "genotype_kind", "genotype_bounds")
+    kw = {k: search[k] for k in names if k in search}
+    if "genotype_kind" not in kw and "kind" in merge:
+        kw["genotype_kind"] = merge["kind"]
+    for key, params in (("sbx", SbxParams), ("mutation", MutationParams)):
+        block = search.get(key, {})
+        fields = [f.name for f in dataclasses.fields(params) if f.name in block]
+        kw[key] = params(**{f: None if block[f] is None else float(block[f]) for f in fields})
+    return SearchConfig(**kw)
 
 
 def _resolve_subset(subset_block, bench, records, out_dir) -> list[str] | None:
@@ -552,12 +559,12 @@ def _cmd_fidelity(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["strategy,size,seed,rho"]
     lines += [f"{c.strategy.value},{c.size},{c.seed},{c.rho:.6f}" for c in cells]
-    (out_dir / "fidelity.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(out_dir / "fidelity.csv", ("\n".join(lines) + "\n").encode("utf-8"))
 
     means = mean_fidelity(cells)
     lines = ["strategy,size,mean_rho"]
     lines += [f"{s.value},{size},{rho:.6f}" for s, size, rho in means]
-    (out_dir / "fidelity_mean.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(out_dir / "fidelity_mean.csv", ("\n".join(lines) + "\n").encode("utf-8"))
 
     for s, size, rho in means:
         print(f"{s.value:<13} size={size:<5} mean rho = {rho:.4f}")
@@ -586,7 +593,7 @@ def _cmd_report(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.csv").write_text(report_to_csv(report), encoding="utf-8")
+        write_atomic(out_dir / "report.csv", report_to_csv(report).encode("utf-8"))
         print(f"wrote {out_dir / 'report.csv'}")
     return 0
 

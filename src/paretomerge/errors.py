@@ -12,10 +12,6 @@ class CheckpointFormatError(ParetoMergeError):
 class CompatibilityError(ParetoMergeError):
     """Merge endpoints are not architecturally compatible."""
 
-    def __init__(self, report):
-        self.report = report
-        super().__init__(f"incompatible checkpoints: {report.describe()}")
-
 
 class GenotypeError(ParetoMergeError):
     """Genotype violates the bounds or arity of its merge kind."""

@@ -23,7 +23,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -34,6 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .errors import GenotypeError, MissingCandidatesError, RecordFormatError
 from .merge import Genotype, MergeKind
 
@@ -345,14 +345,18 @@ def load_benchmark(path, noise_seed: int = 0) -> SimulatedBenchmark:
     return SimulatedBenchmark(items, noise_seed=noise_seed)
 
 
+def is_json_number(value) -> bool:
+    """An exact ``int`` or ``float`` (``true`` and "Infinity" are no numbers)
+    with a finite float64 value: NaN, ±Infinity and integers beyond the float64
+    range, where ``float`` would overflow, are not."""
+    if type(value) is int:
+        return abs(value) <= _FLOAT_MAX
+    return type(value) is float and math.isfinite(value)
+
+
 def _json_number(value, name: str) -> float:
-    # Exact JSON types: ``true`` and numeric strings such as "Infinity" are
-    # not numbers here; SimItem then rejects the non-finite floats. An integer
-    # beyond the float64 range is rejected here, where ``float`` would overflow.
-    if type(value) not in (int, float):
-        raise ValueError(f"{name} must be a JSON number, got {value!r}")
-    if type(value) is int and abs(value) > _FLOAT_MAX:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if not is_json_number(value):
+        raise ValueError(f"{name} must be a finite JSON number, got {value!r}")
     return float(value)
 
 
@@ -591,14 +595,6 @@ class _DigestingReader(io.RawIOBase):
             self.nbytes += n
             self.last = bytes(data[-1:])
         return n
-
-
-def write_atomic(path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` through a sibling ``.tmp`` file."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
 
 
 def candidate_id(genotype: Genotype) -> str:

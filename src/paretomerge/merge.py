@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .checkpoint import Checkpoint, check_compatible
-from .errors import CompatibilityError, GenotypeError
+from .errors import GenotypeError
 
 LINEAR_BOUNDS = (0.0, 1.5)
 MIN_TIES_DENSITY = 1e-3
@@ -95,9 +95,7 @@ class MergeEndpoints:
     system1: Checkpoint
 
     def __post_init__(self):
-        report = check_compatible(self.system2, self.system1)
-        if not report.compatible:
-            raise CompatibilityError(report)
+        check_compatible(self.system2, self.system1)
 
 
 def merge_tensor(genotype: Genotype, s2: np.ndarray, s1: np.ndarray) -> np.ndarray:

@@ -98,33 +98,6 @@ class SearchConfig:
         pm = self.mutation.per_variable_probability
         return 1.0 / self.n_variables if pm is None else pm
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SearchConfig":
-        """Build from a config ``search`` block; absent keys keep the dataclass defaults.
-
-        Unknown keys are ignored. ``sbx`` and ``mutation`` numbers become
-        floats, so the ``config.json`` echo writes ``1.0`` for ``1``.
-        """
-
-        def floats(block: dict, names: tuple[str, ...]) -> dict:
-            return {k: None if block[k] is None else float(block[k]) for k in names if k in block}
-
-        kw = {k: d[k] for k in ("genotype_kind", "genotype_bounds") if k in d}
-        kw.update((k, int(d[k])) for k in ("population_size", "generations", "seed") if k in d)
-        return cls(
-            sbx=SbxParams(**floats(d.get("sbx", {}), ("probability", "eta"))),
-            mutation=MutationParams(
-                **floats(d.get("mutation", {}), ("per_variable_probability", "eta"))
-            ),
-            **kw,
-        )
-
-
-def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
-    """Minimization dominance: a is no worse on both objectives, better on one."""
-    fa, fb = a.fitness, b.fitness
-    return fa[0] <= fb[0] and fa[1] <= fb[1] and (fa[0] < fb[0] or fa[1] < fb[1])
-
 
 def fast_nondominated_sort(objectives: Sequence[ObjectiveVector]) -> list[list[int]]:
     """Partition indices into successive non-dominated fronts (front 0 first).

@@ -17,8 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .errors import SubsetSelectionError
-from .evaluation import Outcomes, SimulatedBenchmark, candidate_id, load_json, write_atomic
+from .evaluation import Outcomes, SimulatedBenchmark, candidate_id, load_json
 from .merge import Genotype, MergeKind
 
 

@@ -15,7 +15,15 @@ from paretomerge.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from paretomerge.errors import CheckpointFormatError
+from paretomerge.errors import CheckpointFormatError, CompatibilityError
+
+
+def same_tensors(a, b):
+    """Same tensor names in the same order, with equal shapes and elements."""
+    return list(a.tensors) == list(b.tensors) and all(
+        x.shape == b.tensors[n].shape and np.array_equal(x, b.tensors[n])
+        for n, x in a.tensors.items()
+    )
 
 
 def make_ckpt(arrays, metadata=None):
@@ -60,7 +68,7 @@ def test_round_trip_random_checkpoints(tmp_path):
         ckpt = Checkpoint(tensors=tensors)
         path = tmp_path / f"r{trial}.pmrg"
         save_checkpoint(ckpt, path)
-        assert load_checkpoint(path).equal_elements(ckpt)
+        assert same_tensors(load_checkpoint(path), ckpt)
 
 
 def test_payload_offsets_are_eight_byte_aligned(tmp_path):
@@ -77,7 +85,7 @@ def test_payload_offsets_are_eight_byte_aligned(tmp_path):
     assert offsets == {"a": 0, "b": 32, "c": 48}
     for entry in header["tensors"].values():
         assert entry["offset"] % 8 == 0
-    assert load_checkpoint(path).equal_elements(ckpt)
+    assert same_tensors(load_checkpoint(path), ckpt)
 
 
 def test_overwrite_existing_file(tmp_path):
@@ -85,6 +93,27 @@ def test_overwrite_existing_file(tmp_path):
     save_checkpoint(make_ckpt({"w": [1.0]}), path)
     save_checkpoint(make_ckpt({"w": [9.0, 9.0]}), path)
     assert load_checkpoint(path).tensors["w"].shape == (2,)
+
+
+class FailingTensor:
+    """Stands in for a tensor whose buffer cannot be read while it is written."""
+
+    shape, size = (4,), 4
+
+    def __array__(self, *args, **kwargs):
+        raise OSError("device lost mid-write")
+
+
+def test_failed_save_keeps_previous_file_and_no_temp(tmp_path):
+    path = tmp_path / "out.pmrg"
+    save_checkpoint(make_ckpt({"a": np.arange(200), "b": np.arange(300)}), path)
+    before = path.read_bytes()
+    ckpt = make_ckpt({"a": np.ones(500), "b": np.ones(3)})
+    ckpt.tensors["b"] = FailingTensor()  # the second tensor fails after the first is written
+    with pytest.raises(OSError, match="device lost"):
+        save_checkpoint(ckpt, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.pmrg"]
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -225,7 +254,7 @@ def test_unicode_tensor_names_and_metadata_round_trip(tmp_path):
     loaded = load_checkpoint(path)
     assert list(loaded.tensors) == ["層.weight", "plain"]
     assert loaded.metadata == {"来源": "テスト"}
-    assert loaded.equal_elements(ckpt)
+    assert same_tensors(loaded, ckpt)
 
 
 def test_checkpoint_invariants_enforced():
@@ -240,15 +269,31 @@ def test_checkpoint_invariants_enforced():
 def test_compatibility_report_cases():
     a = make_ckpt({"w": [1.0, 2.0], "w2": [3.0]})
     b = make_ckpt({"w": [1.0, 2.0], "w2": [0.0]})
-    assert check_compatible(a, b).compatible
+    check_compatible(a, b)
 
     c = make_ckpt({"w": [1.0, 2.0]})
-    rep = check_compatible(a, c)
-    assert not rep.compatible and rep.missing_in_b == ["w2"]
+    with pytest.raises(CompatibilityError, match=re.escape("missing in b: ['w2']")):
+        check_compatible(a, c)
 
     d = make_ckpt({"w": [1.0, 2.0, 3.0], "w2": [0.0]})
-    rep = check_compatible(a, d)
-    assert not rep.compatible and rep.shape_mismatches == ["w"]
+    with pytest.raises(CompatibilityError, match=re.escape("shape mismatches: ['w']")):
+        check_compatible(a, d)
+
+    e = make_ckpt({"w": [1.0], "v": [0.0]})
+    with pytest.raises(CompatibilityError) as exc:
+        check_compatible(a, e)
+    assert str(exc.value) == (
+        "incompatible checkpoints: missing in b: ['w2']; missing in a: ['v']; "
+        "shape mismatches: ['w']"
+    )
+
+
+def compatible(x, y) -> bool:
+    try:
+        check_compatible(x, y)
+    except CompatibilityError:
+        return False
+    return True
 
 
 def test_compatibility_is_symmetric():
@@ -263,4 +308,4 @@ def test_compatibility_is_symmetric():
                 }
             )
         x, y = rand_ckpt(), rand_ckpt()
-        assert check_compatible(x, y).compatible == check_compatible(y, x).compatible
+        assert compatible(x, y) == compatible(y, x)

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paretomerge.cli as cli
 from paretomerge.checkpoint import Checkpoint, save_checkpoint
@@ -430,6 +433,20 @@ SIM = {"simulated": {"generator_seed": 0, "n_items": 20}}
         {"evaluator": SIM, "subset": {"strategy": "bogus"}},
         {"merge": {"kind": "dare"}, "evaluator": SIM},
         {"search": {"genotype_kind": "TA"}, "evaluator": SIM},
+        # Numbers must be finite float64 values and seeds non-negative.
+        {"search": {"sbx": {"eta": 10**400}}, "evaluator": SIM},
+        {"search": {"genotype_bounds": [[0, 10**400]]}, "evaluator": SIM},
+        {"search": {"genotype_bounds": [[float("nan"), 1]]}, "evaluator": SIM},
+        *(
+            {"search": {block: {name: value}}, "evaluator": SIM}
+            for block, name in [("sbx", "probability"), ("sbx", "eta"),
+                                ("mutation", "per_variable_probability"), ("mutation", "eta")]
+            for value in (float("nan"), float("inf"), -float("inf"))
+        ),
+        {"search": {"seed": -1}, "evaluator": SIM},
+        {"evaluator": SIM, "subset": {"seed": -1}},
+        {"evaluator": {"simulated": {"n_items": 20, "generator_seed": -1}}},
+        {"evaluator": SIM, "subset": {"item_ids": ["item-00", ["item-01"]]}},
     ],
 )
 def test_evolve_config_shape_is_usage_error(tmp_path, capsys, config):
@@ -454,6 +471,115 @@ def test_evolve_config_type_error_names_field(tmp_path, capsys):
         path.write_text(json.dumps({"evaluator": SIM, **block}))
         assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         assert message in capsys.readouterr().err
+
+
+TINY_SEARCH = {"population_size": 4, "generations": 1, "seed": 0}
+
+
+@pytest.mark.parametrize("config", [
+    {"search": TINY_SEARCH, "evaluator": {"simulated": None}, "subset": None},
+    {"search": TINY_SEARCH, "evaluator": SIM, "subset": {"strategy": "random", "size": 5},
+     "output_dir": None},
+    {"search": {**TINY_SEARCH, "seed": 10**30, "genotype_bounds": None,
+                "mutation": {"per_variable_probability": None}, "sbx": {"eta": 1}},
+     "evaluator": {"simulated": {"n_items": 20, "generator_seed": 0, "noise_seed": -5}}},
+    {"search": {**TINY_SEARCH, "genotype_bounds": [[0, 1]], "extra": [1], "sbx": {"extra": "x"}},
+     "evaluator": {**SIM, "extra": 1}, "subset": {"item_ids": ["item-00", "item-03"]},
+     "extra": None},
+    # Any falsy simulated block, not only null, means the default benchmark.
+    {"search": TINY_SEARCH, "evaluator": {"simulated": []}, "subset": None},
+])
+def test_evolve_config_edge_values_are_accepted(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.parametrize("merge,search,kind", [
+    ({"kind": "ties"}, {}, "ties"),
+    ({"kind": "ties"}, {"genotype_kind": "ta"}, "ta"),
+    ({}, {}, "ta"),
+])
+def test_evolve_merge_kind_fills_a_missing_genotype_kind(tmp_path, capsys, merge, search, kind):
+    cfg_path, out_dir = evolve_config(
+        tmp_path, merge=merge, search={**TINY_SEARCH, **search}, subset=None, evaluator=SIM
+    )
+    # The simulated benchmark scores TA genotypes only, so a TIES search fails on its first batch.
+    assert main(["evolve", "--config", str(cfg_path)]) == (0 if kind == "ta" else 1)
+    assert json.loads((out_dir / "config.json").read_text())["search"]["genotype_kind"] == kind
+    if kind == "ties":
+        assert "got genotype kind 'ties'" in capsys.readouterr().err
+
+
+def config_fields(rules, prefix=""):
+    """Every field of a config schema, blocks included, as a dotted name."""
+    for name, rule in rules.items():
+        yield prefix + name
+        if isinstance(rule, dict):
+            yield from config_fields(rule, prefix + name + ".")
+
+
+PATH_FIELDS = {"output_dir", "evaluator.simulated.benchmark"}
+# Values at the edge of the JSON number and seed rules.
+EDGE_VALUES = [10**400, -(10**400), float("nan"), float("inf"), -float("inf"), -1]
+SIZE_FIELDS = {"population_size", "generations", "n_items", "size", "calibration_k"}
+TINY_CONFIG = {
+    "search": TINY_SEARCH,
+    "evaluator": SIM,
+    "subset": {"strategy": "entropy", "size": 5, "seed": 0, "calibration_k": 3},
+}
+
+
+def json_values(integers):
+    scalars = (st.none() | st.booleans() | integers | st.floats() | st.floats(0, 1)
+               | st.text(max_size=4) | st.sampled_from(["ta", "ties", "random", "item-00"]))
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def config_with_one_field_replaced(draw):
+    field = draw(st.sampled_from(sorted(set(config_fields(cli._CONFIG)) - PATH_FIELDS)))
+    *blocks, name = field.split(".")
+    if name in SIZE_FIELDS:
+        values = json_values(st.integers(-2, 12))
+    else:  # the edge values are drawn as often as all others together
+        values = st.sampled_from(EDGE_VALUES) | json_values(st.integers())
+    config = json.loads(json.dumps(TINY_CONFIG))
+    block = config
+    for key in blocks:
+        block = block.setdefault(key, {})
+    block[name] = draw(values)
+    return config
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(config=config_with_one_field_replaced())
+def test_evolve_any_field_value_keeps_the_exit_contract(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, run = Path(tmp) / "config.json", Path(tmp) / "run"
+        path.write_text(json.dumps(config))
+        rc = main(["evolve", "--config", str(path), "--out", str(run)])
+        assert rc in (0, 1, 2)
+        assert rc != 2 or not run.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--gen-seed", "-1", "--out", "OUT/m.json"],
+    ["fidelity", "--gen-seed", "-3", "--out", "OUT"],
+    ["sample-subset", "--matrix", "m.json", "--strategy", "entropy", "--size", "5",
+     "--seed", "-1", "--out", "OUT/s.json"],
+])
+def test_negative_seed_flag_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([a.replace("OUT", str(out)) for a in argv]) == 2
+    flag = next(a for a in argv if a.endswith("seed"))
+    assert f"usage error: {flag} must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def simulated_records_for(bench, genotypes, path, subset=None):

@@ -13,7 +13,6 @@ from paretomerge.nsga2 import (
     SearchConfig,
     _rank_and_crowding,
     crowding_distance,
-    dominates,
     extract_pareto,
     fast_nondominated_sort,
     polynomial_mutation,
@@ -47,17 +46,6 @@ def brute_force_fronts(points):
         fronts.append(front)
         remaining = [i for i in remaining if i not in front]
     return fronts
-
-
-def test_dominates_cases():
-    assert dominates(ObjectiveVector(0.8, 100.0), ObjectiveVector(0.7, 200.0))
-    a = ObjectiveVector(0.8, 200.0)
-    b = ObjectiveVector(0.7, 100.0)
-    assert not dominates(a, b) and not dominates(b, a)
-    same = ObjectiveVector(0.5, 100.0)
-    assert not dominates(same, ObjectiveVector(0.5, 100.0))
-    # equal on one objective, better on the other
-    assert dominates(ObjectiveVector(0.5, 50.0), ObjectiveVector(0.5, 100.0))
 
 
 def test_sort_single_front_and_two_fronts():
