@@ -7,10 +7,14 @@ string metadata, then the raw float32 payload. Offsets are relative to the
 payload start and 8-byte aligned, so a canonical save of the same checkpoint
 is byte-identical every time.
 
-I/O is per tensor in both directions: a load reads the prefix and header,
-then reads each tensor straight into its own array at its offset, and a save
-writes each array's buffer without an intermediate bytes copy. Peak memory of
-a load is therefore about one copy of the file, not the file plus its tensors.
+I/O is per tensor in both directions. A load reads and checks the prefix and
+the whole header before any payload byte, then reads each tensor straight
+into its own array at its offset; a save writes the header from the shapes
+alone, then each array's buffer without an intermediate bytes copy. An eager
+load therefore holds about one copy of the file. A lazy load
+(``lazy=True``) holds only the header: each tensor is read and checked when
+it is looked up, so a save that pulls the tensors of a lazy checkpoint (or
+of a merge of two lazy ones) holds one tensor at a time.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ import json
 import math
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -31,41 +36,91 @@ MAGIC = b"PMRG"
 _ALIGN = 8
 
 
+class LazyTensors(Mapping):
+    """Read-only map of tensors made on lookup: ``fetch(name)`` builds the
+    array each time ``name`` is looked up, while names and shapes are known
+    up front. ``close`` releases whatever ``fetch`` reads from."""
+
+    def __init__(
+        self,
+        shapes: dict[str, tuple[int, ...]],
+        fetch: Callable[[str], np.ndarray],
+        close: Callable[[], None] = lambda: None,
+    ):
+        self.shapes, self._fetch, self.close = shapes, fetch, close
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self.shapes:
+            raise KeyError(name)
+        return self._fetch(name)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.shapes)
+
+    def __len__(self) -> int:
+        return len(self.shapes)
+
+
 @dataclass
 class Checkpoint:
     """Named map of dense float32 tensors plus provenance metadata.
 
     Immutable by convention after construction; tensor insertion order is
-    preserved and defines the on-disk payload order.
+    preserved and defines the on-disk payload order. ``tensors`` is a dict
+    of arrays, or a :class:`LazyTensors` whose arrays are made on lookup;
+    close a checkpoint from ``load_checkpoint(..., lazy=True)`` (or use it
+    in a ``with`` block) to release its file.
     """
 
-    tensors: dict[str, np.ndarray]
+    tensors: Mapping[str, np.ndarray]
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.tensors, LazyTensors):
+            self.tensors = {
+                name: np.asarray(arr, dtype=np.float32, order="C")
+                for name, arr in self.tensors.items()
+            }
         if not self.tensors:
             raise CheckpointFormatError("checkpoint must hold at least one tensor")
-        converted = {}
-        for name, arr in self.tensors.items():
+        for name, shape in self.shapes.items():
             if not isinstance(name, str) or not name:
                 raise CheckpointFormatError("tensor names must be non-empty strings")
-            arr = np.asarray(arr, dtype=np.float32)
-            if arr.ndim == 0 or any(d < 1 for d in arr.shape):
+            if len(shape) == 0 or any(d < 1 for d in shape):
                 raise CheckpointFormatError(
-                    f"tensor {name!r}: shape must be non-empty with all dims >= 1, got {arr.shape}"
+                    f"tensor {name!r}: shape must be non-empty with all dims >= 1, got {shape}"
                 )
-            converted[name] = np.ascontiguousarray(arr)
-        self.tensors = converted
+
+    @property
+    def shapes(self) -> Mapping[str, tuple[int, ...]]:
+        """Tensor name -> shape in payload order, known without looking up a
+        tensor (a lookup on a lazy checkpoint reads or merges it)."""
+        if isinstance(self.tensors, LazyTensors):
+            return self.tensors.shapes
+        return {name: arr.shape for name, arr in self.tensors.items()}
 
     @property
     def total_parameters(self) -> int:
-        return sum(int(a.size) for a in self.tensors.values())
+        return sum(math.prod(shape) for shape in self.shapes.values())
+
+    def close(self) -> None:
+        """Release the file of a lazy checkpoint; a no-op otherwise."""
+        if isinstance(self.tensors, LazyTensors):
+            self.tensors.close()
+
+    def __enter__(self) -> "Checkpoint":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def check_compatible(a: Checkpoint, b: Checkpoint) -> None:
-    """Raise :class:`CompatibilityError` unless both hold the same tensor names and shapes."""
-    names_a, names_b = set(a.tensors), set(b.tensors)
-    shapes = sorted(n for n in names_a & names_b if a.tensors[n].shape != b.tensors[n].shape)
+    """Raise :class:`CompatibilityError` unless both hold the same tensor names
+    and shapes. Compares shapes only, so no tensor of a lazy checkpoint is read."""
+    shapes_a, shapes_b = a.shapes, b.shapes
+    names_a, names_b = set(shapes_a), set(shapes_b)
+    shapes = sorted(n for n in names_a & names_b if shapes_a[n] != shapes_b[n])
     parts = [
         f"{label}: {names}"
         for label, names in (
@@ -80,13 +135,14 @@ def check_compatible(a: Checkpoint, b: Checkpoint) -> None:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write the canonical container atomically, one tensor buffer at a time."""
+    """Write the canonical container atomically: the header from the shapes
+    alone, then one tensor at a time, each looked up only when it is written."""
     entries = {}
     offset = 0
-    for name, arr in ckpt.tensors.items():
+    for name, shape in ckpt.shapes.items():
         offset = _align_up(offset)
-        nbytes = int(arr.size) * 4
-        entries[name] = {"shape": list(arr.shape), "offset": offset, "nbytes": nbytes}
+        nbytes = math.prod(shape) * 4
+        entries[name] = {"shape": list(shape), "offset": offset, "nbytes": nbytes}
         offset += nbytes
     header = {"tensors": entries, "metadata": dict(ckpt.metadata)}
     header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
@@ -96,72 +152,37 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         yield struct.pack("<I", len(header_bytes))
         yield header_bytes
         pos = 0
-        for name, arr in ckpt.tensors.items():
-            offset = entries[name]["offset"]
-            yield b"\x00" * (offset - pos)
-            data = np.ascontiguousarray(arr, dtype="<f4")
-            yield memoryview(data).cast("B")
-            pos = offset + data.nbytes
+        for name, entry in entries.items():
+            yield b"\x00" * (entry["offset"] - pos)
+            # No local keeps the array, so it is freed once written, before
+            # the next tensor is looked up.
+            yield memoryview(np.ascontiguousarray(ckpt.tensors[name], dtype="<f4")).cast("B")
+            pos = entry["offset"] + entry["nbytes"]
 
     write_atomic(path, chunks())
 
 
-def load_checkpoint(path, validate: bool = True) -> Checkpoint:
+def load_checkpoint(path, validate: bool = True, lazy: bool = False) -> Checkpoint:
     """Read a container back; rejects malformed files with located errors.
 
-    With ``validate`` enabled (the default) any NaN/Inf element fails the
-    load, reported with its tensor name and absolute file offset.
+    The prefix and the whole header are checked first. Each tensor's payload
+    is then read and checked on its own: it must lie inside the file and,
+    with ``validate`` enabled (the default), hold no NaN/Inf element, which
+    is reported with its tensor name and absolute file offset.
+
+    By default every tensor is read (and checked) before this returns. With
+    ``lazy=True`` only the header is: the file stays open, and each tensor is
+    read and checked from it when it is looked up, so a payload fault is
+    raised by that lookup. Close the returned checkpoint (or use it as a
+    context manager) to close the file.
     """
-    with open(path, "rb") as fh:
-        file_size = os.fstat(fh.fileno()).st_size
-        prefix = fh.read(len(MAGIC) + 4)
-        if len(prefix) < len(MAGIC) + 4:
-            raise CheckpointFormatError(f"{path}: file too short for container header")
-        if prefix[:4] != MAGIC:
-            raise CheckpointFormatError(f"{path}: bad magic {prefix[:4]!r}, expected {MAGIC!r}")
-        (header_len,) = struct.unpack("<I", prefix[4:8])
-        header_end = 8 + header_len
-        if file_size < header_end:
-            raise CheckpointFormatError(f"{path}: truncated header ({header_len} bytes declared)")
-        try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointFormatError(f"{path}: header is not valid JSON: {exc}") from exc
+    fh = open(path, "rb")
+    try:
+        table, metadata, header_end, payload_size = _read_header(path, fh)
 
-        if not isinstance(header, dict) or "tensors" not in header:
-            raise CheckpointFormatError(f"{path}: header missing 'tensors' table")
-        entries = header["tensors"]
-        if not isinstance(entries, dict) or not entries:
-            raise CheckpointFormatError(f"{path}: container must hold at least one tensor")
-        metadata = header.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise CheckpointFormatError(f"{path}: metadata must be a string map")
-
-        payload_size = file_size - header_end
-        tensors: dict[str, np.ndarray] = {}
-        for name, entry in entries.items():
-            try:
-                shape = tuple(int(d) for d in entry["shape"])
-                offset = int(entry["offset"])
-                nbytes = int(entry["nbytes"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CheckpointFormatError(
-                    f"{path}: tensor {name!r}: malformed header entry"
-                ) from exc
-            if not shape or any(d < 1 for d in shape):
-                raise CheckpointFormatError(f"{path}: tensor {name!r}: invalid shape {shape}")
-            count = math.prod(shape)
-            if nbytes != count * 4:
-                raise CheckpointFormatError(
-                    f"{path}: tensor {name!r}: header declares {nbytes} bytes "
-                    f"but shape {shape} needs {count * 4}"
-                )
-            if offset < 0:
-                raise CheckpointFormatError(f"{path}: tensor {name!r}: negative offset {offset}")
-            if offset % _ALIGN != 0:
-                raise CheckpointFormatError(
-                    f"{path}: tensor {name!r}: offset {offset} is not {_ALIGN}-byte aligned"
-                )
+        def read(name: str) -> np.ndarray:
+            """Read one tensor into a new array and check its payload."""
+            shape, offset, nbytes = table[name]
             if offset + nbytes > payload_size:
                 raise _truncated(path, name, offset, nbytes, payload_size)
             arr = np.empty(shape, dtype="<f4")
@@ -175,8 +196,78 @@ def load_checkpoint(path, validate: bool = True) -> Checkpoint:
                     f"{path}: tensor {name!r}: non-finite element at flat index {bad} "
                     f"(file offset {header_end + offset + 4 * bad})"
                 )
-            tensors[name] = arr
-    return Checkpoint(tensors=tensors, metadata={str(k): str(v) for k, v in metadata.items()})
+            return arr
+
+        shapes = {name: entry[0] for name, entry in table.items()}
+        ckpt = Checkpoint(LazyTensors(shapes, read, fh.close), metadata)
+    except BaseException:
+        fh.close()
+        raise
+    if lazy:
+        return ckpt
+    with ckpt:
+        return Checkpoint(dict(ckpt.tensors), ckpt.metadata)
+
+
+def _read_header(path, fh) -> tuple[dict, dict[str, str], int, int]:
+    """Read and check the prefix and header of an open container.
+
+    Returns ``(table, metadata, header_end, payload_size)``: ``table`` maps
+    each tensor name, in header order, to ``(shape, offset, nbytes)``, and
+    ``payload_size`` is the file size measured now, less the header. No
+    payload byte is read.
+    """
+    file_size = os.fstat(fh.fileno()).st_size
+    prefix = fh.read(len(MAGIC) + 4)
+    if len(prefix) < len(MAGIC) + 4:
+        raise CheckpointFormatError(f"{path}: file too short for container header")
+    if prefix[:4] != MAGIC:
+        raise CheckpointFormatError(f"{path}: bad magic {prefix[:4]!r}, expected {MAGIC!r}")
+    (header_len,) = struct.unpack("<I", prefix[4:8])
+    header_end = 8 + header_len
+    if file_size < header_end:
+        raise CheckpointFormatError(f"{path}: truncated header ({header_len} bytes declared)")
+    try:
+        header = json.loads(fh.read(header_len).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointFormatError(f"{path}: header is not valid JSON: {exc}") from exc
+
+    if not isinstance(header, dict) or "tensors" not in header:
+        raise CheckpointFormatError(f"{path}: header missing 'tensors' table")
+    entries = header["tensors"]
+    if not isinstance(entries, dict) or not entries:
+        raise CheckpointFormatError(f"{path}: container must hold at least one tensor")
+    metadata = header.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise CheckpointFormatError(f"{path}: metadata must be a string map")
+
+    table = {}
+    for name, entry in entries.items():
+        try:
+            shape = tuple(int(d) for d in entry["shape"])
+            offset = int(entry["offset"])
+            nbytes = int(entry["nbytes"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointFormatError(
+                f"{path}: tensor {name!r}: malformed header entry"
+            ) from exc
+        if not shape or any(d < 1 for d in shape):
+            raise CheckpointFormatError(f"{path}: tensor {name!r}: invalid shape {shape}")
+        count = math.prod(shape)
+        if nbytes != count * 4:
+            raise CheckpointFormatError(
+                f"{path}: tensor {name!r}: header declares {nbytes} bytes "
+                f"but shape {shape} needs {count * 4}"
+            )
+        if offset < 0:
+            raise CheckpointFormatError(f"{path}: tensor {name!r}: negative offset {offset}")
+        if offset % _ALIGN != 0:
+            raise CheckpointFormatError(
+                f"{path}: tensor {name!r}: offset {offset} is not {_ALIGN}-byte aligned"
+            )
+        table[name] = (shape, offset, nbytes)
+    metadata = {str(k): str(v) for k, v in metadata.items()}
+    return table, metadata, header_end, file_size - header_end
 
 
 def _truncated(path, name: str, offset: int, nbytes: int, available: int) -> CheckpointFormatError:
@@ -197,6 +288,9 @@ def write_atomic(path, data: bytes | Iterable[bytes]) -> None:
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
+        # A new file, never a truncated old one: ``data`` may still be read
+        # from a file that sits at the temp path (a lazily loaded input).
+        tmp.unlink(missing_ok=True)
         with open(tmp, "wb") as fh:
             fh.writelines([data] if isinstance(data, bytes) else data)
         os.replace(tmp, path)

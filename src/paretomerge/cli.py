@@ -170,13 +170,13 @@ def _cmd_merge(args) -> int:
     except ParetoMergeError as exc:
         raise UsageError(str(exc))
 
+    # Headers first, then compatibility, then read, merge and write one
+    # tensor at a time; the endpoint files close on every exit.
     validate = not args.no_validate
-    endpoints = MergeEndpoints(
-        system2=load_checkpoint(args.system2, validate=validate),
-        system1=load_checkpoint(args.system1, validate=validate),
-    )
-    merged = decode_genotype(genotype, endpoints)
-    save_checkpoint(merged, args.out)
+    with load_checkpoint(args.system2, validate=validate, lazy=True) as system2, \
+            load_checkpoint(args.system1, validate=validate, lazy=True) as system1:
+        merged = decode_genotype(genotype, MergeEndpoints(system2=system2, system1=system1))
+        save_checkpoint(merged, args.out)
     print(f"tensors: {len(merged.tensors)}, parameters: {merged.total_parameters}")
     print(f"wrote {args.out}")
     return 0

@@ -1,8 +1,9 @@
 """One per-tensor merge kernel, mapped over two endpoints to give one checkpoint.
 
 ``merge_tensor`` holds the three operators and ``decode_genotype`` applies it
-to every tensor pair. All arithmetic runs in float32 with a fixed expression
-per operator so the results are reproducible bit-for-bit. Endpoints come back
+to each tensor pair when that tensor of the merged checkpoint is looked up.
+All arithmetic runs in float32 with a fixed expression per operator so the
+results are reproducible bit-for-bit. Endpoints come back
 exactly at lam 0/1 only for finite inputs: under ``merge --no-validate`` a
 non-finite entry of the other endpoint makes the result NaN there
 (``0 * inf`` and ``0 * nan`` are NaN).
@@ -16,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .checkpoint import Checkpoint, check_compatible
+from .checkpoint import Checkpoint, LazyTensors, check_compatible
 from .errors import GenotypeError
 
 LINEAR_BOUNDS = (0.0, 1.5)
@@ -141,13 +142,18 @@ def merge_tensor(genotype: Genotype, s2: np.ndarray, s1: np.ndarray) -> np.ndarr
 
 
 def decode_genotype(genotype: Genotype, endpoints: MergeEndpoints) -> Checkpoint:
-    """Validate the genotype, then merge every tensor pair in system2's order."""
+    """Validate the genotype once and return the merged checkpoint.
+
+    Its tensors follow system2's order and are merged when looked up: each
+    lookup reads (for lazy endpoints) and merges that one tensor pair, so
+    ``save_checkpoint`` of the result holds one pair and its merge at a time.
+    """
     genotype.validate()
-    system1 = endpoints.system1.tensors
-    tensors = {
-        name: merge_tensor(genotype, s2, system1[name])
-        for name, s2 in endpoints.system2.tensors.items()
-    }
+    system2, system1 = endpoints.system2.tensors, endpoints.system1.tensors
+    tensors = LazyTensors(
+        dict(endpoints.system2.shapes),
+        lambda name: merge_tensor(genotype, system2[name], system1[name]),
+    )
     metadata = {"op": genotype.kind.value}
     metadata.update(zip(_VALUE_NAMES[genotype.kind], map(repr, genotype.values)))
     return Checkpoint(tensors=tensors, metadata=metadata)
