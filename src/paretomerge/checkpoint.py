@@ -8,13 +8,11 @@ payload start and 8-byte aligned, so a canonical save of the same checkpoint
 is byte-identical every time.
 
 I/O is per tensor in both directions. A load reads and checks the prefix and
-the whole header before any payload byte, then reads each tensor straight
-into its own array at its offset; a save writes the header from the shapes
-alone, then each array's buffer without an intermediate bytes copy. An eager
-load therefore holds about one copy of the file. A lazy load
-(``lazy=True``) holds only the header: each tensor is read and checked when
-it is looked up, so a save that pulls the tensors of a lazy checkpoint (or
-of a merge of two lazy ones) holds one tensor at a time.
+the whole header before any payload byte and keeps the file open; each
+tensor is then read straight into its own array at its offset, and checked,
+when it is looked up. A save writes the header from the shapes alone, then
+each array's buffer without an intermediate bytes copy, so saving a loaded
+checkpoint (or a merge of two) holds one tensor at a time.
 """
 
 from __future__ import annotations
@@ -67,9 +65,9 @@ class Checkpoint:
 
     Immutable by convention after construction; tensor insertion order is
     preserved and defines the on-disk payload order. ``tensors`` is a dict
-    of arrays, or a :class:`LazyTensors` whose arrays are made on lookup;
-    close a checkpoint from ``load_checkpoint(..., lazy=True)`` (or use it
-    in a ``with`` block) to release its file.
+    of arrays, or a :class:`LazyTensors` whose arrays are made on each
+    lookup. A checkpoint from ``load_checkpoint`` keeps its file open until
+    it is closed: use it in a ``with`` block or call ``close``.
     """
 
     tensors: Mapping[str, np.ndarray]
@@ -94,7 +92,7 @@ class Checkpoint:
     @property
     def shapes(self) -> Mapping[str, tuple[int, ...]]:
         """Tensor name -> shape in payload order, known without looking up a
-        tensor (a lookup on a lazy checkpoint reads or merges it)."""
+        tensor (a lookup on a loaded or merged checkpoint reads or merges it)."""
         if isinstance(self.tensors, LazyTensors):
             return self.tensors.shapes
         return {name: arr.shape for name, arr in self.tensors.items()}
@@ -104,7 +102,7 @@ class Checkpoint:
         return sum(math.prod(shape) for shape in self.shapes.values())
 
     def close(self) -> None:
-        """Release the file of a lazy checkpoint; a no-op otherwise."""
+        """Release the file of a loaded checkpoint; a no-op otherwise."""
         if isinstance(self.tensors, LazyTensors):
             self.tensors.close()
 
@@ -117,7 +115,7 @@ class Checkpoint:
 
 def check_compatible(a: Checkpoint, b: Checkpoint) -> None:
     """Raise :class:`CompatibilityError` unless both hold the same tensor names
-    and shapes. Compares shapes only, so no tensor of a lazy checkpoint is read."""
+    and shapes. Compares shapes only, so no tensor is looked up."""
     shapes_a, shapes_b = a.shapes, b.shapes
     names_a, names_b = set(shapes_a), set(shapes_b)
     shapes = sorted(n for n in names_a & names_b if shapes_a[n] != shapes_b[n])
@@ -162,19 +160,16 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     write_atomic(path, chunks())
 
 
-def load_checkpoint(path, validate: bool = True, lazy: bool = False) -> Checkpoint:
-    """Read a container back; rejects malformed files with located errors.
+def load_checkpoint(path, validate: bool = True) -> Checkpoint:
+    """Open a container; rejects malformed files with located errors.
 
-    The prefix and the whole header are checked first. Each tensor's payload
-    is then read and checked on its own: it must lie inside the file and,
-    with ``validate`` enabled (the default), hold no NaN/Inf element, which
-    is reported with its tensor name and absolute file offset.
-
-    By default every tensor is read (and checked) before this returns. With
-    ``lazy=True`` only the header is: the file stays open, and each tensor is
-    read and checked from it when it is looked up, so a payload fault is
-    raised by that lookup. Close the returned checkpoint (or use it as a
-    context manager) to close the file.
+    The prefix and the whole header are checked before this returns, and the
+    file stays open: close the returned checkpoint (or use it in a ``with``
+    block) to close it. Each tensor is read from the file and checked when it
+    is looked up, so a payload fault is raised by that lookup: the payload
+    must lie inside the file and, with ``validate`` enabled (the default),
+    hold no NaN/Inf element, which is reported with its tensor name and
+    absolute file offset.
     """
     fh = open(path, "rb")
     try:
@@ -199,14 +194,10 @@ def load_checkpoint(path, validate: bool = True, lazy: bool = False) -> Checkpoi
             return arr
 
         shapes = {name: entry[0] for name, entry in table.items()}
-        ckpt = Checkpoint(LazyTensors(shapes, read, fh.close), metadata)
+        return Checkpoint(LazyTensors(shapes, read, fh.close), metadata)
     except BaseException:
         fh.close()
         raise
-    if lazy:
-        return ckpt
-    with ckpt:
-        return Checkpoint(dict(ckpt.tensors), ckpt.metadata)
 
 
 def _read_header(path, fh) -> tuple[dict, dict[str, str], int, int]:
@@ -243,6 +234,8 @@ def _read_header(path, fh) -> tuple[dict, dict[str, str], int, int]:
 
     table = {}
     for name, entry in entries.items():
+        if not name:
+            raise CheckpointFormatError(f"{path}: tensor names must be non-empty strings")
         try:
             shape = tuple(int(d) for d in entry["shape"])
             offset = int(entry["offset"])
@@ -289,7 +282,7 @@ def write_atomic(path, data: bytes | Iterable[bytes]) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         # A new file, never a truncated old one: ``data`` may still be read
-        # from a file that sits at the temp path (a lazily loaded input).
+        # from a file that sits at the temp path (a loaded input).
         tmp.unlink(missing_ok=True)
         with open(tmp, "wb") as fh:
             fh.writelines([data] if isinstance(data, bytes) else data)

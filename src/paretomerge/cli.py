@@ -34,7 +34,7 @@ from .evaluation import (
     save_benchmark,
     write_manifest,
 )
-from .merge import Genotype, MergeEndpoints, MergeKind, decode_genotype
+from .merge import Genotype, MergeKind, decode_genotype
 from .nsga2 import HistoryEntry, MutationParams, SbxParams, SearchConfig, run_nsga2
 from .reporting import build_report, format_report_table, front_points_csv, report_to_csv
 from .sampling import (
@@ -86,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="comma-separated operator parameters")
     p.add_argument("--out", required=True)
     p.add_argument("--no-validate", action="store_true",
-                   help="skip NaN/Inf checks on load; lambda 0/1 then reproduce an endpoint "
-                   "exactly only where both inputs are finite (0 * inf is NaN)")
+                   help="skip NaN/Inf checks when a tensor is read; lambda 0/1 then reproduce "
+                   "an endpoint exactly only where both inputs are finite (0 * inf is NaN)")
     p.set_defaults(func=_cmd_merge)
 
     p = sub.add_parser("calibrate", help="build the K-row calibration correctness matrix")
@@ -173,9 +173,9 @@ def _cmd_merge(args) -> int:
     # Headers first, then compatibility, then read, merge and write one
     # tensor at a time; the endpoint files close on every exit.
     validate = not args.no_validate
-    with load_checkpoint(args.system2, validate=validate, lazy=True) as system2, \
-            load_checkpoint(args.system1, validate=validate, lazy=True) as system1:
-        merged = decode_genotype(genotype, MergeEndpoints(system2=system2, system1=system1))
+    with load_checkpoint(args.system2, validate=validate) as system2, \
+            load_checkpoint(args.system1, validate=validate) as system1:
+        merged = decode_genotype(genotype, system2, system1)
         save_checkpoint(merged, args.out)
     print(f"tensors: {len(merged.tensors)}, parameters: {merged.total_parameters}")
     print(f"wrote {args.out}")
@@ -264,6 +264,13 @@ def _cmd_evolve(args) -> int:
         if not isinstance(rec_block, dict) or not isinstance(rec_block.get("path"), str):
             raise UsageError("evaluator.records must be an object with a string 'path'")
     search = _search_config(raw.get("search", {}), merge_block)
+    if sources[0] == "simulated" and search.genotype_kind != MergeKind.TA:
+        # The simulator models the interpolation coefficient only.
+        field = "search.genotype_kind" if "genotype_kind" in raw.get("search", {}) else "merge.kind"
+        raise UsageError(
+            f"config '{field}' must be ta with a simulated evaluator, "
+            f"got {json.dumps(search.genotype_kind.value)}"
+        )
 
     out_dir = Path(args.out or raw.get("output_dir") or "paretomerge-run")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -88,17 +88,6 @@ def default_genotype_bounds(kind: MergeKind) -> tuple[tuple[float, float], ...]:
     return (LINEAR_BOUNDS, LINEAR_BOUNDS)
 
 
-@dataclass
-class MergeEndpoints:
-    """The two merge endpoints: slow/verbose system2 and fast/concise system1."""
-
-    system2: Checkpoint
-    system1: Checkpoint
-
-    def __post_init__(self):
-        check_compatible(self.system2, self.system1)
-
-
 def merge_tensor(genotype: Genotype, s2: np.ndarray, s1: np.ndarray) -> np.ndarray:
     """Merge one pair of same-shaped float32 tensors under a validated genotype.
 
@@ -141,18 +130,20 @@ def merge_tensor(genotype: Genotype, s2: np.ndarray, s1: np.ndarray) -> np.ndarr
     ).astype(np.float32, copy=False)
 
 
-def decode_genotype(genotype: Genotype, endpoints: MergeEndpoints) -> Checkpoint:
-    """Validate the genotype once and return the merged checkpoint.
+def decode_genotype(genotype: Genotype, system2: Checkpoint, system1: Checkpoint) -> Checkpoint:
+    """Merge the slow/verbose ``system2`` with the fast/concise ``system1``.
 
-    Its tensors follow system2's order and are merged when looked up: each
-    lookup reads (for lazy endpoints) and merges that one tensor pair, so
+    Validates the genotype and checks the endpoints' compatibility, then
+    returns the merged checkpoint without looking up a tensor. Its tensors
+    follow system2's order and are merged when looked up: each lookup reads
+    (for loaded endpoints) and merges that one tensor pair, so
     ``save_checkpoint`` of the result holds one pair and its merge at a time.
     """
     genotype.validate()
-    system2, system1 = endpoints.system2.tensors, endpoints.system1.tensors
+    check_compatible(system2, system1)
     tensors = LazyTensors(
-        dict(endpoints.system2.shapes),
-        lambda name: merge_tensor(genotype, system2[name], system1[name]),
+        dict(system2.shapes),
+        lambda name: merge_tensor(genotype, system2.tensors[name], system1.tensors[name]),
     )
     metadata = {"op": genotype.kind.value}
     metadata.update(zip(_VALUE_NAMES[genotype.kind], map(repr, genotype.values)))

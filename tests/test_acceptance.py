@@ -15,7 +15,7 @@ import paretomerge
 from paretomerge.checkpoint import Checkpoint
 from paretomerge.cli import main as cli_main
 from paretomerge.evaluation import Outcomes, generate_benchmark, load_benchmark
-from paretomerge.merge import Genotype, MergeEndpoints, MergeKind, decode_genotype
+from paretomerge.merge import Genotype, MergeKind, decode_genotype
 from paretomerge.nsga2 import fast_nondominated_sort
 from paretomerge.reporting import build_report
 from paretomerge.sampling import (
@@ -157,13 +157,11 @@ def test_merge_identities_large_random_checkpoints():
         for name, size in [("embed", 600_000), ("block", 350_000), ("head", 50_000)]:
             tensors2[name] = rng.standard_normal(size).astype(np.float32)
             tensors1[name] = rng.standard_normal(size).astype(np.float32)
-        ep = MergeEndpoints(
-            system2=Checkpoint(tensors=tensors2), system1=Checkpoint(tensors=tensors1)
-        )
-        assert ep.system2.total_parameters == 1_000_000
+        system2, system1 = Checkpoint(tensors=tensors2), Checkpoint(tensors=tensors1)
+        assert system2.total_parameters == 1_000_000
 
         def merge(kind, *values):
-            return decode_genotype(Genotype(kind, values), ep)
+            return decode_genotype(Genotype(kind, values), system2, system1)
 
         at0 = merge(MergeKind.TA, 0.0)
         at1 = merge(MergeKind.TA, 1.0)

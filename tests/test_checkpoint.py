@@ -37,10 +37,10 @@ def test_round_trip_single_tensor(tmp_path):
     ckpt = make_ckpt({"w": [1.0, 2.0]})
     path = tmp_path / "one.pmrg"
     save_checkpoint(ckpt, path)
-    loaded = load_checkpoint(path)
-    assert list(loaded.tensors) == ["w"]
-    assert loaded.tensors["w"].shape == (2,)
-    assert np.array_equal(loaded.tensors["w"], np.array([1.0, 2.0], dtype=np.float32))
+    with load_checkpoint(path) as loaded:
+        assert list(loaded.tensors) == ["w"]
+        assert loaded.tensors["w"].shape == (2,)
+        assert np.array_equal(loaded.tensors["w"], np.array([1.0, 2.0], dtype=np.float32))
 
 
 def test_round_trip_multi_tensor_bytes_identical(tmp_path):
@@ -50,9 +50,9 @@ def test_round_trip_multi_tensor_bytes_identical(tmp_path):
     )
     p1, p2 = tmp_path / "x1.pmrg", tmp_path / "x2.pmrg"
     save_checkpoint(ckpt, p1)
-    loaded = load_checkpoint(p1)
-    assert loaded.metadata == {"source": "unit-test"}
-    save_checkpoint(loaded, p2)
+    with load_checkpoint(p1) as loaded:
+        assert loaded.metadata == {"source": "unit-test"}
+        save_checkpoint(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -68,7 +68,8 @@ def test_round_trip_random_checkpoints(tmp_path):
         ckpt = Checkpoint(tensors=tensors)
         path = tmp_path / f"r{trial}.pmrg"
         save_checkpoint(ckpt, path)
-        assert same_tensors(load_checkpoint(path), ckpt)
+        with load_checkpoint(path) as loaded:
+            assert same_tensors(loaded, ckpt)
 
 
 def test_payload_offsets_are_eight_byte_aligned(tmp_path):
@@ -85,14 +86,16 @@ def test_payload_offsets_are_eight_byte_aligned(tmp_path):
     assert offsets == {"a": 0, "b": 32, "c": 48}
     for entry in header["tensors"].values():
         assert entry["offset"] % 8 == 0
-    assert same_tensors(load_checkpoint(path), ckpt)
+    with load_checkpoint(path) as loaded:
+        assert same_tensors(loaded, ckpt)
 
 
 def test_overwrite_existing_file(tmp_path):
     path = tmp_path / "same.pmrg"
     save_checkpoint(make_ckpt({"w": [1.0]}), path)
     save_checkpoint(make_ckpt({"w": [9.0, 9.0]}), path)
-    assert load_checkpoint(path).tensors["w"].shape == (2,)
+    with load_checkpoint(path) as loaded:
+        assert loaded.tensors["w"].shape == (2,)
 
 
 class FailingTensor:
@@ -128,8 +131,9 @@ def test_truncated_payload_rejected(tmp_path):
     blob = MAGIC + struct.pack("<I", len(header)) + header + b"\x00" * 4  # 4 of 8 bytes
     path = tmp_path / "trunc.pmrg"
     path.write_bytes(blob)
-    with pytest.raises(CheckpointFormatError, match="truncated"):
-        load_checkpoint(path)
+    with load_checkpoint(path) as loaded, \
+            pytest.raises(CheckpointFormatError, match="truncated"):
+        loaded.tensors["w"]
 
 
 def three_tensor_file(tmp_path):
@@ -145,8 +149,10 @@ def test_file_cut_mid_tensor_raises_located_truncation(tmp_path):
     path, blob, header_end = three_tensor_file(tmp_path)
     path.write_bytes(blob[: header_end + 38])  # 6 of b's 12 bytes
     message = "tensor 'b': payload truncated (needs bytes [32, 44) of 38)"
-    with pytest.raises(CheckpointFormatError, match=re.escape(message)):
-        load_checkpoint(path)
+    with load_checkpoint(path) as loaded:
+        assert np.array_equal(loaded.tensors["a"], np.arange(7))
+        with pytest.raises(CheckpointFormatError, match=re.escape(message)):
+            loaded.tensors["b"]
 
 
 def test_short_read_raises_truncation_not_partial_array(tmp_path, monkeypatch):
@@ -162,8 +168,9 @@ def test_short_read_raises_truncation_not_partial_array(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fstat", uncut_fstat)
     message = "tensor 'b': payload truncated (needs bytes [32, 44) of 38)"
-    with pytest.raises(CheckpointFormatError, match=re.escape(message)):
-        load_checkpoint(path)
+    with load_checkpoint(path) as loaded, \
+            pytest.raises(CheckpointFormatError, match=re.escape(message)):
+        loaded.tensors["b"]
 
 
 def test_negative_offset_rejected(tmp_path):
@@ -176,7 +183,8 @@ def test_negative_offset_rejected(tmp_path):
 
 def test_loaded_arrays_are_writeable_and_independent(tmp_path):
     path, _, _ = three_tensor_file(tmp_path)
-    arrays = list(load_checkpoint(path).tensors.values())
+    with load_checkpoint(path) as loaded:
+        arrays = list(loaded.tensors.values())
     for i, arr in enumerate(arrays):
         assert arr.flags.writeable and arr.flags.c_contiguous
         assert not any(np.shares_memory(arr, other) for other in arrays[i + 1 :])
@@ -200,14 +208,14 @@ tensor_maps = st.dictionaries(
 def test_save_load_round_trip_property(tmp_path, tensors, metadata):
     p1, p2 = tmp_path / "p1.pmrg", tmp_path / "p2.pmrg"
     save_checkpoint(Checkpoint(tensors=tensors, metadata=metadata), p1)
-    loaded = load_checkpoint(p1, validate=False)
-    assert list(loaded.tensors) == list(tensors)
-    assert loaded.metadata == metadata
-    for name, arr in tensors.items():
-        got = loaded.tensors[name]
-        assert got.shape == arr.shape
-        assert np.array_equal(got.view(np.uint32), arr.view(np.uint32))
-    save_checkpoint(loaded, p2)
+    with load_checkpoint(p1, validate=False) as loaded:
+        assert list(loaded.tensors) == list(tensors)
+        assert loaded.metadata == metadata
+        for name, arr in tensors.items():
+            got = loaded.tensors[name]
+            assert got.shape == arr.shape
+            assert np.array_equal(got.view(np.uint32), arr.view(np.uint32))
+        save_checkpoint(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -217,6 +225,15 @@ def test_header_shape_nbytes_mismatch_rejected(tmp_path):
     path = tmp_path / "mismatch.pmrg"
     path.write_bytes(blob)
     with pytest.raises(CheckpointFormatError, match="declares 4 bytes"):
+        load_checkpoint(path)
+
+
+def test_empty_tensor_name_rejected_with_its_file(tmp_path):
+    header = b'{"tensors":{"":{"shape":[2],"offset":0,"nbytes":8}},"metadata":{}}'
+    path = tmp_path / "noname.pmrg"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + b"\x00" * 8)
+    message = f"{path}: tensor names must be non-empty strings"
+    with pytest.raises(CheckpointFormatError, match=f"^{re.escape(message)}$"):
         load_checkpoint(path)
 
 
@@ -233,10 +250,11 @@ def test_nonfinite_rejected_unless_disabled(tmp_path):
     header = b'{"tensors":{"w":{"shape":[2],"offset":0,"nbytes":8}},"metadata":{}}'
     payload = np.array([1.0, np.nan], dtype="<f4").tobytes()
     path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + payload)
-    with pytest.raises(CheckpointFormatError, match="non-finite.*flat index 1"):
-        load_checkpoint(path)
-    loaded = load_checkpoint(path, validate=False)
-    assert np.isnan(loaded.tensors["w"][1])
+    with load_checkpoint(path) as loaded, \
+            pytest.raises(CheckpointFormatError, match="non-finite.*flat index 1"):
+        loaded.tensors["w"]
+    with load_checkpoint(path, validate=False) as loaded:
+        assert np.isnan(loaded.tensors["w"][1])
 
 
 def test_unwritable_path_raises_io_error(tmp_path):
@@ -251,10 +269,10 @@ def test_unicode_tensor_names_and_metadata_round_trip(tmp_path):
     )
     path = tmp_path / "uni.pmrg"
     save_checkpoint(ckpt, path)
-    loaded = load_checkpoint(path)
-    assert list(loaded.tensors) == ["層.weight", "plain"]
-    assert loaded.metadata == {"来源": "テスト"}
-    assert same_tensors(loaded, ckpt)
+    with load_checkpoint(path) as loaded:
+        assert list(loaded.tensors) == ["層.weight", "plain"]
+        assert loaded.metadata == {"来源": "テスト"}
+        assert same_tensors(loaded, ckpt)
 
 
 def test_checkpoint_invariants_enforced():

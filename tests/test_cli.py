@@ -433,6 +433,8 @@ SIM = {"simulated": {"generator_seed": 0, "n_items": 20}}
         {"evaluator": SIM, "subset": {"strategy": "bogus"}},
         {"merge": {"kind": "dare"}, "evaluator": SIM},
         {"search": {"genotype_kind": "TA"}, "evaluator": SIM},
+        {"merge": {"kind": "ties"}, "evaluator": SIM},
+        {"search": {"genotype_kind": "linear"}, "evaluator": SIM},
         # Numbers must be finite float64 values and seeds non-negative.
         {"search": {"sbx": {"eta": 10**400}}, "evaluator": SIM},
         {"search": {"genotype_bounds": [[0, 10**400]]}, "evaluator": SIM},
@@ -495,20 +497,29 @@ def test_evolve_config_edge_values_are_accepted(tmp_path, config):
     assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
 
 
-@pytest.mark.parametrize("merge,search,kind", [
-    ({"kind": "ties"}, {}, "ties"),
-    ({"kind": "ties"}, {"genotype_kind": "ta"}, "ta"),
-    ({}, {}, "ta"),
+@pytest.mark.parametrize("merge,search,kind,field", [
+    ({"kind": "ties"}, {}, "ties", "merge.kind"),
+    ({"kind": "ta"}, {"genotype_kind": "linear"}, "linear", "search.genotype_kind"),
+    ({"kind": "ties"}, {"genotype_kind": "ta"}, "ta", None),
+    ({}, {}, "ta", None),
 ])
-def test_evolve_merge_kind_fills_a_missing_genotype_kind(tmp_path, capsys, merge, search, kind):
+def test_evolve_merge_kind_fills_a_missing_genotype_kind(
+    tmp_path, capsys, merge, search, kind, field
+):
     cfg_path, out_dir = evolve_config(
         tmp_path, merge=merge, search={**TINY_SEARCH, **search}, subset=None, evaluator=SIM
     )
-    # The simulated benchmark scores TA genotypes only, so a TIES search fails on its first batch.
-    assert main(["evolve", "--config", str(cfg_path)]) == (0 if kind == "ta" else 1)
-    assert json.loads((out_dir / "config.json").read_text())["search"]["genotype_kind"] == kind
-    if kind == "ties":
-        assert "got genotype kind 'ties'" in capsys.readouterr().err
+    if kind == "ta":
+        assert main(["evolve", "--config", str(cfg_path)]) == 0
+        assert json.loads((out_dir / "config.json").read_text())["search"]["genotype_kind"] == kind
+        return
+    # The simulated benchmark scores TA genotypes only: any other kind is a
+    # usage error, named by the field that set it, before the run directory exists.
+    assert main(["evolve", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: config '{field}' must be ta with a simulated evaluator, got \"{kind}\"\n"
+    )
+    assert not out_dir.exists()
 
 
 def config_fields(rules, prefix=""):

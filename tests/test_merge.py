@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from paretomerge.checkpoint import Checkpoint
 from paretomerge.errors import CompatibilityError, GenotypeError
 from paretomerge.merge import (
     Genotype,
-    MergeEndpoints,
     MergeKind,
     decode_genotype,
     merge_tensor,
@@ -20,8 +20,8 @@ def ckpt(arrays):
     return Checkpoint(tensors={k: np.asarray(v, dtype=np.float32) for k, v in arrays.items()})
 
 
-def merge(ep, kind, *values):
-    return decode_genotype(Genotype(kind, values), ep)
+def merge(system2, system1, kind, *values):
+    return decode_genotype(Genotype(kind, values), system2, system1)
 
 
 def random_endpoints(seed, n_tensors=3, max_elems=200):
@@ -30,44 +30,44 @@ def random_endpoints(seed, n_tensors=3, max_elems=200):
               for _ in range(n_tensors)]
     s2 = {f"t{i}": rng.standard_normal(s).astype(np.float32) for i, s in enumerate(shapes)}
     s1 = {f"t{i}": rng.standard_normal(s).astype(np.float32) for i, s in enumerate(shapes)}
-    return MergeEndpoints(system2=Checkpoint(tensors=s2), system1=Checkpoint(tensors=s1))
+    return Checkpoint(tensors=s2), Checkpoint(tensors=s1)
 
 
 def test_endpoints_require_compatibility():
-    with pytest.raises(CompatibilityError):
-        MergeEndpoints(system2=ckpt({"w": [1.0]}), system1=ckpt({"v": [1.0]}))
+    message = "incompatible checkpoints: missing in b: ['w']; missing in a: ['v']"
+    with pytest.raises(CompatibilityError, match=f"^{re.escape(message)}$"):
+        merge(ckpt({"w": [1.0]}), ckpt({"v": [1.0]}), MergeKind.TA, 0.5)
 
 
 def test_ta_endpoints_byte_exact():
-    ep = random_endpoints(0)
-    at0 = merge(ep, MergeKind.TA, 0.0)
-    at1 = merge(ep, MergeKind.TA, 1.0)
-    for name in ep.system2.tensors:
-        assert at0.tensors[name].tobytes() == ep.system2.tensors[name].tobytes()
-        assert at1.tensors[name].tobytes() == ep.system1.tensors[name].tobytes()
+    system2, system1 = random_endpoints(0)
+    at0 = merge(system2, system1, MergeKind.TA, 0.0)
+    at1 = merge(system2, system1, MergeKind.TA, 1.0)
+    for name in system2.tensors:
+        assert at0.tensors[name].tobytes() == system2.tensors[name].tobytes()
+        assert at1.tensors[name].tobytes() == system1.tensors[name].tobytes()
 
 
 def test_ta_midpoint():
-    ep = MergeEndpoints(system2=ckpt({"w": [0.0]}), system1=ckpt({"w": [1.0]}))
-    assert merge(ep, MergeKind.TA, 0.5).tensors["w"][0] == 0.5
+    assert merge(ckpt({"w": [0.0]}), ckpt({"w": [1.0]}), MergeKind.TA, 0.5).tensors["w"][0] == 0.5
 
 
 def test_ta_lambda_bounds():
-    ep = random_endpoints(1)
+    system2, system1 = random_endpoints(1)
     with pytest.raises(GenotypeError, match=r"^ta: lambda must lie in \[0, 1\], got 1.5$"):
-        merge(ep, MergeKind.TA, 1.5)
+        merge(system2, system1, MergeKind.TA, 1.5)
     with pytest.raises(GenotypeError, match=r"^ta: lambda must lie in \[0, 1\], got -0.1$"):
-        merge(ep, MergeKind.TA, -0.1)
+        merge(system2, system1, MergeKind.TA, -0.1)
 
 
 def test_ta_interpolation_stays_within_endpoint_envelope():
     rng = np.random.default_rng(11)
-    ep = random_endpoints(2)
+    system2, system1 = random_endpoints(2)
     for lam in rng.uniform(0, 1, 25):
-        merged = merge(ep, MergeKind.TA, float(lam))
+        merged = merge(system2, system1, MergeKind.TA, float(lam))
         for name in merged.tensors:
-            lo = np.minimum(ep.system2.tensors[name], ep.system1.tensors[name])
-            hi = np.maximum(ep.system2.tensors[name], ep.system1.tensors[name])
+            lo = np.minimum(system2.tensors[name], system1.tensors[name])
+            hi = np.maximum(system2.tensors[name], system1.tensors[name])
             eps = 1e-6 * (np.abs(lo) + np.abs(hi) + 1.0)
             assert (merged.tensors[name] >= lo - eps).all()
             assert (merged.tensors[name] <= hi + eps).all()
@@ -88,8 +88,7 @@ def brute_force_trim(tau, k):
 def test_ties_trim_matches_brute_force_example():
     s2 = ckpt({"w": [0.0, 0.0, 0.0, 0.0]})
     s1 = ckpt({"w": [0.1, -0.5, 0.3, -0.05]})
-    ep = MergeEndpoints(system2=s2, system1=s1)
-    merged = merge(ep, MergeKind.TIES, 1.0, 0.5)
+    merged = merge(s2, s1, MergeKind.TIES, 1.0, 0.5)
     tau = s1.tensors["w"] - s2.tensors["w"]
     expected = brute_force_trim(tau, 0.5)
     assert np.array_equal(merged.tensors["w"], expected)
@@ -101,22 +100,19 @@ def test_ties_trim_matches_brute_force_example():
 def test_ties_trim_matches_brute_force_random():
     rng = np.random.default_rng(5)
     for seed in range(10):
-        ep = random_endpoints(100 + seed)
+        system2, system1 = random_endpoints(100 + seed)
         k = float(rng.uniform(0.05, 1.0))
-        merged = merge(ep, MergeKind.TIES, 1.0, k)
-        for name, s2 in ep.system2.tensors.items():
-            tau = ep.system1.tensors[name] - s2
+        merged = merge(system2, system1, MergeKind.TIES, 1.0, k)
+        for name, s2 in system2.tensors.items():
+            tau = system1.tensors[name] - s2
             expected = s2 + brute_force_trim(tau, k)
             # lam=1 on kept entries reproduces system1 exactly; trimmed stay at system2
             assert np.allclose(merged.tensors[name], expected, rtol=0, atol=1e-6)
 
 
 def test_ties_magnitude_ties_keep_lower_flat_index():
-    ep = MergeEndpoints(
-        system2=ckpt({"w": [0.0, 0.0, 0.0, 0.0]}),
-        system1=ckpt({"w": [0.5, -0.5, 0.5, -0.5]}),
-    )
-    merged = merge(ep, MergeKind.TIES, 1.0, 0.5)
+    system2, system1 = ckpt({"w": [0.0, 0.0, 0.0, 0.0]}), ckpt({"w": [0.5, -0.5, 0.5, -0.5]})
+    merged = merge(system2, system1, MergeKind.TIES, 1.0, 0.5)
     assert np.array_equal(merged.tensors["w"], [0.5, -0.5, 0.0, 0.0])
 
 
@@ -194,39 +190,39 @@ def test_ties_mask_equals_stable_argsort_property(shape, data, lam, k):
 
 def test_ties_k1_reduces_to_ta_element_exact():
     for seed in range(5):
-        ep = random_endpoints(200 + seed)
+        system2, system1 = random_endpoints(200 + seed)
         for lam in (0.0, 0.3, 0.5, 0.71, 1.0):
-            ties = merge(ep, MergeKind.TIES, lam, 1.0)
-            ta = merge(ep, MergeKind.TA, lam)
+            ties = merge(system2, system1, MergeKind.TIES, lam, 1.0)
+            ta = merge(system2, system1, MergeKind.TA, lam)
             for name in ties.tensors:
                 assert np.array_equal(ties.tensors[name], ta.tensors[name])
 
 
 def test_ties_lambda_zero_returns_system2():
-    ep = random_endpoints(9)
-    merged = merge(ep, MergeKind.TIES, 0.0, 0.25)
-    for name, s2 in ep.system2.tensors.items():
+    system2, system1 = random_endpoints(9)
+    merged = merge(system2, system1, MergeKind.TIES, 0.0, 0.25)
+    for name, s2 in system2.tensors.items():
         assert np.array_equal(merged.tensors[name], s2)
 
 
 def test_ties_bounds():
-    ep = random_endpoints(4)
+    system2, system1 = random_endpoints(4)
     with pytest.raises(GenotypeError, match=r"^ties: density k must lie in \(0, 1\], got 0.0$"):
-        merge(ep, MergeKind.TIES, 0.5, 0.0)
+        merge(system2, system1, MergeKind.TIES, 0.5, 0.0)
     with pytest.raises(GenotypeError, match=r"^ties: density k must lie in \(0, 1\], got 1.2$"):
-        merge(ep, MergeKind.TIES, 0.5, 1.2)
+        merge(system2, system1, MergeKind.TIES, 0.5, 1.2)
     with pytest.raises(GenotypeError, match=r"^ties: lambda must lie in \[0, 1\], got 1.1$"):
-        merge(ep, MergeKind.TIES, 1.1, 0.5)
+        merge(system2, system1, MergeKind.TIES, 1.1, 0.5)
 
 
 def test_linear_identity_and_average_equivalence():
-    ep = random_endpoints(6)
-    ident = merge(ep, MergeKind.LINEAR, 1.0, 0.0)
-    for name, s2 in ep.system2.tensors.items():
+    system2, system1 = random_endpoints(6)
+    ident = merge(system2, system1, MergeKind.LINEAR, 1.0, 0.0)
+    for name, s2 in system2.tensors.items():
         assert np.array_equal(ident.tensors[name], s2)
 
-    avg = merge(ep, MergeKind.LINEAR, 0.5, 0.5)
-    ta_half = merge(ep, MergeKind.TA, 0.5)
+    avg = merge(system2, system1, MergeKind.LINEAR, 0.5, 0.5)
+    ta_half = merge(system2, system1, MergeKind.TA, 0.5)
     for name in avg.tensors:
         a, b = avg.tensors[name], ta_half.tensors[name]
         ulp = np.spacing(np.maximum(np.abs(a), np.abs(b)))
@@ -234,12 +230,12 @@ def test_linear_identity_and_average_equivalence():
 
 
 def test_linear_bounds_enforced():
-    ep = random_endpoints(8)
+    system2, system1 = random_endpoints(8)
     with pytest.raises(GenotypeError, match=r"^linear: w_system2=2.0 outside bounds \[0.0, 1.5\]$"):
-        merge(ep, MergeKind.LINEAR, 2.0, 0.5)
+        merge(system2, system1, MergeKind.LINEAR, 2.0, 0.5)
     with pytest.raises(GenotypeError, match=r"^linear: w_system1=-0.1 outside bounds \[0.0, 1.5\]$"):
-        merge(ep, MergeKind.LINEAR, 0.5, -0.1)
-    assert merge(ep, MergeKind.LINEAR, 1.5, 0.0) is not None
+        merge(system2, system1, MergeKind.LINEAR, 0.5, -0.1)
+    assert merge(system2, system1, MergeKind.LINEAR, 1.5, 0.0) is not None
 
 
 def test_genotype_validation():
@@ -256,18 +252,18 @@ def test_genotype_validation():
 
 
 def test_decode_genotype_dispatch():
-    ep = random_endpoints(12)
-    s2_out = decode_genotype(Genotype(MergeKind.TA, (0.0,)), ep)
-    for name, s2 in ep.system2.tensors.items():
+    system2, system1 = random_endpoints(12)
+    s2_out = decode_genotype(Genotype(MergeKind.TA, (0.0,)), system2, system1)
+    for name, s2 in system2.tensors.items():
         assert np.array_equal(s2_out.tensors[name], s2)
 
-    ties_out = decode_genotype(Genotype(MergeKind.TIES, (0.5, 1.0)), ep)
-    ta_out = decode_genotype(Genotype(MergeKind.TA, (0.5,)), ep)
+    ties_out = decode_genotype(Genotype(MergeKind.TIES, (0.5, 1.0)), system2, system1)
+    ta_out = decode_genotype(Genotype(MergeKind.TA, (0.5,)), system2, system1)
     for name in ties_out.tensors:
         assert np.array_equal(ties_out.tensors[name], ta_out.tensors[name])
 
-    lin_out = decode_genotype(Genotype(MergeKind.LINEAR, (1.0, 0.0)), ep)
-    for name, s2 in ep.system2.tensors.items():
+    lin_out = decode_genotype(Genotype(MergeKind.LINEAR, (1.0, 0.0)), system2, system1)
+    for name, s2 in system2.tensors.items():
         assert np.array_equal(lin_out.tensors[name], s2)
 
     # metadata keys in header order, each value written as repr(float)
@@ -277,10 +273,8 @@ def test_decode_genotype_dispatch():
         ("op", "linear"), ("w_system2", "1.0"), ("w_system1", "0.0")
     ]
     # tensors follow system2's order, not system1's or a sorted one
-    flipped = MergeEndpoints(
-        system2=Checkpoint(dict(reversed(ep.system2.tensors.items()))), system1=ep.system1
-    )
-    flipped_out = decode_genotype(Genotype(MergeKind.TIES, (0.5, 1.0)), flipped)
+    flipped = Checkpoint(dict(reversed(system2.tensors.items())))
+    flipped_out = decode_genotype(Genotype(MergeKind.TIES, (0.5, 1.0)), flipped, system1)
     assert list(flipped_out.tensors) == ["t2", "t1", "t0"]
     for name in ties_out.tensors:
         assert np.array_equal(flipped_out.tensors[name], ties_out.tensors[name])

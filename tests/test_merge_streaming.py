@@ -20,13 +20,12 @@ import paretomerge.cli as cli
 from paretomerge.checkpoint import (
     Checkpoint,
     LazyTensors,
-    check_compatible,
     load_checkpoint,
     save_checkpoint,
 )
 from paretomerge.cli import main
-from paretomerge.errors import CheckpointFormatError
-from paretomerge.merge import Genotype, MergeEndpoints, MergeKind, decode_genotype
+from paretomerge.errors import CheckpointFormatError, CompatibilityError
+from paretomerge.merge import Genotype, MergeKind, decode_genotype
 
 SHAPES = {"a": (7,), "b": (3, 4), "c": (5, 2)}
 
@@ -181,24 +180,37 @@ def counting(ckpt, calls):
 def test_shapes_compatibility_and_header_look_up_no_tensor(tmp_path):
     p2, p1 = write_endpoints(tmp_path)
     calls = []
-    s2, s1 = counting(load_checkpoint(p2), calls), counting(load_checkpoint(p1), calls)
-    check_compatible(s2, s1)
-    merged = decode_genotype(Genotype(MergeKind.TIES, (0.5, 0.4)), MergeEndpoints(s2, s1))
-    assert merged.shapes == SHAPES and merged.total_parameters == 7 + 12 + 10
-    assert len(merged.tensors) == 3 and list(merged.tensors) == list(SHAPES)
-    assert calls == []
-    save_checkpoint(merged, tmp_path / "out.pmrg")
+    with load_checkpoint(p2) as loaded2, load_checkpoint(p1) as loaded1:
+        s2, s1 = counting(loaded2, calls), counting(loaded1, calls)
+        merged = decode_genotype(Genotype(MergeKind.TIES, (0.5, 0.4)), s2, s1)
+        assert merged.shapes == SHAPES and merged.total_parameters == 7 + 12 + 10
+        assert len(merged.tensors) == 3 and list(merged.tensors) == list(SHAPES)
+        assert calls == []
+        save_checkpoint(merged, tmp_path / "out.pmrg")
     assert calls == ["a", "a", "b", "b", "c", "c"]  # each pair once, in system2's order
 
 
-def test_lazy_load_checks_each_payload_on_lookup(tmp_path):
+def test_incompatible_endpoints_raise_before_any_lookup(tmp_path):
+    p2, _ = write_endpoints(tmp_path)
+    p1 = tmp_path / "other.pmrg"
+    save_checkpoint(Checkpoint({"a": np.ones(7), "b": np.ones((4, 3)), "d": np.ones(2)}), p1)
+    calls = []
+    message = "incompatible checkpoints: missing in b: ['c']; missing in a: ['d']; " \
+        "shape mismatches: ['b']"
+    with load_checkpoint(p2) as loaded2, load_checkpoint(p1) as loaded1:
+        s2, s1 = counting(loaded2, calls), counting(loaded1, calls)
+        with pytest.raises(CompatibilityError, match=f"^{re.escape(message)}$"):
+            decode_genotype(Genotype(MergeKind.TA, (0.5,)), s2, s1)
+    assert calls == []
+
+
+def test_load_checks_each_payload_on_lookup(tmp_path):
     _, p1 = write_endpoints(tmp_path)
-    clean = load_checkpoint(p1)
+    with load_checkpoint(p1) as loaded:
+        clean = loaded.tensors["a"]
     message = nan_in_last_tensor(p1, None).removeprefix("error: ").rstrip("\n")
-    with pytest.raises(CheckpointFormatError, match=re.escape(message)):
-        load_checkpoint(p1)
-    with load_checkpoint(p1, lazy=True) as lazy:
-        assert lazy.shapes == SHAPES
-        assert np.array_equal(lazy.tensors["a"], clean.tensors["a"])
+    with load_checkpoint(p1) as loaded:
+        assert loaded.shapes == SHAPES
+        assert np.array_equal(loaded.tensors["a"], clean)
         with pytest.raises(CheckpointFormatError, match=re.escape(message)):
-            lazy.tensors["c"]
+            loaded.tensors["c"]
