@@ -5,7 +5,9 @@ Container layout (little-endian): 4 magic bytes ``PMRG``, a u32 header
 length, a UTF-8 JSON header describing tensor shapes/offsets plus free-form
 string metadata, then the raw float32 payload. Offsets are relative to the
 payload start and 8-byte aligned, so a canonical save of the same checkpoint
-is byte-identical every time.
+is byte-identical every time. Each tensor's entry holds its ``shape`` (a list
+of JSON integers), ``offset`` and ``nbytes`` (JSON integers); a float, a
+boolean or a string in their place is a malformed entry, not a number.
 
 I/O is per tensor in both directions. A load reads and checks the prefix and
 the whole header before any payload byte and keeps the file open; each
@@ -236,14 +238,16 @@ def _read_header(path, fh) -> tuple[dict, dict[str, str], int, int]:
     for name, entry in entries.items():
         if not name:
             raise CheckpointFormatError(f"{path}: tensor names must be non-empty strings")
-        try:
-            shape = tuple(int(d) for d in entry["shape"])
-            offset = int(entry["offset"])
-            nbytes = int(entry["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointFormatError(
-                f"{path}: tensor {name!r}: malformed header entry"
-            ) from exc
+        fields = entry if isinstance(entry, dict) else {}
+        shape, offset, nbytes = (fields.get(key) for key in ("shape", "offset", "nbytes"))
+        if not (
+            isinstance(shape, list)
+            and all(type(d) is int for d in shape)
+            and type(offset) is int
+            and type(nbytes) is int
+        ):
+            raise CheckpointFormatError(f"{path}: tensor {name!r}: malformed header entry")
+        shape = tuple(shape)
         if not shape or any(d < 1 for d in shape):
             raise CheckpointFormatError(f"{path}: tensor {name!r}: invalid shape {shape}")
         count = math.prod(shape)

@@ -369,6 +369,8 @@ def _is_item_ids(value) -> bool:
 # ``true`` is no number and 5.9 no integer.
 _INT = (lambda v: type(v) is int, "an integer")
 _SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+# A count or size must fit an index: a larger one overflows numpy or never ends.
+_SIZE = (lambda v: type(v) is int and v <= sys.maxsize, f"an integer no larger than {sys.maxsize}")
 _NUMBER = (is_json_number, "a finite number")
 _NUMBER_OR_NULL = (lambda v: v is None or is_json_number(v), "a finite number or null")
 _STRING = (lambda v: isinstance(v, str), "a string")
@@ -378,8 +380,8 @@ _STRING = (lambda v: isinstance(v, str), "a string")
 # pair. Fields that no rule names are ignored.
 _CONFIG = {
     "search": {
-        "population_size": _INT,
-        "generations": _INT,
+        "population_size": _SIZE,
+        "generations": _SIZE,
         "seed": _SEED,
         "genotype_kind": MergeKind,
         "genotype_bounds": (_is_bounds, "a list of [low, high] finite numbers"),
@@ -389,13 +391,13 @@ _CONFIG = {
     "merge": {"kind": MergeKind},
     "subset": {
         "strategy": SubsetStrategy,
-        "size": _INT,
+        "size": _SIZE,
         "seed": _SEED,
-        "calibration_k": _INT,
+        "calibration_k": _SIZE,
         "item_ids": (_is_item_ids, "a non-empty list of unique, non-empty strings"),
     },
     "evaluator": {"simulated": {
-        "benchmark": _STRING, "n_items": _INT, "generator_seed": _SEED, "noise_seed": _INT,
+        "benchmark": _STRING, "n_items": _SIZE, "generator_seed": _SEED, "noise_seed": _INT,
     }},
     # Any falsy output_dir falls back to the default directory.
     "output_dir": (lambda v: not v or isinstance(v, str), "a string"),

@@ -1,13 +1,16 @@
-"""A file left unclosed by a test under ``tests/`` fails that test.
+"""Shared test settings and fixtures for ``tests/``.
 
-An unclosed file warns only when it is garbage collected, inside ``__del__``,
-where an error cannot propagate; pytest then reports it as an unraisable
-exception, so both warnings are errors here.
+A file left unclosed by a test under ``tests/`` fails that test. An unclosed
+file warns only when it is garbage collected, inside ``__del__``, where an
+error cannot propagate; pytest then reports it as an unraisable exception, so
+both warnings are errors here.
 """
 
 from pathlib import Path
 
 import pytest
+
+import paretomerge.merge as merge
 
 HERE = Path(__file__).resolve().parent
 STRICT = [
@@ -21,3 +24,12 @@ def pytest_collection_modifyitems(items):
         if HERE in item.path.resolve().parents:
             for mark in STRICT:
                 item.add_marker(mark)
+
+
+@pytest.fixture(params=[None, 1, 3, 7], ids=lambda block: f"block={block or 'default'}")
+def merge_block(request, monkeypatch):
+    """Run the test at the default merge block size, then at 1, 3 and 7
+    elements, so small oracle tensors span many blocks and block edges fall
+    inside runs of tied magnitudes."""
+    if request.param is not None:
+        monkeypatch.setattr(merge, "_BLOCK", request.param)

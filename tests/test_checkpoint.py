@@ -228,6 +228,29 @@ def test_header_shape_nbytes_mismatch_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("entry", [
+    '{"shape":"12","offset":0,"nbytes":8}',  # a string of digits is not a shape
+    '{"shape":[2.5],"offset":0,"nbytes":8}',
+    '{"shape":[2.0],"offset":0,"nbytes":8}',
+    '{"shape":[true,2],"offset":0,"nbytes":8}',
+    '{"shape":2,"offset":0,"nbytes":8}',
+    '{"shape":[2],"offset":0.9,"nbytes":8}',
+    '{"shape":[2],"offset":"0","nbytes":8}',
+    '{"shape":[2],"offset":false,"nbytes":8}',
+    '{"shape":[2],"offset":0,"nbytes":8.0}',
+    '{"shape":[2],"offset":0,"nbytes":null}',
+    '{"shape":[2],"offset":0}',
+    '[[2],0,8]',
+])
+def test_header_numbers_must_be_json_integers(tmp_path, entry):
+    header = b'{"tensors":{"w":' + entry.encode() + b'},"metadata":{}}'
+    path = tmp_path / "entry.pmrg"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + b"\x00" * 8)
+    message = f"{path}: tensor 'w': malformed header entry"
+    with pytest.raises(CheckpointFormatError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path)
+
+
 def test_empty_tensor_name_rejected_with_its_file(tmp_path):
     header = b'{"tensors":{"":{"shape":[2],"offset":0,"nbytes":8}},"metadata":{}}'
     path = tmp_path / "noname.pmrg"

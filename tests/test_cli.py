@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -81,7 +82,7 @@ def test_merge_usage_errors(endpoints, tmp_path):
     ("ties", "0.5,0.2", "e31ce4ccc7abe2dc"),
     ("ties", "0.7,0.55", "94172c8630d08bad"),
 ])
-def test_merge_output_digests(tmp_path, op, params, digest):
+def test_merge_output_digests(merge_block, tmp_path, op, params, digest):
     # quantized endpoints: |system1 - system2| is exact in float32 and full of
     # magnitude ties (zeros of both signs included), so k lands inside tie runs
     rng = np.random.default_rng(3)
@@ -449,6 +450,13 @@ SIM = {"simulated": {"generator_seed": 0, "n_items": 20}}
         {"evaluator": SIM, "subset": {"seed": -1}},
         {"evaluator": {"simulated": {"n_items": 20, "generator_seed": -1}}},
         {"evaluator": SIM, "subset": {"item_ids": ["item-00", ["item-01"]]}},
+        # Sizes and counts must fit an index.
+        {"search": {"population_size": 10**400}, "evaluator": SIM},
+        {"search": {"population_size": 2**63}, "evaluator": SIM},
+        {"search": {"generations": 2**63}, "evaluator": SIM},
+        {"evaluator": {"simulated": {"n_items": 10**29}}},
+        {"evaluator": SIM, "subset": {"size": 2**63}},
+        {"evaluator": SIM, "subset": {"calibration_k": 10**23}},
     ],
 )
 def test_evolve_config_shape_is_usage_error(tmp_path, capsys, config):
@@ -464,7 +472,16 @@ def test_evolve_config_type_error_names_field(tmp_path, capsys):
     for block, message in [
         ({"search": {"population_size": 5.9}}, "'search.population_size' must be an integer"),
         ({"search": {"sbx": 5}}, "'search.sbx' must be an object"),
-        ({"subset": {"size": None}}, "'subset.size' must be an integer, got null"),
+        ({"subset": {"size": None}},
+         f"'subset.size' must be an integer no larger than {sys.maxsize}, got null"),
+        ({"search": {"population_size": 2**63}},
+         f"'search.population_size' must be an integer no larger than {sys.maxsize}, "
+         f"got {2**63}"),
+        ({"evaluator": {"simulated": {"n_items": 10**29}}},
+         f"'evaluator.simulated.n_items' must be an integer no larger than {sys.maxsize}, "
+         f"got {10**29}"),
+        ({"subset": {"calibration_k": 10**23}}, f"'subset.calibration_k' must be an integer no "
+         f"larger than {sys.maxsize}, got {10**23}"),
         ({"evaluator": {"simulated": {"n_items": True}}}, "'evaluator.simulated.n_items'"),
         ({"subset": {"strategy": "bogus"}},
          "'subset.strategy' must be one of entropy, random, disagreement, got \"bogus\""),
@@ -556,8 +573,8 @@ def json_values(integers):
 def config_with_one_field_replaced(draw):
     field = draw(st.sampled_from(sorted(set(config_fields(cli._CONFIG)) - PATH_FIELDS)))
     *blocks, name = field.split(".")
-    if name in SIZE_FIELDS:
-        values = json_values(st.integers(-2, 12))
+    if name in SIZE_FIELDS:  # small enough to run, or too large for an index
+        values = st.sampled_from([2**63, 10**400]) | json_values(st.integers(-2, 12))
     else:  # the edge values are drawn as often as all others together
         values = st.sampled_from(EDGE_VALUES) | json_values(st.integers())
     config = json.loads(json.dumps(TINY_CONFIG))

@@ -1,9 +1,10 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from paretomerge.checkpoint import Checkpoint
@@ -149,12 +150,12 @@ QUANTIZED = np.random.default_rng(21).integers(-3, 4, (9, 11)) / 4
     (np.zeros(7), [0.25, -1.0, 0.25, 1.0, -0.25, 0.5, 1.0], 1.0),  # keep_count == n
     (np.ones(5), [np.inf, 1.0, -np.inf, 2.0, 0.0], 0.4),  # infinite tau ranks first
 ])
-def test_ties_matches_stable_argsort_oracle_on_ties(s2, s1, k):
+def test_ties_matches_stable_argsort_oracle_on_ties(merge_block, s2, s1, k):
     for lam in (0.0, 0.5, 0.7, 1.0):
         assert_ties_matches_oracle(s2, s1, lam, k)
 
 
-def test_ties_nan_entries_follow_every_number():
+def test_ties_nan_entries_follow_every_number(merge_block):
     # 6 numbers and 4 NaNs; NaN tau is kept only once k*n exceeds 6, lowest index first
     s1 = np.array([np.nan, 0.5, np.nan, -0.5, 0.25, np.nan, 0.0, 1.0, np.nan, -0.25])
     s2 = np.zeros(10)
@@ -173,19 +174,42 @@ def test_ties_nan_entries_follow_every_number():
 TIE_VALUES = [0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, np.nan]
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     shape=st.one_of(st.tuples(st.integers(1, 40)), st.tuples(st.integers(1, 6), st.integers(1, 6))),
     data=st.data(),
     lam=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
     k=st.floats(0.0, 1.0, exclude_min=True),
 )
-def test_ties_mask_equals_stable_argsort_property(shape, data, lam, k):
+def test_ties_mask_equals_stable_argsort_property(merge_block, shape, data, lam, k):
     n = math.prod(shape)
     tau = data.draw(st.lists(st.sampled_from(TIE_VALUES), min_size=n, max_size=n))
     base = data.draw(st.lists(st.sampled_from([0.0, 0.5, -2.0]), min_size=n, max_size=n))
     s2 = np.array(base, dtype=np.float32).reshape(shape)
     assert_ties_matches_oracle(s2, s2 + np.array(tau, dtype=np.float32).reshape(shape), lam, k)
+
+
+@pytest.mark.parametrize("kind, values", [
+    (MergeKind.TA, (0.3,)),
+    (MergeKind.LINEAR, (0.6, 0.5)),
+    (MergeKind.TIES, (0.5, 0.2)),
+    (MergeKind.TIES, (0.5, 0.8)),
+])
+def test_merge_tensor_allocates_only_its_output(kind, values):
+    # the inputs exist before tracing starts, so the trace sees the output
+    # and the kernel's scratch; a tensor-sized temporary would add 4 MiB
+    rng = np.random.default_rng(0)
+    s2, s1 = (rng.standard_normal((1024, 1024), dtype=np.float32) for _ in range(2))
+    genotype = Genotype(kind, values)
+    tracemalloc.start()
+    try:
+        merged = merge_tensor(genotype, s2, s1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert merged.shape == s2.shape
+    assert peak < 1.5 * s2.nbytes, f"traced peak {peak / s2.nbytes:.2f}x the tensor"
 
 
 def test_ties_k1_reduces_to_ta_element_exact():
