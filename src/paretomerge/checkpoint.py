@@ -9,12 +9,14 @@ is byte-identical every time. Each tensor's entry holds its ``shape`` (a list
 of JSON integers), ``offset`` and ``nbytes`` (JSON integers); a float, a
 boolean or a string in their place is a malformed entry, not a number.
 
-I/O is per tensor in both directions. A load reads and checks the prefix and
-the whole header before any payload byte and keeps the file open; each
-tensor is then read straight into its own array at its offset, and checked,
-when it is looked up. A save writes the header from the shapes alone, then
-each array's buffer without an intermediate bytes copy, so saving a loaded
-checkpoint (or a merge of two) holds one tensor at a time.
+I/O is positional and in blocks. A load reads and checks the prefix and the
+whole header before any payload byte and keeps the file open. One block
+reader then reads any run of a tensor's elements at its file position into a
+caller's buffer and checks it: a whole-tensor lookup reads the tensor into a
+new array, and ``tensor_blocks`` reads it block by block into one reused
+buffer, which is how ``merge`` reads its endpoints. A save writes the header
+from the shapes alone, then each tensor's blocks without an intermediate
+bytes copy, so saving a merge holds blocks, not tensors.
 """
 
 from __future__ import annotations
@@ -39,15 +41,27 @@ _ALIGN = 8
 class LazyTensors(Mapping):
     """Read-only map of tensors made on lookup: ``fetch(name)`` builds the
     array each time ``name`` is looked up, while names and shapes are known
-    up front. ``close`` releases whatever ``fetch`` reads from."""
+    up front. ``close`` releases whatever ``fetch`` reads from.
+
+    Two optional hooks give a tensor without its whole array. ``read(name,
+    start, buf)`` fills the float32 array ``buf`` with flat elements
+    ``[start, start + len(buf))`` of a stored tensor, in any order of calls
+    (see :func:`tensor_blocks`). ``blocks(name)`` yields a computed tensor
+    as consecutive flat blocks, each valid until the next is drawn (what
+    :func:`save_checkpoint` writes).
+    """
 
     def __init__(
         self,
         shapes: dict[str, tuple[int, ...]],
         fetch: Callable[[str], np.ndarray],
         close: Callable[[], None] = lambda: None,
+        *,
+        read: Callable[[str, int, np.ndarray], None] | None = None,
+        blocks: Callable[[str], Iterable[np.ndarray]] | None = None,
     ):
         self.shapes, self._fetch, self.close = shapes, fetch, close
+        self.read, self.blocks = read, blocks
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in self.shapes:
@@ -134,9 +148,46 @@ def check_compatible(a: Checkpoint, b: Checkpoint) -> None:
         raise CompatibilityError(f"incompatible checkpoints: {'; '.join(parts)}")
 
 
+def tensor_blocks(ckpt: Checkpoint, name: str, size: int) -> Iterable[np.ndarray]:
+    """Tensor ``name`` of ``ckpt`` as consecutive flat float32 blocks of
+    ``size`` elements (the last may be shorter), re-iterable for another pass.
+
+    A tensor with a block reader (one of a loaded checkpoint) is read at its
+    file position, one block at a time, into one buffer per pass, so a
+    block is valid only until the next is drawn and no whole tensor is
+    held. Any other tensor is looked up once, here, and its views are the
+    blocks.
+    """
+    read = getattr(ckpt.tensors, "read", None)
+    if read is None:
+        flat = ckpt.tensors[name].reshape(-1)
+        return _Passes(lambda: (flat[lo:lo + size] for lo in range(0, flat.size, size)))
+    n = math.prod(ckpt.tensors.shapes[name])
+
+    def read_pass() -> Iterator[np.ndarray]:
+        buf = np.empty(min(size, n), dtype="<f4")
+        for lo in range(0, n, size):
+            block = buf[: min(size, n - lo)]
+            read(name, lo, block)
+            yield block
+
+    return _Passes(read_pass)
+
+
+class _Passes:
+    """An iterable whose every pass is a fresh iterator from ``start()``."""
+
+    def __init__(self, start: Callable[[], Iterator[np.ndarray]]):
+        self._start = start
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return self._start()
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write the canonical container atomically: the header from the shapes
-    alone, then one tensor at a time, each looked up only when it is written."""
+    alone, then one tensor at a time, each looked up only when it is written,
+    or drawn block by block from a ``blocks`` hook (a merge's tensors)."""
     entries = {}
     offset = 0
     for name, shape in ckpt.shapes.items():
@@ -146,6 +197,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         offset += nbytes
     header = {"tensors": entries, "metadata": dict(ckpt.metadata)}
     header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    blocks = getattr(ckpt.tensors, "blocks", None)
 
     def chunks():
         yield MAGIC
@@ -154,12 +206,20 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         pos = 0
         for name, entry in entries.items():
             yield b"\x00" * (entry["offset"] - pos)
-            # No local keeps the array, so it is freed once written, before
-            # the next tensor is looked up.
-            yield memoryview(np.ascontiguousarray(ckpt.tensors[name], dtype="<f4")).cast("B")
+            # No local keeps a block or an array, so each is freed once
+            # written, before the next is drawn or looked up.
+            if blocks is None:
+                yield _bytes_of(ckpt.tensors[name])
+            else:
+                yield from map(_bytes_of, blocks(name))
             pos = entry["offset"] + entry["nbytes"]
 
     write_atomic(path, chunks())
+
+
+def _bytes_of(arr: np.ndarray) -> memoryview:
+    """The little-endian float32 bytes of ``arr``, without a copy when it is one."""
+    return memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B")
 
 
 def load_checkpoint(path, validate: bool = True) -> Checkpoint:
@@ -167,36 +227,52 @@ def load_checkpoint(path, validate: bool = True) -> Checkpoint:
 
     The prefix and the whole header are checked before this returns, and the
     file stays open: close the returned checkpoint (or use it in a ``with``
-    block) to close it. Each tensor is read from the file and checked when it
-    is looked up, so a payload fault is raised by that lookup: the payload
-    must lie inside the file and, with ``validate`` enabled (the default),
-    hold no NaN/Inf element, which is reported with its tensor name and
-    absolute file offset.
+    block) to close it. Payload bytes are read only by the block reader (the
+    ``read`` hook of the returned tensors), which a lookup calls once for the
+    whole tensor and :func:`tensor_blocks` once per block, and every read is
+    checked, so a payload fault is raised by the read that meets it: the
+    tensor must lie inside the file and, with ``validate`` enabled (the
+    default), hold no NaN/Inf element, which is reported with its tensor
+    name, flat index and absolute file offset.
     """
     fh = open(path, "rb")
     try:
         table, metadata, header_end, payload_size = _read_header(path, fh)
 
-        def read(name: str) -> np.ndarray:
-            """Read one tensor into a new array and check its payload."""
-            shape, offset, nbytes = table[name]
+        def read(name: str, start: int, buf: np.ndarray) -> None:
+            """Read flat elements ``[start, start + len(buf))`` of tensor
+            ``name`` into ``buf`` at their file position, and check them."""
+            _, offset, nbytes = table[name]
+            if buf.dtype != np.dtype("<f4") or not 0 <= start <= nbytes // 4 - buf.size:
+                raise ValueError(
+                    f"tensor {name!r}: cannot read {buf.size} {buf.dtype} elements at {start}"
+                )
             if offset + nbytes > payload_size:
                 raise _truncated(path, name, offset, nbytes, payload_size)
-            arr = np.empty(shape, dtype="<f4")
-            fh.seek(header_end + offset)
-            got = fh.readinto(memoryview(arr).cast("B"))
-            if got < nbytes:  # the file shrank after it was measured
-                raise _truncated(path, name, offset, nbytes, offset + got)
-            if validate and not np.isfinite(arr).all():
-                bad = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
+            at = offset + 4 * start  # payload position of the block
+            view = memoryview(buf).cast("B")
+            got = 0
+            while got < view.nbytes:  # positional, so reads may interleave
+                n = os.preadv(fh.fileno(), [view[got:]], header_end + at + got)
+                if n == 0:  # the file shrank after it was measured
+                    raise _truncated(path, name, offset, nbytes, at + got)
+                got += n
+            # NaN propagates through min and max, and an infinity is one of
+            # them, so no mask is made unless there is a bad element to find
+            if validate and not (np.isfinite(buf.min()) and np.isfinite(buf.max())):
+                bad = start + int(np.flatnonzero(~np.isfinite(buf))[0])
                 raise CheckpointFormatError(
                     f"{path}: tensor {name!r}: non-finite element at flat index {bad} "
                     f"(file offset {header_end + offset + 4 * bad})"
                 )
+
+        def fetch(name: str) -> np.ndarray:
+            arr = np.empty(table[name][0], dtype="<f4")
+            read(name, 0, arr.reshape(-1))
             return arr
 
         shapes = {name: entry[0] for name, entry in table.items()}
-        return Checkpoint(LazyTensors(shapes, read, fh.close), metadata)
+        return Checkpoint(LazyTensors(shapes, fetch, fh.close, read=read), metadata)
     except BaseException:
         fh.close()
         raise
@@ -281,7 +357,10 @@ def _align_up(n: int) -> int:
 def write_atomic(path, data: bytes | Iterable[bytes]) -> None:
     """Replace ``path`` with ``data`` (bytes, or bytes-like chunks written in order)
     through a sibling ``.tmp`` file. This is the package's only file writer: on
-    any error the temp file is removed and ``path`` keeps its previous bytes."""
+    any error the temp file is removed and ``path`` keeps its previous bytes.
+
+    Each chunk is written before the next is drawn, so a chunk may be a view
+    of a buffer that the iterable overwrites for the next one."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
@@ -289,7 +368,8 @@ def write_atomic(path, data: bytes | Iterable[bytes]) -> None:
         # from a file that sits at the temp path (a loaded input).
         tmp.unlink(missing_ok=True)
         with open(tmp, "wb") as fh:
-            fh.writelines([data] if isinstance(data, bytes) else data)
+            for chunk in [data] if isinstance(data, bytes) else data:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

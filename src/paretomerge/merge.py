@@ -1,15 +1,18 @@
-"""One per-tensor merge kernel, mapped over two endpoints to give one checkpoint.
+"""One blocked merge kernel, mapped over two endpoints to give one checkpoint.
 
-``merge_tensor`` holds the three operators and ``decode_genotype`` applies it
-to each tensor pair when that tensor of the merged checkpoint is looked up.
-All arithmetic runs in float32 with a fixed expression per operator so the
-results are reproducible bit-for-bit. The kernel works over the flattened
-pair in blocks of ``_BLOCK`` elements: its output is the only tensor-sized
-array it allocates, and TIES takes two passes, the first partitioning the
-output buffer in place to find its threshold, the second writing the merged
-values. Endpoints come back exactly at lam 0/1 only for finite inputs: under
-``merge --no-validate`` a non-finite entry of the other endpoint makes the
-result NaN there (``0 * inf`` and ``0 * nan`` are NaN).
+``_merged_blocks`` holds the three operators. It takes each endpoint tensor
+as a re-iterable source of flat blocks of ``_BLOCK`` elements and yields the
+merged tensor in blocks of the same size. ``decode_genotype`` feeds it the
+blocks of each tensor pair, read straight from the file of a loaded
+endpoint, when that tensor of the merged checkpoint is saved or looked up;
+``merge_tensor`` is its array form. All arithmetic runs in float32 with a
+fixed expression per operator so the results are reproducible bit-for-bit.
+TA and linear take one pass and hold only blocks. TIES takes two: the first
+writes its sort key into one tensor-sized array and partitions it in place
+to find its threshold, the second writes the merged values. Endpoints come
+back exactly at lam 0/1 only for finite inputs: under ``merge
+--no-validate`` a non-finite entry of the other endpoint makes the result
+NaN there (``0 * inf`` and ``0 * nan`` are NaN).
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
-from .checkpoint import Checkpoint, LazyTensors, check_compatible
+from .checkpoint import Checkpoint, LazyTensors, check_compatible, tensor_blocks
 from .errors import GenotypeError
 
 LINEAR_BOUNDS = (0.0, 1.5)
@@ -94,7 +98,7 @@ def default_genotype_bounds(kind: MergeKind) -> tuple[tuple[float, float], ...]:
 
 
 def merge_tensor(genotype: Genotype, s2: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """Merge one pair of same-shaped float32 tensors under a validated genotype.
+    """Merge one pair of same-shaped float32 tensors under a genotype (validated first).
 
     - TA interpolates ``(1 - lam) * s2 + lam * s1``.
     - LINEAR is the weighted sum ``w_system2 * s2 + w_system1 * s1``.
@@ -105,51 +109,69 @@ def merge_tensor(genotype: Genotype, s2: np.ndarray, s1: np.ndarray) -> np.ndarr
       sign election and disjoint mean are trivial, so trimming to the top-k
       magnitudes is the whole operator.
 
-    The TIES kept set is the first ceil(k*n) entries of a stable sort of
-    -|tau|, found without sorting, in two passes. Pass 1 writes -|tau| into
-    the output and partitions it in place: the threshold t lands in slot
-    ceil(k*n) - 1, and the entries strictly before t (kept whatever their
-    index) all lie in the slots ahead of it, where they are counted. Pass 2
-    recomputes -|tau| block by block, keeps the entries before t, gives the
-    remaining slots to the entries equal to t, lowest flat index first, and
-    overwrites the output block with the merged values. NaN displacements
-    (possible only when loading skipped validation) rank after every number,
-    so they are kept only when ceil(k*n) exceeds the count of non-NaN
-    entries, again lowest index first.
-
-    The output is the only tensor-sized array allocated: every operator runs
-    over the flattened pair in blocks of ``_BLOCK`` elements with
-    block-sized scratch.
+    This is the array form of the blocked kernel that ``decode_genotype``
+    streams (see :func:`_merged_blocks` for the TIES passes): it merges the
+    pair as two one-tensor checkpoints. The output is the only tensor-sized
+    array it allocates: the kernel writes its blocks straight into it, and
+    TIES uses it for its sort key before that.
     """
-    out = np.empty(s2.shape, dtype=np.float32)
-    flat2, flat1, flat_out = s2.reshape(-1), s1.reshape(-1), out.reshape(-1)
-    n = flat_out.size
-    scratch = np.empty(min(_BLOCK, n), dtype=np.float32)
+    merged = decode_genotype(genotype, Checkpoint({"t": s2}), Checkpoint({"t": s1}))
+    return merged.tensors["t"]
+
+
+def _merged_blocks(genotype, n: int, src2, src1, out=None) -> Iterator[np.ndarray]:
+    """Yield the merged flat tensor of ``n`` elements in consecutive blocks.
+
+    ``src2`` and ``src1`` are re-iterable sources of the endpoints' flat
+    blocks of ``_BLOCK`` elements; a block of each is used before the next
+    is drawn, so a source may reuse one buffer. The merged blocks come from
+    one reused buffer, each valid until the next is drawn, or are views of
+    ``out`` when a flat output array is given. TA and linear take one pass.
+
+    TIES takes two passes over the sources and keeps the first ceil(k*n)
+    entries of a stable sort of -|tau|, found without sorting. Pass 1 writes
+    -|tau| into an n-element key (``out`` when given) and partitions it in
+    place: the threshold t lands in slot ceil(k*n) - 1, and the entries
+    strictly before t (kept whatever their index) all lie in the slots ahead
+    of it, where they are counted. Pass 2 recomputes -|tau| block by block,
+    keeps the entries before t, gives the remaining slots to the entries
+    equal to t, lowest flat index first, and writes the merged values. NaN
+    displacements (possible only when loading skipped validation) rank after
+    every number, so they are kept only when ceil(k*n) exceeds the count of
+    non-NaN entries, again lowest index first. The key is the only
+    tensor-sized array; the rest of the scratch is a few blocks.
+    """
+    size = min(_BLOCK, n)
+    buf, scratch = (np.empty(size, dtype=np.float32) for _ in range(2))
     if genotype.kind == MergeKind.LINEAR:
         w2, w1 = (np.float32(w) for w in genotype.values)
     else:
         w1 = np.float32(genotype.values[0])
         w2 = np.float32(1.0) - w1
     if genotype.kind != MergeKind.TIES:
-        for b in _blocks(n):
-            _weighted_sum(w2, flat2[b], w1, flat1[b], flat_out[b], scratch)
-        return out
+        for b, b2, b1 in zip(_blocks(n), src2, src1):
+            merged = buf[: b2.size] if out is None else out[b]
+            _weighted_sum(w2, b2, w1, b1, merged, scratch)
+            yield merged
+        return
 
     keep_count = min(n, math.ceil(genotype.values[1] * n))
-    for b in _blocks(n):  # pass 1: -|tau| into the output, partitioned in place
-        _neg_abs_tau(flat2[b], flat1[b], flat_out[b])
-    flat_out.partition(keep_count - 1)
-    t = flat_out[keep_count - 1]
+    key = np.empty(n, dtype=np.float32) if out is None else out
+    for b, b2, b1 in zip(_blocks(n), src2, src1):  # pass 1: -|tau| into the key
+        _neg_abs_tau(b2, b1, key[b])
+    key.partition(keep_count - 1)
+    t = key[keep_count - 1]
     nan_t = bool(np.isnan(t))
-    keep_scratch, tie_scratch = (np.empty(scratch.size, dtype=bool) for _ in range(2))
+    keep_scratch, tie_scratch = (np.empty(size, dtype=bool) for _ in range(2))
     # every entry ranked before t now lies ahead of t's slot; the rest of the
     # keep_count slots go to entries equal to t (NaN when t is NaN)
     spare = keep_count - sum(
-        np.count_nonzero(_before(flat_out[b], t, nan_t, keep_scratch))
+        np.count_nonzero(_before(key[b], t, nan_t, keep_scratch))
         for b in _blocks(keep_count - 1)
     )
-    for b in _blocks(n):  # pass 2: mask and merged values, block by block
-        neg = _neg_abs_tau(flat2[b], flat1[b], scratch)
+    del key  # pass 2 does not read it
+    for b, b2, b1 in zip(_blocks(n), src2, src1):  # pass 2: mask and merged values
+        neg = _neg_abs_tau(b2, b1, scratch)
         keep = _before(neg, t, nan_t, keep_scratch)
         if spare:  # lowest flat index first
             tie = tie_scratch[: neg.size]
@@ -163,9 +185,10 @@ def merge_tensor(genotype: Genotype, s2: np.ndarray, s1: np.ndarray) -> np.ndarr
             else:
                 keep[np.flatnonzero(tie)[:spare]] = True
             spare -= min(ties, spare)
-        _weighted_sum(w2, flat2[b], w1, flat1[b], flat_out[b], scratch)
-        np.copyto(flat_out[b], flat2[b], where=np.logical_not(keep, out=keep))
-    return out
+        merged = buf[: b2.size] if out is None else out[b]
+        _weighted_sum(w2, b2, w1, b1, merged, scratch)
+        np.copyto(merged, b2, where=np.logical_not(keep, out=keep))
+        yield merged
 
 
 def _blocks(n: int):
@@ -206,16 +229,34 @@ def decode_genotype(genotype: Genotype, system2: Checkpoint, system1: Checkpoint
 
     Validates the genotype and checks the endpoints' compatibility, then
     returns the merged checkpoint without looking up a tensor. Its tensors
-    follow system2's order and are merged when looked up: each lookup reads
-    (for loaded endpoints) and merges that one tensor pair, so
-    ``save_checkpoint`` of the result holds one pair and its merge at a time.
+    follow system2's order and are merged from their pair's blocks
+    (:func:`~paretomerge.checkpoint.tensor_blocks`): a loaded endpoint is read
+    straight from its file, one ``_BLOCK``-element block at a time. Its
+    ``blocks`` hook yields each merged tensor in blocks, so
+    ``save_checkpoint`` of the result holds a few blocks (plus TIES's sort
+    key) and no whole tensor; a lookup merges the whole tensor into a new
+    array.
     """
     genotype.validate()
     check_compatible(system2, system1)
-    tensors = LazyTensors(
-        dict(system2.shapes),
-        lambda name: merge_tensor(genotype, system2.tensors[name], system1.tensors[name]),
-    )
+    shapes = dict(system2.shapes)
+
+    def blocks(name: str, out=None) -> Iterator[np.ndarray]:
+        return _merged_blocks(
+            genotype,
+            math.prod(shapes[name]),
+            tensor_blocks(system2, name, _BLOCK),
+            tensor_blocks(system1, name, _BLOCK),
+            out,
+        )
+
+    def fetch(name: str) -> np.ndarray:
+        out = np.empty(shapes[name], dtype=np.float32)
+        for _ in blocks(name, out.reshape(-1)):
+            pass
+        return out
+
+    tensors = LazyTensors(shapes, fetch, blocks=blocks)
     metadata = {"op": genotype.kind.value}
     metadata.update(zip(_VALUE_NAMES[genotype.kind], map(repr, genotype.values)))
-    return Checkpoint(tensors=tensors, metadata=metadata)
+    return Checkpoint(tensors, metadata)

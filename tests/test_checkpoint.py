@@ -1,3 +1,4 @@
+import io
 import os
 import re
 import struct
@@ -14,6 +15,7 @@ from paretomerge.checkpoint import (
     check_compatible,
     load_checkpoint,
     save_checkpoint,
+    write_atomic,
 )
 from paretomerge.errors import CheckpointFormatError, CompatibilityError
 
@@ -350,3 +352,20 @@ def test_compatibility_is_symmetric():
             )
         x, y = rand_ckpt(), rand_ckpt()
         assert compatible(x, y) == compatible(y, x)
+
+
+@pytest.mark.parametrize("size", [4, 3 * io.DEFAULT_BUFFER_SIZE])
+def test_write_atomic_writes_each_chunk_before_drawing_the_next(tmp_path, size):
+    # every chunk is a view of one buffer that is overwritten after each
+    # yield, small enough to be buffered or large enough to be written through
+    buf = bytearray(size)
+
+    def chunks():
+        for i in range(5):
+            buf[:] = bytes([i]) * size
+            yield memoryview(buf)
+        buf[:] = b"x" * size
+
+    path = tmp_path / "out.bin"
+    write_atomic(path, chunks())
+    assert path.read_bytes() == b"".join(bytes([i]) * size for i in range(5))
