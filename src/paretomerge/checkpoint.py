@@ -9,14 +9,14 @@ is byte-identical every time. Each tensor's entry holds its ``shape`` (a list
 of JSON integers), ``offset`` and ``nbytes`` (JSON integers); a float, a
 boolean or a string in their place is a malformed entry, not a number.
 
-I/O is positional and in blocks. A load reads and checks the prefix and the
-whole header before any payload byte and keeps the file open. One block
-reader then reads any run of a tensor's elements at its file position into a
-caller's buffer and checks it: a whole-tensor lookup reads the tensor into a
-new array, and ``tensor_blocks`` reads it block by block into one reused
-buffer, which is how ``merge`` reads its endpoints. A save writes the header
+I/O is positional and in blocks. Every checkpoint reaches its tensors through
+one hook, ``LazyTensors.blocks``, which yields a tensor as flat float32 blocks
+of at most ``BLOCK`` elements. A load reads and checks the prefix and the
+whole header before any payload byte and keeps the file open; its hook reads
+each block at its file position into one reused buffer and checks it, or reads
+a whole-tensor lookup straight into the new array. A save writes the header
 from the shapes alone, then each tensor's blocks without an intermediate
-bytes copy, so saving a merge holds blocks, not tensors.
+bytes copy, so saving a loaded or merged checkpoint holds blocks, not tensors.
 """
 
 from __future__ import annotations
@@ -36,37 +36,37 @@ from .errors import CheckpointFormatError, CompatibilityError
 
 MAGIC = b"PMRG"
 _ALIGN = 8
+# Elements per block of every tensor pass (read, merge, save): a pass holds a
+# few blocks, never a tensor.
+BLOCK = 1 << 16
+
+
+def block_slices(n: int) -> Iterator[slice]:
+    """Slices of consecutive ``BLOCK``-element blocks covering ``range(n)``."""
+    for lo in range(0, n, BLOCK):
+        yield slice(lo, min(lo + BLOCK, n))
 
 
 class LazyTensors(Mapping):
-    """Read-only map of tensors made on lookup: ``fetch(name)`` builds the
-    array each time ``name`` is looked up, while names and shapes are known
-    up front. ``close`` releases whatever ``fetch`` reads from.
+    """Read-only map of tensors, made on lookup from one hook; names and
+    shapes are known up front.
 
-    Two optional hooks give a tensor without its whole array. ``read(name,
-    start, buf)`` fills the float32 array ``buf`` with flat elements
-    ``[start, start + len(buf))`` of a stored tensor, in any order of calls
-    (see :func:`tensor_blocks`). ``blocks(name)`` yields a computed tensor
-    as consecutive flat blocks, each valid until the next is drawn (what
-    :func:`save_checkpoint` writes).
+    ``blocks(name, out=None)`` yields tensor ``name`` as consecutive flat
+    float32 blocks of at most ``BLOCK`` elements, and each call is one pass.
+    The blocks are views of ``out``, a flat float32 array of the tensor's
+    size, when one is given; otherwise each is valid only until the next is
+    drawn. A lookup drains one pass into a new array. ``close`` releases
+    whatever ``blocks`` reads from.
     """
 
-    def __init__(
-        self,
-        shapes: dict[str, tuple[int, ...]],
-        fetch: Callable[[str], np.ndarray],
-        close: Callable[[], None] = lambda: None,
-        *,
-        read: Callable[[str, int, np.ndarray], None] | None = None,
-        blocks: Callable[[str], Iterable[np.ndarray]] | None = None,
-    ):
-        self.shapes, self._fetch, self.close = shapes, fetch, close
-        self.read, self.blocks = read, blocks
+    def __init__(self, shapes: dict[str, tuple[int, ...]], blocks: Callable, close=lambda: None):
+        self.shapes, self.blocks, self.close = shapes, blocks, close
 
     def __getitem__(self, name: str) -> np.ndarray:
-        if name not in self.shapes:
-            raise KeyError(name)
-        return self._fetch(name)
+        arr = np.empty(self.shapes[name], dtype="<f4")
+        for _ in self.blocks(name, arr.reshape(-1)):
+            pass
+        return arr
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.shapes)
@@ -75,26 +75,39 @@ class LazyTensors(Mapping):
         return len(self.shapes)
 
 
+def _in_memory(arrays: Mapping) -> LazyTensors:
+    """A dict of arrays as tensors: each is held as a C-ordered float32 array,
+    and its blocks are views of it, or of ``out`` once it is copied there."""
+    arrays = {name: np.asarray(arr, dtype=np.float32, order="C") for name, arr in arrays.items()}
+
+    def blocks(name: str, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        flat = arrays[name].reshape(-1)
+        if out is not None:
+            out[:] = flat
+            flat = out
+        yield from map(flat.__getitem__, block_slices(flat.size))
+
+    return LazyTensors({name: arr.shape for name, arr in arrays.items()}, blocks)
+
+
 @dataclass
 class Checkpoint:
     """Named map of dense float32 tensors plus provenance metadata.
 
-    Immutable by convention after construction; tensor insertion order is
-    preserved and defines the on-disk payload order. ``tensors`` is a dict
-    of arrays, or a :class:`LazyTensors` whose arrays are made on each
-    lookup. A checkpoint from ``load_checkpoint`` keeps its file open until
-    it is closed: use it in a ``with`` block or call ``close``.
+    ``tensors`` is given as a dict of arrays or as a :class:`LazyTensors`
+    (a loaded or merged checkpoint's); a dict is wrapped as one, so
+    ``tensors`` is read-only and every lookup makes a new array. Tensor
+    insertion order is preserved and defines the on-disk payload order. A
+    checkpoint from ``load_checkpoint`` keeps its file open until it is
+    closed: use it in a ``with`` block or call ``close``.
     """
 
     tensors: Mapping[str, np.ndarray]
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.tensors, LazyTensors):
-            self.tensors = {
-                name: np.asarray(arr, dtype=np.float32, order="C")
-                for name, arr in self.tensors.items()
-            }
+        if isinstance(self.tensors, dict):
+            self.tensors = _in_memory(self.tensors)
         if not self.tensors:
             raise CheckpointFormatError("checkpoint must hold at least one tensor")
         for name, shape in self.shapes.items():
@@ -109,9 +122,7 @@ class Checkpoint:
     def shapes(self) -> Mapping[str, tuple[int, ...]]:
         """Tensor name -> shape in payload order, known without looking up a
         tensor (a lookup on a loaded or merged checkpoint reads or merges it)."""
-        if isinstance(self.tensors, LazyTensors):
-            return self.tensors.shapes
-        return {name: arr.shape for name, arr in self.tensors.items()}
+        return self.tensors.shapes
 
     @property
     def total_parameters(self) -> int:
@@ -119,8 +130,7 @@ class Checkpoint:
 
     def close(self) -> None:
         """Release the file of a loaded checkpoint; a no-op otherwise."""
-        if isinstance(self.tensors, LazyTensors):
-            self.tensors.close()
+        self.tensors.close()
 
     def __enter__(self) -> "Checkpoint":
         return self
@@ -148,46 +158,10 @@ def check_compatible(a: Checkpoint, b: Checkpoint) -> None:
         raise CompatibilityError(f"incompatible checkpoints: {'; '.join(parts)}")
 
 
-def tensor_blocks(ckpt: Checkpoint, name: str, size: int) -> Iterable[np.ndarray]:
-    """Tensor ``name`` of ``ckpt`` as consecutive flat float32 blocks of
-    ``size`` elements (the last may be shorter), re-iterable for another pass.
-
-    A tensor with a block reader (one of a loaded checkpoint) is read at its
-    file position, one block at a time, into one buffer per pass, so a
-    block is valid only until the next is drawn and no whole tensor is
-    held. Any other tensor is looked up once, here, and its views are the
-    blocks.
-    """
-    read = getattr(ckpt.tensors, "read", None)
-    if read is None:
-        flat = ckpt.tensors[name].reshape(-1)
-        return _Passes(lambda: (flat[lo:lo + size] for lo in range(0, flat.size, size)))
-    n = math.prod(ckpt.tensors.shapes[name])
-
-    def read_pass() -> Iterator[np.ndarray]:
-        buf = np.empty(min(size, n), dtype="<f4")
-        for lo in range(0, n, size):
-            block = buf[: min(size, n - lo)]
-            read(name, lo, block)
-            yield block
-
-    return _Passes(read_pass)
-
-
-class _Passes:
-    """An iterable whose every pass is a fresh iterator from ``start()``."""
-
-    def __init__(self, start: Callable[[], Iterator[np.ndarray]]):
-        self._start = start
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return self._start()
-
-
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write the canonical container atomically: the header from the shapes
-    alone, then one tensor at a time, each looked up only when it is written,
-    or drawn block by block from a ``blocks`` hook (a merge's tensors)."""
+    alone, then each tensor block by block, in one pass of its ``blocks``
+    hook."""
     entries = {}
     offset = 0
     for name, shape in ckpt.shapes.items():
@@ -197,7 +171,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         offset += nbytes
     header = {"tensors": entries, "metadata": dict(ckpt.metadata)}
     header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-    blocks = getattr(ckpt.tensors, "blocks", None)
 
     def chunks():
         yield MAGIC
@@ -206,20 +179,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         pos = 0
         for name, entry in entries.items():
             yield b"\x00" * (entry["offset"] - pos)
-            # No local keeps a block or an array, so each is freed once
-            # written, before the next is drawn or looked up.
-            if blocks is None:
-                yield _bytes_of(ckpt.tensors[name])
-            else:
-                yield from map(_bytes_of, blocks(name))
+            for block in ckpt.tensors.blocks(name):  # copied only on a big-endian host
+                yield memoryview(np.ascontiguousarray(block, dtype="<f4")).cast("B")
             pos = entry["offset"] + entry["nbytes"]
 
     write_atomic(path, chunks())
-
-
-def _bytes_of(arr: np.ndarray) -> memoryview:
-    """The little-endian float32 bytes of ``arr``, without a copy when it is one."""
-    return memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B")
 
 
 def load_checkpoint(path, validate: bool = True) -> Checkpoint:
@@ -227,13 +191,13 @@ def load_checkpoint(path, validate: bool = True) -> Checkpoint:
 
     The prefix and the whole header are checked before this returns, and the
     file stays open: close the returned checkpoint (or use it in a ``with``
-    block) to close it. Payload bytes are read only by the block reader (the
-    ``read`` hook of the returned tensors), which a lookup calls once for the
-    whole tensor and :func:`tensor_blocks` once per block, and every read is
-    checked, so a payload fault is raised by the read that meets it: the
-    tensor must lie inside the file and, with ``validate`` enabled (the
-    default), hold no NaN/Inf element, which is reported with its tensor
-    name, flat index and absolute file offset.
+    block) to close it. Payload bytes are read only by the ``blocks`` hook of
+    the returned tensors, one block at a time into one reused buffer, or at
+    once into ``out`` (a lookup), and every read is checked, so a payload
+    fault is raised by the read that meets it: the tensor must lie inside the
+    file and, with ``validate`` enabled (the default), hold no NaN/Inf
+    element, which is reported with its tensor name, flat index and absolute
+    file offset.
     """
     fh = open(path, "rb")
     try:
@@ -243,10 +207,6 @@ def load_checkpoint(path, validate: bool = True) -> Checkpoint:
             """Read flat elements ``[start, start + len(buf))`` of tensor
             ``name`` into ``buf`` at their file position, and check them."""
             _, offset, nbytes = table[name]
-            if buf.dtype != np.dtype("<f4") or not 0 <= start <= nbytes // 4 - buf.size:
-                raise ValueError(
-                    f"tensor {name!r}: cannot read {buf.size} {buf.dtype} elements at {start}"
-                )
             if offset + nbytes > payload_size:
                 raise _truncated(path, name, offset, nbytes, payload_size)
             at = offset + 4 * start  # payload position of the block
@@ -266,13 +226,24 @@ def load_checkpoint(path, validate: bool = True) -> Checkpoint:
                     f"(file offset {header_end + offset + 4 * bad})"
                 )
 
-        def fetch(name: str) -> np.ndarray:
-            arr = np.empty(table[name][0], dtype="<f4")
-            read(name, 0, arr.reshape(-1))
-            return arr
+        def blocks(name: str, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+            n = table[name][2] // 4
+            if out is None:
+                buf = np.empty(min(BLOCK, n), dtype="<f4")
+                for b in block_slices(n):
+                    block = buf[: b.stop - b.start]
+                    read(name, b.start, block)
+                    yield block
+                return
+            if out.dtype != np.dtype("<f4") or out.shape != (n,):
+                raise ValueError(
+                    f"tensor {name!r}: cannot read {n} elements into {out.size} {out.dtype} elements"
+                )
+            read(name, 0, out)  # a lookup: one read straight into its array
+            yield from map(out.__getitem__, block_slices(n))
 
         shapes = {name: entry[0] for name, entry in table.items()}
-        return Checkpoint(LazyTensors(shapes, fetch, fh.close, read=read), metadata)
+        return Checkpoint(LazyTensors(shapes, blocks, fh.close), metadata)
     except BaseException:
         fh.close()
         raise

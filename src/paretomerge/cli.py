@@ -140,11 +140,17 @@ def _add_bench_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise-seed", type=int, help="seed of the logistic draws (default 0)")
 
 
+def _at_least(*checks: tuple[str, int, int]) -> None:
+    """Raise a usage error for the first ``(flag, value, least)`` with value < least."""
+    for flag, value, least in checks:
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
+
+
 def _resolve_bench(args) -> SimulatedBenchmark:
     if (args.bench is None) == (args.gen_seed is None):
         raise UsageError("provide exactly one of --bench or --gen-seed")
-    if (args.gen_seed or 0) < 0:
-        raise UsageError(f"--gen-seed must be >= 0, got {args.gen_seed}")
+    _at_least(("--gen-seed", args.gen_seed or 0, 0))
     noise_seed = 0 if args.noise_seed is None else args.noise_seed
     if args.bench is not None:
         if args.n_items is not None:
@@ -188,8 +194,7 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.k < 2:
-        raise UsageError(f"--k must be >= 2, got {args.k}")
+    _at_least(("--k", args.k, 2))
     bench, records = None, None
     if args.records is not None:
         simulated = (args.bench, args.gen_seed, args.save_bench, args.n_items, args.noise_seed)
@@ -223,10 +228,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_sample_subset(args) -> int:
-    if args.size < 1:
-        raise UsageError(f"--size must be >= 1, got {args.size}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    _at_least(("--size", args.size, 1), ("--seed", args.seed, 0))
     matrix = load_matrix(args.matrix)
     subset = select_subset(matrix, args.strategy, args.size, seed=args.seed)
     save_subset(subset, args.out)
@@ -545,7 +547,6 @@ def _calibration_key_file(key: str, out_dir: Path) -> bytes:
 
 
 def _cmd_fidelity(args) -> int:
-    bench = _resolve_bench(args)
     try:
         strategies = [SubsetStrategy(s.strip()) for s in args.strategies.split(",") if s.strip()]
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
@@ -553,8 +554,9 @@ def _cmd_fidelity(args) -> int:
         raise UsageError(str(exc))
     if not strategies or not sizes:
         raise UsageError("--strategies and --sizes must be non-empty")
-    if args.seeds < 1:
-        raise UsageError("--seeds must be >= 1")
+    _at_least(("--sizes", min(sizes), 1), ("--n-models", args.n_models, 2),
+              ("--seeds", args.seeds, 1), ("--calibration-k", args.calibration_k, 2))
+    bench = _resolve_bench(args)
 
     cells = rank_fidelity_curve(
         bench,

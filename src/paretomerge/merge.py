@@ -1,18 +1,19 @@
 """One blocked merge kernel, mapped over two endpoints to give one checkpoint.
 
-``_merged_blocks`` holds the three operators. It takes each endpoint tensor
-as a re-iterable source of flat blocks of ``_BLOCK`` elements and yields the
-merged tensor in blocks of the same size. ``decode_genotype`` feeds it the
-blocks of each tensor pair, read straight from the file of a loaded
-endpoint, when that tensor of the merged checkpoint is saved or looked up;
-``merge_tensor`` is its array form. All arithmetic runs in float32 with a
-fixed expression per operator so the results are reproducible bit-for-bit.
-TA and linear take one pass and hold only blocks. TIES takes two: the first
-writes its sort key into one tensor-sized array and partitions it in place
-to find its threshold, the second writes the merged values. Endpoints come
-back exactly at lam 0/1 only for finite inputs: under ``merge
---no-validate`` a non-finite entry of the other endpoint makes the result
-NaN there (``0 * inf`` and ``0 * nan`` are NaN).
+``_merged_blocks`` holds the three operators. It draws each pass over an
+endpoint tensor from that checkpoint's ``blocks`` hook, in flat blocks of
+``checkpoint.BLOCK`` elements, and yields the merged tensor in blocks of the
+same size. It is the ``blocks`` hook of the checkpoint ``decode_genotype``
+returns, so a loaded endpoint is read straight from its file when a tensor
+of the merge is saved or looked up; ``merge_tensor`` is its array form. All
+arithmetic runs in float32 with a fixed expression per operator so the
+results are reproducible bit-for-bit. TA and linear take one pass and hold
+only blocks. TIES takes two: the first writes its sort key into one
+tensor-sized array and partitions it in place to find its threshold, the
+second writes the merged values. Endpoints come back exactly at lam 0/1 only
+for finite inputs: under ``merge --no-validate`` a non-finite entry of the
+other endpoint makes the result NaN there (``0 * inf`` and ``0 * nan`` are
+NaN).
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .checkpoint import Checkpoint, LazyTensors, check_compatible, tensor_blocks
+from . import checkpoint
+from .checkpoint import Checkpoint, LazyTensors, block_slices, check_compatible
 from .errors import GenotypeError
 
 LINEAR_BOUNDS = (0.0, 1.5)
 MIN_TIES_DENSITY = 1e-3
-# Elements per block of the merge kernel: its scratch is a few blocks, never a tensor.
-_BLOCK = 1 << 16
 
 
 class MergeKind(str, Enum):
@@ -122,8 +122,9 @@ def merge_tensor(genotype: Genotype, s2: np.ndarray, s1: np.ndarray) -> np.ndarr
 def _merged_blocks(genotype, n: int, src2, src1, out=None) -> Iterator[np.ndarray]:
     """Yield the merged flat tensor of ``n`` elements in consecutive blocks.
 
-    ``src2`` and ``src1`` are re-iterable sources of the endpoints' flat
-    blocks of ``_BLOCK`` elements; a block of each is used before the next
+    ``src2`` and ``src1`` are zero-argument callables, each called once per
+    pass for an iterator over its endpoint's flat blocks of
+    ``checkpoint.BLOCK`` elements; a block of each is used before the next
     is drawn, so a source may reuse one buffer. The merged blocks come from
     one reused buffer, each valid until the next is drawn, or are views of
     ``out`` when a flat output array is given. TA and linear take one pass.
@@ -141,74 +142,71 @@ def _merged_blocks(genotype, n: int, src2, src1, out=None) -> Iterator[np.ndarra
     non-NaN entries, again lowest index first. The key is the only
     tensor-sized array; the rest of the scratch is a few blocks.
     """
-    size = min(_BLOCK, n)
+    size = min(checkpoint.BLOCK, n)
     buf, scratch = (np.empty(size, dtype=np.float32) for _ in range(2))
     if genotype.kind == MergeKind.LINEAR:
         w2, w1 = (np.float32(w) for w in genotype.values)
     else:
         w1 = np.float32(genotype.values[0])
         w2 = np.float32(1.0) - w1
-    if genotype.kind != MergeKind.TIES:
-        for b, b2, b1 in zip(_blocks(n), src2, src1):
-            merged = buf[: b2.size] if out is None else out[b]
-            _weighted_sum(w2, b2, w1, b1, merged, scratch)
-            yield merged
-        return
-
-    keep_count = min(n, math.ceil(genotype.values[1] * n))
-    key = np.empty(n, dtype=np.float32) if out is None else out
-    for b, b2, b1 in zip(_blocks(n), src2, src1):  # pass 1: -|tau| into the key
-        _neg_abs_tau(b2, b1, key[b])
-    key.partition(keep_count - 1)
-    t = key[keep_count - 1]
-    nan_t = bool(np.isnan(t))
-    keep_scratch, tie_scratch = (np.empty(size, dtype=bool) for _ in range(2))
-    # every entry ranked before t now lies ahead of t's slot; the rest of the
-    # keep_count slots go to entries equal to t (NaN when t is NaN)
-    spare = keep_count - sum(
-        np.count_nonzero(_before(key[b], t, nan_t, keep_scratch))
-        for b in _blocks(keep_count - 1)
-    )
-    del key  # pass 2 does not read it
-    for b, b2, b1 in zip(_blocks(n), src2, src1):  # pass 2: mask and merged values
-        neg = _neg_abs_tau(b2, b1, scratch)
-        keep = _before(neg, t, nan_t, keep_scratch)
-        if spare:  # lowest flat index first
-            tie = tie_scratch[: neg.size]
-            if nan_t:
-                np.isnan(neg, out=tie)
-            else:
-                np.equal(neg, t, out=tie)
-            ties = np.count_nonzero(tie)
-            if ties <= spare:
-                np.logical_or(keep, tie, out=keep)
-            else:
-                keep[np.flatnonzero(tie)[:spare]] = True
-            spare -= min(ties, spare)
+    ties = genotype.kind == MergeKind.TIES
+    if ties:
+        keep_count = min(n, math.ceil(genotype.values[1] * n))
+        key = np.empty(n, dtype=np.float32) if out is None else out
+        for b, b2, b1 in zip(block_slices(n), src2(), src1()):  # pass 1: -|tau| into the key
+            _neg_abs_tau(b2, b1, key[b])
+        key.partition(keep_count - 1)
+        t = key[keep_count - 1]
+        nan_t = bool(np.isnan(t))
+        keep_scratch, tie_scratch = (np.empty(size, dtype=bool) for _ in range(2))
+        # every entry ranked before t now lies ahead of t's slot; the rest of
+        # the keep_count slots go to entries equal to t (NaN when t is NaN)
+        spare = keep_count - sum(
+            np.count_nonzero(_before(key[b], t, nan_t, keep_scratch))
+            for b in block_slices(keep_count - 1)
+        )
+        del key  # pass 2 does not read it
+    for b, b2, b1 in zip(block_slices(n), src2(), src1()):  # the merged values
+        if ties:  # pass 2: the mask, made before the weighted sum reuses scratch
+            neg = _neg_abs_tau(b2, b1, scratch)
+            keep = _before(neg, t, nan_t, keep_scratch)
+            if spare:  # lowest flat index first
+                tie = tie_scratch[: neg.size]
+                if nan_t:
+                    np.isnan(neg, out=tie)
+                else:
+                    np.equal(neg, t, out=tie)
+                n_ties = np.count_nonzero(tie)
+                if n_ties <= spare:
+                    np.logical_or(keep, tie, out=keep)
+                else:
+                    keep[np.flatnonzero(tie)[:spare]] = True
+                spare -= min(n_ties, spare)
         merged = buf[: b2.size] if out is None else out[b]
         _weighted_sum(w2, b2, w1, b1, merged, scratch)
-        np.copyto(merged, b2, where=np.logical_not(keep, out=keep))
+        if ties:
+            np.copyto(merged, b2, where=np.logical_not(keep, out=keep))
         yield merged
 
 
-def _blocks(n: int):
-    """Slices of consecutive ``_BLOCK``-element blocks covering ``range(n)``."""
-    for lo in range(0, n, _BLOCK):
-        yield slice(lo, min(lo + _BLOCK, n))
+# NaN from 0 * inf and inf - inf is by design (``merge --no-validate``); errstate
+# holds for the whole context, so each scope ends before the kernel yields.
 
 
 def _weighted_sum(w2, s2, w1, s1, out, scratch) -> None:
     """``out = w2 * s2 + w1 * s1`` in float32; ``scratch`` holds ``w1 * s1``."""
     w1_s1 = scratch[: out.size]
-    np.multiply(w2, s2, out=out)
-    np.multiply(w1, s1, out=w1_s1)
-    np.add(out, w1_s1, out=out)
+    with np.errstate(invalid="ignore"):
+        np.multiply(w2, s2, out=out)
+        np.multiply(w1, s1, out=w1_s1)
+        np.add(out, w1_s1, out=out)
 
 
 def _neg_abs_tau(s2, s1, scratch) -> np.ndarray:
     """``-|s1 - s2|``, the TIES sort key, written into the head of ``scratch``."""
     neg = scratch[: s2.size]
-    np.subtract(s1, s2, out=neg)
+    with np.errstate(invalid="ignore"):
+        np.subtract(s1, s2, out=neg)
     np.abs(neg, out=neg)
     return np.negative(neg, out=neg)
 
@@ -229,10 +227,9 @@ def decode_genotype(genotype: Genotype, system2: Checkpoint, system1: Checkpoint
 
     Validates the genotype and checks the endpoints' compatibility, then
     returns the merged checkpoint without looking up a tensor. Its tensors
-    follow system2's order and are merged from their pair's blocks
-    (:func:`~paretomerge.checkpoint.tensor_blocks`): a loaded endpoint is read
-    straight from its file, one ``_BLOCK``-element block at a time. Its
-    ``blocks`` hook yields each merged tensor in blocks, so
+    follow system2's order. Its ``blocks`` hook is the kernel, which draws
+    each of its passes from both endpoints' ``blocks`` hooks, so a loaded
+    endpoint is read straight from its file, one block at a time, and
     ``save_checkpoint`` of the result holds a few blocks (plus TIES's sort
     key) and no whole tensor; a lookup merges the whole tensor into a new
     array.
@@ -245,18 +242,11 @@ def decode_genotype(genotype: Genotype, system2: Checkpoint, system1: Checkpoint
         return _merged_blocks(
             genotype,
             math.prod(shapes[name]),
-            tensor_blocks(system2, name, _BLOCK),
-            tensor_blocks(system1, name, _BLOCK),
+            lambda: system2.tensors.blocks(name),
+            lambda: system1.tensors.blocks(name),
             out,
         )
 
-    def fetch(name: str) -> np.ndarray:
-        out = np.empty(shapes[name], dtype=np.float32)
-        for _ in blocks(name, out.reshape(-1)):
-            pass
-        return out
-
-    tensors = LazyTensors(shapes, fetch, blocks=blocks)
     metadata = {"op": genotype.kind.value}
     metadata.update(zip(_VALUE_NAMES[genotype.kind], map(repr, genotype.values)))
-    return Checkpoint(tensors, metadata)
+    return Checkpoint(LazyTensors(shapes, blocks), metadata)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-import paretomerge.merge as merge
+import paretomerge.checkpoint as checkpoint
 
 HERE = Path(__file__).resolve().parent
 STRICT = [
@@ -28,8 +28,9 @@ def pytest_collection_modifyitems(items):
 
 @pytest.fixture(params=[None, 1, 3, 7], ids=lambda block: f"block={block or 'default'}")
 def merge_block(request, monkeypatch):
-    """Run the test at the default merge block size, then at 1, 3 and 7
-    elements, so small oracle tensors span many blocks and block edges fall
-    inside runs of tied magnitudes."""
+    """Run the test at the default block size, then at 1, 3 and 7 elements,
+    so the file reader, the in-memory tensors and the merge kernel all split
+    small oracle tensors into many blocks, and block edges fall inside runs
+    of tied magnitudes."""
     if request.param is not None:
-        monkeypatch.setattr(merge, "_BLOCK", request.param)
+        monkeypatch.setattr(checkpoint, "BLOCK", request.param)

@@ -19,14 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import paretomerge.merge as merge
-from paretomerge.checkpoint import (
-    Checkpoint,
-    LazyTensors,
-    load_checkpoint,
-    save_checkpoint,
-    tensor_blocks,
-)
+import paretomerge.checkpoint as checkpoint
+from paretomerge.checkpoint import Checkpoint, LazyTensors, load_checkpoint, save_checkpoint
 from paretomerge.cli import main
 from paretomerge.errors import CheckpointFormatError
 from paretomerge.merge import Genotype, MergeKind, decode_genotype, merge_tensor
@@ -82,9 +76,7 @@ def test_one_loaded_file_as_both_endpoints_matches_the_in_memory_merge(
 def renamed(loaded, source, shape):
     """A one-tensor checkpoint ``t`` that reads tensor ``source`` of ``loaded``."""
     return Checkpoint(LazyTensors(
-        {"t": shape},
-        lambda _: loaded.tensors[source],
-        read=lambda _, start, buf: loaded.tensors.read(source, start, buf),
+        {"t": shape}, lambda _, out=None: loaded.tensors.blocks(source, out)
     ))
 
 
@@ -108,21 +100,22 @@ def test_interleaved_reads_of_one_file_give_each_endpoint_its_own_blocks(
     assert read_payload(tmp_path / "out.pmrg")["t"].tobytes() == want.tobytes()
 
 
-def test_block_reads_match_the_whole_tensor_in_any_order(merge_block, tmp_path):
+def test_block_passes_match_the_whole_tensor_and_out_is_checked(merge_block, tmp_path):
     arrays = quantized(SHAPES, 3)
     path = tmp_path / "ck.pmrg"
     save_checkpoint(Checkpoint(arrays), path)
     with load_checkpoint(path) as ck:
-        blocks = tensor_blocks(ck, "w", merge._BLOCK)
         for _ in range(2):  # a second pass reads the file again
-            assert np.concatenate([b.copy() for b in blocks]).tobytes() == arrays["w"].tobytes()
-        buf = np.empty(4, dtype=np.float32)
-        for start in (31, 0, 17):
-            ck.tensors.read("w", start, buf)
-            assert buf.tobytes() == arrays["w"].reshape(-1)[start:start + 4].tobytes()
-        for start, bad in ((32, buf), (-1, buf), (0, np.empty(4, dtype=np.float64))):
-            with pytest.raises(ValueError, match="^tensor 'w': cannot read 4 "):
-                ck.tensors.read("w", start, bad)
+            blocks = [b.copy() for b in ck.tensors.blocks("w")]
+            assert max(b.size for b in blocks) == min(checkpoint.BLOCK, 35)
+            assert np.concatenate(blocks).tobytes() == arrays["w"].tobytes()
+        out = np.empty(35, dtype=np.float32)
+        assert all(np.shares_memory(b, out) for b in ck.tensors.blocks("w", out))
+        assert out.tobytes() == arrays["w"].tobytes()
+        for bad in (np.empty(35, dtype=np.float64), np.empty(34, dtype=np.float32)):
+            with pytest.raises(ValueError, match="^tensor 'w': cannot read 35 elements into 3"):
+                for _ in ck.tensors.blocks("w", bad):
+                    pass
 
 
 def nan_at(path, name, index):
@@ -172,7 +165,7 @@ def test_fault_in_a_later_block_is_located_as_in_a_whole_read(
         with pytest.raises(CheckpointFormatError, match=f"^{re.escape(message)}$"):
             ck.tensors["w"]
         with pytest.raises(CheckpointFormatError, match=f"^{re.escape(message)}$"):
-            for _ in tensor_blocks(ck, "w", merge._BLOCK):
+            for _ in ck.tensors.blocks("w"):
                 pass
 
 
@@ -214,9 +207,9 @@ def test_no_validate_merge_of_non_finite_blocks_matches_the_oracle(
     p2, p1, out = tmp_path / "s2.pmrg", tmp_path / "s1.pmrg", tmp_path / "out.pmrg"
     save_checkpoint(Checkpoint(arrays2), p2)
     save_checkpoint(Checkpoint(arrays1), p1)
-    with np.errstate(invalid="ignore"):  # 0 * inf where s1 is infinite
-        assert main(merge_argv(p2, p1, out, op, params, "--no-validate")) == 0
-        got = read_payload(out)
+    assert main(merge_argv(p2, p1, out, op, params, "--no-validate")) == 0
+    got = read_payload(out)
+    with np.errstate(invalid="ignore"):  # the oracle's 0 * inf where s1 is infinite
         lam = np.float32(params[0])
         for name, s2 in arrays2.items():
             s1 = arrays1[name]
@@ -245,8 +238,8 @@ def write_one_tensor(tmp_path, n):
 def test_merge_peak_memory_is_blocks_not_tensors(tmp_path, op, params):
     # the endpoints are written before tracing starts; the traced peak is the
     # merge's own: blocks, plus the tensor-sized sort key for TIES
-    n = 64 * merge._BLOCK
-    block_bytes = 4 * merge._BLOCK
+    n = 64 * checkpoint.BLOCK
+    block_bytes = 4 * checkpoint.BLOCK
     p2, p1 = write_one_tensor(tmp_path, n)
     tracemalloc.start()
     try:
@@ -270,3 +263,32 @@ def test_lookup_of_a_loaded_tensor_allocates_only_its_array(tmp_path):
             tracemalloc.stop()
     assert arr.nbytes == 4 * n
     assert peak < 1.05 * arr.nbytes, f"traced peak {peak / arr.nbytes:.2f}x the tensor"
+
+
+def test_saving_a_loaded_checkpoint_holds_blocks_not_the_tensor(tmp_path):
+    n = 64 * checkpoint.BLOCK
+    block_bytes = 4 * checkpoint.BLOCK
+    _, p1 = write_one_tensor(tmp_path, n)
+    copy = tmp_path / "copy.pmrg"
+    with load_checkpoint(p1) as loaded:
+        tracemalloc.start()
+        try:
+            save_checkpoint(loaded, copy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert copy.read_bytes() == p1.read_bytes()
+    assert peak < 8 * block_bytes, f"traced peak {peak / block_bytes:.1f} blocks"
+
+
+@pytest.mark.parametrize("op, params", [("ta", (0.0,)), ("linear", (1.0, 0.0)), ("ties", (0.0, 1.0))])
+def test_no_validate_merge_of_infinities_warns_nothing(tmp_path, capsys, op, params):
+    # inf in both endpoints at index 1 (inf - inf in the TIES key) and in
+    # system1 alone at index 2 (0 * inf in the weighted sum); RuntimeWarning
+    # is an error under this suite, so a warning fails the merge
+    p2, p1, out = tmp_path / "s2.pmrg", tmp_path / "s1.pmrg", tmp_path / "out.pmrg"
+    save_checkpoint(Checkpoint({"t": np.array([1, np.inf, 3, 4], dtype=np.float32)}), p2)
+    save_checkpoint(Checkpoint({"t": np.array([5, np.inf, np.inf, 8], dtype=np.float32)}), p1)
+    assert main(merge_argv(p2, p1, out, op, params, "--no-validate")) == 0
+    assert capsys.readouterr().err == ""
+    assert np.isnan(read_payload(out)["t"][2])

@@ -610,6 +610,28 @@ def test_negative_seed_flag_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fidelity", "--gen-seed", "0", "--calibration-k", "1", "--out", "OUT"],
+     "--calibration-k must be >= 2"),
+    (["fidelity", "--gen-seed", "0", "--n-models", "1", "--out", "OUT"], "--n-models must be >= 2"),
+    (["fidelity", "--gen-seed", "0", "--sizes", "10,0", "--out", "OUT"], "--sizes must be >= 1"),
+    (["fidelity", "--gen-seed", "0", "--seeds", "0", "--out", "OUT"], "--seeds must be >= 1"),
+])
+def test_fidelity_flag_below_its_least_value_is_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([a.replace("OUT", str(out)) for a in argv]) == 2
+    assert f"usage error: {message}, got " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fidelity_size_beyond_the_benchmark_is_domain_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["fidelity", "--gen-seed", "0", "--n-items", "40", "--sizes", "41",
+                 "--out", str(out)]) == 1
+    assert "error: subset sizes must lie in [1, 40]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def simulated_records_for(bench, genotypes, path, subset=None):
     """Produce a records file by replaying the simulated benchmark."""
     item_ids = bench.item_ids if subset is None else list(subset)

@@ -1,4 +1,5 @@
-"""Tier-1 lint: every module of the package uses each name it imports."""
+"""Tier-1 lint: every module of the package uses each name it imports, and
+every module-level private name is used by some module of the package."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,44 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each module-level ``_private`` def, class or
+    assigned name that no module of ``sources`` (name -> source) reads, by
+    name, as an attribute or in an import."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [f"{module}: {name}" for module, name in defined if name not in used]
+
+
+def test_guard_flags_an_unreferenced_private_name():
+    sources = {
+        "a.py": "_A, _B = 1, 2\n_C: int = 3\ndef _f():\n    return _A\nclass _K:\n    pass\n",
+        "b.py": "from a import _K\nimport a\nprint(a._C)\n_f = None\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py: _B", "a.py: _f", "b.py: _f"]
+
+
+def test_package_references_every_private_name():
+    package = Path(paretomerge.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    assert unreferenced_private_names(sources) == []

@@ -297,7 +297,7 @@ def test_decode_genotype_dispatch():
         ("op", "linear"), ("w_system2", "1.0"), ("w_system1", "0.0")
     ]
     # tensors follow system2's order, not system1's or a sorted one
-    flipped = Checkpoint(dict(reversed(system2.tensors.items())))
+    flipped = Checkpoint(dict(reversed(list(system2.tensors.items()))))
     flipped_out = decode_genotype(Genotype(MergeKind.TIES, (0.5, 1.0)), flipped, system1)
     assert list(flipped_out.tensors) == ["t2", "t1", "t0"]
     for name in ties_out.tensors:

@@ -170,11 +170,13 @@ def test_merge_closes_its_endpoint_files(tmp_path, capsys, monkeypatch):
 
 
 def counting(ckpt, calls):
-    """The same checkpoint, with every tensor lookup recorded in ``calls``."""
-    return Checkpoint(
-        LazyTensors(dict(ckpt.shapes), lambda name: calls.append(name) or ckpt.tensors[name]),
-        ckpt.metadata,
-    )
+    """The same checkpoint, with every pass over a tensor recorded in ``calls``."""
+
+    def blocks(name, out=None):
+        calls.append(name)
+        return ckpt.tensors.blocks(name, out)
+
+    return Checkpoint(LazyTensors(dict(ckpt.shapes), blocks), ckpt.metadata)
 
 
 def test_shapes_compatibility_and_header_look_up_no_tensor(tmp_path):
@@ -187,7 +189,8 @@ def test_shapes_compatibility_and_header_look_up_no_tensor(tmp_path):
         assert len(merged.tensors) == 3 and list(merged.tensors) == list(SHAPES)
         assert calls == []
         save_checkpoint(merged, tmp_path / "out.pmrg")
-    assert calls == ["a", "a", "b", "b", "c", "c"]  # each pair once, in system2's order
+    # each TIES pass reads the pair once, system2 first, in system2's order
+    assert calls == ["a"] * 4 + ["b"] * 4 + ["c"] * 4
 
 
 def test_incompatible_endpoints_raise_before_any_lookup(tmp_path):
