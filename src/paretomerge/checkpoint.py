@@ -68,6 +68,9 @@ class LazyTensors(Mapping):
             pass
         return arr
 
+    def __contains__(self, name) -> bool:  # from the header: ``Mapping``'s would read the tensor
+        return name in self.shapes
+
     def __iter__(self) -> Iterator[str]:
         return iter(self.shapes)
 

@@ -150,13 +150,13 @@ def _at_least(*checks: tuple[str, int, int]) -> None:
 def _resolve_bench(args) -> SimulatedBenchmark:
     if (args.bench is None) == (args.gen_seed is None):
         raise UsageError("provide exactly one of --bench or --gen-seed")
-    _at_least(("--gen-seed", args.gen_seed or 0, 0))
+    n_items = 1000 if args.n_items is None else args.n_items
+    _at_least(("--gen-seed", args.gen_seed or 0, 0), ("--n-items", n_items, 1))
     noise_seed = 0 if args.noise_seed is None else args.noise_seed
     if args.bench is not None:
         if args.n_items is not None:
             raise UsageError("--n-items applies only to --gen-seed")
         return load_benchmark(args.bench, noise_seed=noise_seed)
-    n_items = 1000 if args.n_items is None else args.n_items
     return generate_benchmark(seed=args.gen_seed, n_items=n_items, noise_seed=noise_seed)
 
 

@@ -27,7 +27,6 @@ import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -113,67 +112,71 @@ class Outcomes:
 # ---------------------------------------------------------------------------
 
 
-class ResponseKind(str, Enum):
-    THRESHOLD_UP = "THRESHOLD_UP"      # solved iff lam >= t
-    THRESHOLD_DOWN = "THRESHOLD_DOWN"  # solved iff lam <= t
-    LOGISTIC = "LOGISTIC"              # solved ~ Bernoulli(sigmoid(a * (lam - t)))
-
-
-@dataclass(frozen=True)
-class SimItem:
-    """One simulated item: response rule plus endpoint output lengths."""
-
-    item_id: str
-    response_kind: ResponseKind
-    t: float
-    a: float = 1.0
-    len_long: float = 0.0
-    len_short: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "response_kind", ResponseKind(self.response_kind))
-        if not isinstance(self.item_id, str) or not self.item_id:
-            raise ValueError("item_id must be a non-empty string")
-        for name in ("t", "a", "len_long", "len_short"):
-            value = getattr(self, name)
-            if type(value) in _BOOL_TYPES or not math.isfinite(value):
-                raise ValueError(f"{self.item_id}: {name} must be a finite number, got {value!r}")
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"{self.item_id}: t must lie in [0, 1], got {self.t}")
-        if self.a <= 0:
-            raise ValueError(f"{self.item_id}: slope a must be > 0, got {self.a}")
-        if not self.len_long >= self.len_short >= 0:
-            raise ValueError(
-                f"{self.item_id}: need len_long >= len_short >= 0, "
-                f"got {self.len_long} / {self.len_short}"
-            )
-
-
-_KIND_CODE = {ResponseKind.THRESHOLD_UP: 0, ResponseKind.THRESHOLD_DOWN: 1, ResponseKind.LOGISTIC: 2}
+# Response rules, indexed by an item's int8 kind code: THRESHOLD_UP is solved
+# iff lam >= t, THRESHOLD_DOWN iff lam <= t, LOGISTIC with probability
+# sigmoid(a * (lam - t)).
+RESPONSE_KINDS = ("THRESHOLD_UP", "THRESHOLD_DOWN", "LOGISTIC")
+_UP, _DOWN, _LOGISTIC = range(len(RESPONSE_KINDS))
+# An item's number columns; with the id and the kind name they are the keys of
+# a benchmark file's item objects, in this order.
+_NUMBER_FIELDS = ("t", "a", "len_long", "len_short")
+_ITEM_FIELDS = ("item_id", "response_kind", *_NUMBER_FIELDS)
 
 
 class SimulatedBenchmark:
-    """Immutable item collection with vectorized per-lambda evaluation."""
+    """Immutable simulated items as columns, with vectorized per-lambda evaluation.
 
-    def __init__(self, items: Sequence[SimItem], noise_seed: int = 0):
-        if not items:
+    Entry i of ``kinds`` (int8 codes into ``RESPONSE_KINDS``) and of the
+    float64 columns ``t``, ``a``, ``len_long`` and ``len_short`` belongs to
+    ``item_ids[i]``; the columns are read-only. They are checked once, here:
+    ids are unique non-empty strings, numbers are finite (a bool or string is
+    no number; an object column is refused whole), ``t`` lies in [0, 1],
+    ``a > 0`` and ``len_long >= len_short >= 0``. A ``ValueError`` names the
+    first bad item.
+    """
+
+    def __init__(self, item_ids, kinds, t, a, len_long, len_short, noise_seed: int = 0):
+        self.item_ids, self.noise_seed, self._index = list(item_ids), int(noise_seed), {}
+        if not self.item_ids:
             raise ValueError("benchmark needs at least one item")
-        ids = [it.item_id for it in items]
-        if len(set(ids)) != len(ids):
-            raise ValueError("item ids must be unique")
-        self.items = tuple(items)
-        self.noise_seed = int(noise_seed)
-        self.item_ids = ids
-        self._index = {iid: i for i, iid in enumerate(ids)}
-        self._kinds = np.array([_KIND_CODE[it.response_kind] for it in items], dtype=np.int8)
-        self._t = np.array([it.t for it in items], dtype=np.float64)
-        self._a = np.array([it.a for it in items], dtype=np.float64)
-        self._len_long = np.array([it.len_long for it in items], dtype=np.float64)
-        self._len_short = np.array([it.len_short for it in items], dtype=np.float64)
-        self._logistic_idx = np.flatnonzero(self._kinds == 2)
+        for pos, iid in enumerate(self.item_ids):
+            if not isinstance(iid, str) or not iid:
+                raise ValueError(f"item {pos}: item_id must be a non-empty string, got {iid!r}")
+            if self._index.setdefault(iid, pos) != pos:
+                raise ValueError(f"item {pos}: item id {iid!r} repeats item {self._index[iid]}")
+        raw = dict(zip(("kinds", *_NUMBER_FIELDS), map(np.asarray, (kinds, t, a, len_long, len_short))))
+        for name, col in raw.items():
+            if col.shape != (len(self),) or col.dtype.kind == "O":
+                raise ValueError(f"{name} must hold one number per item, got {col.dtype}{list(col.shape)}")
+        # Every entry of a bool or string column is no number, so each one fails.
+        t, a, len_long, len_short = numbers = [
+            col.astype(np.float64) if col.dtype.kind in "iuf" else np.full(len(self), np.nan)
+            for col in (raw[name] for name in _NUMBER_FIELDS)
+        ]
+        rules = [  # (the items that pass, the message, the columns it quotes)
+            (np.isin(raw["kinds"], range(len(RESPONSE_KINDS))) & (raw["kinds"].dtype.kind in "iu"),
+             f"kind must be a code into {RESPONSE_KINDS}, got {{!r}}", "kinds"),
+            *((np.isfinite(col), f"{name} must be a finite number, got {{!r}}", name)
+              for name, col in zip(_NUMBER_FIELDS, numbers)),
+            ((0.0 <= t) & (t <= 1.0), "t must lie in [0, 1], got {!r}", "t"),
+            (a > 0, "slope a must be > 0, got {!r}", "a"),
+            ((len_long >= len_short) & (len_short >= 0),
+             "need len_long >= len_short >= 0, got {!r} / {!r}", "len_long", "len_short"),
+        ]
+        bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, *_ in rules]))
+        if bad.size:
+            i = int(bad[0])
+            message, *names = next(rest for ok, *rest in rules if not ok[i])
+            raise ValueError(f"item {i} ({self.item_ids[i]!r}): "
+                             + message.format(*(raw[name].item(i) for name in names)))
+        self.kinds = raw["kinds"].astype(np.int8)
+        self.t, self.a, self.len_long, self.len_short = numbers
+        for col in (self.kinds, *numbers):
+            col.flags.writeable = False
+        self._logistic_idx = np.flatnonzero(self.kinds == _LOGISTIC)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.item_ids)
 
     def index_of(self, item_id: str) -> int:
         try:
@@ -185,19 +188,19 @@ class SimulatedBenchmark:
         """Binary outcome per item at interpolation coefficient ``lam``."""
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-        out = np.zeros(len(self.items), dtype=np.int8)
-        up = self._kinds == 0
-        down = self._kinds == 1
-        out[up] = lam >= self._t[up]
-        out[down] = lam <= self._t[down]
+        out = np.zeros(len(self), dtype=np.int8)
+        up = self.kinds == _UP
+        down = self.kinds == _DOWN
+        out[up] = lam >= self.t[up]
+        out[down] = lam <= self.t[down]
         for i in self._logistic_idx:
-            p = logistic_response(self._a[i], self._t[i], lam)
-            out[i] = _keyed_uniform(self.items[i].item_id, lam, self.noise_seed) < p
+            p = logistic_response(self.a[i], self.t[i], lam)
+            out[i] = _keyed_uniform(self.item_ids[i], lam, self.noise_seed) < p
         return out
 
     def length_vector(self, lam: float) -> np.ndarray:
         """Deterministic per-item output length, linear between the endpoints."""
-        return self._len_long + (self._len_short - self._len_long) * lam
+        return self.len_long + (self.len_short - self.len_long) * lam
 
     def outcomes(self, lam: float) -> Outcomes:
         """Every item's outcome at ``lam``, in benchmark order."""
@@ -258,58 +261,33 @@ def generate_benchmark(
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
     rng = np.random.default_rng(seed)
-    n_easy = int(round(EASY_FRAC * n_items))
-    n_hard = int(round(HARD_FRAC * n_items))
-    n_up = int(round(UP_FRAC * n_items))
-    n_down = int(round(DOWN_FRAC * n_items))
-    n_log = n_items - n_easy - n_hard - n_up - n_down
-    roles = ["easy"] * n_easy + ["hard"] * n_hard + ["up"] * n_up + ["down"] * n_down + ["log"] * n_log
+    counts = [int(round(frac * n_items)) for frac in (EASY_FRAC, HARD_FRAC, UP_FRAC, DOWN_FRAC)]
+    counts.append(n_items - sum(counts))
+    # Per role (easy, hard, up, down, logistic): response kind, band of t (None: t = 0).
+    roles = [(_UP, None), (_DOWN, None), (_UP, UP_BAND), (_DOWN, DOWN_BAND), (_LOGISTIC, LOGISTIC_B_BAND)]
+    roles = [role for role, n in zip(roles, counts) for _ in range(n)]
     roles = [roles[i] for i in rng.permutation(n_items)]
 
     width = len(str(max(n_items - 1, 1)))
-    items = []
-    for i, role in enumerate(roles):
-        if role == "easy":
-            kind, t, a = ResponseKind.THRESHOLD_UP, 0.0, 1.0
-        elif role == "hard":
-            kind, t, a = ResponseKind.THRESHOLD_DOWN, 0.0, 1.0
-        elif role == "up":
-            kind, t, a = ResponseKind.THRESHOLD_UP, float(rng.uniform(*UP_BAND)), 1.0
-        elif role == "down":
-            kind, t, a = ResponseKind.THRESHOLD_DOWN, float(rng.uniform(*DOWN_BAND)), 1.0
-        else:
-            kind = ResponseKind.LOGISTIC
-            t = float(rng.uniform(*LOGISTIC_B_BAND))
-            a = float(rng.uniform(*LOGISTIC_A_RANGE))
-        len_long = float(rng.uniform(*LEN_LONG_RANGE))
-        len_short = float(rng.uniform(*LEN_SHORT_RANGE))
-        items.append(
-            SimItem(
-                item_id=f"item-{i:0{width}d}",
-                response_kind=kind,
-                t=t,
-                a=a,
-                len_long=len_long,
-                len_short=len_short,
-            )
-        )
-    return SimulatedBenchmark(items, noise_seed=seed if noise_seed is None else noise_seed)
+    t, a, len_long, len_short = np.zeros(n_items), np.ones(n_items), np.empty(n_items), np.empty(n_items)
+    for i, (kind, band) in enumerate(roles):
+        if band is not None:
+            t[i] = rng.uniform(*band)
+        if kind == _LOGISTIC:
+            a[i] = rng.uniform(*LOGISTIC_A_RANGE)
+        len_long[i] = rng.uniform(*LEN_LONG_RANGE)
+        len_short[i] = rng.uniform(*LEN_SHORT_RANGE)
+    return SimulatedBenchmark(
+        [f"item-{i:0{width}d}" for i in range(n_items)], [kind for kind, _ in roles],
+        t, a, len_long, len_short, noise_seed=seed if noise_seed is None else noise_seed,
+    )
 
 
 def save_benchmark(bench: SimulatedBenchmark, path) -> None:
-    """Serialize as a JSON array of item objects."""
-    payload = [
-        {
-            "item_id": it.item_id,
-            "response_kind": it.response_kind.value,
-            "t": it.t,
-            "a": it.a,
-            "len_long": it.len_long,
-            "len_short": it.len_short,
-        }
-        for it in bench.items
-    ]
-    write_atomic(path, json.dumps(payload).encode("utf-8"))
+    """Serialize as a JSON array of item objects with the keys ``_ITEM_FIELDS``."""
+    kinds = [RESPONSE_KINDS[k] for k in bench.kinds.tolist()]
+    rows = zip(bench.item_ids, kinds, *(getattr(bench, name).tolist() for name in _NUMBER_FIELDS))
+    write_atomic(path, json.dumps([dict(zip(_ITEM_FIELDS, row)) for row in rows]).encode("utf-8"))
 
 
 def load_json(path):
@@ -322,27 +300,32 @@ def load_json(path):
 
 
 def load_benchmark(path, noise_seed: int = 0) -> SimulatedBenchmark:
+    """Read a ``save_benchmark`` file; ``a`` defaults to 1. A bad item is a
+    ``ValueError`` naming ``path`` and the item's position."""
     payload = load_json(path)
     if not isinstance(payload, list):
         raise ValueError(f"{path}: benchmark file must be a JSON array of items")
-    items = []
+    columns = {name: [] for name in _ITEM_FIELDS}
     for pos, entry in enumerate(payload):
         try:
             if not isinstance(entry, dict):
                 raise ValueError("item must be an object")
-            items.append(
-                SimItem(
-                    item_id=entry["item_id"],
-                    response_kind=ResponseKind(entry["response_kind"]),
-                    t=_json_number(entry["t"], "t"),
-                    a=_json_number(entry.get("a", 1.0), "a"),
-                    len_long=_json_number(entry["len_long"], "len_long"),
-                    len_short=_json_number(entry["len_short"], "len_short"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            entry = {"a": 1.0, **entry}
+            if entry["response_kind"] not in RESPONSE_KINDS:
+                raise ValueError(f"response_kind must be one of {', '.join(RESPONSE_KINDS)}, "
+                                 f"got {entry['response_kind']!r}")
+            columns["item_id"].append(entry["item_id"])
+            columns["response_kind"].append(RESPONSE_KINDS.index(entry["response_kind"]))
+            for name in _NUMBER_FIELDS:
+                if not is_json_number(entry[name]):
+                    raise ValueError(f"{name} must be a finite JSON number, got {entry[name]!r}")
+                columns[name].append(float(entry[name]))
+        except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: item {pos}: {exc}") from exc
-    return SimulatedBenchmark(items, noise_seed=noise_seed)
+    try:
+        return SimulatedBenchmark(*columns.values(), noise_seed=noise_seed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def is_json_number(value) -> bool:
@@ -352,12 +335,6 @@ def is_json_number(value) -> bool:
     if type(value) is int:
         return abs(value) <= _FLOAT_MAX
     return type(value) is float and math.isfinite(value)
-
-
-def _json_number(value, name: str) -> float:
-    if not is_json_number(value):
-        raise ValueError(f"{name} must be a finite JSON number, got {value!r}")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +347,13 @@ _RECORD_FIELDS = ("candidate_id", "item_id", "correct", "length")
 def load_record_evaluations(path, index=None) -> dict[str, Outcomes]:
     """Parse a JSONL record file into one ``Outcomes`` per candidate id.
 
-    One object per line: ``{"candidate_id", "item_id", "correct", "length"}``.
-    Candidates appear in order of their first record and each one's columns
-    follow record order. The per-line checks here are the only validation of
-    record values: malformed lines, correctness other than 0/1, booleans,
-    negative or non-finite lengths and duplicate (candidate, item) pairs are
-    rejected with the offending line number.
+    One UTF-8 object per line (lines split at newline bytes only):
+    ``{"candidate_id", "item_id", "correct", "length"}``. Candidates appear in
+    order of their first record and each one's columns follow record order.
+    The per-line checks here are the only validation of record values: invalid
+    UTF-8, malformed lines, correctness other than 0/1, booleans, negative or
+    non-finite lengths and duplicate (candidate, item) pairs are rejected with
+    the line number.
 
     ``index`` names a resume index (see ``_RecordColumns``) for a file that
     only grows. When it covers a byte-identical prefix of the file, only the
@@ -399,9 +377,11 @@ def load_record_evaluations(path, index=None) -> dict[str, Outcomes]:
         seen = set((prefix.cand.astype(np.int64) << 32 | prefix.item).tolist())
         cand_col, item_col, correct_col, length_col = [], [], [], []
         lineno = prefix.nlines
-        lines = io.TextIOWrapper(io.BufferedReader(tail), encoding="utf-8")
-        for lineno, line in enumerate(lines, start=prefix.nlines + 1):
-            line = line.strip()
+        for lineno, line in enumerate(io.BufferedReader(tail), start=prefix.nlines + 1):
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise RecordFormatError(f"{path}: line {lineno}: not valid UTF-8: {exc}") from None
             if not line:
                 continue
             try:

@@ -265,6 +265,19 @@ def test_lookup_of_a_loaded_tensor_allocates_only_its_array(tmp_path):
     assert peak < 1.05 * arr.nbytes, f"traced peak {peak / arr.nbytes:.2f}x the tensor"
 
 
+def test_membership_of_a_loaded_tensor_reads_nothing(tmp_path, monkeypatch):
+    _, p1 = write_one_tensor(tmp_path, 1 << 20)
+    reads = []
+    preadv = os.preadv
+    with load_checkpoint(p1) as loaded:
+        monkeypatch.setattr(os, "preadv", lambda *args: reads.append(args) or preadv(*args))
+        assert "t" in loaded.tensors
+        assert "u" not in loaded.tensors and 0 not in loaded.tensors
+        assert reads == []
+        loaded.tensors["t"]  # a lookup is seen reading
+        assert len(reads) == 1
+
+
 def test_saving_a_loaded_checkpoint_holds_blocks_not_the_tensor(tmp_path):
     n = 64 * checkpoint.BLOCK
     block_bytes = 4 * checkpoint.BLOCK

@@ -134,7 +134,10 @@ def test_calibrate_save_bench_round_trips(tmp_path):
 
     reloaded = load_benchmark(bench_path, noise_seed=3)
     assert len(reloaded) == 40
-    assert reloaded.items == generate_benchmark(seed=3, n_items=40).items
+    expected = generate_benchmark(seed=3, n_items=40)
+    assert reloaded.item_ids == expected.item_ids
+    for name in ("kinds", "t", "a", "len_long", "len_short"):
+        assert np.array_equal(getattr(reloaded, name), getattr(expected, name))
 
 
 def test_calibrate_k1_usage_error(tmp_path):
@@ -611,13 +614,16 @@ def test_negative_seed_flag_is_usage_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv, message", [
+    (["calibrate", "--gen-seed", "0", "--n-items", "0", "--out", "OUT/m.json"],
+     "--n-items must be >= 1"),
+    (["fidelity", "--gen-seed", "0", "--n-items", "-5", "--out", "OUT"], "--n-items must be >= 1"),
     (["fidelity", "--gen-seed", "0", "--calibration-k", "1", "--out", "OUT"],
      "--calibration-k must be >= 2"),
     (["fidelity", "--gen-seed", "0", "--n-models", "1", "--out", "OUT"], "--n-models must be >= 2"),
     (["fidelity", "--gen-seed", "0", "--sizes", "10,0", "--out", "OUT"], "--sizes must be >= 1"),
     (["fidelity", "--gen-seed", "0", "--seeds", "0", "--out", "OUT"], "--seeds must be >= 1"),
 ])
-def test_fidelity_flag_below_its_least_value_is_usage_error(tmp_path, capsys, argv, message):
+def test_flag_below_its_least_value_is_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert main([a.replace("OUT", str(out)) for a in argv]) == 2
     assert f"usage error: {message}, got " in capsys.readouterr().err

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +13,8 @@ from paretomerge.evaluation import (
     CallableFitness,
     ObjectiveVector,
     Outcomes,
+    RESPONSE_KINDS,
     RecordsFitness,
-    ResponseKind,
-    SimItem,
     SimulatedBenchmark,
     SimulatedFitness,
     candidate_id,
@@ -28,16 +29,28 @@ from paretomerge.evaluation import (
 from paretomerge.merge import Genotype, MergeKind
 
 
-def bench_of(*items, noise_seed=0):
-    return SimulatedBenchmark(items, noise_seed=noise_seed)
+UP, DOWN, LOGISTIC = map(RESPONSE_KINDS.index, ("THRESHOLD_UP", "THRESHOLD_DOWN", "LOGISTIC"))
+COLUMNS = ("kinds", "t", "a", "len_long", "len_short")
+
+
+def bench_of(*rows, noise_seed=0):
+    """A benchmark from ``(item_id, kind, t, a, len_long, len_short)`` rows."""
+    return SimulatedBenchmark(*zip(*rows), noise_seed=noise_seed)
 
 
 def up(iid, t, ll=1000.0, ls=100.0):
-    return SimItem(iid, ResponseKind.THRESHOLD_UP, t, len_long=ll, len_short=ls)
+    return (iid, UP, t, 1.0, ll, ls)
 
 
 def down(iid, t, ll=1000.0, ls=100.0):
-    return SimItem(iid, ResponseKind.THRESHOLD_DOWN, t, len_long=ll, len_short=ls)
+    return (iid, DOWN, t, 1.0, ll, ls)
+
+
+def assert_same_items(got, want):
+    assert got.item_ids == want.item_ids
+    for name in COLUMNS:
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_threshold_up_rule():
@@ -94,7 +107,7 @@ def test_logistic_local_sensitivity_finite_difference():
 
 
 def test_logistic_draws_deterministic_and_bucketed():
-    item = SimItem("l", ResponseKind.LOGISTIC, 0.5, a=6.0, len_long=500.0, len_short=100.0)
+    item = ("l", LOGISTIC, 0.5, 6.0, 500.0, 100.0)
     b1 = bench_of(item, noise_seed=3)
     b2 = bench_of(item, noise_seed=3)
     lams = np.random.default_rng(0).uniform(0, 1, 50)
@@ -156,8 +169,13 @@ def test_objective_vector_rejects_non_finite_and_boolean(accuracy, mean_length):
 
 def test_numpy_scalars_remain_valid_inputs():
     assert ObjectiveVector(np.float64(0.5), np.int32(7)).fitness == (-0.5, 7)
-    item = SimItem("s", ResponseKind.LOGISTIC, np.float64(0.5), a=np.float32(4), len_long=np.int64(9))
-    assert item.a == 4
+    bench = bench_of(("s", np.int8(LOGISTIC), np.float64(0.5), np.float32(4), np.int64(9), 0))
+    assert bench.a.tolist() == [4.0] and bench.len_long.tolist() == [9.0]
+    # numpy columns of other numeric dtypes are stored as int8 codes and float64
+    bench = SimulatedBenchmark(["s"], np.array([LOGISTIC], np.uint16), np.array([0.5], np.float32),
+                               np.array([4], np.int64), np.array([9.0]), np.zeros(1, np.float16))
+    assert bench.kinds.dtype == np.int8 and bench.kinds.tolist() == [LOGISTIC]
+    assert all(getattr(bench, name).dtype == np.float64 for name in COLUMNS[1:])
 
 
 @pytest.mark.parametrize(
@@ -178,29 +196,67 @@ def test_numpy_scalars_remain_valid_inputs():
         {"item_id": 7},
     ],
 )
-def test_sim_item_validation(fields):
-    kwargs = {"item_id": "x", "response_kind": ResponseKind.LOGISTIC, "t": 0.5,
-              "len_long": 100.0, "len_short": 10.0, **fields}
-    with pytest.raises(ValueError):
-        SimItem(**kwargs)
+def test_benchmark_constructor_rejects_a_bad_item_and_names_it(fields):
+    row = {"item_id": "x", "kind": LOGISTIC, "t": 0.5, "a": 1.0,
+           "len_long": 100.0, "len_short": 10.0, **fields}
+    with pytest.raises(ValueError) as info:
+        bench_of(tuple(row.values()))
+    assert str(info.value).startswith("item 0: item_id" if "item_id" in fields else "item 0 ('x'): ")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([("a", UP, 0.1, 1.0, 9.0, 1.0), ("b", UP, 1.5, 1.0, 9.0, 1.0), ("c", UP, 0.1, 0.0, 9.0, 1.0)],
+     "item 1 ('b'): t must lie in [0, 1], got 1.5"),
+    ([("a", UP, 0.1, 1.0, 9.0, 1.0), ("b", DOWN, 0.1, 1.0, 1.0, 9.0), ("c", UP, 2.0, 1.0, 9.0, 1.0)],
+     "item 1 ('b'): need len_long >= len_short >= 0, got 1.0 / 9.0"),
+    ([("a", UP, 0.1, 1.0, 9.0, 1.0), ("b", 3, 0.1, 1.0, 9.0, 1.0)],
+     "item 1 ('b'): kind must be a code into ('THRESHOLD_UP', 'THRESHOLD_DOWN', 'LOGISTIC'), got 3"),
+    ([("a", -1, 0.1, 1.0, 9.0, 1.0)], "item 0 ('a'): kind must be a code into"),
+    ([("a", True, 0.1, 1.0, 9.0, 1.0)], "item 0 ('a'): kind must be a code into"),
+    ([("a", 0.0, 0.1, 1.0, 9.0, 1.0)], "item 0 ('a'): kind must be a code into"),
+    ([("a", UP, math.nan, -1.0, 9.0, 1.0)], "item 0 ('a'): t must be a finite number, got nan"),
+    ([("a", UP, "0.5", 1.0, 9.0, 1.0)], "item 0 ('a'): t must be a finite number, got '0.5'"),
+    ([("a", UP, 0.1, 1.0, 9.0, 1.0), ("b", UP, 0.2, 1.0, 9.0, 1.0), ("a", UP, 0.3, 1.0, 9.0, 1.0)],
+     "item 2: item id 'a' repeats item 0"),
+])
+def test_benchmark_constructor_names_the_first_bad_item(rows, message):
+    with pytest.raises(ValueError) as info:
+        bench_of(*rows)
+    assert str(info.value).startswith(message)
+
+
+def test_benchmark_columns_have_one_entry_per_item_and_are_read_only():
+    with pytest.raises(ValueError, match="benchmark needs at least one item"):
+        SimulatedBenchmark([], [], [], [], [], [])
+    with pytest.raises(ValueError, match=r"^t must hold one number per item, got float64\[\]$"):
+        SimulatedBenchmark(["a"], [UP], 0.5, [1.0], [9.0], [1.0])
+    with pytest.raises(ValueError, match=r"^len_short must hold one number per item, got float64\[2\]$"):
+        SimulatedBenchmark(["a"], [UP], [0.5], [1.0], [9.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"^a must hold one number per item, got object\[2\]$"):
+        SimulatedBenchmark(["a", "b"], [UP] * 2, [0.5] * 2, [1.0, None], [9.0] * 2, [1.0] * 2)
+    t = np.array([0.5])
+    bench = SimulatedBenchmark(["a"], [UP], t, [1.0], [9.0], [1.0])
+    t[0] = 0.9  # the benchmark holds its own copy
+    assert bench.t.tolist() == [0.5]
+    for name in COLUMNS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(bench, name)[0] = 0
 
 
 def test_default_generator_profile_and_endpoint_invariant():
     bench = generate_benchmark(seed=0)
     assert len(bench) == 1000
-    kinds = [it.response_kind for it in bench.items]
-    assert kinds.count(ResponseKind.LOGISTIC) == 12
+    assert np.count_nonzero(bench.kinds == LOGISTIC) == 12
 
     c0 = bench.correctness_vector(0.0)
     c1 = bench.correctness_vector(1.0)
-    is_up = np.array([k == ResponseKind.THRESHOLD_UP for k in kinds])
-    is_down = np.array([k == ResponseKind.THRESHOLD_DOWN for k in kinds])
+    is_up = bench.kinds == UP
+    is_down = bench.kinds == DOWN
     # descending items: more accurate at lam=0 than lam=1; ascending: reverse
     assert c0[is_down].mean() > c1[is_down].mean()
     assert c0[is_up].mean() < c1[is_up].mean()
 
-    for it in bench.items:
-        assert it.len_long >= it.len_short >= 0
+    assert (bench.len_long >= bench.len_short).all() and (bench.len_short >= 0).all()
 
 
 def test_default_generator_interior_accuracy_optimum():
@@ -220,9 +276,44 @@ def test_benchmark_serialization_round_trip(tmp_path):
     assert isinstance(payload, list) and len(payload) == 40
 
     loaded = load_benchmark(path, noise_seed=bench.noise_seed)
-    assert loaded.items == bench.items
+    assert_same_items(loaded, bench)
     for lam in (0.0, 0.33, 1.0):
         assert np.array_equal(loaded.correctness_vector(lam), bench.correctness_vector(lam))
+
+
+@pytest.mark.parametrize("seed, n_items, digest", [
+    (0, 1000, "5a99df7aa8d85b5b"),
+    (3, 40, "c07d00cf9dba3ca5"),
+])
+def test_saved_benchmark_bytes_are_pinned_and_survive_a_reload(tmp_path, seed, n_items, digest):
+    path = tmp_path / "bench.json"
+    save_benchmark(generate_benchmark(seed=seed, n_items=n_items), path)
+    blob = path.read_bytes()
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest
+    save_benchmark(load_benchmark(path), path)
+    assert path.read_bytes() == blob
+
+
+@pytest.mark.parametrize("field, raw, message", [
+    ("item_id", "7", "item 1: item_id must be a non-empty string, got 7"),
+    ("item_id", '""', "item 1: item_id must be a non-empty string, got ''"),
+    ("item_id", '"q0"', "item 1: item id 'q0' repeats item 0"),
+    ("response_kind", '"SIGMOID"', "item 1: response_kind must be one of "
+     "THRESHOLD_UP, THRESHOLD_DOWN, LOGISTIC, got 'SIGMOID'"),
+    ("response_kind", "2", "item 1: response_kind must be one of"),
+    ("t", "1.5", "item 1 ('q1'): t must lie in [0, 1], got 1.5"),
+    ("a", "-2", "item 1 ('q1'): slope a must be > 0, got -2.0"),
+    ("len_short", "600", "item 1 ('q1'): need len_long >= len_short >= 0, got 500.0 / 600.0"),
+])
+def test_load_benchmark_locates_a_bad_item(tmp_path, field, raw, message):
+    good = {"item_id": "q0", "response_kind": "LOGISTIC", "t": 0.5, "a": 4.0,
+            "len_long": 500.0, "len_short": 100.0}
+    bad = json.dumps({**good, "item_id": "q1", field: "@"}).replace('"@"', raw)
+    path = tmp_path / "bench.json"
+    path.write_text(f"[{json.dumps(good)}, {bad}]")
+    with pytest.raises(ValueError) as info:
+        load_benchmark(path)
+    assert str(info.value).startswith(f"{path}: {message}")
 
 
 def test_load_benchmark_malformed_entry(tmp_path):
@@ -601,6 +692,24 @@ def test_load_records_failed_parse_writes_no_index(tmp_path):
     before = index.read_bytes()
     path.write_text(GRID + MORE + _record("m0", "q0"))  # a repeat of line 1
     with pytest.raises(RecordFormatError, match="line 17: duplicate record for candidate 'm0'"):
+        load_record_evaluations(path, index=index)
+    assert index.read_bytes() == before
+
+
+def test_load_records_invalid_utf8_is_located_and_writes_no_index(tmp_path):
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    bad = _record("m0", "q9").encode().replace(b"q9", b"q\xff")
+    located = rf"^{re.escape(str(path))}: line 13: not valid UTF-8: .* byte 0xff in position 36"
+    path.write_bytes(GRID.encode() + bad)
+    with pytest.raises(RecordFormatError, match=located):  # a fresh parse
+        load_record_evaluations(path, index=index)
+    assert not index.exists()
+
+    path.write_text(GRID)
+    load_record_evaluations(path, index=index)
+    before = index.read_bytes()
+    path.write_bytes(GRID.encode() + bad)
+    with pytest.raises(RecordFormatError, match=located):  # resumed after line 12
         load_record_evaluations(path, index=index)
     assert index.read_bytes() == before
 
