@@ -144,18 +144,24 @@ class SimulatedBenchmark:
                 raise ValueError(f"item {pos}: item_id must be a non-empty string, got {iid!r}")
             if self._index.setdefault(iid, pos) != pos:
                 raise ValueError(f"item {pos}: item id {iid!r} repeats item {self._index[iid]}")
-        raw = dict(zip(("kinds", *_NUMBER_FIELDS), map(np.asarray, (kinds, t, a, len_long, len_short))))
+        given = dict(zip(("kinds", *_NUMBER_FIELDS), (kinds, t, a, len_long, len_short)))
+        raw = {name: np.asarray(values) for name, values in given.items()}
         for name, col in raw.items():
             if col.shape != (len(self),) or col.dtype.kind == "O":
                 raise ValueError(f"{name} must hold one number per item, got {col.dtype}{list(col.shape)}")
-        # Every entry of a bool or string column is no number, so each one fails.
+        # numpy reads a bool among numbers as 0 or 1, so those bools are found in
+        # what was given; they and every entry of a bool or string column are no number
+        mixed = {name: np.array([isinstance(v, (bool, np.bool_)) for v in given[name]], dtype=bool)
+                 if col.dtype.kind in "iuf" and not isinstance(given[name], np.ndarray)
+                 else np.zeros(len(self), dtype=bool) for name, col in raw.items()}
         t, a, len_long, len_short = numbers = [
-            col.astype(np.float64) if col.dtype.kind in "iuf" else np.full(len(self), np.nan)
-            for col in (raw[name] for name in _NUMBER_FIELDS)
+            np.where(mixed[name], np.nan, raw[name].astype(np.float64))
+            if raw[name].dtype.kind in "iuf" else np.full(len(self), np.nan)
+            for name in _NUMBER_FIELDS
         ]
         rules = [  # (the items that pass, the message, the columns it quotes)
-            (np.isin(raw["kinds"], range(len(RESPONSE_KINDS))) & (raw["kinds"].dtype.kind in "iu"),
-             f"kind must be a code into {RESPONSE_KINDS}, got {{!r}}", "kinds"),
+            (np.isin(raw["kinds"], range(len(RESPONSE_KINDS))) & (raw["kinds"].dtype.kind in "iu")
+             & ~mixed["kinds"], f"kind must be a code into {RESPONSE_KINDS}, got {{!r}}", "kinds"),
             *((np.isfinite(col), f"{name} must be a finite number, got {{!r}}", name)
               for name, col in zip(_NUMBER_FIELDS, numbers)),
             ((0.0 <= t) & (t <= 1.0), "t must lie in [0, 1], got {!r}", "t"),
@@ -167,8 +173,8 @@ class SimulatedBenchmark:
         if bad.size:
             i = int(bad[0])
             message, *names = next(rest for ok, *rest in rules if not ok[i])
-            raise ValueError(f"item {i} ({self.item_ids[i]!r}): "
-                             + message.format(*(raw[name].item(i) for name in names)))
+            raise ValueError(f"item {i} ({self.item_ids[i]!r}): " + message.format(
+                *(bool(raw[name][i]) if mixed[name][i] else raw[name].item(i) for name in names)))
         self.kinds = raw["kinds"].astype(np.int8)
         self.t, self.a, self.len_long, self.len_short = numbers
         for col in (self.kinds, *numbers):

@@ -8,9 +8,10 @@ returns, so a loaded endpoint is read straight from its file when a tensor
 of the merge is saved or looked up; ``merge_tensor`` is its array form. All
 arithmetic runs in float32 with a fixed expression per operator so the
 results are reproducible bit-for-bit. TA and linear take one pass and hold
-only blocks. TIES takes two: the first writes its sort key into one
-tensor-sized array and partitions it in place to find its threshold, the
-second writes the merged values. Endpoints come back exactly at lam 0/1 only
+only blocks. TIES takes two: the first writes a uint32 rank key per entry
+into one tensor-sized array and partitions it as integers to find its
+threshold, the second remakes the keys per block and selects bitwise between
+the merged value and system2's. Endpoints come back exactly at lam 0/1 only
 for finite inputs: under ``merge --no-validate`` a non-finite entry of the
 other endpoint makes the result NaN there (``0 * inf`` and ``0 * nan`` are
 NaN).
@@ -113,7 +114,7 @@ def merge_tensor(genotype: Genotype, s2: np.ndarray, s1: np.ndarray) -> np.ndarr
     streams (see :func:`_merged_blocks` for the TIES passes): it merges the
     pair as two one-tensor checkpoints. The output is the only tensor-sized
     array it allocates: the kernel writes its blocks straight into it, and
-    TIES uses it for its sort key before that.
+    TIES holds its uint32 rank keys there before that.
     """
     merged = decode_genotype(genotype, Checkpoint({"t": s2}), Checkpoint({"t": s1}))
     return merged.tensors["t"]
@@ -130,17 +131,15 @@ def _merged_blocks(genotype, n: int, src2, src1, out=None) -> Iterator[np.ndarra
     ``out`` when a flat output array is given. TA and linear take one pass.
 
     TIES takes two passes over the sources and keeps the first ceil(k*n)
-    entries of a stable sort of -|tau|, found without sorting. Pass 1 writes
-    -|tau| into an n-element key (``out`` when given) and partitions it in
-    place: the threshold t lands in slot ceil(k*n) - 1, and the entries
-    strictly before t (kept whatever their index) all lie in the slots ahead
-    of it, where they are counted. Pass 2 recomputes -|tau| block by block,
-    keeps the entries before t, gives the remaining slots to the entries
-    equal to t, lowest flat index first, and writes the merged values. NaN
-    displacements (possible only when loading skipped validation) rank after
-    every number, so they are kept only when ceil(k*n) exceeds the count of
-    non-NaN entries, again lowest index first. The key is the only
-    tensor-sized array; the rest of the scratch is a few blocks.
+    entries of a stable sort of -|tau| (NaN last), found without sorting by
+    their uint32 ``_rank_key``. Pass 1 writes the keys into an
+    n-element uint32 array (``out`` when given) and partitions it in place:
+    the threshold t lands in slot ceil(k*n) - 1, and the keys below t (kept
+    whatever their index) all lie in the slots ahead of it, where they are
+    counted. Pass 2 remakes the keys block by block, keeps those below t,
+    gives the remaining slots to the keys equal to t, lowest flat index
+    first, and selects bitwise between the merged value and s2. The keys are
+    the only tensor-sized array; the rest of the scratch is a few blocks.
     """
     size = min(checkpoint.BLOCK, n)
     buf, scratch = (np.empty(size, dtype=np.float32) for _ in range(2))
@@ -152,30 +151,25 @@ def _merged_blocks(genotype, n: int, src2, src1, out=None) -> Iterator[np.ndarra
     ties = genotype.kind == MergeKind.TIES
     if ties:
         keep_count = min(n, math.ceil(genotype.values[1] * n))
-        key = np.empty(n, dtype=np.float32) if out is None else out
-        for b, b2, b1 in zip(block_slices(n), src2(), src1()):  # pass 1: -|tau| into the key
-            _neg_abs_tau(b2, b1, key[b])
+        key = np.empty(n, dtype=np.uint32) if out is None else out.view(np.uint32)
+        for b, b2, b1 in zip(block_slices(n), src2(), src1()):  # pass 1: the keys
+            _rank_key(b2, b1, key[b])
         key.partition(keep_count - 1)
         t = key[keep_count - 1]
-        nan_t = bool(np.isnan(t))
         keep_scratch, tie_scratch = (np.empty(size, dtype=bool) for _ in range(2))
-        # every entry ranked before t now lies ahead of t's slot; the rest of
-        # the keep_count slots go to entries equal to t (NaN when t is NaN)
+        # every key below t now lies ahead of t's slot; the rest of the
+        # keep_count slots go to the keys equal to t
         spare = keep_count - sum(
-            np.count_nonzero(_before(key[b], t, nan_t, keep_scratch))
+            np.count_nonzero(np.less(key[b], t, out=keep_scratch[: b.stop - b.start]))
             for b in block_slices(keep_count - 1)
         )
         del key  # pass 2 does not read it
     for b, b2, b1 in zip(block_slices(n), src2(), src1()):  # the merged values
         if ties:  # pass 2: the mask, made before the weighted sum reuses scratch
-            neg = _neg_abs_tau(b2, b1, scratch)
-            keep = _before(neg, t, nan_t, keep_scratch)
+            k = _rank_key(b2, b1, scratch.view(np.uint32))
+            keep = np.less(k, t, out=keep_scratch[: k.size])
             if spare:  # lowest flat index first
-                tie = tie_scratch[: neg.size]
-                if nan_t:
-                    np.isnan(neg, out=tie)
-                else:
-                    np.equal(neg, t, out=tie)
+                tie = np.equal(k, t, out=tie_scratch[: k.size])
                 n_ties = np.count_nonzero(tie)
                 if n_ties <= spare:
                     np.logical_or(keep, tie, out=keep)
@@ -184,8 +178,12 @@ def _merged_blocks(genotype, n: int, src2, src1, out=None) -> Iterator[np.ndarra
                 spare -= min(n_ties, spare)
         merged = buf[: b2.size] if out is None else out[b]
         _weighted_sum(w2, b2, w1, b1, merged, scratch)
-        if ties:
-            np.copyto(merged, b2, where=np.logical_not(keep, out=keep))
+        if ties:  # merged where kept, else s2's bits: s2 ^ ((merged ^ s2) & mask)
+            m, v2, select = (a.view(np.uint32) for a in (merged, b2, scratch[: b2.size]))
+            np.multiply(keep, np.uint32(0xFFFFFFFF), out=select)
+            np.bitwise_xor(m, v2, out=m)
+            np.bitwise_and(m, select, out=m)
+            np.bitwise_xor(m, v2, out=m)
         yield merged
 
 
@@ -202,24 +200,19 @@ def _weighted_sum(w2, s2, w1, s1, out, scratch) -> None:
         np.add(out, w1_s1, out=out)
 
 
-def _neg_abs_tau(s2, s1, scratch) -> np.ndarray:
-    """``-|s1 - s2|``, the TIES sort key, written into the head of ``scratch``."""
-    neg = scratch[: s2.size]
-    with np.errstate(invalid="ignore"):
-        np.subtract(s1, s2, out=neg)
-    np.abs(neg, out=neg)
-    return np.negative(neg, out=neg)
+def _rank_key(s2, s1, out) -> np.ndarray:
+    """``0x7F800000 - bits(|s1 - s2|)``, the TIES rank, in the head of uint32 ``out``.
 
-
-def _before(neg, t, nan_t: bool, scratch) -> np.ndarray:
-    """Mask of the entries of ``neg`` ranked strictly before the threshold ``t``.
-
-    NaN ranks after every number, so a NaN ``t`` has every number before it.
+    It ascends as |tau| descends (infinity is 0, either zero ``0x7F800000``)
+    and ties exactly where |tau| does; every NaN wraps past that and is
+    clamped to ``0x7F800001``, after every number.
     """
-    mask = scratch[: neg.size]
-    if nan_t:
-        return np.logical_not(np.isnan(neg, out=mask), out=mask)
-    return np.less(neg, t, out=mask)
+    key = out[: s2.size]
+    with np.errstate(invalid="ignore"):
+        np.subtract(s1, s2, out=key.view(np.float32))
+    np.bitwise_and(key, np.uint32(0x7FFFFFFF), out=key)
+    np.subtract(np.uint32(0x7F800000), key, out=key)
+    return np.minimum(key, np.uint32(0x7F800001), out=key)
 
 
 def decode_genotype(genotype: Genotype, system2: Checkpoint, system1: Checkpoint) -> Checkpoint:
@@ -230,8 +223,8 @@ def decode_genotype(genotype: Genotype, system2: Checkpoint, system1: Checkpoint
     follow system2's order. Its ``blocks`` hook is the kernel, which draws
     each of its passes from both endpoints' ``blocks`` hooks, so a loaded
     endpoint is read straight from its file, one block at a time, and
-    ``save_checkpoint`` of the result holds a few blocks (plus TIES's sort
-    key) and no whole tensor; a lookup merges the whole tensor into a new
+    ``save_checkpoint`` of the result holds a few blocks (plus TIES's rank
+    keys) and no whole tensor; a lookup merges the whole tensor into a new
     array.
     """
     genotype.validate()

@@ -216,6 +216,13 @@ def test_benchmark_constructor_rejects_a_bad_item_and_names_it(fields):
     ([("a", 0.0, 0.1, 1.0, 9.0, 1.0)], "item 0 ('a'): kind must be a code into"),
     ([("a", UP, math.nan, -1.0, 9.0, 1.0)], "item 0 ('a'): t must be a finite number, got nan"),
     ([("a", UP, "0.5", 1.0, 9.0, 1.0)], "item 0 ('a'): t must be a finite number, got '0.5'"),
+    # numpy reads a bool among numbers as 0 or 1; it is refused all the same
+    ([("a", UP, 0.5, 1.0, 9.0, 1.0), ("b", UP, True, 1.0, 9.0, 1.0)],
+     "item 1 ('b'): t must be a finite number, got True"),
+    ([("a", UP, 0.5, 1.0, 9.0, 1.0), ("b", True, 0.5, 1.0, 9.0, 1.0)],
+     "item 1 ('b'): kind must be a code into ('THRESHOLD_UP', 'THRESHOLD_DOWN', 'LOGISTIC'), got True"),
+    ([("a", UP, 0.5, 1.0, 9.0, 1.0), ("b", UP, 0.5, 1.0, 9.0, np.bool_(False))],
+     "item 1 ('b'): len_short must be a finite number, got False"),
     ([("a", UP, 0.1, 1.0, 9.0, 1.0), ("b", UP, 0.2, 1.0, 9.0, 1.0), ("a", UP, 0.3, 1.0, 9.0, 1.0)],
      "item 2: item id 'a' repeats item 0"),
 ])

@@ -12,6 +12,7 @@ from paretomerge.errors import CompatibilityError, GenotypeError
 from paretomerge.merge import (
     Genotype,
     MergeKind,
+    _rank_key,
     decode_genotype,
     merge_tensor,
 )
@@ -171,7 +172,14 @@ def test_ties_nan_entries_follow_every_number(merge_block):
     assert np.isnan(merged).tolist() == [True, True, False, False]
 
 
-TIE_VALUES = [0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, np.nan]
+def f32(bits):
+    """The float32 with the given bit pattern."""
+    return np.array(bits, dtype=np.uint32).view(np.float32)[()]
+
+
+SUBNORMAL = f32(0x00000003)
+TIE_VALUES = [0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, np.nan,
+              f32(0xFFC00000), f32(0x7FC01234), SUBNORMAL]  # negative NaN, payload NaN
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None,
@@ -185,9 +193,42 @@ TIE_VALUES = [0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, np.nan]
 def test_ties_mask_equals_stable_argsort_property(merge_block, shape, data, lam, k):
     n = math.prod(shape)
     tau = data.draw(st.lists(st.sampled_from(TIE_VALUES), min_size=n, max_size=n))
-    base = data.draw(st.lists(st.sampled_from([0.0, 0.5, -2.0]), min_size=n, max_size=n))
+    base = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, -2.0, SUBNORMAL]), min_size=n, max_size=n))
     s2 = np.array(base, dtype=np.float32).reshape(shape)
     assert_ties_matches_oracle(s2, s2 + np.array(tau, dtype=np.float32).reshape(shape), lam, k)
+
+
+# zeros, subnormals, the largest finite, infinities and NaNs of both signs,
+# with the quiet bit and without, and with payloads
+SPECIAL_BITS = [0x00000000, 0x80000000, 0x00000001, 0x807FFFFF, 0x00800000, 0x3F800000,
+                0xBF800000, 0x7F7FFFFF, 0xFF7FFFFF, 0x7F800000, 0xFF800000, 0x7FC00000,
+                0xFFC00000, 0x7F800001, 0xFFFFFFFF, 0x7FC01234]
+BITS = st.one_of(st.integers(0, 2**32 - 1), st.sampled_from(SPECIAL_BITS))
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(x=BITS, y=BITS)
+def test_rank_key_orders_as_stable_argsort_of_neg_abs(x, y):
+    # both arrangements of the pair sort alike only if the keys tie exactly
+    # where the magnitudes do, and order strictly where they do
+    pair = np.array([x, y], dtype=np.uint32).view(np.float32)
+    key = _rank_key(np.zeros(2, dtype=np.float32), pair, np.empty(2, dtype=np.uint32))
+    assert key.dtype == np.uint32
+    for order in ([0, 1], [1, 0]):
+        with np.errstate(invalid="ignore"):
+            want = np.argsort(-np.abs(pair[order]), kind="stable")
+        assert np.argsort(key[order], kind="stable").tolist() == want.tolist()
+
+
+def test_rank_key_fixed_points():
+    values = np.array(SPECIAL_BITS, dtype=np.uint32).view(np.float32)
+    key = dict(zip(SPECIAL_BITS, _rank_key(np.zeros_like(values), values,
+                                           np.empty(values.size, dtype=np.uint32)).tolist()))
+    assert key[0x7F800000] == key[0xFF800000] == 0  # infinity first
+    assert key[0x00000000] == key[0x80000000] == 0x7F800000  # both zeros tie
+    assert key[0x00000001] == 0x7F7FFFFF  # the smallest subnormal just ahead of them
+    nan_keys = {key[b] for b in (0x7FC00000, 0xFFC00000, 0x7F800001, 0xFFFFFFFF, 0x7FC01234)}
+    assert nan_keys == {0x7F800001}  # every NaN ties, after every number
 
 
 @pytest.mark.parametrize("kind, values", [

@@ -193,6 +193,24 @@ def test_shapes_compatibility_and_header_look_up_no_tensor(tmp_path):
     assert calls == ["a"] * 4 + ["b"] * 4 + ["c"] * 4
 
 
+@pytest.mark.parametrize("kind, values, passes", [
+    (MergeKind.TA, (0.3,), 1),
+    (MergeKind.LINEAR, (0.6, 0.5), 1),
+    (MergeKind.TIES, (0.5, 0.2), 2),
+    (MergeKind.TIES, (0.5, 1.0), 2),
+])
+def test_merge_draws_a_fixed_number_of_passes_from_each_endpoint(merge_block, kind, values, passes):
+    rng = np.random.default_rng(3)
+    endpoints = [Checkpoint({n: rng.standard_normal(s) for n, s in SHAPES.items()}) for _ in range(2)]
+    calls2, calls1 = [], []
+    s2, s1 = counting(endpoints[0], calls2), counting(endpoints[1], calls1)
+    merged = decode_genotype(Genotype(kind, values), s2, s1)
+    for name in merged.tensors:
+        merged.tensors[name]
+    expected = [name for name in SHAPES for _ in range(passes)]
+    assert calls2 == expected and calls1 == expected
+
+
 def test_incompatible_endpoints_raise_before_any_lookup(tmp_path):
     p2, _ = write_endpoints(tmp_path)
     p1 = tmp_path / "other.pmrg"
