@@ -303,14 +303,21 @@ def _cmd_evolve(args) -> int:
     # history.jsonl only grows, so each entry is encoded once and the file is
     # rewritten from the cached lines. The last call leaves the final files.
     history_lines: list[str] = []
+    # The front of the history so far. A point left out of it stays dominated,
+    # or repeats the fitness of an earlier member, so the front of this front
+    # followed by the new points is the front of the whole history.
+    running_front: list[HistoryEntry] = []
 
     def on_generation(history: list[HistoryEntry], gen: int) -> None:
-        history_lines.extend(_history_line(e) for e in history[len(history_lines):])
+        nonlocal running_front
+        new = history[len(history_lines):]
+        history_lines.extend(_history_line(e) for e in new)
         write_atomic(out_dir / "history.jsonl", "".join(history_lines).encode("utf-8"))
         if history:
             from .nsga2 import extract_pareto
 
-            _write_pareto_atomic(out_dir / "pareto.json", extract_pareto(history))
+            running_front = extract_pareto(running_front + new)
+            _write_pareto_atomic(out_dir / "pareto.json", running_front)
 
     try:
         subset_ids = _resolve_subset(subset_block, bench, records, out_dir)

@@ -132,7 +132,9 @@ class SimulatedBenchmark:
     ids are unique non-empty strings, numbers are finite (a bool or string is
     no number; an object column is refused whole), ``t`` lies in [0, 1],
     ``a > 0`` and ``len_long >= len_short >= 0``. A ``ValueError`` names the
-    first bad item.
+    first bad item. A logistic item's id must also encode as UTF-8, since its
+    draws are keyed by those bytes; one that does not (a lone surrogate)
+    raises ``UnicodeEncodeError``.
     """
 
     def __init__(self, item_ids, kinds, t, a, len_long, len_short, noise_seed: int = 0):
@@ -177,9 +179,17 @@ class SimulatedBenchmark:
                 *(bool(raw[name][i]) if mixed[name][i] else raw[name].item(i) for name in names)))
         self.kinds = raw["kinds"].astype(np.int8)
         self.t, self.a, self.len_long, self.len_short = numbers
-        for col in (self.kinds, *numbers):
+        # Per rule, the items it scores; threshold items also keep their t, and
+        # logistic items their (a, t) as floats and the UTF-8 key prefix of their draws.
+        self._up, self._down, self._logistic = (
+            np.flatnonzero(self.kinds == kind) for kind in (_UP, _DOWN, _LOGISTIC))
+        self._t_up, self._t_down = self.t[self._up], self.t[self._down]
+        for col in (self.kinds, *numbers, self._up, self._down, self._logistic,
+                    self._t_up, self._t_down):
             col.flags.writeable = False
-        self._logistic_idx = np.flatnonzero(self.kinds == _LOGISTIC)
+        self._slopes = tuple(zip(self.a[self._logistic].tolist(), self.t[self._logistic].tolist()))
+        self._draw_keys = tuple(f"{self.item_ids[i]}:".encode("utf-8")
+                                for i in self._logistic.tolist())
 
     def __len__(self) -> int:
         return len(self.item_ids)
@@ -195,18 +205,22 @@ class SimulatedBenchmark:
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1], got {lam}")
         out = np.zeros(len(self), dtype=np.int8)
-        up = self.kinds == _UP
-        down = self.kinds == _DOWN
-        out[up] = lam >= self.t[up]
-        out[down] = lam <= self.t[down]
-        for i in self._logistic_idx:
-            p = logistic_response(self.a[i], self.t[i], lam)
-            out[i] = _keyed_uniform(self.item_ids[i], lam, self.noise_seed) < p
+        out[self._up] = lam >= self._t_up
+        out[self._down] = lam <= self._t_down
+        if self._draw_keys:
+            # A logistic item's draw is keyed by (item, lambda bucket, seed), so
+            # the same candidate always gets the same outcome within one run:
+            # blake2b-64 of "{item_id}:{bucket}:{seed}", little-endian, / 2**64.
+            suffix = f"{round(lam * 1_000_000)}:{self.noise_seed}".encode("utf-8")
+            digests = b"".join(hashlib.blake2b(key + suffix, digest_size=8).digest()
+                               for key in self._draw_keys)
+            uniform = np.frombuffer(digests, "<u8") / 2.0**64
+            out[self._logistic] = uniform < [logistic_response(a, t, lam) for a, t in self._slopes]
         return out
 
     def length_vector(self, lam: float) -> np.ndarray:
         """Deterministic per-item output length, linear between the endpoints."""
-        return self.len_long + (self.len_short - self.len_long) * lam
+        return _lengths_at(self.len_long, self.len_short, lam)
 
     def outcomes(self, lam: float) -> Outcomes:
         """Every item's outcome at ``lam``, in benchmark order."""
@@ -224,12 +238,8 @@ def logistic_response(a: float, b: float, lam: float) -> float:
     return e / (1.0 + e)
 
 
-def _keyed_uniform(item_id: str, lam: float, seed: int) -> float:
-    # Deterministic draw keyed by (item, lambda bucket, seed): the same
-    # candidate always receives the same stochastic outcome within one run.
-    key = f"{item_id}:{round(lam * 1_000_000)}:{seed}".encode("utf-8")
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    return int.from_bytes(digest, "little") / 2.0**64
+def _lengths_at(len_long: np.ndarray, len_short: np.ndarray, lam: float) -> np.ndarray:
+    return len_long + (len_short - len_long) * lam
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +676,8 @@ class SimulatedFitness(FitnessEvaluator):
             self.subset_indices = np.array([bench.index_of(i) for i in subset_ids])
             if len(self.subset_indices) == 0:
                 raise ValueError("subset must contain at least one item")
+        self._len_long = bench.len_long[self.subset_indices]
+        self._len_short = bench.len_short[self.subset_indices]
 
     def coefficient_of(self, genotype: Genotype) -> float:
         if genotype.kind != MergeKind.TA:
@@ -678,7 +690,7 @@ class SimulatedFitness(FitnessEvaluator):
 
     def evaluate_at(self, lam: float) -> ObjectiveVector:
         correct = self.bench.correctness_vector(lam)[self.subset_indices]
-        lengths = self.bench.length_vector(lam)[self.subset_indices]
+        lengths = _lengths_at(self._len_long, self._len_short, lam)
         return ObjectiveVector(accuracy=float(correct.mean()), mean_length=float(lengths.mean()))
 
     def evaluate(self, genotype: Genotype) -> ObjectiveVector:

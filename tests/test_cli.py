@@ -368,6 +368,47 @@ def test_evolve_full_item_set_front_matches_history_pareto(tmp_path):
     ]
 
 
+def test_evolve_writes_the_front_of_each_history_prefix(tmp_path, monkeypatch):
+    """Each generation's pareto.json is the front of the history through it,
+    repeated fitness values keeping their first occurrence; front extraction
+    runs once per write plus once for the returned front."""
+    import paretomerge.nsga2 as nsga2
+    from paretomerge.evaluation import ObjectiveVector
+
+    fronts, extractions = [], []
+    write, extract = cli._write_pareto_atomic, nsga2.extract_pareto
+    monkeypatch.setattr(cli, "_write_pareto_atomic",
+                        lambda path, front: (fronts.append(list(front)), write(path, front))[1])
+    monkeypatch.setattr(nsga2, "extract_pareto",
+                        lambda history: (extractions.append(len(history)), extract(history))[1])
+    generations = 3
+    # SBX children past the narrow bounds are clamped onto them, so clamped
+    # candidates repeat a genotype, and with it a fitness, of an earlier one.
+    cfg_path, out_dir = evolve_config(tmp_path, "clamped", search={
+        "population_size": 8, "generations": generations, "seed": 0,
+        "genotype_bounds": [[0.45, 0.6]], "sbx": {"probability": 1.0, "eta": 5.0},
+        "mutation": {"per_variable_probability": 0.0},
+    })
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+
+    history = [
+        nsga2.HistoryEntry(
+            genotype=Genotype.from_dict(h["genotype"]),
+            fitness=ObjectiveVector(h["accuracy"], h["mean_length"]),
+            generation=h["generation"],
+        )
+        for h in map(json.loads, (out_dir / "history.jsonl").read_text().splitlines())
+    ]
+    assert len(fronts) == generations + 1
+    assert len(extractions) == generations + 2
+    for gen, front in enumerate(fronts):
+        assert front == extract([e for e in history if e.generation <= gen])
+    # The run covers the case that needs first occurrences: a later candidate
+    # repeats the fitness of a member of its generation's front.
+    assert [e for e in history for member in fronts[e.generation]
+            if member.generation < e.generation and member.fitness == e.fitness]
+
+
 def test_evolve_out_flag_overrides_config(tmp_path):
     cfg_path, _ = evolve_config(tmp_path, "ignored")
     override = tmp_path / "elsewhere"

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from paretomerge.errors import GenotypeError, MissingCandidatesError, RecordFormatError
@@ -118,6 +118,74 @@ def test_logistic_draws_deterministic_and_bucketed():
     b3 = bench_of(item, noise_seed=4)
     r3 = [b3.correctness_vector(float(l))[0] for l in lams]
     assert r1 != r3
+
+
+def slow_correctness(bench, lam):
+    """The simulator's rules one item at a time: the oracle for ``correctness_vector``."""
+    out = []
+    for iid, kind, t, a in zip(bench.item_ids, bench.kinds.tolist(), bench.t.tolist(),
+                               bench.a.tolist()):
+        if kind == UP:
+            out.append(lam >= t)
+        elif kind == DOWN:
+            out.append(lam <= t)
+        else:
+            key = f"{iid}:{round(lam * 1_000_000)}:{bench.noise_seed}".encode("utf-8")
+            digest = hashlib.blake2b(key, digest_size=8).digest()
+            out.append(int.from_bytes(digest, "little") / 2.0**64 < logistic_response(a, t, lam))
+    return np.array(out, dtype=np.int8)
+
+
+ITEM_KINDS = ((UP, DOWN, LOGISTIC), (UP, DOWN), (LOGISTIC,))  # mixed, no logistic, only logistic
+
+
+@st.composite
+def simulated_benchmarks(draw):
+    kinds = draw(st.sampled_from(ITEM_KINDS))
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=12, unique=True))
+    seed = draw(st.one_of(st.integers(max_value=-1), st.just(0),
+                          st.integers(min_value=2**63 + 1), st.integers()))
+    return bench_of(*((iid, draw(st.sampled_from(kinds)), draw(st.floats(0.0, 1.0)),
+                       draw(st.floats(0.5, 20.0)), 1000.0, 100.0) for iid in ids),
+                    noise_seed=seed)
+
+
+lambdas = st.one_of(st.sampled_from([0.0, 1.0]),
+                    st.integers(0, 999_999).map(lambda k: (k + 0.5) / 1e6),
+                    st.floats(0.0, 1.0))
+
+
+def logistic_bench(ids, noise_seed, kinds=(LOGISTIC,)):
+    return bench_of(*((iid, kind, 0.5, 6.0, 1000.0, 100.0)
+                      for iid, kind in zip(ids, kinds * len(ids))), noise_seed=noise_seed)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(bench=simulated_benchmarks(), lams=st.lists(lambdas, min_size=1, max_size=8))
+@example(bench=logistic_bench(["é", "題-2", "🙂", "q"], -7), lams=[0.0, 1.0, 0.4999995])
+@example(bench=logistic_bench(["a", "b"], 2**64 + 3, (UP, DOWN)), lams=[0.0, 0.5, 1.0])
+@example(bench=logistic_bench(["a", "ü", "c"], 0, (UP, LOGISTIC, DOWN)), lams=[0.1234565])
+def test_correctness_vector_matches_the_item_by_item_oracle(bench, lams):
+    for lam in lams:
+        got = bench.correctness_vector(lam)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, slow_correctness(bench, lam))
+
+
+def test_logistic_draws_vary_with_the_lambda_bucket_and_seed():
+    """The oracle property needs outcomes that a wrong key would change."""
+    ids = [f"i{k}" for k in range(64)]
+    outcomes = [bench.correctness_vector(lam) for bench, lam in (
+        (logistic_bench(ids, 5), 0.5), (logistic_bench(ids, 5), 0.500001), (logistic_bench(ids, 6), 0.5))]
+    assert len({o.tobytes() for o in outcomes}) == 3
+    assert all(0 < o.sum() < 64 for o in outcomes)
+
+
+def test_logistic_item_id_must_encode_as_utf8():
+    # Its draws are keyed by the id's UTF-8 bytes, which a lone surrogate lacks.
+    with pytest.raises(UnicodeEncodeError):
+        logistic_bench(["\ud800"], 0)
+    assert logistic_bench(["\ud800"], 0, (UP,)).correctness_vector(0.5).tolist() == [1]
 
 
 def test_outcomes_objectives_examples():
