@@ -27,6 +27,7 @@ from .evaluation import (
     SimulatedFitness,
     candidate_id,
     generate_benchmark,
+    is_id_list,
     is_json_number,
     load_benchmark,
     load_json,
@@ -368,12 +369,6 @@ def _is_bounds(value) -> bool:
     )
 
 
-def _is_item_ids(value) -> bool:
-    # Strings are checked first: ``set`` of a list that holds a list raises.
-    strings = isinstance(value, list) and all(isinstance(i, str) and i for i in value)
-    return strings and 0 < len(set(value)) == len(value)
-
-
 # Predicates on a field's exact JSON value, with the phrase its error uses:
 # ``true`` is no number and 5.9 no integer.
 _INT = (lambda v: type(v) is int, "an integer")
@@ -403,7 +398,7 @@ _CONFIG = {
         "size": _SIZE,
         "seed": _SEED,
         "calibration_k": _SIZE,
-        "item_ids": (_is_item_ids, "a non-empty list of unique, non-empty strings"),
+        "item_ids": (lambda v: is_id_list(v) and len(v) > 0, "a non-empty list of unique, non-empty strings"),
     },
     "evaluator": {"simulated": {
         "benchmark": _STRING, "n_items": _SIZE, "generator_seed": _SEED, "noise_seed": _INT,
@@ -521,7 +516,9 @@ _CALIBRATION_KEY_TAG = b"paretomerge calibration key 1"
 def _calibration_key(strategy, size, seed, grid, rows: dict[str, Outcomes]) -> str:
     """blake2b over everything the matrix and the subset depend on: the
     selection parameters, the grid and each grid candidate's records in
-    loader order. Every field is length-prefixed, so the encoding is unambiguous."""
+    loader order, lengths too: the matrix holds none, so an edited length costs
+    one rebuild that writes the same files. Every field is length-prefixed, so
+    the encoding is unambiguous."""
     h = hashlib.blake2b(digest_size=32)
 
     def put(data: bytes) -> None:

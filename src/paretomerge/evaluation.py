@@ -344,6 +344,13 @@ def load_benchmark(path, noise_seed: int = 0) -> SimulatedBenchmark:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def is_id_list(value) -> bool:
+    """A list of unique non-empty strings (an empty list is one)."""
+    # Strings are checked first: ``set`` of a list that holds a list raises.
+    strings = isinstance(value, list) and all(isinstance(i, str) and i for i in value)
+    return strings and len(set(value)) == len(value)
+
+
 def is_json_number(value) -> bool:
     """An exact ``int`` or ``float`` (``true`` and "Infinity" are no numbers)
     with a finite float64 value: NaN, ±Infinity and integers beyond the float64

@@ -19,38 +19,34 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .errors import SubsetSelectionError
-from .evaluation import Outcomes, SimulatedBenchmark, candidate_id, load_json
+from .evaluation import Outcomes, SimulatedBenchmark, candidate_id, is_id_list, load_json
 from .merge import Genotype, MergeKind
 
 
 @dataclass
 class CorrectnessMatrix:
-    """K models x n items binary outcomes, with matching token lengths."""
+    """K models x n items binary outcomes: ``correct[k, i]`` is 1 when model
+    ``model_ids[k]`` solved item ``item_ids[i]``. Each id list holds unique
+    non-empty strings. No lengths: entropy ranks items by solve rate alone."""
 
     model_ids: list[str]
     item_ids: list[str]
     correct: np.ndarray
-    lengths: np.ndarray
 
     def __post_init__(self):
-        correct, lengths = np.asarray(self.correct), np.asarray(self.lengths)
+        for name, ids in (("model_ids", self.model_ids), ("item_ids", self.item_ids)):
+            if not is_id_list(ids):
+                raise ValueError(f"{name} must be a list of unique non-empty strings")
+        correct = np.asarray(self.correct)
         k, n = len(self.model_ids), len(self.item_ids)
         if k < 2:
             raise ValueError(f"calibration needs at least 2 models, got {k}")
-        if len(set(self.model_ids)) != k or len(set(self.item_ids)) != n:
-            raise ValueError("model and item ids must be unique")
-        if correct.shape != (k, n) or lengths.shape != (k, n):
-            raise ValueError(
-                f"matrix shapes must be ({k}, {n}), got correct {correct.shape} "
-                f"and lengths {lengths.shape}"
-            )
-        # Checked before the casts, which would turn 0.5 and 256 into 0.
+        if correct.shape != (k, n):
+            raise ValueError(f"correct must have shape ({k}, {n}), got {correct.shape}")
+        # Checked before the cast, which would turn 0.5 and 256 into 0.
         if correct.dtype.kind not in "iuf" or not np.isin(correct, (0, 1)).all():
             raise ValueError("correctness entries must be binary (0 or 1)")
-        if lengths.dtype.kind not in "iuf" or not (np.isfinite(lengths) & (lengths >= 0)).all():
-            raise ValueError("lengths must be finite numbers >= 0")
         self.correct = correct.astype(np.int8, copy=False)
-        self.lengths = lengths.astype(np.float64, copy=False)
         self._item_index = {iid: i for i, iid in enumerate(self.item_ids)}
 
     def column(self, item_id: str) -> np.ndarray:
@@ -61,28 +57,19 @@ class CorrectnessMatrix:
 
 
 def save_matrix(matrix: CorrectnessMatrix, path) -> None:
-    payload = {
-        "model_ids": list(matrix.model_ids),
-        "item_ids": list(matrix.item_ids),
-        "correct": matrix.correct.tolist(),
-        "lengths": matrix.lengths.tolist(),
-    }
+    payload = {"model_ids": matrix.model_ids, "item_ids": matrix.item_ids, "correct": matrix.correct.tolist()}
     write_atomic(path, json.dumps(payload).encode("utf-8"))
 
 
 def load_matrix(path) -> CorrectnessMatrix:
-    """Read a matrix file; a malformed file or entry is a ``ValueError`` naming ``path``."""
+    """Read a ``save_matrix`` file, ignoring keys it does not read (an older file's ``lengths``).
+    A malformed file or entry is a ``ValueError`` naming ``path``."""
     payload = load_json(path)
     try:
         # On the JSON values: numpy would cast a row like [true, 1] to integers.
-        if any(type(v) is bool for key in ("correct", "lengths") for row in payload[key] for v in row):
-            raise ValueError("correct and lengths entries must be numbers, not booleans")
-        return CorrectnessMatrix(
-            model_ids=list(payload["model_ids"]),
-            item_ids=list(payload["item_ids"]),
-            correct=np.array(payload["correct"]),
-            lengths=np.array(payload["lengths"]),
-        )
+        if any(type(v) is bool for row in payload["correct"] for v in row):
+            raise ValueError("correct entries must be numbers, not booleans")
+        return CorrectnessMatrix(payload["model_ids"], payload["item_ids"], np.array(payload["correct"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed matrix file: {exc}") from exc
 
@@ -152,7 +139,6 @@ def build_calibration_matrix(
         model_ids=[candidate_id(Genotype(MergeKind.TA, (lam,))) for lam in grid],
         item_ids=list(rows[0].item_ids),
         correct=np.stack([row.correct for row in rows]),
-        lengths=np.stack([row.lengths for row in rows]),
     )
 
 

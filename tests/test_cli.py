@@ -168,7 +168,7 @@ def test_calibrate_needs_exactly_one_source(tmp_path):
 def test_calibrate_simulated_matrix_digest(tmp_path):
     out = tmp_path / "m.json"
     assert main(["calibrate", "--gen-seed", "0", "--n-items", "200", "--out", str(out)]) == 0
-    assert sha16(out) == "1a8f0a0f0b698745"
+    assert sha16(out) == "47aadf31ea499588"
 
     # the generated benchmark itself, at 200 items and at the default 1000
     bench = tmp_path / "bench.json"
@@ -178,7 +178,7 @@ def test_calibrate_simulated_matrix_digest(tmp_path):
     assert main(["calibrate", "--gen-seed", "7", "--save-bench", str(bench),
                  "--out", str(out)]) == 0
     assert sha16(bench) == "f8e210c7e4dbda41"
-    assert sha16(out) == "32b006df773912fc"
+    assert sha16(out) == "191a052db2971c1e"
 
 
 def test_calibrate_records_matrix_and_manifest_digests(tmp_path):
@@ -196,7 +196,7 @@ def test_calibrate_records_matrix_and_manifest_digests(tmp_path):
 
     simulated_records_for(bench, grid, records_path)
     assert main(base) == 0
-    assert sha16(out) == "6b507919aef71a11"
+    assert sha16(out) == "71f67d0c5625001f"
 
 
 def test_calibrate_from_records_with_manifest_round_trip(tmp_path):
@@ -224,54 +224,77 @@ def test_calibrate_from_records_with_manifest_round_trip(tmp_path):
         assert row == bench.correctness_vector(g.values[0]).tolist()
 
 
-def test_sample_subset_disagreement_shortfall_is_domain_error(tmp_path):
-    # two items never flip between the endpoint rows: asking for 3 must fail
+def test_sample_subset_disagreement_shortfall_is_domain_error(tmp_path, capsys):
+    # item i0 never flips between the endpoint rows: asking for 3 must fail
     matrix_path = tmp_path / "m.json"
     matrix_path.write_text(json.dumps({
         "model_ids": ["m0", "m1"],
         "item_ids": ["i0", "i1", "i2"],
         "correct": [[1, 0, 1], [1, 1, 0]],
-        "lengths": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
     }))
     assert main(["sample-subset", "--matrix", str(matrix_path), "--strategy",
                  "disagreement", "--size", "3", "--out", str(tmp_path / "s.json")]) == 1
+    assert "only 2 items disagree at the endpoint rows, cannot select 3" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
 
 
 @pytest.mark.parametrize(
-    "correct,lengths",
+    "item_ids,correct",
     [
-        ("[[0.5, 1], [1, 0]]", "[[1, 1], [1, 1]]"),  # an int8 cast would read 0
-        ("[[0.9, 1], [1, 0]]", "[[1, 1], [1, 1]]"),
-        ("[[256, 1], [1, 0]]", "[[1, 1], [1, 1]]"),  # an int8 cast would wrap to 0
-        ("[[2, 1], [1, 0]]", "[[1, 1], [1, 1]]"),
-        ("[[true, 1], [1, 0]]", "[[1, 1], [1, 1]]"),  # mixed row: numpy reads 1
-        ("[[true, false], [false, true]]", "[[1, 1], [1, 1]]"),
-        ('[["1", 1], [1, 0]]', "[[1, 1], [1, 1]]"),
-        ("[[null, 1], [1, 0]]", "[[1, 1], [1, 1]]"),
-        ("[[NaN, 1], [1, 0]]", "[[1, 1], [1, 1]]"),
-        ("[[1, 0], [1, 0]]", "[[NaN, 1], [1, 1]]"),
-        ("[[1, 0], [1, 0]]", "[[Infinity, 1], [1, 1]]"),
-        ("[[1, 0], [1, 0]]", "[[-1, 1], [1, 1]]"),
-        ("[[1, 0], [1, 0]]", "[[true, 1], [1, 1]]"),
-        ("[[1, 0], [1]]", "[[1, 1], [1, 1]]"),  # ragged rows
-        ("[[1, 0], [1, 0]]", "[[1, 1], [1, 1, 1]]"),
-        ("[1, 0]", "[[1, 1], [1, 1]]"),
+        ('["i0", "i1"]', "[[0.5, 1], [1, 0]]"),  # an int8 cast would read 0
+        ('["i0", "i1"]', "[[0.9, 1], [1, 0]]"),
+        ('["i0", "i1"]', "[[256, 1], [1, 0]]"),  # an int8 cast would wrap to 0
+        ('["i0", "i1"]', "[[2, 1], [1, 0]]"),
+        ('["i0", "i1"]', "[[true, 1], [1, 0]]"),  # mixed row: numpy reads 1
+        ('["i0", "i1"]', "[[true, false], [false, true]]"),
+        ('["i0", "i1"]', '[["1", 1], [1, 0]]'),
+        ('["i0", "i1"]', "[[null, 1], [1, 0]]"),
+        ('["i0", "i1"]', "[[NaN, 1], [1, 0]]"),
+        ('["i0", "i1"]', "[[1, 0], [1]]"),  # ragged rows
+        ('["i0", "i1"]', "[1, 0]"),
+        ('"ab"', "[[1, 0], [0, 1]]"),  # list() would read the items a and b
+        ("[1, 2]", "[[1, 0], [0, 1]]"),
+        ('{"p": 1, "q": 2}', "[[1, 0], [0, 1]]"),  # list() would read the keys
+        ('["", "x"]', "[[1, 0], [0, 1]]"),
     ],
     ids=["half", "0.9", "256", "2", "mixed-true", "all-bool", "string", "null", "nan-correct",
-         "nan-length", "inf-length", "negative-length", "true-length", "ragged-correct",
-         "ragged-lengths", "flat-correct"],
+         "ragged-correct", "flat-correct", "string-ids", "int-ids", "dict-ids", "empty-id"],
 )
-def test_sample_subset_rejects_corrupt_matrix_entries(tmp_path, capsys, correct, lengths):
+def test_sample_subset_rejects_corrupt_matrix_entries(tmp_path, capsys, item_ids, correct):
     matrix_path = tmp_path / "m.json"
     matrix_path.write_text(
-        f'{{"model_ids": ["m0", "m1"], "item_ids": ["i0", "i1"], '
-        f'"correct": {correct}, "lengths": {lengths}}}'
+        f'{{"model_ids": ["m0", "m1"], "item_ids": {item_ids}, "correct": {correct}}}'
     )
     out = tmp_path / "s.json"
     assert main(["sample-subset", "--matrix", str(matrix_path), "--strategy", "entropy",
-                 "--size", "1", "--out", str(out)]) == 1
+                 "--size", "2", "--out", str(out)]) == 1
     assert f"{matrix_path}: malformed matrix file" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lengths", [
+    "[[812.0, 40.5, 7.0], [300.0, 12.0, 7.0]]",
+    "[[NaN, 1, 1], [1, 1, 1]]",
+    "[[Infinity, 1, 1], [1, 1, 1]]",
+    "[[-1, 1, 1], [1, 1, 1]]",
+    "[[true, 1, 1], [1, 1, 1]]",
+    "[[1, 1, 1], [1, 1, 1, 1]]",
+], ids=["finite", "nan", "inf", "negative", "true", "ragged"])
+def test_sample_subset_ignores_the_lengths_of_an_older_matrix_file(tmp_path, lengths):
+    """A matrix file written before the matrix dropped its lengths selects the
+    same subset as that file without them, whatever the lengths hold."""
+    body = '"model_ids": ["m0", "m1"], "item_ids": ["i0", "i1", "i2"], "correct": [[1, 0, 1], [1, 1, 0]]'
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    new.write_text(f"{{{body}}}")
+    old.write_text(f'{{{body}, "lengths": {lengths}}}')
+    for strategy in ("entropy", "random", "disagreement"):
+        subsets = []
+        for matrix_path in (new, old):
+            out = tmp_path / f"{matrix_path.stem}-{strategy}.subset.json"
+            assert main(["sample-subset", "--matrix", str(matrix_path), "--strategy", strategy,
+                         "--size", "2", "--out", str(out)]) == 0
+            subsets.append(out.read_bytes())
+        assert subsets[0] == subsets[1]
 
 
 def test_sample_subset_flow(tmp_path, capsys):
@@ -775,12 +798,12 @@ def run_dir_digests(tmp_path, run_dir) -> dict[str, str]:
 
 
 CALIBRATED_RUN_DIGESTS = {
-    "calibration.key": "c22a0523c7795e81",
+    "calibration.key": "367dfb67b3537ef4",
     "config.json": "7488f13490b4eb41",
     "front_points.csv": "287eb1b3b186cbf2",
     "history.jsonl": "12a622cbb21e1557",
     "manifest.jsonl": "47ec47bc48dcacef",
-    "matrix.json": "3521bc76ec507e10",
+    "matrix.json": "227c39ec37af8b31",
     "pareto.json": "b8c4c966d7a14895",
     "records.index": "4cff495659377329",
     "subset.json": "8eb7246244d44eb5",
@@ -832,6 +855,24 @@ def test_evolve_records_reuses_calibration_across_rounds(tmp_path, monkeypatch):
 def test_evolve_records_calibration_key_is_disposable(tmp_path, between_rounds):
     run_dir = run_calibrated_harness(tmp_path, between_rounds)
     assert run_dir_digests(tmp_path, run_dir) == CALIBRATED_RUN_DIGESTS
+
+
+def test_evolve_records_reuses_an_older_matrix_file_that_its_key_names(tmp_path, monkeypatch):
+    """A run directory written when matrix.json held lengths, whose key names
+    that file, is reused as it stands: no rebuild, and no file changes."""
+    run_dir = run_calibrated_harness(tmp_path)
+    matrix = json.loads((run_dir / "matrix.json").read_text())
+    lengths = [[812.5] * len(matrix["item_ids"])] * len(matrix["model_ids"])
+    (run_dir / "matrix.json").write_text(json.dumps({**matrix, "lengths": lengths}))
+    key = (run_dir / "calibration.key").read_text().split()[1]
+    (run_dir / "calibration.key").write_bytes(cli._calibration_key_file(key, run_dir))
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    calls = []
+    for name in ("build_calibration_matrix", "save_matrix", "select_subset"):
+        monkeypatch.setattr(cli, name, _first_call_only(getattr(cli, name), calls))
+    assert main(["evolve", "--config", str(calibrated_config(tmp_path)[0])]) == 0
+    assert calls == []
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
 
 def _edit_subset(**change):

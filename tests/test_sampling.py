@@ -29,23 +29,29 @@ def matrix_from_columns(p_columns, k=10):
     for p in p_columns:
         ones = int(round(p * k))
         cols.append([1] * ones + [0] * (k - ones))
-    correct = np.array(cols).T
-    lengths = np.full(correct.shape, 100.0)
     return CorrectnessMatrix(
         model_ids=[f"m{i}" for i in range(k)],
         item_ids=[f"item-{j}" for j in range(len(p_columns))],
-        correct=correct,
-        lengths=lengths,
+        correct=np.array(cols).T,
     )
 
 
 def test_matrix_invariants():
     with pytest.raises(ValueError, match="at least 2 models"):
-        CorrectnessMatrix(["m0"], ["i0"], np.array([[1]]), np.array([[1.0]]))
+        CorrectnessMatrix(["m0"], ["i0"], np.array([[1]]))
     with pytest.raises(ValueError, match="binary"):
-        CorrectnessMatrix(
-            ["m0", "m1"], ["i0"], np.array([[1], [2]]), np.array([[1.0], [1.0]])
-        )
+        CorrectnessMatrix(["m0", "m1"], ["i0"], np.array([[1], [2]]))
+    with pytest.raises(ValueError, match=r"shape \(2, 1\)"):
+        CorrectnessMatrix(["m0", "m1"], ["i0"], np.array([[1, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("field", ["model_ids", "item_ids"])
+@pytest.mark.parametrize("ids", ["ab", ("a", "b"), [1, 2], {"a": 1, "b": 2}, ["", "b"], ["a", "a"]],
+                         ids=["str", "tuple", "ints", "dict", "empty-id", "repeated"])
+def test_matrix_ids_must_be_lists_of_unique_non_empty_strings(field, ids):
+    fields = {"model_ids": ["m0", "m1"], "item_ids": ["i0", "i1"], field: ids}
+    with pytest.raises(ValueError, match=f"{field} must be a list of unique non-empty strings"):
+        CorrectnessMatrix(**fields, correct=np.array([[1, 0], [0, 1]]))
 
 
 def test_default_lambda_grid():
@@ -152,7 +158,7 @@ def test_select_subset_disagreement():
         ]
     )
     m = CorrectnessMatrix(
-        ["m0", "m1"], ["i0", "i1", "i2"], correct, np.full((2, 3), 1.0)
+        ["m0", "m1"], ["i0", "i1", "i2"], correct
     )
     subset = select_subset(m, SubsetStrategy.DISAGREEMENT, 2)
     assert list(subset.item_ids) == ["i1", "i2"]
@@ -193,7 +199,7 @@ def test_matrix_and_subset_round_trip(tmp_path):
     assert loaded.model_ids == m.model_ids
     assert loaded.item_ids == m.item_ids
     assert np.array_equal(loaded.correct, m.correct)
-    assert np.array_equal(loaded.lengths, m.lengths)
+    assert json.loads((tmp_path / "m.json").read_text()).keys() == {"model_ids", "item_ids", "correct"}
 
     s = select_subset(m, SubsetStrategy.ENTROPY, 2)
     save_subset(s, tmp_path / "s.json")
