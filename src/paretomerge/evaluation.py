@@ -278,6 +278,9 @@ def generate_benchmark(
         raise ValueError("n_items must be >= 1")
     rng = np.random.default_rng(seed)
     counts = [int(round(frac * n_items)) for frac in (EASY_FRAC, HARD_FRAC, UP_FRAC, DOWN_FRAC)]
+    # Rounding can overshoot n_items (by one at 33-41 items); the hard role,
+    # which carries no ranking signal, gives up the excess.
+    counts[1] -= max(sum(counts) - n_items, 0)
     counts.append(n_items - sum(counts))
     # Per role (easy, hard, up, down, logistic): response kind, band of t (None: t = 0).
     roles = [(_UP, None), (_DOWN, None), (_UP, UP_BAND), (_DOWN, DOWN_BAND), (_LOGISTIC, LOGISTIC_B_BAND)]
@@ -540,8 +543,7 @@ class _RecordColumns:
         for size in (cand_len, item_len):
             ids = json.loads(body[pos:pos + size])
             pos += size
-            if not (isinstance(ids, list) and all(isinstance(i, str) and i for i in ids)
-                    and len(set(ids)) == len(ids)):
+            if not is_id_list(ids):
                 raise ValueError("bad id table")
             tables.append(ids)
         columns = []

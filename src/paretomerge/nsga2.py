@@ -1,10 +1,21 @@
 """Elitist bi-objective NSGA-II over merge genotypes.
 
 Determinism contract: one master seed feeds named sub-streams keyed by
-(generation, operator, index), so stochastic decisions never depend on
-evaluation order and the search trajectory is identical for any worker
-count. The returned front is computed over every evaluated individual, not
-just the final population.
+(generation, operator), so stochastic decisions never depend on evaluation
+order and the search trajectory is identical for any worker count. A run
+builds 1 + 3 * generations generators. With N candidates of d variables:
+
+- generation 0, init: an (N, d) uniform draw over the search box;
+- each later generation, tournament: N first entrants, then N offsets in
+  [1, N) that pick each one's distinct opponent;
+- crossover: N/2 pair draws against the crossover probability, then an
+  (N/2, d) draw of spread variates;
+- mutation: an (N, d) draw against the per-variable probability, then an
+  (N, d) draw of perturbation variates.
+
+The operators work on (N, d) arrays; a ``Genotype`` is built only for
+evaluation. The returned front is computed over every evaluated
+individual, not just the final population.
 """
 
 from __future__ import annotations
@@ -160,72 +171,58 @@ def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
 
 
 def tournament_select(
-    rank: Sequence[int], crowding: Sequence[float], rng: np.random.Generator
-) -> int:
-    """Binary tournament over population indices; returns the winner's index.
+    rank: np.ndarray, crowding: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """N binary tournaments over N population indices; returns the N winners.
 
-    Lower rank wins, then larger crowding, then lower index.
+    Tournament k pits ``i`` against a different member ``j``. Lower rank
+    wins, then larger crowding, then lower index.
     """
-    i, j = (int(v) for v in rng.choice(len(rank), size=2, replace=False))
-    if rank[i] != rank[j]:
-        return i if rank[i] < rank[j] else j
-    if crowding[i] != crowding[j]:
-        return i if crowding[i] > crowding[j] else j
-    return min(i, j)
+    n = len(rank)
+    i = rng.integers(n, size=n)
+    j = (i + rng.integers(1, n, size=n)) % n
+    i_wins = (rank[i] < rank[j]) | (rank[i] == rank[j]) & (
+        (crowding[i] > crowding[j]) | (crowding[i] == crowding[j]) & (i < j)
+    )
+    return np.where(i_wins, i, j)
 
 
-def sbx_crossover(
-    p1: Genotype,
-    p2: Genotype,
-    cfg: SearchConfig,
-    rng: np.random.Generator,
-) -> tuple[Genotype, Genotype]:
-    """Simulated binary crossover with distribution index eta_c.
+def sbx_crossover(parents: np.ndarray, cfg: SearchConfig, rng: np.random.Generator) -> np.ndarray:
+    """Simulated binary crossover with distribution index eta_c over (N, d) parents.
 
-    Applied with the configured whole-pair probability; the spread factor per
-    variable is beta = (2u)^(1/(eta+1)) for u <= 0.5 and
+    Pair k is rows 2k and 2k+1, and its children take the same rows. A pair
+    crosses with the configured probability, else its children copy it; the
+    spread factor per variable is beta = (2u)^(1/(eta+1)) for u <= 0.5 and
     (1/(2(1-u)))^(1/(eta+1)) otherwise. Children are clamped to bounds.
     """
-    if p1.kind != p2.kind or len(p1.values) != len(p2.values):
-        raise ValueError("parents must share kind and dimensionality")
-    if rng.random() > cfg.sbx.probability:
-        return Genotype(p1.kind, p1.values), Genotype(p2.kind, p2.values)
+    x1, x2 = parents[0::2], parents[1::2]
+    cross = rng.random(len(x1)) <= cfg.sbx.probability
+    u = rng.random(x1.shape)
     exponent = 1.0 / (cfg.sbx.eta + 1.0)
-    c1, c2 = [], []
-    for (x1, x2), (lo, hi) in zip(zip(p1.values, p2.values), cfg.genotype_bounds):
-        u = rng.random()
-        beta = (2.0 * u) ** exponent if u <= 0.5 else (1.0 / (2.0 * (1.0 - u))) ** exponent
-        y1 = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
-        y2 = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
-        c1.append(min(max(y1, lo), hi))
-        c2.append(min(max(y2, lo), hi))
-    return Genotype(p1.kind, tuple(c1)), Genotype(p2.kind, tuple(c2))
+    beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
+    lo, hi = np.array(cfg.genotype_bounds).T
+    y1 = np.clip(0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2), lo, hi)
+    y2 = np.clip(0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2), lo, hi)
+    children = np.stack((y1, y2), axis=1).reshape(parents.shape)
+    return np.where(np.repeat(cross, 2)[:, None], children, parents)
 
 
-def polynomial_mutation(
-    genotype: Genotype,
-    cfg: SearchConfig,
-    rng: np.random.Generator,
-) -> Genotype:
-    """Boundary-aware polynomial mutation with distribution index eta_m."""
-    pm = cfg.mutation_probability()
-    exponent = 1.0 / (cfg.mutation.eta + 1.0)
-    values = []
-    for x, (lo, hi) in zip(genotype.values, cfg.genotype_bounds):
-        if rng.random() < pm:
-            u = rng.random()
-            span = hi - lo
-            d1 = (x - lo) / span
-            d2 = (hi - x) / span
-            if u < 0.5:
-                delta = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (cfg.mutation.eta + 1.0)) ** exponent - 1.0
-            else:
-                delta = 1.0 - (
-                    2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (cfg.mutation.eta + 1.0)
-                ) ** exponent
-            x = min(max(x + delta * span, lo), hi)
-        values.append(x)
-    return Genotype(genotype.kind, tuple(values))
+def polynomial_mutation(x: np.ndarray, cfg: SearchConfig, rng: np.random.Generator) -> np.ndarray:
+    """Boundary-aware polynomial mutation with distribution index eta_m over (N, d) genotypes."""
+    mutate = rng.random(x.shape) < cfg.mutation_probability()
+    u = rng.random(x.shape)
+    eta = cfg.mutation.eta
+    exponent = 1.0 / (eta + 1.0)
+    lo, hi = np.array(cfg.genotype_bounds).T
+    span = hi - lo
+    d1 = (x - lo) / span
+    d2 = (hi - x) / span
+    delta = np.where(
+        u < 0.5,
+        (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)) ** exponent - 1.0,
+        1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)) ** exponent,
+    )
+    return np.where(mutate, np.clip(x + delta * span, lo, hi), x)
 
 
 @dataclass(frozen=True)
@@ -255,20 +252,17 @@ def extract_pareto(history: Sequence[HistoryEntry]) -> list[HistoryEntry]:
     return sorted((unique[i] for i in fronts[0]), key=lambda e: e.fitness.fitness)
 
 
-def _stream(seed: int, generation: int, op: int, idx: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(generation, op, idx))
-    )
+def _stream(seed: int, generation: int, op: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(generation, op)))
 
 
-def _rank_and_crowding(pop: Sequence[HistoryEntry]) -> tuple[list[int], list[float]]:
+def _rank_and_crowding(pop: Sequence[HistoryEntry]) -> tuple[np.ndarray, np.ndarray]:
     """Per-member non-domination rank and crowding distance within its front."""
-    rank = [0] * len(pop)
-    crowding = [0.0] * len(pop)
+    rank = np.zeros(len(pop), dtype=int)
+    crowding = np.zeros(len(pop))
     for r, front in enumerate(fast_nondominated_sort([e.fitness for e in pop])):
-        for i, d in zip(front, crowding_distance([pop[i].fitness for i in front])):
-            rank[i] = r
-            crowding[i] = d
+        rank[front] = r
+        crowding[front] = crowding_distance([pop[i].fitness for i in front])
     return rank, crowding
 
 
@@ -289,13 +283,8 @@ def run_nsga2(
     n = cfg.population_size
     history: list[HistoryEntry] = []
 
-    genotypes = []
-    for i in range(n):
-        rng = _stream(cfg.seed, 0, _OP_INIT, i)
-        values = tuple(rng.uniform(lo, hi) for lo, hi in cfg.genotype_bounds)
-        genotypes.append(Genotype(cfg.genotype_kind, values))
-
-    def evaluated(gen: int, gs: list[Genotype]) -> list[HistoryEntry]:
+    def evaluated(gen: int, values: np.ndarray) -> list[HistoryEntry]:
+        gs = [Genotype(cfg.genotype_kind, row) for row in values.tolist()]
         try:
             fits = evaluator.evaluate_population(gs, workers=workers)
         except Exception:
@@ -306,26 +295,18 @@ def run_nsga2(
         history.extend(entries)
         return entries
 
-    pop = evaluated(0, genotypes)
+    lo, hi = np.array(cfg.genotype_bounds).T
+    pop = evaluated(0, _stream(cfg.seed, 0, _OP_INIT).uniform(lo, hi, size=(n, cfg.n_variables)))
     if on_generation is not None:
         on_generation(history, 0)
 
     for gen in range(1, cfg.generations + 1):
-        rank, crowding = _rank_and_crowding(pop)
-        offspring_genotypes: list[Genotype] = []
-        for pair in range(n // 2):
-            parent1, parent2 = (
-                pop[tournament_select(rank, crowding, _stream(cfg.seed, gen, _OP_TOURNAMENT, k))]
-                for k in (2 * pair, 2 * pair + 1)
-            )
-            child1, child2 = sbx_crossover(
-                parent1.genotype, parent2.genotype, cfg, _stream(cfg.seed, gen, _OP_CROSSOVER, pair)
-            )
-            child1 = polynomial_mutation(child1, cfg, _stream(cfg.seed, gen, _OP_MUTATION, 2 * pair))
-            child2 = polynomial_mutation(child2, cfg, _stream(cfg.seed, gen, _OP_MUTATION, 2 * pair + 1))
-            offspring_genotypes.extend((child1, child2))
+        winners = tournament_select(*_rank_and_crowding(pop), _stream(cfg.seed, gen, _OP_TOURNAMENT))
+        parents = np.array([pop[i].genotype.values for i in winners.tolist()])
+        children = sbx_crossover(parents, cfg, _stream(cfg.seed, gen, _OP_CROSSOVER))
+        children = polynomial_mutation(children, cfg, _stream(cfg.seed, gen, _OP_MUTATION))
 
-        pooled = pop + evaluated(gen, offspring_genotypes)
+        pooled = pop + evaluated(gen, children)
         selected: list[int] = []
         for front in fast_nondominated_sort([e.fitness for e in pooled]):
             if len(selected) + len(front) <= n:

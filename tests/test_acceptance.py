@@ -16,14 +16,17 @@ from paretomerge.checkpoint import Checkpoint
 from paretomerge.cli import main as cli_main
 from paretomerge.evaluation import Outcomes, generate_benchmark, load_benchmark
 from paretomerge.merge import Genotype, MergeKind, decode_genotype
-from paretomerge.nsga2 import fast_nondominated_sort
+from paretomerge.nsga2 import SearchConfig, fast_nondominated_sort, run_nsga2
 from paretomerge.reporting import build_report
 from paretomerge.sampling import (
     SubsetStrategy,
     bernoulli_entropy,
+    build_calibration_matrix,
+    default_lambda_grid,
     expected_distinction,
     mean_fidelity,
     rank_fidelity_curve,
+    select_subset,
 )
 
 
@@ -237,6 +240,33 @@ def test_end_to_end_search_budget_and_hypervolume(tmp_path):
         ratio = hv_front / hv_grid
         assert ratio >= 0.99, ratio
         print(f"  evaluations={len(history)} front={len(front)} HV ratio={ratio:.4f}")
+
+
+def test_search_quality_over_search_seeds():
+    """README benchmark and subset, search seeds 0-15: median HV ratio >= 1.0115
+    of the 1001-grid front, and 15 of 16 seeds at 0.99 or above."""
+    with criterion("search quality: median HV ratio >= 1.0115, >= 15/16 seeds >= 0.99, < 1s"):
+        start = time.monotonic()
+        bench = generate_benchmark(seed=0, n_items=1000)
+        matrix = build_calibration_matrix(bench.outcomes, default_lambda_grid(10))
+        subset = select_subset(matrix, SubsetStrategy.ENTROPY, 50, seed=0)
+        fit = paretomerge.SimulatedFitness(bench, list(subset.item_ids))
+        grid_points = [
+            (ov.accuracy, ov.mean_length)
+            for ov in map(fit.evaluate_at, np.linspace(0.0, 1.0, 1001).tolist())
+        ]
+        ref_len = max(length for _, length in grid_points)
+        hv_grid = _staircase_hypervolume(grid_points, ref_len)
+        ratios = []
+        for seed in range(16):
+            front, _ = run_nsga2(SearchConfig(population_size=20, generations=10, seed=seed), fit)
+            points = [(m.fitness.accuracy, m.fitness.mean_length) for m in front]
+            ratios.append(_staircase_hypervolume(points, ref_len) / hv_grid)
+        median = float(np.median(ratios))
+        assert median >= 1.0115, ratios
+        assert sum(r >= 0.99 for r in ratios) >= 15, ratios
+        assert time.monotonic() - start < 1.0
+        print(f"  median HV ratio={median:.4f} seeds >= 0.99: {sum(r >= 0.99 for r in ratios)}/16")
 
 
 def test_determinism_across_runs_and_worker_counts(tmp_path):

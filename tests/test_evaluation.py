@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from paretomerge.errors import GenotypeError, MissingCandidatesError, RecordFormatError
 from paretomerge.evaluation import (
+    DOWN_BAND,
+    UP_BAND,
     CallableFitness,
     ObjectiveVector,
     Outcomes,
@@ -332,6 +335,20 @@ def test_default_generator_profile_and_endpoint_invariant():
     assert c0[is_up].mean() < c1[is_up].mean()
 
     assert (bench.len_long >= bench.len_short).all() and (bench.len_short >= 0).all()
+
+
+@pytest.mark.parametrize("n_items", [33, 35, 37, 39, 41])
+def test_generator_keeps_every_signal_role_where_rounding_overshoots(n_items):
+    """The role counts round to one item too many at these sizes; the hard
+    (all-fail) role gives it up, and the descending-band item stays."""
+    bench = generate_benchmark(seed=0, n_items=n_items)
+    flat = bench.t == 0.0
+    roles = [(bench.kinds == UP) & flat, (bench.kinds == DOWN) & flat,
+             (bench.kinds == UP) & ~flat, (bench.kinds == DOWN) & ~flat, bench.kinds == LOGISTIC]
+    half = (n_items - 1) // 2
+    assert [int(np.count_nonzero(r)) for r in roles] == [half, half - 1, 1, 1, 0]
+    assert UP_BAND[0] <= bench.t[roles[2]][0] < UP_BAND[1]
+    assert DOWN_BAND[0] <= bench.t[roles[3]][0] < DOWN_BAND[1]
 
 
 def test_default_generator_interior_accuracy_optimum():
@@ -726,6 +743,23 @@ def _flip_bit(blob: bytes, pos: int) -> bytes:
 ])
 def test_load_records_unreadable_index_means_full_parse(tmp_path, damage):
     resumed, oracle = _index_then_load(tmp_path, GRID, GRID + MORE, damage)
+    assert_same_outcomes(resumed, oracle)
+
+
+@pytest.mark.parametrize("item_ids", [
+    pytest.param(["q0", "q0", "q2", "q3"], id="repeated-id"),
+    pytest.param(["q0", "", "q2", "q3"], id="empty-id"),
+    pytest.param("q0q1q2q3", id="non-list"),
+])
+def test_load_records_forged_id_table_means_full_parse(tmp_path, item_ids):
+    """A re-checksummed index whose item table breaks the id rule is not read."""
+    from paretomerge.evaluation import _RecordColumns
+
+    def forge(index):
+        columns, digest = _RecordColumns.from_index(index.read_bytes())
+        index.write_bytes(dataclasses.replace(columns, item_ids=item_ids).to_index(digest))
+
+    resumed, oracle = _index_then_load(tmp_path, GRID, GRID + MORE, forge)
     assert_same_outcomes(resumed, oracle)
 
 

@@ -87,7 +87,7 @@ def test_tournament_winners_scale_free():
     for seed in range(200):
         w1 = tournament_select(*plain, np.random.default_rng(seed))
         w2 = tournament_select(*scaled, np.random.default_rng(seed))
-        assert w1 == w2
+        assert w1.tolist() == w2.tolist()
 
 
 def test_crowding_distance_hand_example():
@@ -112,64 +112,67 @@ def test_crowding_distance_degenerate_objective():
 
 
 def make_pop(specs):
-    """(rank, crowding) pairs -> the two per-member lists a tournament reads."""
-    return [r for r, _ in specs], [c for _, c in specs]
+    """(rank, crowding) pairs -> the two per-member arrays a tournament reads."""
+    return np.array([r for r, _ in specs]), np.array([c for _, c in specs])
 
 
-class FixedPairRng:
-    """Deterministic stand-in drawing a fixed index pair."""
+class FixedPairsRng:
+    """Deterministic stand-in whose tournament k pits ``pairs[k]`` against each other."""
 
-    def __init__(self, i, j):
-        self._pair = np.array([i, j])
+    def __init__(self, *pairs):
+        i, j = np.array(pairs).T
+        self._draws = iter([i, (j - i) % len(pairs)])  # the first index, then the offset
 
-    def choice(self, n, size, replace):
-        return self._pair
+    def integers(self, *bounds, size):
+        return next(self._draws)
 
 
 def test_tournament_rank_crowding_index_tiebreaks():
     rank, crowding = make_pop([(0, 1.0), (1, float("inf"))])
-    assert rank[tournament_select(rank, crowding, FixedPairRng(0, 1))] == 0
-    assert rank[tournament_select(rank, crowding, FixedPairRng(1, 0))] == 0
+    assert rank[tournament_select(rank, crowding, FixedPairsRng((0, 1), (1, 0)))].tolist() == [0, 0]
 
     rank, crowding = make_pop([(0, float("inf")), (0, 2.0)])
-    assert crowding[tournament_select(rank, crowding, FixedPairRng(0, 1))] == float("inf")
-    assert crowding[tournament_select(rank, crowding, FixedPairRng(1, 0))] == float("inf")
+    winners = tournament_select(rank, crowding, FixedPairsRng((0, 1), (1, 0)))
+    assert crowding[winners].tolist() == [float("inf")] * 2
 
     rank, crowding = make_pop([(0, 2.0), (0, 2.0)])
-    winner = tournament_select(rank, crowding, FixedPairRng(1, 0))
-    assert winner == 0  # lower population index wins
+    winners = tournament_select(rank, crowding, FixedPairsRng((1, 0), (0, 1)))
+    assert winners.tolist() == [0, 0]  # lower population index wins
+
+
+def test_tournament_pits_distinct_members():
+    rank, crowding = make_pop([(0, 1.0)] * 4)  # every tie goes to the lower index
+    for seed in range(50):
+        winners = tournament_select(rank, crowding, np.random.default_rng(seed))
+        assert winners.max() < 3  # member 3 can only lose, to a member below it
+
+
+def genotypes(kind, rows):
+    return [Genotype(kind, row) for row in rows.tolist()]
 
 
 def test_sbx_probability_zero_copies_parents():
     cfg = SearchConfig(sbx=SbxParams(probability=0.0))
-    p1 = Genotype(MergeKind.TA, (0.2,))
-    p2 = Genotype(MergeKind.TA, (0.8,))
-    c1, c2 = sbx_crossover(p1, p2, cfg, np.random.default_rng(0))
-    assert c1.values == p1.values and c2.values == p2.values
+    parents = np.array([[0.2], [0.8], [0.7], [0.1]])
+    assert sbx_crossover(parents, cfg, np.random.default_rng(0)).tolist() == parents.tolist()
 
 
 def test_sbx_identical_parents_identical_children():
     cfg = SearchConfig()
-    p = Genotype(MergeKind.TA, (0.4,))
+    parents = np.full((20, 1), 0.4)
     for seed in range(10):
-        c1, c2 = sbx_crossover(p, p, cfg, np.random.default_rng(seed))
-        assert c1.values == pytest.approx(p.values)
-        assert c2.values == pytest.approx(p.values)
+        children = sbx_crossover(parents, cfg, np.random.default_rng(seed))
+        assert children == pytest.approx(parents)
 
 
 def test_sbx_children_respect_bounds():
     cfg = SearchConfig(genotype_kind=MergeKind.TIES)
+    lo, hi = np.array(cfg.genotype_bounds).T
     rng = np.random.default_rng(3)
-    for _ in range(500):
-        v1 = tuple(rng.uniform(lo, hi) for lo, hi in cfg.genotype_bounds)
-        v2 = tuple(rng.uniform(lo, hi) for lo, hi in cfg.genotype_bounds)
-        c1, c2 = sbx_crossover(
-            Genotype(MergeKind.TIES, v1), Genotype(MergeKind.TIES, v2), cfg, rng
-        )
-        for child in (c1, c2):
-            for v, (lo, hi) in zip(child.values, cfg.genotype_bounds):
-                assert lo <= v <= hi
-            child.validate()
+    children = sbx_crossover(rng.uniform(lo, hi, size=(1000, 2)), cfg, rng)
+    assert ((lo <= children) & (children <= hi)).all()
+    for child in genotypes(MergeKind.TIES, children):
+        child.validate()
 
 
 def test_sbx_preserves_parent_mean_per_variable():
@@ -177,30 +180,17 @@ def test_sbx_preserves_parent_mean_per_variable():
     # so away from the bounds the parent mean is preserved exactly.
     cfg = SearchConfig(sbx=SbxParams(probability=1.0, eta=20.0))
     rng = np.random.default_rng(6)
-    for _ in range(2000):
-        x1, x2 = rng.uniform(0.35, 0.65, size=2)
-        c1, c2 = sbx_crossover(
-            Genotype(MergeKind.TA, (float(x1),)),
-            Genotype(MergeKind.TA, (float(x2),)),
-            cfg,
-            rng,
-        )
-        assert c1.values[0] + c2.values[0] == pytest.approx(x1 + x2, abs=1e-9)
+    parents = rng.uniform(0.35, 0.65, size=(4000, 1))
+    children = sbx_crossover(parents, cfg, rng)
+    assert children[0::2] + children[1::2] == pytest.approx(parents[0::2] + parents[1::2], abs=1e-9)
 
 
 def test_sbx_contracts_and_expands_evenly():
     # beta has median 1, so child spread shrinks vs the parents about half the time
     cfg = SearchConfig(sbx=SbxParams(probability=1.0, eta=10.0))
-    rng = np.random.default_rng(7)
-    contracted = 0
     trials = 4000
-    for _ in range(trials):
-        x1, x2 = 0.3, 0.7
-        c1, c2 = sbx_crossover(
-            Genotype(MergeKind.TA, (x1,)), Genotype(MergeKind.TA, (x2,)), cfg, rng
-        )
-        if abs(c1.values[0] - c2.values[0]) < abs(x1 - x2):
-            contracted += 1
+    children = sbx_crossover(np.tile([[0.3], [0.7]], (trials, 1)), cfg, np.random.default_rng(7))
+    contracted = np.count_nonzero(abs(children[0::2] - children[1::2]) < abs(0.3 - 0.7))
     assert abs(contracted / trials - 0.5) < 0.03
 
 
@@ -208,34 +198,17 @@ def test_mutation_perturbs_both_directions_evenly():
     # the draw side (u < 0.5) fixes the perturbation sign, so both directions
     # appear with equal probability for an interior variable
     cfg = SearchConfig(mutation=MutationParams(per_variable_probability=1.0, eta=20.0))
-    rng = np.random.default_rng(8)
-    neg = pos = 0
     trials = 4000
-    for _ in range(trials):
-        out = polynomial_mutation(Genotype(MergeKind.TA, (0.5,)), cfg, rng).values[0]
-        if out < 0.5:
-            neg += 1
-        elif out > 0.5:
-            pos += 1
+    out = polynomial_mutation(np.full((trials, 1), 0.5), cfg, np.random.default_rng(8))
+    neg, pos = np.count_nonzero(out < 0.5), np.count_nonzero(out > 0.5)
     assert neg + pos >= trials - 5  # exact zero moves are measure-zero
     assert abs(neg / trials - 0.5) < 0.03
 
 
-def test_sbx_kind_mismatch():
-    cfg = SearchConfig()
-    with pytest.raises(ValueError, match="kind"):
-        sbx_crossover(
-            Genotype(MergeKind.TA, (0.5,)),
-            Genotype(MergeKind.TIES, (0.5, 0.5)),
-            cfg,
-            np.random.default_rng(0),
-        )
-
-
 def test_mutation_probability_zero_is_identity():
     cfg = SearchConfig(mutation=MutationParams(per_variable_probability=0.0))
-    g = Genotype(MergeKind.TA, (0.3,))
-    assert polynomial_mutation(g, cfg, np.random.default_rng(0)).values == g.values
+    x = np.array([[0.3], [0.0], [1.0], [0.7]])
+    assert polynomial_mutation(x, cfg, np.random.default_rng(0)).tolist() == x.tolist()
 
 
 def test_mutation_keeps_bounds_in_sweep():
@@ -243,22 +216,18 @@ def test_mutation_keeps_bounds_in_sweep():
         genotype_kind=MergeKind.LINEAR,
         mutation=MutationParams(per_variable_probability=1.0),
     )
+    lo, hi = np.array(cfg.genotype_bounds).T
     rng = np.random.default_rng(4)
-    for _ in range(10_000):
-        start = tuple(rng.uniform(lo, hi) for lo, hi in cfg.genotype_bounds)
-        mutated = polynomial_mutation(Genotype(MergeKind.LINEAR, start), cfg, rng)
-        for v, (lo, hi) in zip(mutated.values, cfg.genotype_bounds):
-            assert lo <= v <= hi
-        mutated.validate()
+    mutated = polynomial_mutation(rng.uniform(lo, hi, size=(10_000, 2)), cfg, rng)
+    assert ((lo <= mutated) & (mutated <= hi)).all()
+    for child in genotypes(MergeKind.LINEAR, mutated):
+        child.validate()
 
 
 def test_mutation_at_lower_bound_stays_inside():
     cfg = SearchConfig(mutation=MutationParams(per_variable_probability=1.0))
-    for seed in range(50):
-        out = polynomial_mutation(
-            Genotype(MergeKind.TA, (0.0,)), cfg, np.random.default_rng(seed)
-        )
-        assert out.values[0] >= 0.0
+    out = polynomial_mutation(np.zeros((50, 1)), cfg, np.random.default_rng(0))
+    assert (out >= 0.0).all()
 
 
 def test_search_config_validation():
@@ -308,12 +277,11 @@ def test_offspring_stay_in_any_in_box_search_box(cfg, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     box = cfg.genotype_bounds
-    parents = [
-        Genotype(cfg.genotype_kind, tuple(data.draw(st.floats(lo, hi)) for lo, hi in box))
-        for _ in range(2)
-    ]
-    children = sbx_crossover(*parents, cfg, rng)
-    for child in (*children, *(polynomial_mutation(c, cfg, rng) for c in children)):
+    parents = np.array([[data.draw(st.floats(lo, hi)) for lo, hi in box] for _ in range(2)])
+    children = sbx_crossover(parents, cfg, rng)
+    for child in genotypes(cfg.genotype_kind, np.vstack(
+        (children, polynomial_mutation(children, cfg, rng))
+    )):
         for v, (lo, hi) in zip(child.values, cfg.genotype_bounds):
             assert lo <= v <= hi
         child.validate()
@@ -372,6 +340,22 @@ def test_run_nsga2_makes_one_batch_call_per_generation():
     front, history = run_nsga2(cfg, fit, workers=2)
     assert fit.batches == [(6, 2)] * 4
     assert history == run_nsga2(cfg, linear_objectives)[1]
+
+
+def test_run_nsga2_rng_layout(monkeypatch):
+    """One generator seeds the first generation, and one per (generation,
+    operator) drives each later one: 1 + 3 * generations in all."""
+    built = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))
+    cfg = SearchConfig(population_size=6, generations=4, seed=11, genotype_kind=MergeKind.TIES)
+    history = run_nsga2(cfg, lambda g: ObjectiveVector(g.values[0], 100.0 * g.values[1]))[1]
+    assert len(built) == 1 + 3 * cfg.generations
+
+    lo, hi = np.array(cfg.genotype_bounds).T
+    init = default_rng(np.random.SeedSequence(entropy=11, spawn_key=(0, 0)))
+    rows = init.uniform(lo, hi, size=(6, 2)).tolist()
+    assert [e.genotype.values for e in history if e.generation == 0] == [tuple(r) for r in rows]
 
 
 def test_run_nsga2_bounds_closure():
