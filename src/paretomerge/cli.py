@@ -111,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="run the multi-objective search from a config file")
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--out", help="override the config output_dir")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("fidelity", help="measure subset ranking fidelity vs the full benchmark")
@@ -327,9 +326,7 @@ def _cmd_evolve(args) -> int:
         else:
             evaluator = RecordsFitness(records, subset_ids)
         _write_json_atomic(out_dir / "config.json", echo)
-        front, history = run_nsga2(
-            search, evaluator, workers=args.workers, on_generation=on_generation
-        )
+        front, history = run_nsga2(search, evaluator, on_generation=on_generation)
     except MissingCandidatesError as exc:
         manifest = out_dir / "manifest.jsonl"
         write_manifest(manifest, [g for _, g in exc.pending])
@@ -340,14 +337,16 @@ def _cmd_evolve(args) -> int:
         )
         raise
 
+    # Length reductions are relative to the lambda = 0 baseline, so there are
+    # none without its records on the subset or when its mean length is 0.
     try:
-        baseline = evaluator.evaluate(Genotype(MergeKind.TA, (0.0,)))
+        baseline_length = evaluator.evaluate(Genotype(MergeKind.TA, (0.0,))).mean_length
     except (MissingCandidatesError, RecordFormatError):
-        pass  # no lambda = 0 records on the subset: no baseline to plot against
-    else:
+        baseline_length = 0.0
+    if baseline_length > 0:
         write_atomic(
             out_dir / "front_points.csv",
-            front_points_csv(front, baseline.mean_length).encode("utf-8"),
+            front_points_csv(front, baseline_length).encode("utf-8"),
         )
 
     print(f"evaluated {len(history)} candidates over {search.generations} generations")
@@ -381,7 +380,8 @@ _STRING = (lambda v: isinstance(v, str), "a string")
 
 # Every checked field of an ``evolve`` config. A rule is an enum (the field
 # holds one of its values), a nested block (a dict of rules) or a predicate
-# pair. Fields that no rule names are ignored.
+# pair; a size whose command-line flag has a least value carries it third.
+# Fields that no rule names are ignored.
 _CONFIG = {
     "search": {
         "population_size": _SIZE,
@@ -395,13 +395,13 @@ _CONFIG = {
     "merge": {"kind": MergeKind},
     "subset": {
         "strategy": SubsetStrategy,
-        "size": _SIZE,
+        "size": (*_SIZE, 1),
         "seed": _SEED,
-        "calibration_k": _SIZE,
+        "calibration_k": (*_SIZE, 2),
         "item_ids": (lambda v: is_id_list(v) and len(v) > 0, "a non-empty list of unique, non-empty strings"),
     },
     "evaluator": {"simulated": {
-        "benchmark": _STRING, "n_items": _SIZE, "generator_seed": _SEED, "noise_seed": _INT,
+        "benchmark": _STRING, "n_items": (*_SIZE, 1), "generator_seed": _SEED, "noise_seed": _INT,
     }},
     # Any falsy output_dir falls back to the default directory.
     "output_dir": (lambda v: not v or isinstance(v, str), "a string"),
@@ -431,6 +431,8 @@ def _check_config(block: dict, rules: dict, prefix: str = "") -> None:
             raise UsageError(f"config '{where}' must be {phrase}, got {json.dumps(value)}")
         if isinstance(rule, dict):
             _check_config(value, rule, where + ".")
+        elif isinstance(rule, tuple) and len(rule) == 3:
+            _at_least((f"config '{where}'", value, rule[2]))
 
 
 def _search_config(search: dict, merge: dict) -> SearchConfig:

@@ -11,21 +11,19 @@ Two fitness backends share one contract (genotype in, accuracy/length out):
 Per-item results are held per candidate as columns (``Outcomes``: item ids,
 0/1 correctness, output lengths) and reduced by ``Outcomes.objectives``.
 
-The search scores each generation with one
-``FitnessEvaluator.evaluate_population(genotypes, workers)`` call, which
-returns one objective vector per genotype in input order; see
-``FitnessEvaluator`` for the batch contract.
+The search scores each generation with one serial
+``FitnessEvaluator.evaluate_population(genotypes)`` call, which returns one
+objective vector per genotype in input order; see ``FitnessEvaluator`` for
+the batch contract.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -390,22 +388,22 @@ def load_record_evaluations(path, index=None) -> dict[str, Outcomes]:
     cover the file, provided the file ends in a newline. The result never
     depends on the index.
     """
-    with open(path, "rb", buffering=0) as fh:
+    with open(path, "rb") as fh:
         resumed = _resume(index, fh) if index is not None else None
         if resumed is None:
             fh.seek(0)
             resumed = _RecordColumns.empty(), hashlib.blake2b(digest_size=_DIGEST_SIZE)
         prefix, hasher = resumed
-        tail = _DigestingReader(fh, hasher)
         cands = {cand: code for code, cand in enumerate(prefix.cand_ids)}
         items = {iid: code for code, iid in enumerate(prefix.item_ids)}
         # One integer per (candidate, item) pair: the codes are int32.
         seen = set((prefix.cand.astype(np.int64) << 32 | prefix.item).tolist())
         cand_col, item_col, correct_col, length_col = [], [], [], []
-        lineno = prefix.nlines
-        for lineno, line in enumerate(io.BufferedReader(tail), start=prefix.nlines + 1):
+        lineno, raw = prefix.nlines, b""
+        for lineno, raw in enumerate(fh, start=prefix.nlines + 1):
+            hasher.update(raw)
             try:
-                line = line.decode("utf-8").strip()
+                line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
                 raise RecordFormatError(f"{path}: line {lineno}: not valid UTF-8: {exc}") from None
             if not line:
@@ -449,8 +447,9 @@ def load_record_evaluations(path, index=None) -> dict[str, Outcomes]:
             item_col.append(i)
             correct_col.append(correct)
             length_col.append(length)
+        nbytes = fh.tell()
     columns = _RecordColumns(
-        nbytes=prefix.nbytes + tail.nbytes,
+        nbytes=nbytes,
         nlines=lineno,
         cand_ids=list(cands),
         item_ids=list(items),
@@ -459,7 +458,7 @@ def load_record_evaluations(path, index=None) -> dict[str, Outcomes]:
         correct=np.concatenate([prefix.correct, np.array(correct_col, dtype=np.int8)]),
         length=np.concatenate([prefix.length, np.array(length_col, dtype=np.float64)]),
     )
-    if index is not None and tail.last == b"\n":
+    if index is not None and raw[-1:] == b"\n":
         write_atomic(index, columns.to_index(hasher.digest()))
     return columns.outcomes()
 
@@ -581,27 +580,6 @@ def _resume(index, fh):
     return (prefix, hasher) if hasher.digest() == digest else None
 
 
-class _DigestingReader(io.RawIOBase):
-    """Reads ``fh`` to its end, feeding every byte to ``hasher``; keeps the
-    count and the last byte read."""
-
-    def __init__(self, fh, hasher):
-        self._fh, self._hasher = fh, hasher
-        self.nbytes, self.last = 0, b""
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._fh.readinto(buffer)
-        if n:
-            data = memoryview(buffer)[:n]
-            self._hasher.update(data)
-            self.nbytes += n
-            self.last = bytes(data[-1:])
-        return n
-
-
 def candidate_id(genotype: Genotype) -> str:
     """Deterministic id derived from the genotype, stable across processes."""
     canon = genotype.kind.value + ":" + ",".join(repr(v) for v in genotype.values)
@@ -641,23 +619,17 @@ def load_manifest(path) -> list[tuple[str, Genotype]]:
 class FitnessEvaluator:
     """Maps genotypes to objective vectors.
 
-    Batch contract: ``evaluate_population(genotypes, workers)`` returns one
-    objective vector per genotype, in input order, and the result never
-    depends on ``workers``. The default scores each genotype with
-    ``evaluate``, on a pool of ``workers`` threads when ``workers > 1``.
-    Evaluators that must see the whole batch at once override it.
+    Batch contract: ``evaluate_population(genotypes)`` returns one objective
+    vector per genotype, in input order. The default scores each genotype
+    with ``evaluate``, one after another. Evaluators that must see the whole
+    batch at once override it.
     """
 
     def evaluate(self, genotype: Genotype) -> ObjectiveVector:
         raise NotImplementedError
 
-    def evaluate_population(
-        self, genotypes: Sequence[Genotype], workers: int = 1
-    ) -> list[ObjectiveVector]:
-        if workers <= 1 or len(genotypes) <= 1:
-            return [self.evaluate(g) for g in genotypes]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(self.evaluate, genotypes))
+    def evaluate_population(self, genotypes: Sequence[Genotype]) -> list[ObjectiveVector]:
+        return [self.evaluate(g) for g in genotypes]
 
 
 class CallableFitness(FitnessEvaluator):
@@ -713,8 +685,8 @@ class RecordsFitness(FitnessEvaluator):
     its records in record order when no subset is given.
 
     Unknown candidates raise :class:`MissingCandidatesError`. The batch
-    method ignores ``workers`` and collects every missing candidate of the
-    batch into one error, so one manifest round-trip per generation is enough.
+    method collects every missing candidate of the batch into one error, so
+    one manifest round-trip per generation is enough.
     """
 
     def __init__(self, records: dict[str, Outcomes], subset_ids: Sequence[str] | None = None):
@@ -737,9 +709,7 @@ class RecordsFitness(FitnessEvaluator):
                 ) from None
         return outcomes.objectives()
 
-    def evaluate_population(
-        self, genotypes: Sequence[Genotype], workers: int = 1
-    ) -> list[ObjectiveVector]:
+    def evaluate_population(self, genotypes: Sequence[Genotype]) -> list[ObjectiveVector]:
         results = []
         pending: dict[str, Genotype] = {}  # first occurrence order, one entry per id
         for g in genotypes:

@@ -2,8 +2,9 @@
 
 Determinism contract: one master seed feeds named sub-streams keyed by
 (generation, operator), so stochastic decisions never depend on evaluation
-order and the search trajectory is identical for any worker count. A run
-builds 1 + 3 * generations generators. With N candidates of d variables:
+order and the search trajectory is identical on every rerun. Each generation
+is scored serially, in one batch. A run builds 1 + 3 * generations
+generators. With N candidates of d variables:
 
 - generation 0, init: an (N, d) uniform draw over the search box;
 - each later generation, tournament: N first entrants, then N offsets in
@@ -274,10 +275,13 @@ def run_nsga2(
 ) -> tuple[list[HistoryEntry], list[HistoryEntry]]:
     """Run the elitist search and return the all-evaluations front plus history.
 
-    Each generation is scored with one ``evaluate_population(genotypes,
-    workers=workers)`` call. ``on_generation`` fires after each generation's
-    evaluations (and before raising on evaluation failure) so callers can
-    persist partial state.
+    Each generation is scored with one serial ``evaluate_population(genotypes)``
+    call. ``on_generation`` fires after each generation's evaluations (and
+    before raising on evaluation failure) so callers can persist partial state.
+
+    ``workers`` does nothing. It stays only because the bench tracer
+    (``perfbench/tracing.py``) still passes it; it goes once the tracer
+    subscribes to library spans instead of rebinding this function.
     """
     evaluator = evaluate if isinstance(evaluate, FitnessEvaluator) else CallableFitness(evaluate)
     n = cfg.population_size
@@ -286,7 +290,7 @@ def run_nsga2(
     def evaluated(gen: int, values: np.ndarray) -> list[HistoryEntry]:
         gs = [Genotype(cfg.genotype_kind, row) for row in values.tolist()]
         try:
-            fits = evaluator.evaluate_population(gs, workers=workers)
+            fits = evaluator.evaluate_population(gs)
         except Exception:
             if on_generation is not None:
                 on_generation(history, gen)

@@ -17,6 +17,7 @@ from paretomerge.evaluation import (
     generate_benchmark,
     load_manifest,
     load_record_evaluations,
+    save_benchmark,
 )
 from paretomerge.merge import Genotype, MergeKind
 
@@ -363,10 +364,33 @@ def test_evolve_simulated_run_dir(tmp_path, capsys):
 def test_evolve_rerun_is_byte_identical(tmp_path):
     cfg1, out1 = evolve_config(tmp_path, "runA")
     cfg2, out2 = evolve_config(tmp_path, "runB")
-    assert main(["evolve", "--config", str(cfg1), "--workers", "1"]) == 0
-    assert main(["evolve", "--config", str(cfg2), "--workers", "3"]) == 0
+    assert main(["evolve", "--config", str(cfg1)]) == 0
+    assert main(["evolve", "--config", str(cfg2)]) == 0
     assert (out1 / "history.jsonl").read_bytes() == (out2 / "history.jsonl").read_bytes()
     assert (out1 / "pareto.json").read_bytes() == (out2 / "pareto.json").read_bytes()
+
+
+def test_evolve_zero_length_baseline_skips_front_points(tmp_path):
+    # Reductions are relative to the lambda = 0 mean length: with 0 there are none.
+    bench_path = tmp_path / "bench.json"
+    save_benchmark(generate_benchmark(seed=0, n_items=10), bench_path)
+    items = json.loads(bench_path.read_text())
+    bench_path.write_text(json.dumps([{**i, "len_long": 0, "len_short": 0} for i in items]))
+    cfg_path, out_dir = evolve_config(
+        tmp_path, search={"population_size": 4, "generations": 2, "seed": 0},
+        evaluator={"simulated": {"benchmark": str(bench_path)}}, subset=None,
+    )
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+    assert (out_dir / "history.jsonl").exists() and (out_dir / "pareto.json").exists()
+    assert not (out_dir / "front_points.csv").exists()
+
+
+def test_evolve_workers_flag_is_gone(tmp_path, capsys):
+    # Each generation is scored serially, so there is no worker count to set.
+    cfg_path, out_dir = evolve_config(tmp_path)
+    assert main(["evolve", "--config", str(cfg_path), "--workers", "1"]) == 2
+    assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_evolve_full_item_set_front_matches_history_pareto(tmp_path):
@@ -524,6 +548,11 @@ SIM = {"simulated": {"generator_seed": 0, "n_items": 20}}
         {"evaluator": {"simulated": {"n_items": 10**29}}},
         {"evaluator": SIM, "subset": {"size": 2**63}},
         {"evaluator": SIM, "subset": {"calibration_k": 10**23}},
+        # Sizes below the least value of their command-line flag.
+        {"evaluator": SIM, "subset": {"size": 0}},
+        {"evaluator": SIM, "subset": {"size": -3}},
+        {"evaluator": SIM, "subset": {"calibration_k": 1}},
+        {"evaluator": {"simulated": {"n_items": 0}}},
     ],
 )
 def test_evolve_config_shape_is_usage_error(tmp_path, capsys, config):
@@ -550,6 +579,10 @@ def test_evolve_config_type_error_names_field(tmp_path, capsys):
         ({"subset": {"calibration_k": 10**23}}, f"'subset.calibration_k' must be an integer no "
          f"larger than {sys.maxsize}, got {10**23}"),
         ({"evaluator": {"simulated": {"n_items": True}}}, "'evaluator.simulated.n_items'"),
+        ({"subset": {"size": 0}}, "'subset.size' must be >= 1, got 0"),
+        ({"subset": {"calibration_k": 1}}, "'subset.calibration_k' must be >= 2, got 1"),
+        ({"evaluator": {"simulated": {"n_items": 0}}},
+         "'evaluator.simulated.n_items' must be >= 1, got 0"),
         ({"subset": {"strategy": "bogus"}},
          "'subset.strategy' must be one of entropy, random, disagreement, got \"bogus\""),
         ({"merge": {"kind": "dare"}}, "'merge.kind' must be one of ta, ties, linear, got \"dare\""),

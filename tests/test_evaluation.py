@@ -884,9 +884,9 @@ def test_records_fitness_resolution_and_errors():
         batch_err = exc
     assert batch_err is not None and len(batch_err.pending) == 2
 
-    # the batch ignores workers and still names each missing candidate once
+    # the batch names each missing candidate once
     with pytest.raises(MissingCandidatesError) as info:
-        fit.evaluate_population([g_missing, g_known, g_missing], workers=4)
+        fit.evaluate_population([g_missing, g_known, g_missing])
     assert info.value.pending == [(candidate_id(g_missing), g_missing)]
 
     narrow = RecordsFitness(records, subset_ids=["q1", "q9"])
@@ -901,10 +901,9 @@ def test_records_fitness_full_outcomes_when_no_subset():
     assert ov.accuracy == 1.0 and ov.mean_length == 50.0
 
 
-def test_default_batch_keeps_input_order_for_any_worker_count():
+def test_default_batch_keeps_input_order():
     fit = CallableFitness(lambda g: ObjectiveVector(g.values[0], 10.0 * g.values[0]))
     genotypes = [Genotype(MergeKind.TA, (i / 8,)) for i in range(9)]
-    serial = fit.evaluate_population(genotypes)
-    assert [o.accuracy for o in serial] == [g.values[0] for g in genotypes]
-    for workers in (2, 4):
-        assert fit.evaluate_population(genotypes, workers=workers) == serial
+    batch = fit.evaluate_population(genotypes)
+    assert [o.accuracy for o in batch] == [g.values[0] for g in genotypes]
+    assert batch == [fit.evaluate(g) for g in genotypes]

@@ -310,9 +310,9 @@ def test_run_nsga2_constant_evaluator_terminates():
     assert len(history) == 12
 
 
-def test_run_nsga2_deterministic_and_thread_invariant():
+def test_run_nsga2_deterministic_across_reruns():
     cfg = SearchConfig(population_size=8, generations=3, seed=7)
-    runs = [run_nsga2(cfg, linear_objectives, workers=w) for w in (1, 1, 4)]
+    runs = [run_nsga2(cfg, linear_objectives) for _ in range(3)]
     base_front, base_hist = runs[0]
     for front, hist in runs[1:]:
         assert [(h.genotype.values, h.fitness.fitness, h.generation) for h in hist] == [
@@ -331,14 +331,14 @@ def test_run_nsga2_makes_one_batch_call_per_generation():
         def evaluate(self, genotype):
             return linear_objectives(genotype)
 
-        def evaluate_population(self, genotypes, workers=1):
-            self.batches.append((len(genotypes), workers))
-            return super().evaluate_population(genotypes, workers)
+        def evaluate_population(self, genotypes):
+            self.batches.append(len(genotypes))
+            return super().evaluate_population(genotypes)
 
     fit = CountingFitness()
     cfg = SearchConfig(population_size=6, generations=3, seed=2)
-    front, history = run_nsga2(cfg, fit, workers=2)
-    assert fit.batches == [(6, 2)] * 4
+    front, history = run_nsga2(cfg, fit)
+    assert fit.batches == [6] * 4
     assert history == run_nsga2(cfg, linear_objectives)[1]
 
 
