@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
-from .errors import MissingCandidatesError, ParetoMergeError, RecordFormatError
+from .errors import MissingCandidatesError, ParetoMergeError, RecordFormatError, SearchConfigError
 from .evaluation import (
     Outcomes,
     RecordsFitness,
@@ -440,6 +440,7 @@ def _search_config(search: dict, merge: dict) -> SearchConfig:
 
     ``merge.kind`` fills a missing ``genotype_kind``. ``sbx`` and ``mutation``
     numbers become floats, so the ``config.json`` echo writes ``1.0`` for ``1``.
+    A value that ``SearchConfig`` rejects is a usage error naming its field.
     """
     names = ("population_size", "generations", "seed", "genotype_kind", "genotype_bounds")
     kw = {k: search[k] for k in names if k in search}
@@ -449,7 +450,10 @@ def _search_config(search: dict, merge: dict) -> SearchConfig:
         block = search.get(key, {})
         fields = [f.name for f in dataclasses.fields(params) if f.name in block]
         kw[key] = params(**{f: None if block[f] is None else float(block[f]) for f in fields})
-    return SearchConfig(**kw)
+    try:
+        return SearchConfig(**kw)
+    except SearchConfigError as exc:
+        raise UsageError(f"config 'search.{exc.field}' {exc.requirement}") from None
 
 
 def _resolve_subset(subset_block, bench, records, out_dir) -> list[str] | None:

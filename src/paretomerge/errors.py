@@ -42,4 +42,8 @@ class SubsetSelectionError(ParetoMergeError):
 
 
 class SearchConfigError(ParetoMergeError):
-    """Search configuration violates its invariants."""
+    """Search configuration field ``field`` (such as ``sbx.eta``) breaks ``requirement``."""
+
+    def __init__(self, field: str, requirement: str):
+        self.field, self.requirement = field, requirement
+        super().__init__(f"{field} {requirement}")

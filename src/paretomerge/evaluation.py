@@ -596,21 +596,6 @@ def write_manifest(path, genotypes: Sequence[Genotype]) -> None:
     write_atomic(path, "".join(lines).encode("utf-8"))
 
 
-def load_manifest(path) -> list[tuple[str, Genotype]]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append((obj["candidate_id"], Genotype.from_dict(obj["genotype"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RecordFormatError(f"{path}: line {lineno}: {exc}") from exc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fitness backends
 # ---------------------------------------------------------------------------

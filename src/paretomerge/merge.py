@@ -84,10 +84,6 @@ class Genotype:
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, "values": list(self.values)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Genotype":
-        return cls(kind=MergeKind(d["kind"]), values=tuple(d["values"]))
-
 
 def default_genotype_bounds(kind: MergeKind) -> tuple[tuple[float, float], ...]:
     """Search box per decision variable for each merge kind."""

@@ -14,9 +14,10 @@ generators. With N candidates of d variables:
 - mutation: an (N, d) draw against the per-variable probability, then an
   (N, d) draw of perturbation variates.
 
-The operators work on (N, d) arrays; a ``Genotype`` is built only for
-evaluation. The returned front is computed over every evaluated
-individual, not just the final population.
+The population is an (N, d) genotype array and an (N, 2) fitness array. One
+non-dominated sort per generation gives the survivors and their rank and
+crowding (Deb et al., IEEE TEC 6(2), 2002). The returned front is computed
+over every evaluated individual, not just the final population.
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ class SearchConfig:
     def validate(self) -> None:
         if self.population_size < 4 or self.population_size % 2 != 0:
             raise SearchConfigError(
-                f"population_size must be even and >= 4, got {self.population_size}"
+                "population_size", f"must be even and >= 4, got {self.population_size}"
             )
         if self.generations < 1:
-            raise SearchConfigError(f"generations must be >= 1, got {self.generations}")
+            raise SearchConfigError("generations", f"must be >= 1, got {self.generations}")
         # Every candidate in the search box must be decodable by its merge operator.
         box = default_genotype_bounds(self.genotype_kind)
         if len(self.genotype_bounds) != len(box) or not all(
@@ -91,16 +92,17 @@ class SearchConfig:
             for (lo, hi), (box_lo, box_hi) in zip(self.genotype_bounds, box)
         ):
             raise SearchConfigError(
-                f"{self.genotype_kind.value} genotype_bounds must be {len(box)} (low, high) "
-                f"pair(s) with low < high inside {box}, got {self.genotype_bounds}"
+                "genotype_bounds", f"must be {len(box)} (low, high) pair(s) with low < high "
+                f"inside {box}, got {self.genotype_bounds}"
             )
-        if not 0.0 <= self.sbx.probability <= 1.0:
-            raise SearchConfigError("sbx probability must lie in [0, 1]")
-        if self.sbx.eta <= 0 or self.mutation.eta <= 0:
-            raise SearchConfigError("distribution indices must be > 0")
-        pm = self.mutation.per_variable_probability
-        if pm is not None and not 0.0 <= pm <= 1.0:
-            raise SearchConfigError("mutation probability must lie in [0, 1]")
+        sbx, mutation = self.sbx, self.mutation
+        for name, p in [("sbx.probability", sbx.probability),
+                        ("mutation.per_variable_probability", mutation.per_variable_probability)]:
+            if p is not None and not 0.0 <= p <= 1.0:
+                raise SearchConfigError(name, f"must lie in [0, 1], got {p}")
+        for name, eta in [("sbx.eta", sbx.eta), ("mutation.eta", mutation.eta)]:
+            if not eta > 0:
+                raise SearchConfigError(name, f"must be > 0, got {eta}")
 
     @property
     def n_variables(self) -> int:
@@ -111,10 +113,11 @@ class SearchConfig:
         return 1.0 / self.n_variables if pm is None else pm
 
 
-def fast_nondominated_sort(objectives: Sequence[ObjectiveVector]) -> list[list[int]]:
-    """Partition indices into successive non-dominated fronts (front 0 first).
+def fast_nondominated_sort(f: np.ndarray) -> list[list[int]]:
+    """Partition the rows of an (m, 2) minimization fitness array into
+    successive non-dominated fronts (front 0 first).
 
-    Two objectives only, O(N log N) time and O(N) memory: a lexicographic sort
+    Two objectives only, O(m log m) time and O(m) memory: a lexicographic sort
     by (f0, f1) followed by one sweep (Kung, Luccio & Preparata 1975 for
     front 0; Jensen 2003, IEEE TEC 7(5), for all fronts). In that order a
     front's most recently added member is the only one that can dominate the
@@ -124,11 +127,6 @@ def fast_nondominated_sort(objectives: Sequence[ObjectiveVector]) -> list[list[i
     indices in ascending order, which crowding selection relies on to break
     ties.
     """
-    if any(o is None for o in objectives):
-        raise ValueError("all individuals must be evaluated before sorting")
-    if not objectives:
-        return []
-    f = np.array([o.fitness for o in objectives], dtype=np.float64)
     if f.ndim != 2 or f.shape[1] != 2:
         raise ValueError("non-dominated sorting needs exactly two objectives per point")
     if np.isnan(f).any():
@@ -150,14 +148,14 @@ def fast_nondominated_sort(objectives: Sequence[ObjectiveVector]) -> list[list[i
     return fronts
 
 
-def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
-    """Range-normalized neighbor-gap density; boundary members get +inf."""
-    m = len(front)
+def crowding_distance(f: np.ndarray) -> np.ndarray:
+    """Range-normalized neighbor-gap density of each row of an (m, 2) front's
+    fitness array; boundary members get +inf."""
+    m = len(f)
     if m == 0:
         raise ValueError("front must be non-empty")
     if m <= 2:
-        return [float("inf")] * m
-    f = np.array([o.fitness for o in front], dtype=np.float64)
+        return np.full(m, np.inf)
     dist = np.zeros(m, dtype=np.float64)
     for obj in range(f.shape[1]):
         order = np.argsort(f[:, obj], kind="stable")
@@ -168,7 +166,7 @@ def crowding_distance(front: Sequence[ObjectiveVector]) -> list[float]:
         dist[order[-1]] = np.inf
         gaps = (f[order[2:], obj] - f[order[:-2], obj]) / (hi - lo)
         dist[order[1:-1]] += gaps
-    return [float(d) for d in dist]
+    return dist
 
 
 def tournament_select(
@@ -228,7 +226,7 @@ def polynomial_mutation(x: np.ndarray, cfg: SearchConfig, rng: np.random.Generat
 
 @dataclass(frozen=True)
 class HistoryEntry:
-    """One evaluated candidate; populations, fronts and the history are lists of it."""
+    """One evaluated candidate; the front and the history are lists of it."""
 
     genotype: Genotype
     fitness: ObjectiveVector
@@ -245,26 +243,42 @@ def extract_pareto(history: Sequence[HistoryEntry]) -> list[HistoryEntry]:
     """
     if not history:
         raise ValueError("cannot extract a front from an empty history")
-    first_seen: dict[tuple[float, float], HistoryEntry] = {}
-    for entry in history:
-        first_seen.setdefault(entry.fitness.fitness, entry)
-    unique = list(first_seen.values())
-    fronts = fast_nondominated_sort([e.fitness for e in unique])
-    return sorted((unique[i] for i in fronts[0]), key=lambda e: e.fitness.fitness)
+    f = np.array([e.fitness.fitness for e in history], dtype=np.float64)
+    # A stable sort keeps equal fitnesses in history order, so each run of
+    # equal rows starts at its first occurrence, and the rows kept ascend.
+    order = np.lexsort((f[:, 1], f[:, 0]))
+    f = f[order]
+    first = np.concatenate(([True], (f[1:] != f[:-1]).any(axis=1)))
+    front = fast_nondominated_sort(f[first])[0]
+    return [history[i] for i in order[first][front].tolist()]
 
 
 def _stream(seed: int, generation: int, op: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(generation, op)))
 
 
-def _rank_and_crowding(pop: Sequence[HistoryEntry]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-member non-domination rank and crowding distance within its front."""
-    rank = np.zeros(len(pop), dtype=int)
-    crowding = np.zeros(len(pop))
-    for r, front in enumerate(fast_nondominated_sort([e.fitness for e in pop])):
+def _survivors(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keep ``n`` rows of an (m, 2) fitness array: whole fronts while they fit,
+    then the most crowded of the cut front, lower row first on ties.
+
+    Returns the kept rows in that order, and each row's rank and crowding as
+    the next tournament reads them; the cut front's survivors are crowded
+    among themselves. Rows past the last kept front get rank -1, crowding NaN.
+    """
+    rank = np.full(len(f), -1)
+    crowding = np.full(len(f), np.nan)
+    kept: list[int] = []
+    for r, front in enumerate(fast_nondominated_sort(f)):
         rank[front] = r
-        crowding[front] = crowding_distance([pop[i].fitness for i in front])
-    return rank, crowding
+        crowding[front] = crowding_distance(f[front])
+        if len(kept) + len(front) > n:
+            order = np.argsort(-crowding[front], kind="stable")
+            front = [front[j] for j in order[: n - len(kept)].tolist()]
+            crowding[front] = crowding_distance(f[front])
+        kept.extend(front)
+        if len(kept) == n:
+            break
+    return np.array(kept), rank, crowding
 
 
 def run_nsga2(
@@ -287,7 +301,7 @@ def run_nsga2(
     n = cfg.population_size
     history: list[HistoryEntry] = []
 
-    def evaluated(gen: int, values: np.ndarray) -> list[HistoryEntry]:
+    def evaluated(gen: int, values: np.ndarray) -> np.ndarray:
         gs = [Genotype(cfg.genotype_kind, row) for row in values.tolist()]
         try:
             fits = evaluator.evaluate_population(gs)
@@ -295,33 +309,23 @@ def run_nsga2(
             if on_generation is not None:
                 on_generation(history, gen)
             raise
-        entries = [HistoryEntry(genotype=g, fitness=f, generation=gen) for g, f in zip(gs, fits)]
-        history.extend(entries)
-        return entries
+        history.extend(HistoryEntry(g, o, gen) for g, o in zip(gs, fits))
+        return np.array([o.fitness for o in fits], dtype=np.float64)
 
     lo, hi = np.array(cfg.genotype_bounds).T
-    pop = evaluated(0, _stream(cfg.seed, 0, _OP_INIT).uniform(lo, hi, size=(n, cfg.n_variables)))
+    x = _stream(cfg.seed, 0, _OP_INIT).uniform(lo, hi, size=(n, cfg.n_variables))
+    f = evaluated(0, x)
     if on_generation is not None:
         on_generation(history, 0)
+    _, rank, crowding = _survivors(f, n)  # all n rows survive, read in place
 
     for gen in range(1, cfg.generations + 1):
-        winners = tournament_select(*_rank_and_crowding(pop), _stream(cfg.seed, gen, _OP_TOURNAMENT))
-        parents = np.array([pop[i].genotype.values for i in winners.tolist()])
+        parents = x[tournament_select(rank, crowding, _stream(cfg.seed, gen, _OP_TOURNAMENT))]
         children = sbx_crossover(parents, cfg, _stream(cfg.seed, gen, _OP_CROSSOVER))
         children = polynomial_mutation(children, cfg, _stream(cfg.seed, gen, _OP_MUTATION))
-
-        pooled = pop + evaluated(gen, children)
-        selected: list[int] = []
-        for front in fast_nondominated_sort([e.fitness for e in pooled]):
-            if len(selected) + len(front) <= n:
-                selected.extend(front)
-            else:
-                dists = crowding_distance([pooled[i].fitness for i in front])
-                order = sorted(range(len(front)), key=lambda j: (-dists[j], front[j]))
-                selected.extend(front[j] for j in order[: n - len(selected)])
-            if len(selected) == n:
-                break
-        pop = [pooled[i] for i in selected]
+        x, f = np.vstack((x, children)), np.vstack((f, evaluated(gen, children)))
+        kept, rank, crowding = _survivors(f, n)
+        x, f, rank, crowding = x[kept], f[kept], rank[kept], crowding[kept]
         if on_generation is not None:
             on_generation(history, gen)
 

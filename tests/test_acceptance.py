@@ -104,11 +104,6 @@ def test_rank_fidelity_entropy_high_and_above_random():
         print(f"  mean rho: entropy={means['entropy']:.4f} random={means['random']:.4f}")
 
 
-class _RawFitness:
-    def __init__(self, f1, f2):
-        self.fitness = (float(f1), float(f2))
-
-
 def _oracle_fronts(points):
     """Textbook O(n^2) non-dominated sorting: dominance sets plus counters."""
     n = len(points)
@@ -146,7 +141,7 @@ def test_sorting_matches_brute_force_oracle():
             n = int(rng.integers(1, 201))
             # integer grid objectives force plenty of ties and duplicates
             pts = list(zip(rng.integers(0, 30, n).tolist(), rng.integers(0, 30, n).tolist()))
-            got = fast_nondominated_sort([_RawFitness(a, b) for a, b in pts])
+            got = fast_nondominated_sort(np.array(pts, dtype=np.float64))
             assert [sorted(f) for f in got] == _oracle_fronts(pts)
         assert time.monotonic() - start < 10.0
 

@@ -15,11 +15,12 @@ from paretomerge.cli import main
 from paretomerge.evaluation import (
     candidate_id,
     generate_benchmark,
-    load_manifest,
     load_record_evaluations,
     save_benchmark,
 )
 from paretomerge.merge import Genotype, MergeKind
+
+from manifests import read_manifest
 
 
 def sha16(path) -> str:
@@ -210,7 +211,7 @@ def test_calibrate_from_records_with_manifest_round_trip(tmp_path):
     rc = main(["calibrate", "--records", str(records_path), "--k", "4",
                "--out", str(out), "--manifest", str(manifest)])
     assert rc == 1
-    pending = [g for _, g in load_manifest(manifest)]
+    pending = [g for _, g in read_manifest(manifest)]
     assert [g.values[0] for g in pending] == pytest.approx([0.0, 1 / 3, 2 / 3, 1.0])
 
     # records written in reverse item order
@@ -440,7 +441,7 @@ def test_evolve_writes_the_front_of_each_history_prefix(tmp_path, monkeypatch):
 
     history = [
         nsga2.HistoryEntry(
-            genotype=Genotype.from_dict(h["genotype"]),
+            genotype=Genotype(**h["genotype"]),
             fitness=ObjectiveVector(h["accuracy"], h["mean_length"]),
             generation=h["generation"],
         )
@@ -471,13 +472,13 @@ def test_evolve_config_validation(tmp_path):
         tmp_path, "bad2",
         search={"population_size": 7, "generations": 2, "seed": 0},
     )
-    assert main(["evolve", "--config", str(cfg_path2)]) == 1  # domain error: odd N
+    assert main(["evolve", "--config", str(cfg_path2)]) == 2  # usage error: odd N
 
     # a search box outside the kind's box, or of the wrong arity, fails before any output
     for name, bounds in [("box3", [[0, 2]]), ("box4", [[0, 1], [0, 1]])]:
         search = {"population_size": 4, "generations": 1, "genotype_bounds": bounds}
         cfg_path3, out_dir = evolve_config(tmp_path, name, search=search)
-        assert main(["evolve", "--config", str(cfg_path3)]) == 1
+        assert main(["evolve", "--config", str(cfg_path3)]) == 2
         assert not out_dir.exists()
 
 
@@ -590,6 +591,29 @@ def test_evolve_config_type_error_names_field(tmp_path, capsys):
         path.write_text(json.dumps({"evaluator": SIM, **block}))
         assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("search, message", [
+    ({"population_size": 5}, "'search.population_size' must be even and >= 4, got 5"),
+    ({"population_size": 2}, "'search.population_size' must be even and >= 4, got 2"),
+    ({"generations": 0}, "'search.generations' must be >= 1, got 0"),
+    ({"genotype_bounds": [[0, 2]]}, "'search.genotype_bounds' must be 1 (low, high) pair(s)"),
+    ({"genotype_bounds": [[0.5, 0.5]]}, "'search.genotype_bounds' must be 1 (low, high) pair(s)"),
+    ({"genotype_bounds": [[0, 1], [0, 1]]}, "'search.genotype_bounds' must be 1 (low, high)"),
+    ({"sbx": {"probability": 2}}, "'search.sbx.probability' must lie in [0, 1], got 2.0"),
+    ({"sbx": {"eta": 0}}, "'search.sbx.eta' must be > 0, got 0.0"),
+    ({"mutation": {"eta": -1}}, "'search.mutation.eta' must be > 0, got -1.0"),
+    ({"mutation": {"per_variable_probability": 1.5}},
+     "'search.mutation.per_variable_probability' must lie in [0, 1], got 1.5"),
+    ({"mutation": {"per_variable_probability": -0.25}},
+     "'search.mutation.per_variable_probability' must lie in [0, 1], got -0.25"),
+])
+def test_evolve_search_out_of_range_is_usage_error(tmp_path, capsys, search, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"search": search, "evaluator": SIM}))
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert f"usage error: config {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 TINY_SEARCH = {"population_size": 4, "generations": 1, "seed": 0}
@@ -776,7 +800,7 @@ def test_evolve_records_manifest_round_trips(tmp_path):
         assert rc == 1
         manifest = tmp_path / "recrun" / "manifest.jsonl"
         assert manifest.exists()
-        pending = [g for _, g in load_manifest(manifest)]
+        pending = [g for _, g in read_manifest(manifest)]
         assert pending, "manifest must name pending candidates"
         known.extend(pending)
         simulated_records_for(bench, known, records_path, subset=explicit_subset)
@@ -815,7 +839,7 @@ def run_calibrated_harness(tmp_path, between_rounds=lambda run_dir: None):
         if rc == 0:
             return run_dir
         assert rc == 1
-        known.extend(g for _, g in load_manifest(run_dir / "manifest.jsonl"))
+        known.extend(g for _, g in read_manifest(run_dir / "manifest.jsonl"))
         simulated_records_for(bench, known, records_path)
         between_rounds(run_dir)
     pytest.fail("did not converge")
@@ -1005,7 +1029,7 @@ def run_records_without_subset(tmp_path, between_rounds=lambda index: None):
         if rc == 0:
             break
         assert rc == 1
-        known.extend(g for _, g in load_manifest(run_dir / "manifest.jsonl"))
+        known.extend(g for _, g in read_manifest(run_dir / "manifest.jsonl"))
         simulated_records_for(bench, known, records_path, subset=bench.item_ids[::-1])
         between_rounds(run_dir / "records.index")
     else:

@@ -23,13 +23,14 @@ from paretomerge.evaluation import (
     candidate_id,
     generate_benchmark,
     load_benchmark,
-    load_manifest,
     load_record_evaluations,
     logistic_response,
     save_benchmark,
     write_manifest,
 )
 from paretomerge.merge import Genotype, MergeKind
+
+from manifests import read_manifest
 
 
 UP, DOWN, LOGISTIC = map(RESPONSE_KINDS.index, ("THRESHOLD_UP", "THRESHOLD_DOWN", "LOGISTIC"))
@@ -446,13 +447,6 @@ def test_load_benchmark_rejects_non_numbers_and_non_finite(tmp_path, field, raw)
         load_benchmark(path)
 
 
-def test_load_manifest_malformed_line(tmp_path):
-    path = tmp_path / "m.jsonl"
-    path.write_text('{"candidate_id": "x"}\n')
-    with pytest.raises(RecordFormatError, match="line 1"):
-        load_manifest(path)
-
-
 def test_load_records_grouping(tmp_path):
     path = tmp_path / "r.jsonl"
     path.write_text(
@@ -851,7 +845,7 @@ def test_manifest_round_trip(tmp_path):
     gs = [Genotype(MergeKind.TA, (0.25,)), Genotype(MergeKind.TIES, (0.5, 0.8))]
     path = tmp_path / "manifest.jsonl"
     write_manifest(path, gs)
-    loaded = load_manifest(path)
+    loaded = read_manifest(path)
     assert [g for _, g in loaded] == gs
     assert [cid for cid, _ in loaded] == [candidate_id(g) for g in gs]
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import paretomerge.nsga2 as nsga2
 from paretomerge.errors import SearchConfigError
 from paretomerge.evaluation import FitnessEvaluator, ObjectiveVector
 from paretomerge.merge import Genotype, MergeKind, default_genotype_bounds
@@ -11,7 +12,7 @@ from paretomerge.nsga2 import (
     MutationParams,
     SbxParams,
     SearchConfig,
-    _rank_and_crowding,
+    _survivors,
     crowding_distance,
     extract_pareto,
     fast_nondominated_sort,
@@ -20,13 +21,6 @@ from paretomerge.nsga2 import (
     sbx_crossover,
     tournament_select,
 )
-
-
-class Fit:
-    """Minimal stand-in exposing a raw minimization fitness pair."""
-
-    def __init__(self, f1, f2):
-        self.fitness = (float(f1), float(f2))
 
 
 def brute_force_fronts(points):
@@ -49,25 +43,22 @@ def brute_force_fronts(points):
 
 
 def test_sort_single_front_and_two_fronts():
-    pts = [Fit(1, 5), Fit(2, 3), Fit(3, 1)]
-    assert fast_nondominated_sort(pts) == [[0, 1, 2]]
-    pts = [Fit(1, 1), Fit(2, 2)]
-    assert fast_nondominated_sort(pts) == [[0], [1]]
+    assert fast_nondominated_sort(np.array([[1.0, 5.0], [2.0, 3.0], [3.0, 1.0]])) == [[0, 1, 2]]
+    assert fast_nondominated_sort(np.array([[1.0, 1.0], [2.0, 2.0]])) == [[0], [1]]
 
 
 def test_sort_matches_brute_force_oracle():
     rng = np.random.default_rng(0)
     for _ in range(100):
         n = int(rng.integers(1, 60))
-        pts = [Fit(a, b) for a, b in zip(rng.integers(0, 12, n), rng.integers(0, 12, n))]
-        raw = [p.fitness for p in pts]
-        assert fast_nondominated_sort(pts) == brute_force_fronts(raw)
+        pts = np.column_stack((rng.integers(0, 12, n), rng.integers(0, 12, n))).astype(float)
+        assert fast_nondominated_sort(pts) == brute_force_fronts(pts.tolist())
 
 
 def test_sort_scale_free():
     rng = np.random.default_rng(2)
-    pts = [Fit(a, b) for a, b in rng.uniform(0, 10, size=(40, 2))]
-    scaled = [Fit(p.fitness[0], 1000.0 * p.fitness[1]) for p in pts]
+    pts = rng.uniform(0, 10, size=(40, 2))
+    scaled = pts * [1.0, 1000.0]
     assert fast_nondominated_sort(pts) == fast_nondominated_sort(scaled)
 
 
@@ -78,10 +69,8 @@ def test_tournament_winners_scale_free():
     raw = rng.uniform(0, 1, size=(16, 2))
 
     def rank_and_crowding(scale):
-        return _rank_and_crowding([
-            HistoryEntry(Genotype(MergeKind.TA, (i / 16,)), ObjectiveVector(f1, scale * f2), 0)
-            for i, (f1, f2) in enumerate(raw)
-        ])
+        _, rank, crowding = _survivors(np.column_stack((-raw[:, 0], scale * raw[:, 1])), len(raw))
+        return rank, crowding
 
     plain, scaled = rank_and_crowding(1.0), rank_and_crowding(250.0)
     for seed in range(200):
@@ -90,22 +79,67 @@ def test_tournament_winners_scale_free():
         assert w1.tolist() == w2.tolist()
 
 
+def rank_and_crowding(pop):
+    """Slow reference: each member's rank and crowding from a sort of ``pop`` alone."""
+    rank = np.zeros(len(pop), dtype=int)
+    crowding = np.zeros(len(pop))
+    for r, front in enumerate(fast_nondominated_sort(pop)):
+        rank[front] = r
+        crowding[front] = crowding_distance(pop[front])
+    return rank, crowding
+
+
+def two_sort_selection(f, n):
+    """Slow reference for ``_survivors``: survivors from a sort of the pool, then
+    their rank and crowding from a second sort of the survivors."""
+    selected = []
+    for front in fast_nondominated_sort(f):
+        if len(selected) + len(front) <= n:
+            selected.extend(front)
+        else:
+            dists = crowding_distance(f[front])
+            order = sorted(range(len(front)), key=lambda j: (-dists[j], front[j]))
+            selected.extend(front[j] for j in order[: n - len(selected)])
+        if len(selected) == n:
+            break
+    return selected, *rank_and_crowding(f[selected])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(side=st.integers(1, 6), data=st.data())
+def test_survivors_match_two_sort_selection(side, data):
+    # An integer grid of side + 1 values per objective forces ties and
+    # duplicates; keeping every n from 1 to the pool size cuts the pool at
+    # every position, and n equal to the pool size is generation 0.
+    cell = st.tuples(st.integers(0, side), st.integers(0, side))
+    f = np.array(data.draw(st.lists(cell, min_size=1, max_size=40)), dtype=np.float64)
+    for n in range(1, len(f) + 1):
+        kept, rank, crowding = _survivors(f, n)
+        selected, ref_rank, ref_crowding = two_sort_selection(f, n)
+        assert kept.tolist() == selected
+        assert rank[kept].tobytes() == ref_rank.tobytes()
+        assert crowding[kept].tobytes() == ref_crowding.tobytes()
+    # The last n is the pool size, where every row survives and generation 0
+    # reads rank and crowding by row, without reordering.
+    ref_rank, ref_crowding = rank_and_crowding(f)
+    assert rank.tobytes() == ref_rank.tobytes()
+    assert crowding.tobytes() == ref_crowding.tobytes()
+
+
 def test_crowding_distance_hand_example():
-    front = [Fit(0, 10), Fit(5, 5), Fit(10, 0)]
-    dist = crowding_distance(front)
+    dist = crowding_distance(np.array([[0.0, 10.0], [5.0, 5.0], [10.0, 0.0]]))
     assert dist[0] == float("inf") and dist[2] == float("inf")
     assert dist[1] == pytest.approx(2.0)
 
 
 def test_crowding_distance_small_fronts():
-    assert crowding_distance([Fit(1, 2)]) == [float("inf")]
-    assert crowding_distance([Fit(1, 2), Fit(2, 1)]) == [float("inf")] * 2
+    assert crowding_distance(np.array([[1.0, 2.0]])).tolist() == [float("inf")]
+    assert crowding_distance(np.array([[1.0, 2.0], [2.0, 1.0]])).tolist() == [float("inf")] * 2
 
 
 def test_crowding_distance_degenerate_objective():
     # second objective constant: contributes 0, first still assigns infs
-    front = [Fit(0, 7), Fit(1, 7), Fit(2, 7), Fit(3, 7)]
-    dist = crowding_distance(front)
+    dist = crowding_distance(np.array([[0.0, 7.0], [1.0, 7.0], [2.0, 7.0], [3.0, 7.0]]))
     assert dist[0] == float("inf") and dist[3] == float("inf")
     assert dist[1] == pytest.approx((2 - 0) / 3)
     assert dist[2] == pytest.approx((3 - 1) / 3)
@@ -342,6 +376,18 @@ def test_run_nsga2_makes_one_batch_call_per_generation():
     assert history == run_nsga2(cfg, linear_objectives)[1]
 
 
+def test_run_nsga2_sorts_once_per_generation(monkeypatch):
+    """One sort of the initial population, one of each generation's pool of
+    parents and offspring, one of the deduplicated history for the front."""
+    sizes = []
+    sort = nsga2.fast_nondominated_sort
+    monkeypatch.setattr(nsga2, "fast_nondominated_sort", lambda f: sizes.append(len(f)) or sort(f))
+    cfg = SearchConfig(population_size=8, generations=5, seed=3)
+    history = run_nsga2(cfg, linear_objectives)[1]
+    assert len(sizes) == cfg.generations + 2
+    assert sizes == [8] + [16] * cfg.generations + [len({h.fitness.fitness for h in history})]
+
+
 def test_run_nsga2_rng_layout(monkeypatch):
     """One generator seeds the first generation, and one per (generation,
     operator) drives each later one: 1 + 3 * generations in all."""
@@ -492,7 +538,7 @@ def test_sort_matches_brute_force_on_float_ties_and_duplicates():
     for n in [1, 2, 3, 5, 10, 50, 200, 1000]:
         for _ in range(20 if n <= 50 else 2):
             raw = tied_float_points(rng, n)
-            assert fast_nondominated_sort([Fit(a, b) for a, b in raw]) == brute_force_fronts(raw)
+            assert fast_nondominated_sort(np.array(raw)) == brute_force_fronts(raw)
 
 
 def test_extract_pareto_is_brute_force_front_zero_after_dedup():
@@ -516,7 +562,7 @@ def test_sort_10k_points_memory_is_linear():
     import tracemalloc
 
     rng = np.random.default_rng(23)
-    pts = [Fit(a, b) for a, b in rng.uniform(0, 1, size=(10_000, 2))]
+    pts = rng.uniform(0, 1, size=(10_000, 2))
     tracemalloc.start()
     try:
         fronts = fast_nondominated_sort(pts)
@@ -528,10 +574,9 @@ def test_sort_10k_points_memory_is_linear():
 
 
 def test_sort_rejects_other_objective_counts_and_nan():
-    class Fit3:
-        fitness = (1.0, 2.0, 3.0)
-
     with pytest.raises(ValueError, match="two objectives"):
-        fast_nondominated_sort([Fit3(), Fit3()])
+        fast_nondominated_sort(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]))
+    with pytest.raises(ValueError, match="two objectives"):
+        fast_nondominated_sort(np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="NaN"):
-        fast_nondominated_sort([Fit(0.0, 1.0), Fit(float("nan"), 0.0)])
+        fast_nondominated_sort(np.array([[0.0, 1.0], [float("nan"), 0.0]]))
