@@ -147,6 +147,13 @@ def _at_least(*checks: tuple[str, int, int]) -> None:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
 
 
+def _at_most(*checks: tuple[str, int, int]) -> None:
+    """Raise a usage error for the first ``(name, value, most)`` with value > most."""
+    for name, value, most in checks:
+        if value > most:
+            raise UsageError(f"{name} must be at most {most}, got {value}")
+
+
 def _resolve_bench(args) -> SimulatedBenchmark:
     if (args.bench is None) == (args.gen_seed is None):
         raise UsageError("provide exactly one of --bench or --gen-seed")
@@ -230,13 +237,11 @@ def _cmd_calibrate(args) -> int:
 def _cmd_sample_subset(args) -> int:
     _at_least(("--size", args.size, 1), ("--seed", args.seed, 0))
     matrix = load_matrix(args.matrix)
-    subset = select_subset(matrix, args.strategy, args.size, seed=args.seed)
-    save_subset(subset, args.out)
-    entropies = sorted(
-        bernoulli_entropy(float(matrix.column(iid).mean())) for iid in subset.item_ids
-    )
+    chosen = select_subset(matrix, args.strategy, args.size, seed=args.seed)
+    save_subset(args.out, args.strategy, args.seed, [matrix.item_ids[i] for i in chosen])
+    entropies = sorted(map(bernoulli_entropy, matrix.correct.mean(axis=0)[chosen].tolist()))
     print(
-        f"selected {len(subset.item_ids)} items ({subset.strategy.value}); "
+        f"selected {len(chosen)} items ({args.strategy}); "
         f"entropy min/median/max = {entropies[0]:.4f}/"
         f"{statistics.median(entropies):.4f}/{entropies[-1]:.4f}"
     )
@@ -273,6 +278,7 @@ def _cmd_evolve(args) -> int:
             f"config '{field}' must be ta with a simulated evaluator, "
             f"got {json.dumps(search.genotype_kind.value)}"
         )
+    _check_budgets(search, sim if sources[0] == "simulated" else None, subset_block)
 
     out_dir = Path(args.out or raw.get("output_dir") or "paretomerge-run")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -407,6 +413,32 @@ _CONFIG = {
     "output_dir": (lambda v: not v or isinstance(v, str), "a string"),
 }
 
+# Machine budgets of an ``evolve`` run. A size that fits an index may still not
+# fit a desk machine: past these, building the benchmark, the calibration
+# matrix or the search's history would run out of memory or take hours.
+MAX_ITEMS = 10**6  # evaluator.simulated.n_items
+MAX_CALIBRATION_K = 10**4  # subset.calibration_k
+MAX_CALIBRATION_CELLS = 10**7  # calibration_k x n_items, for a generated benchmark
+MAX_EVALUATIONS = 10**6  # population_size x (generations + 1), the history entries
+
+
+def _check_budgets(search: SearchConfig, sim: dict | None, subset_block) -> None:
+    """Refuse a config over a machine budget, naming its fields. ``sim`` is the
+    simulated evaluator block, None with records."""
+    n_items = sim.get("n_items", 1000) if sim is not None else 0
+    k = (subset_block or {}).get("calibration_k", 10)
+    generated = sim is not None and not sim.get("benchmark")
+    calibrates = subset_block is not None and "item_ids" not in subset_block
+    _at_most(
+        ("config 'evaluator.simulated.n_items'", n_items, MAX_ITEMS),
+        ("config 'subset.calibration_k'", k, MAX_CALIBRATION_K),
+        ("config 'subset.calibration_k' x 'evaluator.simulated.n_items'",
+         k * n_items if generated and calibrates else 0, MAX_CALIBRATION_CELLS),
+        ("config 'search.population_size' x ('search.generations' + 1)",
+         search.population_size * (search.generations + 1), MAX_EVALUATIONS),
+    )
+
+
 # Blocks with a value that stands for "no settings": a null subset selects
 # every item, and a falsy simulated block generates the default benchmark.
 _NO_SETTINGS = {"subset": lambda v: v is None, "evaluator.simulated": lambda v: not v}
@@ -485,11 +517,11 @@ def _resolve_subset(subset_block, bench, records, out_dir) -> list[str] | None:
     key_path.unlink(missing_ok=True)
     matrix = _calibration_matrix(grid, bench, records)
     save_matrix(matrix, out_dir / "matrix.json")
-    subset = select_subset(matrix, strategy, size, seed=seed)
-    save_subset(subset, out_dir / "subset.json")
+    subset_ids = [matrix.item_ids[i] for i in select_subset(matrix, strategy, size, seed=seed)]
+    save_subset(out_dir / "subset.json", strategy, seed, subset_ids)
     if key is not None:
         write_atomic(key_path, _calibration_key_file(key, out_dir))
-    return list(subset.item_ids)
+    return subset_ids
 
 
 def _calibration_matrix(grid, bench, records) -> CorrectnessMatrix:

@@ -324,8 +324,9 @@ def run_nsga2(
         children = sbx_crossover(parents, cfg, _stream(cfg.seed, gen, _OP_CROSSOVER))
         children = polynomial_mutation(children, cfg, _stream(cfg.seed, gen, _OP_MUTATION))
         x, f = np.vstack((x, children)), np.vstack((f, evaluated(gen, children)))
-        kept, rank, crowding = _survivors(f, n)
-        x, f, rank, crowding = x[kept], f[kept], rank[kept], crowding[kept]
+        if gen < cfg.generations:  # the last pool has no next generation to select for
+            kept, rank, crowding = _survivors(f, n)
+            x, f, rank, crowding = x[kept], f[kept], rank[kept], crowding[kept]
         if on_generation is not None:
             on_generation(history, gen)
 

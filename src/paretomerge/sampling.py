@@ -3,8 +3,9 @@
 The calibration matrix records which of K interpolated candidates solved each
 item. Per-item Bernoulli entropy of the empirical solve rate scores how
 informative an item is for ranking candidates; subsets picked by entropy,
-uniform sampling, or endpoint disagreement can then be compared by the
-Spearman correlation between subset-induced and full-benchmark rankings.
+uniform sampling, or endpoint disagreement are integer arrays of matrix column
+indices, and can be compared by the Spearman correlation between
+subset-induced and full-benchmark rankings.
 """
 
 from __future__ import annotations
@@ -47,13 +48,6 @@ class CorrectnessMatrix:
         if correct.dtype.kind not in "iuf" or not np.isin(correct, (0, 1)).all():
             raise ValueError("correctness entries must be binary (0 or 1)")
         self.correct = correct.astype(np.int8, copy=False)
-        self._item_index = {iid: i for i, iid in enumerate(self.item_ids)}
-
-    def column(self, item_id: str) -> np.ndarray:
-        try:
-            return self.correct[:, self._item_index[item_id]]
-        except KeyError:
-            raise ValueError(f"unknown item id {item_id!r}") from None
 
 
 def save_matrix(matrix: CorrectnessMatrix, path) -> None:
@@ -80,29 +74,9 @@ class SubsetStrategy(str, Enum):
     DISAGREEMENT = "disagreement"
 
 
-@dataclass(frozen=True)
-class EvaluationSubset:
-    """Ordered, de-duplicated item ids picked by one strategy."""
-
-    item_ids: tuple[str, ...]
-    strategy: SubsetStrategy
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "strategy", SubsetStrategy(self.strategy))
-        object.__setattr__(self, "item_ids", tuple(self.item_ids))
-        if len(self.item_ids) < 1:
-            raise ValueError("subset must contain at least one item")
-        if len(set(self.item_ids)) != len(self.item_ids):
-            raise ValueError("subset item ids must be unique")
-
-
-def save_subset(subset: EvaluationSubset, path) -> None:
-    payload = {
-        "strategy": subset.strategy.value,
-        "seed": subset.seed,
-        "item_ids": list(subset.item_ids),
-    }
+def save_subset(path, strategy: SubsetStrategy | str, seed: int, item_ids: Sequence[str]) -> None:
+    """Write the item ids ``select_subset`` picked, with the strategy and seed that picked them."""
+    payload = {"strategy": SubsetStrategy(strategy).value, "seed": seed, "item_ids": list(item_ids)}
     write_atomic(path, json.dumps(payload).encode("utf-8"))
 
 
@@ -168,8 +142,9 @@ def select_subset(
     strategy: SubsetStrategy | str,
     size: int,
     seed: int = 0,
-) -> EvaluationSubset:
-    """Pick ``size`` items by the given strategy, deterministically.
+) -> np.ndarray:
+    """Pick ``size`` items by the given strategy, deterministically, and
+    return their matrix column indices in selection order.
 
     ENTROPY takes the highest-entropy items (ties broken by ascending item
     index); RANDOM samples uniformly without replacement under ``seed``;
@@ -185,42 +160,28 @@ def select_subset(
         raise SubsetSelectionError(f"subset size {size} exceeds item count {n}")
 
     if strategy == SubsetStrategy.ENTROPY:
-        rates = matrix.correct.mean(axis=0)
-        entropies = [bernoulli_entropy(float(p)) for p in rates]
-        order = sorted(range(n), key=lambda i: (-entropies[i], i))
-        chosen = order[:size]
-    elif strategy == SubsetStrategy.RANDOM:
-        rng = np.random.default_rng(seed)
-        chosen = list(rng.choice(n, size=size, replace=False))
-    else:
-        eligible = [i for i in range(n) if matrix.correct[0, i] != matrix.correct[-1, i]]
-        if len(eligible) < size:
-            raise SubsetSelectionError(
-                f"only {len(eligible)} items disagree at the endpoint rows, "
-                f"cannot select {size}"
-            )
-        chosen = eligible[:size]
-    return EvaluationSubset(
-        item_ids=tuple(matrix.item_ids[i] for i in chosen),
-        strategy=strategy,
-        seed=seed,
-    )
+        # The scalar entropy keeps math.log2's bits, which decide the ties.
+        entropies = np.array([bernoulli_entropy(p) for p in matrix.correct.mean(axis=0).tolist()])
+        return np.argsort(-entropies, kind="stable")[:size]
+    if strategy == SubsetStrategy.RANDOM:
+        return np.random.default_rng(seed).choice(n, size=size, replace=False)
+    eligible = np.flatnonzero(matrix.correct[0] != matrix.correct[-1])
+    if len(eligible) < size:
+        raise SubsetSelectionError(
+            f"only {len(eligible)} items disagree at the endpoint rows, cannot select {size}"
+        )
+    return eligible[:size]
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based), ties sharing their mid-rank."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """Average ranks (1-based), ties sharing their mid-rank; each NaN is its
+    own value, after every number, and NaNs rank in index order."""
+    # return_index makes np.unique sort stably, which fixes the NaNs' order.
+    _, _, inverse, counts = np.unique(
+        np.asarray(values, dtype=np.float64),
+        return_index=True, return_inverse=True, return_counts=True, equal_nan=False,
+    )
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
@@ -272,17 +233,14 @@ def rank_fidelity_curve(
     strategies = [SubsetStrategy(s) for s in strategies]
     matrix = build_calibration_matrix(bench.outcomes, default_lambda_grid(calibration_k))
 
+    # The matrix columns are in benchmark order, so a subset indexes ``corr``.
     # Entropy / disagreement subsets are functions of the matrix alone;
     # random subsets are drawn per seed below.
-    static_indices: dict[tuple[SubsetStrategy, int], np.ndarray] = {}
-    for strategy in strategies:
-        if strategy == SubsetStrategy.RANDOM:
-            continue
-        for size in sizes:
-            subset = select_subset(matrix, strategy, size, seed=0)
-            static_indices[(strategy, size)] = np.array(
-                [bench.index_of(i) for i in subset.item_ids]
-            )
+    static_indices = {
+        (strategy, size): select_subset(matrix, strategy, size, seed=0)
+        for strategy in strategies if strategy != SubsetStrategy.RANDOM
+        for size in sizes
+    }
 
     cells = []
     for seed in seeds:
@@ -293,8 +251,7 @@ def rank_fidelity_curve(
         for strategy in strategies:
             for size in sizes:
                 if strategy == SubsetStrategy.RANDOM:
-                    subset = select_subset(matrix, strategy, size, seed=seed)
-                    idx = np.array([bench.index_of(i) for i in subset.item_ids])
+                    idx = select_subset(matrix, strategy, size, seed=seed)
                 else:
                     idx = static_indices[(strategy, size)]
                 sub_acc = corr[:, idx].mean(axis=1)

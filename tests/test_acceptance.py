@@ -244,8 +244,8 @@ def test_search_quality_over_search_seeds():
         start = time.monotonic()
         bench = generate_benchmark(seed=0, n_items=1000)
         matrix = build_calibration_matrix(bench.outcomes, default_lambda_grid(10))
-        subset = select_subset(matrix, SubsetStrategy.ENTROPY, 50, seed=0)
-        fit = paretomerge.SimulatedFitness(bench, list(subset.item_ids))
+        chosen = select_subset(matrix, SubsetStrategy.ENTROPY, 50, seed=0)
+        fit = paretomerge.SimulatedFitness(bench, [matrix.item_ids[i] for i in chosen])
         grid_points = [
             (ov.accuracy, ov.mean_length)
             for ov in map(fit.evaluate_at, np.linspace(0.0, 1.0, 1001).tolist())

@@ -19,6 +19,7 @@ from paretomerge.evaluation import (
     save_benchmark,
 )
 from paretomerge.merge import Genotype, MergeKind
+from paretomerge.nsga2 import SearchConfig
 
 from manifests import read_manifest
 
@@ -323,6 +324,23 @@ def test_sample_subset_flow(tmp_path, capsys):
                  "--size", "0", "--out", str(tmp_path / "z.json")]) == 2
 
 
+@pytest.mark.parametrize("strategy, digest, entropies", [
+    (["entropy"], "17f26ccdf47dd9b2", "0.4690/0.9710/1.0000"),
+    (["random", "--seed", "3"], "e5a790691d0486c9", "0.0000/0.0000/1.0000"),
+    (["disagreement"], "fedda1a6bc0fc319", "0.4690/0.4690/1.0000"),
+], ids=["entropy", "random-seed-3", "disagreement"])
+def test_sample_subset_digests(tmp_path, capsys, strategy, digest, entropies):
+    matrix_path, out = tmp_path / "m.json", tmp_path / "s.json"
+    assert main(["calibrate", "--gen-seed", "0", "--out", str(matrix_path)]) == 0
+    capsys.readouterr()
+    assert main(["sample-subset", "--matrix", str(matrix_path), "--strategy", *strategy,
+                 "--size", "50", "--out", str(out)]) == 0
+    assert sha16(out) == digest
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"selected 50 items ({strategy[0]}); entropy min/median/max = {entropies}"
+    )
+
+
 def evolve_config(tmp_path, out_name="run", **overrides):
     cfg = {
         "search": {"population_size": 8, "generations": 3, "seed": 0},
@@ -614,6 +632,40 @@ def test_evolve_search_out_of_range_is_usage_error(tmp_path, capsys, search, mes
     assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     assert f"usage error: config {message}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"evaluator": {"simulated": {"n_items": 2**62}}},
+     f"'evaluator.simulated.n_items' must be at most 1000000, got {2**62}"),
+    ({"evaluator": SIM, "subset": {"calibration_k": 10**12}},
+     "'subset.calibration_k' must be at most 10000, got 1000000000000"),
+    ({"search": {"population_size": 10**12}, "evaluator": SIM},
+     "'search.population_size' x ('search.generations' + 1) must be at most 1000000, "
+     "got 11000000000000"),
+    # each size within its own budget, the product over the shared one
+    ({"evaluator": {"simulated": {"n_items": 10**6}}, "subset": {"calibration_k": 11}},
+     "'subset.calibration_k' x 'evaluator.simulated.n_items' must be at most 10000000, "
+     "got 11000000"),
+    ({"search": {"population_size": 10**4, "generations": 100}, "evaluator": SIM},
+     "'search.population_size' x ('search.generations' + 1) must be at most 1000000, "
+     "got 1010000"),
+], ids=["n_items", "calibration_k", "population_size", "calibration-cells", "evaluations"])
+def test_evolve_size_over_machine_budget_is_usage_error(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"usage error: config {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_evolve_sizes_at_the_machine_budget_pass_the_check():
+    """The budgets are inclusive; a subset of explicit ids or a benchmark file
+    leaves the calibration cells unchecked."""
+    search = SearchConfig(population_size=10**4, generations=99)
+    cli._check_budgets(search, {"n_items": 10**6}, {"calibration_k": 10})
+    cli._check_budgets(search, {"n_items": 10**6}, {"calibration_k": 10**4, "item_ids": ["i"]})
+    cli._check_budgets(search, {"n_items": 10**6, "benchmark": "b.json"}, {"calibration_k": 10**4})
+    cli._check_budgets(search, None, {"calibration_k": 10**4})
 
 
 TINY_SEARCH = {"population_size": 4, "generations": 1, "seed": 0}
@@ -1223,6 +1275,12 @@ def test_fidelity_csv_digests(tmp_path):
                  "--n-models", "8", "--seeds", "4", "--out", str(out_dir)]) == 0
     assert sha16(out_dir / "fidelity.csv") == "81e055e690ff0054"
     assert sha16(out_dir / "fidelity_mean.csv") == "829d36d8694230dd"
+    # the same cells with the disagreement strategy after them
+    assert main(["fidelity", "--gen-seed", "2", "--n-items", "150",
+                 "--strategies", "entropy,random,disagreement", "--sizes", "15,30",
+                 "--n-models", "8", "--seeds", "4", "--out", str(out_dir)]) == 0
+    assert sha16(out_dir / "fidelity.csv") == "a42715def4b0b322"
+    assert sha16(out_dir / "fidelity_mean.csv") == "059ff8c126021b86"
 
 
 def test_report_six_benchmark_aggregate(tmp_path, capsys):

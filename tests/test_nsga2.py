@@ -377,15 +377,16 @@ def test_run_nsga2_makes_one_batch_call_per_generation():
 
 
 def test_run_nsga2_sorts_once_per_generation(monkeypatch):
-    """One sort of the initial population, one of each generation's pool of
-    parents and offspring, one of the deduplicated history for the front."""
+    """One sort of the initial population, one of each pool of parents and
+    offspring that selects a next generation (the last pool selects none), one
+    of the deduplicated history for the front."""
     sizes = []
     sort = nsga2.fast_nondominated_sort
     monkeypatch.setattr(nsga2, "fast_nondominated_sort", lambda f: sizes.append(len(f)) or sort(f))
     cfg = SearchConfig(population_size=8, generations=5, seed=3)
     history = run_nsga2(cfg, linear_objectives)[1]
-    assert len(sizes) == cfg.generations + 2
-    assert sizes == [8] + [16] * cfg.generations + [len({h.fitness.fitness for h in history})]
+    assert len(sizes) == cfg.generations + 1
+    assert sizes == [8] + [16] * (cfg.generations - 1) + [len({h.fitness.fitness for h in history})]
 
 
 def test_run_nsga2_rng_layout(monkeypatch):

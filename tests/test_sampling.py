@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from paretomerge.errors import SubsetSelectionError
@@ -14,6 +17,7 @@ from paretomerge.sampling import (
     default_lambda_grid,
     expected_distinction,
     load_matrix,
+    _midranks,
     mean_fidelity,
     rank_fidelity_curve,
     save_matrix,
@@ -86,11 +90,10 @@ def test_build_calibration_matrix_shape_and_grid_checks():
 
 def test_empirical_solve_rate():
     m = matrix_from_columns([0.4, 1.0, 0.0])
-    assert m.column("item-0").mean() == 0.4
-    assert m.column("item-1").mean() == 1.0
-    assert m.column("item-2").mean() == 0.0
-    with pytest.raises(ValueError):
-        m.column("missing")
+    rates = m.correct.mean(axis=0)
+    assert rates.tolist() == [0.4, 1.0, 0.0]
+    # a column's mean on its own is the same exact fraction
+    assert [m.correct[:, i].mean() for i in range(3)] == rates.tolist()
 
 
 def test_bernoulli_entropy_values():
@@ -140,14 +143,35 @@ def test_expected_distinction_monte_carlo_oracle():
 
 def test_select_subset_entropy_example():
     m = matrix_from_columns([1.0, 0.5, 0.9, 0.4])
-    subset = select_subset(m, SubsetStrategy.ENTROPY, 2)
-    assert list(subset.item_ids) == ["item-1", "item-3"]  # H(0.5)=1 > H(0.4)=0.971
+    chosen = select_subset(m, SubsetStrategy.ENTROPY, 2)
+    assert chosen.dtype.kind == "i"
+    assert chosen.tolist() == [1, 3]  # H(0.5)=1 > H(0.4)=0.971
 
 
 def test_select_subset_entropy_tie_break_by_index():
     m = matrix_from_columns([0.4, 0.6, 0.5, 0.6])  # H ties between items 1 and 3
-    subset = select_subset(m, SubsetStrategy.ENTROPY, 3)
-    assert list(subset.item_ids) == ["item-2", "item-0", "item-1"]
+    assert select_subset(m, SubsetStrategy.ENTROPY, 3).tolist() == [2, 0, 1]
+
+
+@st.composite
+def integer_grid_matrices(draw):
+    """K x n matrices whose solve rates are multiples of 1/K, so many columns tie."""
+    k = draw(st.integers(2, 12))
+    counts = draw(st.lists(st.integers(0, k), min_size=1, max_size=40))
+    correct = (np.arange(k)[:, None] < np.array(counts)[None, :]).astype(np.int8)
+    matrix = CorrectnessMatrix([f"m{i}" for i in range(k)], [f"i{j}" for j in range(len(counts))],
+                               correct)
+    return matrix, draw(st.integers(1, len(counts)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=integer_grid_matrices())
+def test_select_subset_entropy_order_matches_sorted_oracle(case):
+    matrix, size = case
+    n = len(matrix.item_ids)
+    h = [bernoulli_entropy(float(p)) for p in matrix.correct.mean(axis=0)]
+    expected = sorted(range(n), key=lambda i: (-h[i], i))[:size]
+    assert select_subset(matrix, SubsetStrategy.ENTROPY, size).tolist() == expected
 
 
 def test_select_subset_disagreement():
@@ -160,8 +184,7 @@ def test_select_subset_disagreement():
     m = CorrectnessMatrix(
         ["m0", "m1"], ["i0", "i1", "i2"], correct
     )
-    subset = select_subset(m, SubsetStrategy.DISAGREEMENT, 2)
-    assert list(subset.item_ids) == ["i1", "i2"]
+    assert select_subset(m, SubsetStrategy.DISAGREEMENT, 2).tolist() == [1, 2]
     with pytest.raises(SubsetSelectionError, match="disagree"):
         select_subset(m, SubsetStrategy.DISAGREEMENT, 3)
 
@@ -169,12 +192,12 @@ def test_select_subset_disagreement():
 def test_select_subset_random_full_and_deterministic():
     m = matrix_from_columns([0.1, 0.2, 0.3, 0.4, 0.5])
     full = select_subset(m, SubsetStrategy.RANDOM, 5, seed=123)
-    assert sorted(full.item_ids) == sorted(m.item_ids)
+    assert sorted(full.tolist()) == list(range(5))
     again = select_subset(m, SubsetStrategy.RANDOM, 3, seed=9)
-    assert again.item_ids == select_subset(m, SubsetStrategy.RANDOM, 3, seed=9).item_ids
-    assert select_subset(m, SubsetStrategy.ENTROPY, 3).item_ids == select_subset(
-        m, SubsetStrategy.ENTROPY, 3
-    ).item_ids
+    assert np.array_equal(again, select_subset(m, SubsetStrategy.RANDOM, 3, seed=9))
+    assert np.array_equal(
+        select_subset(m, SubsetStrategy.ENTROPY, 3), select_subset(m, SubsetStrategy.ENTROPY, 3)
+    )
 
 
 def test_select_subset_size_errors():
@@ -201,12 +224,46 @@ def test_matrix_and_subset_round_trip(tmp_path):
     assert np.array_equal(loaded.correct, m.correct)
     assert json.loads((tmp_path / "m.json").read_text()).keys() == {"model_ids", "item_ids", "correct"}
 
-    s = select_subset(m, SubsetStrategy.ENTROPY, 2)
-    save_subset(s, tmp_path / "s.json")
+    ids = [m.item_ids[i] for i in select_subset(m, SubsetStrategy.ENTROPY, 2)]
+    save_subset(tmp_path / "s.json", SubsetStrategy.ENTROPY, 0, ids)
     saved = json.loads((tmp_path / "s.json").read_text())
-    assert (saved["strategy"], saved["seed"], saved["item_ids"]) == (
-        s.strategy.value, s.seed, list(s.item_ids)
-    )
+    assert (saved["strategy"], saved["seed"], saved["item_ids"]) == ("entropy", 0, ["item-2", "item-0"])
+    # a strategy given by its value writes the same bytes
+    save_subset(tmp_path / "t.json", "entropy", 0, ids)
+    assert (tmp_path / "t.json").read_bytes() == (tmp_path / "s.json").read_bytes()
+
+
+def midranks_loop(values):
+    """Reference mid-ranks: walk the stably sorted values one tie run at a time."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+TIED_VALUES = st.sampled_from([0.0, -0.0, math.nan, 1.0, -2.5, 1e300]) | st.integers(-3, 3).map(
+    float
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(values=st.lists(TIED_VALUES, max_size=60))
+def test_midranks_match_the_loop_bit_for_bit(values):
+    assert _midranks(values).tobytes() == midranks_loop(values).tobytes()
+
+
+def test_midranks_nan_and_signed_zero_example():
+    values = [math.nan, 0.0, 2.0, -0.0, math.nan, 0.0]
+    # the zeros tie whatever their sign; each NaN is its own value, in index order
+    assert _midranks(values).tolist() == [5.0, 2.0, 4.0, 2.0, 6.0, 2.0]
 
 
 def test_spearman_examples():
