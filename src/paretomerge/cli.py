@@ -18,6 +18,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .errors import MissingCandidatesError, ParetoMergeError, RecordFormatError, SearchConfigError
 from .evaluation import (
@@ -36,7 +38,7 @@ from .evaluation import (
     write_manifest,
 )
 from .merge import Genotype, MergeKind, decode_genotype
-from .nsga2 import HistoryEntry, MutationParams, SbxParams, SearchConfig, run_nsga2
+from .nsga2 import MutationParams, SbxParams, SearchConfig, run_nsga2
 from .reporting import build_report, format_report_table, front_points_csv, report_to_csv
 from .sampling import (
     CorrectnessMatrix,
@@ -154,11 +156,25 @@ def _at_most(*checks: tuple[str, int, int]) -> None:
             raise UsageError(f"{name} must be at most {most}, got {value}")
 
 
-def _resolve_bench(args) -> SimulatedBenchmark:
+# Machine budgets. A size that fits an index may still not fit a desk machine:
+# past these, building the benchmark, the calibration matrix or the search's
+# history would run out of memory or take hours.
+MAX_ITEMS = 10**6  # evaluator.simulated.n_items, --n-items
+MAX_CALIBRATION_K = 10**4  # subset.calibration_k, --k, --calibration-k
+MAX_CALIBRATION_CELLS = 10**7  # calibration k x n_items, for a generated benchmark
+MAX_EVALUATIONS = 10**6  # population_size x (generations + 1), the history rows
+
+
+def _resolve_bench(args, k_flag: str, k: int) -> SimulatedBenchmark:
+    """The benchmark of ``--bench`` or ``--gen-seed``. A generated one budgets
+    the calibration size ``k``, named by ``k_flag``, times ``--n-items``."""
     if (args.bench is None) == (args.gen_seed is None):
         raise UsageError("provide exactly one of --bench or --gen-seed")
     n_items = 1000 if args.n_items is None else args.n_items
     _at_least(("--gen-seed", args.gen_seed or 0, 0), ("--n-items", n_items, 1))
+    cells = k * n_items if args.bench is None else 0
+    _at_most(("--n-items", n_items, MAX_ITEMS),
+             (f"{k_flag} x --n-items", cells, MAX_CALIBRATION_CELLS))
     noise_seed = 0 if args.noise_seed is None else args.noise_seed
     if args.bench is not None:
         if args.n_items is not None:
@@ -202,6 +218,7 @@ def _cmd_merge(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     _at_least(("--k", args.k, 2))
+    _at_most(("--k", args.k, MAX_CALIBRATION_K))
     bench, records = None, None
     if args.records is not None:
         simulated = (args.bench, args.gen_seed, args.save_bench, args.n_items, args.noise_seed)
@@ -213,7 +230,7 @@ def _cmd_calibrate(args) -> int:
     elif args.manifest is not None:
         raise UsageError("--manifest needs --records")
     else:
-        bench = _resolve_bench(args)
+        bench = _resolve_bench(args, "--k", args.k)
         if args.save_bench:
             save_benchmark(bench, args.save_bench)
     try:
@@ -306,24 +323,37 @@ def _cmd_evolve(args) -> int:
         "output_dir": str(out_dir),
     }
 
-    # history.jsonl only grows, so each entry is encoded once and the file is
-    # rewritten from the cached lines. The last call leaves the final files.
+    # history.jsonl only grows, so each row's member dict and line are built
+    # once and the file is rewritten from the cached lines. The last call
+    # leaves the final files.
+    members: list[dict] = []
     history_lines: list[str] = []
-    # The front of the history so far. A point left out of it stays dominated,
-    # or repeats the fitness of an earlier member, so the front of this front
-    # followed by the new points is the front of the whole history.
-    running_front: list[HistoryEntry] = []
+    # The history rows of the front so far, and their fitness. A point left
+    # out of it stays dominated, or repeats the fitness of an earlier member,
+    # so the front of this front followed by the new points is the front of
+    # the whole history.
+    front_rows, front_f = np.empty(0, dtype=np.intp), np.empty((0, 2))
 
-    def on_generation(history: list[HistoryEntry], gen: int) -> None:
-        nonlocal running_front
-        new = history[len(history_lines):]
-        history_lines.extend(_history_line(e) for e in new)
+    def on_generation(gen: int, x_new: np.ndarray, f_new: np.ndarray) -> None:
+        nonlocal front_rows, front_f
+        start = len(members)
+        for values, (f0, f1) in zip(x_new.tolist(), f_new.tolist()):
+            g = Genotype(search.genotype_kind, values)
+            members.append({"candidate_id": candidate_id(g), "genotype": g.to_dict(),
+                            "accuracy": -f0, "mean_length": f1, "fitness": [f0, f1]})
+            history_lines.append(json.dumps({"generation": gen, **members[-1]}) + "\n")
         write_atomic(out_dir / "history.jsonl", "".join(history_lines).encode("utf-8"))
-        if history:
+        if len(f_new):
+            # Not a top-level import: the bench tracer and
+            # test_evolve_writes_the_front_of_each_history_prefix rebind nsga2.extract_pareto.
             from .nsga2 import extract_pareto
 
-            running_front = extract_pareto(running_front + new)
-            _write_pareto_atomic(out_dir / "pareto.json", running_front)
+            rows = np.concatenate((front_rows, np.arange(start, len(members))))
+            f = np.vstack((front_f, f_new))
+            keep = extract_pareto(f)
+            front_rows, front_f = rows[keep], f[keep]
+            _write_json_atomic(out_dir / "pareto.json",
+                               {"members": [members[i] for i in front_rows.tolist()]})
 
     try:
         subset_ids = _resolve_subset(subset_block, bench, records, out_dir)
@@ -332,7 +362,7 @@ def _cmd_evolve(args) -> int:
         else:
             evaluator = RecordsFitness(records, subset_ids)
         _write_json_atomic(out_dir / "config.json", echo)
-        front, history = run_nsga2(search, evaluator, on_generation=on_generation)
+        front, _, f = run_nsga2(search, evaluator, on_generation=on_generation)
     except MissingCandidatesError as exc:
         manifest = out_dir / "manifest.jsonl"
         write_manifest(manifest, [g for _, g in exc.pending])
@@ -352,16 +382,16 @@ def _cmd_evolve(args) -> int:
     if baseline_length > 0:
         write_atomic(
             out_dir / "front_points.csv",
-            front_points_csv(front, baseline_length).encode("utf-8"),
+            front_points_csv(f[front], baseline_length).encode("utf-8"),
         )
 
-    print(f"evaluated {len(history)} candidates over {search.generations} generations")
+    print(f"evaluated {len(f)} candidates over {search.generations} generations")
     print(f"{'genotype':<28} {'accuracy':>9} {'mean_length':>12}")
-    for entry in front:
-        values = ", ".join(f"{v:.4f}" for v in entry.genotype.values)
+    for m in map(members.__getitem__, front.tolist()):
+        values = ", ".join(f"{v:.4f}" for v in m["genotype"]["values"])
         print(
-            f"{entry.genotype.kind.value}[{values}]".ljust(28)
-            + f" {entry.fitness.accuracy:>9.4f} {entry.fitness.mean_length:>12.2f}"
+            f"{m['genotype']['kind']}[{values}]".ljust(28)
+            + f" {m['accuracy']:>9.4f} {m['mean_length']:>12.2f}"
         )
     print(f"run directory: {out_dir}")
     return 0
@@ -412,15 +442,6 @@ _CONFIG = {
     # Any falsy output_dir falls back to the default directory.
     "output_dir": (lambda v: not v or isinstance(v, str), "a string"),
 }
-
-# Machine budgets of an ``evolve`` run. A size that fits an index may still not
-# fit a desk machine: past these, building the benchmark, the calibration
-# matrix or the search's history would run out of memory or take hours.
-MAX_ITEMS = 10**6  # evaluator.simulated.n_items
-MAX_CALIBRATION_K = 10**4  # subset.calibration_k
-MAX_CALIBRATION_CELLS = 10**7  # calibration_k x n_items, for a generated benchmark
-MAX_EVALUATIONS = 10**6  # population_size x (generations + 1), the history entries
-
 
 def _check_budgets(search: SearchConfig, sim: dict | None, subset_block) -> None:
     """Refuse a config over a machine budget, naming its fields. ``sim`` is the
@@ -598,7 +619,8 @@ def _cmd_fidelity(args) -> int:
         raise UsageError("--strategies and --sizes must be non-empty")
     _at_least(("--sizes", min(sizes), 1), ("--n-models", args.n_models, 2),
               ("--seeds", args.seeds, 1), ("--calibration-k", args.calibration_k, 2))
-    bench = _resolve_bench(args)
+    _at_most(("--calibration-k", args.calibration_k, MAX_CALIBRATION_K))
+    bench = _resolve_bench(args, "--calibration-k", args.calibration_k)
 
     cells = rank_fidelity_curve(
         bench,
@@ -666,24 +688,6 @@ def _group_by_benchmark(outcomes: Outcomes) -> dict[str, Outcomes]:
 
 def _write_json_atomic(path: Path, payload) -> None:
     write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
-
-
-def _member_dict(entry: HistoryEntry) -> dict:
-    return {
-        "candidate_id": candidate_id(entry.genotype),
-        "genotype": entry.genotype.to_dict(),
-        "accuracy": entry.fitness.accuracy,
-        "mean_length": entry.fitness.mean_length,
-        "fitness": list(entry.fitness.fitness),
-    }
-
-
-def _history_line(entry: HistoryEntry) -> str:
-    return json.dumps({"generation": entry.generation, **_member_dict(entry)}) + "\n"
-
-
-def _write_pareto_atomic(path: Path, front: list[HistoryEntry]) -> None:
-    _write_json_atomic(path, {"members": [_member_dict(e) for e in front]})
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -615,16 +615,6 @@ class FitnessEvaluator:
 
     def evaluate_population(self, genotypes: Sequence[Genotype]) -> list[ObjectiveVector]:
         return [self.evaluate(g) for g in genotypes]
-
-
-class CallableFitness(FitnessEvaluator):
-    """Adapter wrapping a plain ``genotype -> ObjectiveVector`` callable."""
-
-    def __init__(self, fn: Callable[[Genotype], ObjectiveVector]):
-        self._fn = fn
-
-    def evaluate(self, genotype: Genotype) -> ObjectiveVector:
-        return self._fn(genotype)
 
 
 class SimulatedFitness(FitnessEvaluator):

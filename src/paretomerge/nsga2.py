@@ -16,20 +16,23 @@ generators. With N candidates of d variables:
 
 The population is an (N, d) genotype array and an (N, 2) fitness array. One
 non-dominated sort per generation gives the survivors and their rank and
-crowding (Deb et al., IEEE TEC 6(2), 2002). The returned front is computed
-over every evaluated individual, not just the final population.
+crowding (Deb et al., IEEE TEC 6(2), 2002). The history is the same two
+arrays over every evaluated candidate: row i was scored in generation
+i // N, in the order its generation was evaluated. The returned front is
+the history's row indices of its non-dominated rows, not just the final
+population's.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import SearchConfigError
-from .evaluation import CallableFitness, FitnessEvaluator, ObjectiveVector
+from .evaluation import FitnessEvaluator
 from .merge import Genotype, MergeKind, default_genotype_bounds
 
 # Operator codes for the named RNG sub-streams.
@@ -224,33 +227,23 @@ def polynomial_mutation(x: np.ndarray, cfg: SearchConfig, rng: np.random.Generat
     return np.where(mutate, np.clip(x + delta * span, lo, hi), x)
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
-    """One evaluated candidate; the front and the history are lists of it."""
+def extract_pareto(f: np.ndarray) -> np.ndarray:
+    """Row indices of the non-dominated rows of an (H, 2) fitness array, by
+    ascending fitness.
 
-    genotype: Genotype
-    fitness: ObjectiveVector
-    generation: int
-
-
-def extract_pareto(history: Sequence[HistoryEntry]) -> list[HistoryEntry]:
-    """Non-dominated subset of all evaluated points, by ascending fitness.
-
-    Duplicate fitness vectors collapse to their first occurrence, so the
-    result is deterministic for a deterministic history. Front 0 comes from
+    A repeated fitness keeps its first row, so the result is deterministic
+    for a deterministic history. Front 0 comes from
     ``fast_nondominated_sort``: two objectives, O(H log H) time and O(H)
-    memory in the history length H.
+    memory.
     """
-    if not history:
+    if len(f) == 0:
         raise ValueError("cannot extract a front from an empty history")
-    f = np.array([e.fitness.fitness for e in history], dtype=np.float64)
-    # A stable sort keeps equal fitnesses in history order, so each run of
-    # equal rows starts at its first occurrence, and the rows kept ascend.
+    # A stable sort keeps equal fitnesses in row order, so each run of equal
+    # rows starts at its first occurrence, and the rows kept ascend.
     order = np.lexsort((f[:, 1], f[:, 0]))
     f = f[order]
     first = np.concatenate(([True], (f[1:] != f[:-1]).any(axis=1)))
-    front = fast_nondominated_sort(f[first])[0]
-    return [history[i] for i in order[first][front].tolist()]
+    return order[first][fast_nondominated_sort(f[first])[0]]
 
 
 def _stream(seed: int, generation: int, op: int) -> np.random.Generator:
@@ -283,40 +276,44 @@ def _survivors(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def run_nsga2(
     cfg: SearchConfig,
-    evaluate: FitnessEvaluator | Callable[[Genotype], ObjectiveVector],
+    evaluate: FitnessEvaluator,
     workers: int = 1,
-    on_generation: Callable[[list[HistoryEntry], int], None] | None = None,
-) -> tuple[list[HistoryEntry], list[HistoryEntry]]:
-    """Run the elitist search and return the all-evaluations front plus history.
+    on_generation: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the elitist search; return the front's history rows and the
+    history's (H, d) genotype and (H, 2) fitness arrays.
 
     Each generation is scored with one serial ``evaluate_population(genotypes)``
-    call. ``on_generation`` fires after each generation's evaluations (and
-    before raising on evaluation failure) so callers can persist partial state.
+    call. ``on_generation(gen, x_new, f_new)`` receives each generation's new
+    rows once they are scored, and zero rows before an evaluation error
+    propagates, so callers can persist partial state.
 
     ``workers`` does nothing. It stays only because the bench tracer
     (``perfbench/tracing.py``) still passes it; it goes once the tracer
     subscribes to library spans instead of rebinding this function.
     """
-    evaluator = evaluate if isinstance(evaluate, FitnessEvaluator) else CallableFitness(evaluate)
     n = cfg.population_size
-    history: list[HistoryEntry] = []
+    xs: list[np.ndarray] = []
+    fs: list[np.ndarray] = []
 
     def evaluated(gen: int, values: np.ndarray) -> np.ndarray:
         gs = [Genotype(cfg.genotype_kind, row) for row in values.tolist()]
         try:
-            fits = evaluator.evaluate_population(gs)
+            fits = evaluate.evaluate_population(gs)
         except Exception:
             if on_generation is not None:
-                on_generation(history, gen)
+                on_generation(gen, values[:0], np.empty((0, 2)))
             raise
-        history.extend(HistoryEntry(g, o, gen) for g, o in zip(gs, fits))
-        return np.array([o.fitness for o in fits], dtype=np.float64)
+        f = np.array([o.fitness for o in fits], dtype=np.float64)
+        xs.append(values)
+        fs.append(f)
+        if on_generation is not None:
+            on_generation(gen, values, f)
+        return f
 
     lo, hi = np.array(cfg.genotype_bounds).T
     x = _stream(cfg.seed, 0, _OP_INIT).uniform(lo, hi, size=(n, cfg.n_variables))
     f = evaluated(0, x)
-    if on_generation is not None:
-        on_generation(history, 0)
     _, rank, crowding = _survivors(f, n)  # all n rows survive, read in place
 
     for gen in range(1, cfg.generations + 1):
@@ -327,7 +324,6 @@ def run_nsga2(
         if gen < cfg.generations:  # the last pool has no next generation to select for
             kept, rank, crowding = _survivors(f, n)
             x, f, rank, crowding = x[kept], f[kept], rank[kept], crowding[kept]
-        if on_generation is not None:
-            on_generation(history, gen)
 
-    return extract_pareto(history), history
+    x, f = np.vstack(xs), np.vstack(fs)
+    return extract_pareto(f), x, f

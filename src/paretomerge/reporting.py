@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
+
+import numpy as np
 
 from .evaluation import Outcomes
-from .nsga2 import HistoryEntry
 
 
 @dataclass(frozen=True)
@@ -137,17 +138,13 @@ def format_report_table(report: AggregateReport) -> str:
     return "\n".join(lines)
 
 
-def front_points_csv(front: Sequence[HistoryEntry], baseline_length: float) -> str:
-    """Front members as (length reduction %, accuracy %) rows, reduction ascending."""
+def front_points_csv(f: np.ndarray, baseline_length: float) -> str:
+    """Front members, given as the rows of their (m, 2) fitness array, as
+    (length reduction %, accuracy %) rows, reduction ascending."""
     if baseline_length <= 0:
         raise ValueError("baseline length must be > 0")
-    pts = sorted(
-        (
-            100.0 * (1.0 - e.fitness.mean_length / baseline_length),
-            100.0 * e.fitness.accuracy,
-        )
-        for e in front
-    )
+    reduction = 100.0 * (1.0 - f[:, 1] / baseline_length)
+    pts = sorted(zip(reduction.tolist(), (-100.0 * f[:, 0]).tolist()))
     lines = ["length_reduction_pct,accuracy_pct"]
     lines.extend(f"{red:.4f},{acc:.4f}" for red, acc in pts)
     return "\n".join(lines) + "\n"

@@ -254,8 +254,9 @@ def test_search_quality_over_search_seeds():
         hv_grid = _staircase_hypervolume(grid_points, ref_len)
         ratios = []
         for seed in range(16):
-            front, _ = run_nsga2(SearchConfig(population_size=20, generations=10, seed=seed), fit)
-            points = [(m.fitness.accuracy, m.fitness.mean_length) for m in front]
+            cfg = SearchConfig(population_size=20, generations=10, seed=seed)
+            front, _, f = run_nsga2(cfg, fit)
+            points = [(-f0, f1) for f0, f1 in f[front].tolist()]
             ratios.append(_staircase_hypervolume(points, ref_len) / hv_grid)
         median = float(np.median(ratios))
         assert median >= 1.0115, ratios

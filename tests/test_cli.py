@@ -412,26 +412,45 @@ def test_evolve_workers_flag_is_gone(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def history_rows(out_dir):
+    """The lines of a run's history.jsonl, and its (H, 2) fitness array as
+    (-accuracy, mean_length)."""
+    history = [json.loads(l) for l in (out_dir / "history.jsonl").read_text().splitlines()]
+    return history, np.array([(-h["accuracy"], h["mean_length"]) for h in history])
+
+
+def member(line: dict) -> dict:
+    """A history line without its generation, as pareto.json lists it."""
+    return {k: v for k, v in line.items() if k != "generation"}
+
+
 def test_evolve_full_item_set_front_matches_history_pareto(tmp_path):
-    from paretomerge.evaluation import ObjectiveVector
-    from paretomerge.nsga2 import HistoryEntry, extract_pareto
+    from paretomerge.nsga2 import extract_pareto
 
     cfg_path, out_dir = evolve_config(tmp_path, "full", subset=None)
     assert main(["evolve", "--config", str(cfg_path)]) == 0
-    history = [json.loads(l) for l in (out_dir / "history.jsonl").read_text().splitlines()]
-    entries = [
-        HistoryEntry(
-            genotype=Genotype(MergeKind(h["genotype"]["kind"]), tuple(h["genotype"]["values"])),
-            fitness=ObjectiveVector(h["accuracy"], h["mean_length"]),
-            generation=h["generation"],
-        )
-        for h in history
-    ]
-    expected = extract_pareto(entries)
+    history, f = history_rows(out_dir)
     persisted = json.loads((out_dir / "pareto.json").read_text())["members"]
-    assert [(m["accuracy"], m["mean_length"]) for m in persisted] == [
-        (m.fitness.accuracy, m.fitness.mean_length) for m in expected
-    ]
+    assert persisted == [member(history[i]) for i in extract_pareto(f).tolist()]
+
+
+def test_evolve_history_line_is_search_row(tmp_path):
+    """Line i of history.jsonl is row i of the search's genotype and fitness
+    arrays, scored in generation i // population_size."""
+    from paretomerge.evaluation import SimulatedFitness
+    from paretomerge.nsga2 import run_nsga2
+
+    search = {"population_size": 6, "generations": 4, "seed": 3}
+    cfg_path, out_dir = evolve_config(tmp_path, search=search, subset=None)
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+    bench = generate_benchmark(seed=0, n_items=200)
+    _, x, f = run_nsga2(SearchConfig(**search), SimulatedFitness(bench))
+    history, _ = history_rows(out_dir)
+    assert len(history) == len(x) == 6 * 5
+    for i, line in enumerate(history):
+        assert line["generation"] == i // 6
+        assert line["genotype"] == {"kind": "ta", "values": x[i].tolist()}
+        assert line["fitness"] == f[i].tolist()
 
 
 def test_evolve_writes_the_front_of_each_history_prefix(tmp_path, monkeypatch):
@@ -439,40 +458,38 @@ def test_evolve_writes_the_front_of_each_history_prefix(tmp_path, monkeypatch):
     repeated fitness values keeping their first occurrence; front extraction
     runs once per write plus once for the returned front."""
     import paretomerge.nsga2 as nsga2
-    from paretomerge.evaluation import ObjectiveVector
 
     fronts, extractions = [], []
-    write, extract = cli._write_pareto_atomic, nsga2.extract_pareto
-    monkeypatch.setattr(cli, "_write_pareto_atomic",
-                        lambda path, front: (fronts.append(list(front)), write(path, front))[1])
+    write, extract = cli._write_json_atomic, nsga2.extract_pareto
+
+    def write_json(path, payload):
+        if path.name == "pareto.json":
+            fronts.append(payload["members"])
+        write(path, payload)
+
+    monkeypatch.setattr(cli, "_write_json_atomic", write_json)
     monkeypatch.setattr(nsga2, "extract_pareto",
-                        lambda history: (extractions.append(len(history)), extract(history))[1])
-    generations = 3
+                        lambda f: (extractions.append(len(f)), extract(f))[1])
+    n, generations = 8, 3
     # SBX children past the narrow bounds are clamped onto them, so clamped
     # candidates repeat a genotype, and with it a fitness, of an earlier one.
     cfg_path, out_dir = evolve_config(tmp_path, "clamped", search={
-        "population_size": 8, "generations": generations, "seed": 1,
+        "population_size": n, "generations": generations, "seed": 1,
         "genotype_bounds": [[0.45, 0.6]], "sbx": {"probability": 1.0, "eta": 5.0},
         "mutation": {"per_variable_probability": 0.0},
     })
     assert main(["evolve", "--config", str(cfg_path)]) == 0
 
-    history = [
-        nsga2.HistoryEntry(
-            genotype=Genotype(**h["genotype"]),
-            fitness=ObjectiveVector(h["accuracy"], h["mean_length"]),
-            generation=h["generation"],
-        )
-        for h in map(json.loads, (out_dir / "history.jsonl").read_text().splitlines())
-    ]
+    history, f = history_rows(out_dir)
+    prefix_fronts = [extract(f[: (gen + 1) * n]).tolist() for gen in range(generations + 1)]
     assert len(fronts) == generations + 1
     assert len(extractions) == generations + 2
-    for gen, front in enumerate(fronts):
-        assert front == extract([e for e in history if e.generation <= gen])
+    for front, rows in zip(fronts, prefix_fronts):
+        assert front == [member(history[i]) for i in rows]
     # The run covers the case that needs first occurrences: a later candidate
     # repeats the fitness of a member of its generation's front.
-    assert [e for e in history for member in fronts[e.generation]
-            if member.generation < e.generation and member.fitness == e.fitness]
+    assert [j for gen, rows in enumerate(prefix_fronts) for r in rows if r < gen * n
+            for j in range(gen * n, (gen + 1) * n) if f[j].tolist() == f[r].tolist()]
 
 
 def test_evolve_out_flag_overrides_config(tmp_path):
@@ -666,6 +683,37 @@ def test_evolve_sizes_at_the_machine_budget_pass_the_check():
     cli._check_budgets(search, {"n_items": 10**6}, {"calibration_k": 10**4, "item_ids": ["i"]})
     cli._check_budgets(search, {"n_items": 10**6, "benchmark": "b.json"}, {"calibration_k": 10**4})
     cli._check_budgets(search, None, {"calibration_k": 10**4})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["calibrate", "--gen-seed", "0", "--n-items", str(2**62), "--save-bench", "bench.json"],
+     f"--n-items must be at most 1000000, got {2**62}"),
+    (["calibrate", "--gen-seed", "0", "--k", str(10**12), "--save-bench", "bench.json"],
+     "--k must be at most 10000, got 1000000000000"),
+    # checked before the record file is read: this one does not exist
+    (["calibrate", "--records", "missing.jsonl", "--k", str(10**12)],
+     "--k must be at most 10000, got 1000000000000"),
+    (["calibrate", "--gen-seed", "0", "--n-items", str(10**6), "--k", "11",
+      "--save-bench", "bench.json"],
+     "--k x --n-items must be at most 10000000, got 11000000"),
+    (["fidelity", "--gen-seed", "0", "--n-items", str(2**62)],
+     f"--n-items must be at most 1000000, got {2**62}"),
+    (["fidelity", "--gen-seed", "0", "--n-items", "100", "--sizes", "10",
+      "--calibration-k", str(10**12)],
+     "--calibration-k must be at most 10000, got 1000000000000"),
+    (["fidelity", "--gen-seed", "0", "--n-items", str(10**6), "--calibration-k", "11"],
+     "--calibration-k x --n-items must be at most 10000000, got 11000000"),
+], ids=["calibrate-n-items", "calibrate-k", "calibrate-records-k", "calibrate-cells",
+        "fidelity-n-items", "fidelity-calibration-k", "fidelity-cells"])
+def test_command_size_over_machine_budget_is_usage_error(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    """``calibrate`` and ``fidelity`` check their sizes against the budgets of
+    ``evolve`` before they allocate, and write nothing."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "out"]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 TINY_SEARCH = {"population_size": 4, "generations": 1, "seed": 0}

@@ -13,7 +13,7 @@ from paretomerge.errors import GenotypeError, MissingCandidatesError, RecordForm
 from paretomerge.evaluation import (
     DOWN_BAND,
     UP_BAND,
-    CallableFitness,
+    FitnessEvaluator,
     ObjectiveVector,
     Outcomes,
     RESPONSE_KINDS,
@@ -896,7 +896,11 @@ def test_records_fitness_full_outcomes_when_no_subset():
 
 
 def test_default_batch_keeps_input_order():
-    fit = CallableFitness(lambda g: ObjectiveVector(g.values[0], 10.0 * g.values[0]))
+    class Linear(FitnessEvaluator):
+        def evaluate(self, genotype):
+            return ObjectiveVector(genotype.values[0], 10.0 * genotype.values[0])
+
+    fit = Linear()
     genotypes = [Genotype(MergeKind.TA, (i / 8,)) for i in range(9)]
     batch = fit.evaluate_population(genotypes)
     assert [o.accuracy for o in batch] == [g.values[0] for g in genotypes]

@@ -1,5 +1,6 @@
-"""Tier-1 lint: every module of the package uses each name it imports, and
-every module-level private name is used by some module of the package."""
+"""Tier-1 lint: every module of the package uses each name it imports,
+imports only modules of lower layers, and every module-level private name is
+used by some module of the package."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,35 @@ def test_package_references_every_private_name():
     package = Path(paretomerge.__file__).parent
     sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+# The package's modules from the bottom layer up: each imports only modules
+# before it in this list.
+LAYERS = ["errors", "checkpoint", "merge", "evaluation", "reporting", "sampling", "nsga2", "cli",
+          "__main__"]
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that ``source`` imports anywhere, by relative
+    import: ``from .m import x`` and ``from . import m`` both import ``m``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return found
+
+
+def test_guard_reads_relative_imports():
+    source = "import os\nfrom os import path\nfrom . import a, b\nfrom .c import d\n" \
+             "def f():\n    from .e import g\n"
+    assert package_imports(source) == {"a", "b", "c", "e"}
+
+
+def test_layers_name_every_module():
+    assert sorted(LAYERS) == sorted(p.stem for p in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_lower_layers(path):
+    lower = set(LAYERS[: LAYERS.index(path.stem)])
+    assert package_imports(path.read_text(encoding="utf-8")) - lower == set()

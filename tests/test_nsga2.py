@@ -8,7 +8,6 @@ from paretomerge.errors import SearchConfigError
 from paretomerge.evaluation import FitnessEvaluator, ObjectiveVector
 from paretomerge.merge import Genotype, MergeKind, default_genotype_bounds
 from paretomerge.nsga2 import (
-    HistoryEntry,
     MutationParams,
     SbxParams,
     SearchConfig,
@@ -326,35 +325,39 @@ def linear_objectives(g: Genotype) -> ObjectiveVector:
     return ObjectiveVector(accuracy=lam, mean_length=1000.0 * lam + 10.0)
 
 
+class Fitness(FitnessEvaluator):
+    """Scores each genotype with a plain ``genotype -> ObjectiveVector`` function."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def evaluate(self, genotype):
+        return self.fn(genotype)
+
+
 def test_run_nsga2_budget_and_extremes():
     cfg = SearchConfig(population_size=4, generations=1, seed=0)
-    front, history = run_nsga2(cfg, linear_objectives)
-    assert len(history) == 8  # N * (T + 1)
+    front, x, f = run_nsga2(cfg, Fitness(linear_objectives))
+    assert x.shape == (8, 1) and f.shape == (8, 2)  # N * (T + 1) rows
     # objectives conflict affinely in lam: every evaluated point is non-dominated
-    assert len(front) == len({h.fitness.fitness for h in history})
-    lams = [m.genotype.values[0] for m in front]
-    assert max(lams) == max(h.genotype.values[0] for h in history)
-    assert min(lams) == min(h.genotype.values[0] for h in history)
+    assert len(front) == len(set(map(tuple, f.tolist())))
+    assert x[front, 0].max() == x[:, 0].max()
+    assert x[front, 0].min() == x[:, 0].min()
 
 
 def test_run_nsga2_constant_evaluator_terminates():
     cfg = SearchConfig(population_size=4, generations=2, seed=1)
-    front, history = run_nsga2(cfg, lambda g: ObjectiveVector(0.5, 100.0))
-    assert len(front) == 1
-    assert len(history) == 12
+    front, _, f = run_nsga2(cfg, Fitness(lambda g: ObjectiveVector(0.5, 100.0)))
+    assert front.tolist() == [0]
+    assert len(f) == 12
 
 
 def test_run_nsga2_deterministic_across_reruns():
     cfg = SearchConfig(population_size=8, generations=3, seed=7)
-    runs = [run_nsga2(cfg, linear_objectives) for _ in range(3)]
-    base_front, base_hist = runs[0]
-    for front, hist in runs[1:]:
-        assert [(h.genotype.values, h.fitness.fitness, h.generation) for h in hist] == [
-            (h.genotype.values, h.fitness.fitness, h.generation) for h in base_hist
-        ]
-        assert [(m.genotype.values, m.fitness.fitness) for m in front] == [
-            (m.genotype.values, m.fitness.fitness) for m in base_front
-        ]
+    runs = [run_nsga2(cfg, Fitness(linear_objectives)) for _ in range(3)]
+    base = [a.tobytes() for a in runs[0]]
+    for run in runs[1:]:
+        assert [a.tobytes() for a in run] == base
 
 
 def test_run_nsga2_makes_one_batch_call_per_generation():
@@ -371,9 +374,11 @@ def test_run_nsga2_makes_one_batch_call_per_generation():
 
     fit = CountingFitness()
     cfg = SearchConfig(population_size=6, generations=3, seed=2)
-    front, history = run_nsga2(cfg, fit)
+    run = run_nsga2(cfg, fit)
     assert fit.batches == [6] * 4
-    assert history == run_nsga2(cfg, linear_objectives)[1]
+    assert [a.tobytes() for a in run] == [
+        a.tobytes() for a in run_nsga2(cfg, Fitness(linear_objectives))
+    ]
 
 
 def test_run_nsga2_sorts_once_per_generation(monkeypatch):
@@ -384,9 +389,9 @@ def test_run_nsga2_sorts_once_per_generation(monkeypatch):
     sort = nsga2.fast_nondominated_sort
     monkeypatch.setattr(nsga2, "fast_nondominated_sort", lambda f: sizes.append(len(f)) or sort(f))
     cfg = SearchConfig(population_size=8, generations=5, seed=3)
-    history = run_nsga2(cfg, linear_objectives)[1]
+    f = run_nsga2(cfg, Fitness(linear_objectives))[2]
     assert len(sizes) == cfg.generations + 1
-    assert sizes == [8] + [16] * (cfg.generations - 1) + [len({h.fitness.fitness for h in history})]
+    assert sizes == [8] + [16] * (cfg.generations - 1) + [len(set(map(tuple, f.tolist())))]
 
 
 def test_run_nsga2_rng_layout(monkeypatch):
@@ -396,13 +401,12 @@ def test_run_nsga2_rng_layout(monkeypatch):
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))
     cfg = SearchConfig(population_size=6, generations=4, seed=11, genotype_kind=MergeKind.TIES)
-    history = run_nsga2(cfg, lambda g: ObjectiveVector(g.values[0], 100.0 * g.values[1]))[1]
+    x = run_nsga2(cfg, Fitness(lambda g: ObjectiveVector(g.values[0], 100.0 * g.values[1])))[1]
     assert len(built) == 1 + 3 * cfg.generations
 
     lo, hi = np.array(cfg.genotype_bounds).T
     init = default_rng(np.random.SeedSequence(entropy=11, spawn_key=(0, 0)))
-    rows = init.uniform(lo, hi, size=(6, 2)).tolist()
-    assert [e.genotype.values for e in history if e.generation == 0] == [tuple(r) for r in rows]
+    assert x[:6].tolist() == init.uniform(lo, hi, size=(6, 2)).tolist()  # generation 0's rows
 
 
 def test_run_nsga2_bounds_closure():
@@ -412,11 +416,11 @@ def test_run_nsga2_bounds_closure():
         lam, k = g.values
         return ObjectiveVector(accuracy=lam * k, mean_length=100.0 * (1.0 + lam))
 
-    front, history = run_nsga2(cfg, fake)
-    for h in history:
-        h.genotype.validate()
-        for v, (lo, hi) in zip(h.genotype.values, cfg.genotype_bounds):
-            assert lo <= v <= hi
+    x = run_nsga2(cfg, Fitness(fake))[1]
+    lo, hi = np.array(cfg.genotype_bounds).T
+    assert ((lo <= x) & (x <= hi)).all()
+    for g in genotypes(cfg.genotype_kind, x):
+        g.validate()
 
 
 def test_run_nsga2_elitism_preserves_single_objective_bests():
@@ -430,22 +434,20 @@ def test_run_nsga2_elitism_preserves_single_objective_bests():
         return ObjectiveVector(*noise[key])
 
     cfg = SearchConfig(population_size=8, generations=6, seed=5)
-    front, history = run_nsga2(cfg, noisy)
-    best_acc = max(h.fitness.accuracy for h in history)
-    best_len = min(h.fitness.mean_length for h in history)
-    assert any(m.fitness.accuracy == best_acc for m in front)
-    assert any(m.fitness.mean_length == best_len for m in front)
+    front, _, f = run_nsga2(cfg, Fitness(noisy))
+    assert f[:, 0].min() in f[front, 0]  # best accuracy
+    assert f[:, 1].min() in f[front, 1]  # best length
 
 
 def test_run_nsga2_generation_callback_and_failure_persistence():
     calls = []
 
-    def cb(history, gen):
-        calls.append((gen, len(history)))
+    def cb(gen, x_new, f_new):
+        calls.append((gen, x_new.shape, f_new.shape))
 
     cfg = SearchConfig(population_size=4, generations=2, seed=0)
-    run_nsga2(cfg, linear_objectives, on_generation=cb)
-    assert calls == [(0, 4), (1, 8), (2, 12)]
+    run_nsga2(cfg, Fitness(linear_objectives), on_generation=cb)
+    assert calls == [(gen, (4, 1), (4, 2)) for gen in range(3)]
 
     calls.clear()
     budget = {"left": 6}
@@ -457,63 +459,32 @@ def test_run_nsga2_generation_callback_and_failure_persistence():
         return linear_objectives(g)
 
     with pytest.raises(RuntimeError):
-        run_nsga2(cfg, failing, on_generation=cb)
-    # initial generation persisted, then the mid-generation failure flushed history
-    assert calls[0] == (0, 4)
-    assert calls[-1][1] >= 4
+        run_nsga2(cfg, Fitness(failing), on_generation=cb)
+    # generation 0 was persisted, then the failing generation fires with no rows
+    assert calls == [(0, (4, 1), (4, 2)), (1, (0, 1), (0, 2))]
 
 
 def test_extract_pareto_examples():
-    def entry(acc, length):
-        return HistoryEntry(
-            genotype=Genotype(MergeKind.TA, (acc,)),
-            fitness=ObjectiveVector(acc, length),
-            generation=0,
-        )
-
-    hist = [entry(0.5, 100.0), entry(0.6, 120.0), entry(0.5, 130.0)]
-    front = extract_pareto(hist)
-    assert [(m.fitness.accuracy, m.fitness.mean_length) for m in front] == [
-        (0.6, 120.0),
-        (0.5, 100.0),
-    ]
-
-    single = extract_pareto([entry(0.4, 50.0)])
-    assert len(single) == 1
-
-    spread = [entry(0.1, 10.0), entry(0.2, 20.0), entry(0.3, 30.0)]
-    assert len(extract_pareto(spread)) == 3
-
+    f = np.array([[-0.5, 100.0], [-0.6, 120.0], [-0.5, 130.0]])
+    assert extract_pareto(f).tolist() == [1, 0]
+    assert extract_pareto(np.array([[-0.4, 50.0]])).tolist() == [0]
+    spread = np.array([[-0.1, 10.0], [-0.2, 20.0], [-0.3, 30.0]])
+    assert extract_pareto(spread).tolist() == [2, 1, 0]
     with pytest.raises(ValueError):
-        extract_pareto([])
+        extract_pareto(np.empty((0, 2)))
 
 
 def test_extract_pareto_duplicate_fitness_keeps_first():
-    g1 = Genotype(MergeKind.TA, (0.25,))
-    g2 = Genotype(MergeKind.TA, (0.75,))
-    hist = [
-        HistoryEntry(g1, ObjectiveVector(0.5, 100.0), 0),
-        HistoryEntry(g2, ObjectiveVector(0.5, 100.0), 1),
-    ]
-    front = extract_pareto(hist)
-    assert front == [hist[0]]
+    assert extract_pareto(np.array([[-0.5, 100.0], [-0.5, 100.0]])).tolist() == [0]
 
 
 def test_front_sorted_by_first_fitness_and_mutually_nondominated():
     rng = np.random.default_rng(8)
-    hist = [
-        HistoryEntry(
-            Genotype(MergeKind.TA, (float(i) / 300,)),
-            ObjectiveVector(float(a), float(l)),
-            0,
-        )
-        for i, (a, l) in enumerate(zip(rng.uniform(0, 1, 300), rng.uniform(10, 1000, 300)))
-    ]
-    front = extract_pareto(hist)
-    firsts = [m.fitness.fitness[0] for m in front]
+    f = np.column_stack((-rng.uniform(0, 1, 300), rng.uniform(10, 1000, 300)))
+    pairs = f[extract_pareto(f)].tolist()
+    firsts = [p[0] for p in pairs]
     assert firsts == sorted(firsts)
-    # oracle: raw pairwise comparison on the fitness tuples
-    pairs = [m.fitness.fitness for m in front]
+    # oracle: raw pairwise comparison on the fitness rows
     for i, p in enumerate(pairs):
         for j, q in enumerate(pairs):
             if i != j:
@@ -542,21 +513,23 @@ def test_sort_matches_brute_force_on_float_ties_and_duplicates():
             assert fast_nondominated_sort(np.array(raw)) == brute_force_fronts(raw)
 
 
-def test_extract_pareto_is_brute_force_front_zero_after_dedup():
-    rng = np.random.default_rng(22)
-    for n in [1, 7, 60, 400]:
-        raw = tied_float_points(rng, n)
-        hist = [
-            HistoryEntry(Genotype(MergeKind.TA, (i / n,)), ObjectiveVector(a, 1000.0 * b), 0)
-            for i, (a, b) in enumerate(raw)
-        ]
-        first_seen = {}
-        for entry in hist:
-            first_seen.setdefault(entry.fitness.fitness, entry)
-        unique = list(first_seen.values())
-        front0 = brute_force_fronts([e.fitness.fitness for e in unique])[0]
-        expected = sorted((unique[i] for i in front0), key=lambda e: e.fitness.fitness)
-        assert extract_pareto(hist) == expected
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_extract_pareto_is_brute_force_front_zero_after_dedup(data):
+    # A few grid values force ties on one objective; then at least one drawn
+    # row is copied to a drawn position, so every array repeats a fitness.
+    coord = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(-1e3, 1e3)
+    rows = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=60))
+    for src, at in data.draw(st.lists(st.tuples(st.integers(0), st.integers(0)),
+                                      min_size=1, max_size=20)):
+        rows.insert(at % (len(rows) + 1), rows[src % len(rows)])
+    first_seen = {}
+    for i, row in enumerate(rows):
+        first_seen.setdefault(row, i)
+    unique = list(first_seen.values())
+    front0 = brute_force_fronts([rows[i] for i in unique])[0]
+    expected = sorted((unique[i] for i in front0), key=rows.__getitem__)
+    assert extract_pareto(np.array(rows)).tolist() == expected
 
 
 def test_sort_10k_points_memory_is_linear():

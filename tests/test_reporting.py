@@ -1,8 +1,7 @@
+import numpy as np
 import pytest
 
-from paretomerge.evaluation import ObjectiveVector, Outcomes
-from paretomerge.merge import Genotype, MergeKind
-from paretomerge.nsga2 import HistoryEntry
+from paretomerge.evaluation import Outcomes
 from paretomerge.reporting import build_report, front_points_csv, report_to_csv
 
 
@@ -69,10 +68,7 @@ def test_report_csv_layout():
 
 
 def test_front_points_csv_orientation():
-    front = [
-        HistoryEntry(Genotype(MergeKind.TA, (0.2,)), ObjectiveVector(0.9, 800.0), 0),
-        HistoryEntry(Genotype(MergeKind.TA, (0.8,)), ObjectiveVector(0.6, 200.0), 0),
-    ]
+    front = np.array([[-0.6, 200.0], [-0.9, 800.0]])  # (-accuracy, mean length) rows
     csv = front_points_csv(front, baseline_length=1000.0)
     lines = csv.strip().splitlines()
     assert lines[0] == "length_reduction_pct,accuracy_pct"
