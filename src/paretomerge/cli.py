@@ -157,12 +157,12 @@ def _at_most(*checks: tuple[str, int, int]) -> None:
 
 
 # Machine budgets. A size that fits an index may still not fit a desk machine:
-# past these, building the benchmark, the calibration matrix or the search's
-# history would run out of memory or take hours.
+# past these, building the benchmark, the calibration matrix, the search's
+# history or a fidelity curve would run out of memory or take hours.
 MAX_ITEMS = 10**6  # evaluator.simulated.n_items, --n-items
 MAX_CALIBRATION_K = 10**4  # subset.calibration_k, --k, --calibration-k
-MAX_CALIBRATION_CELLS = 10**7  # calibration k x n_items, for a generated benchmark
-MAX_EVALUATIONS = 10**6  # population_size x (generations + 1), the history rows
+MAX_CALIBRATION_CELLS = 10**7  # calibration k x generated n_items; fidelity n_models x n_items
+MAX_EVALUATIONS = 10**6  # history rows, population_size x (generations + 1); fidelity seeds x n_models
 
 
 def _resolve_bench(args, k_flag: str, k: int) -> SimulatedBenchmark:
@@ -323,11 +323,14 @@ def _cmd_evolve(args) -> int:
         "output_dir": str(out_dir),
     }
 
-    # history.jsonl only grows, so each row's member dict and line are built
-    # once and the file is rewritten from the cached lines. The last call
-    # leaves the final files.
+    # The search gives a repeated row the fitness of its first occurrence, so
+    # each distinct row's member dict, and the JSON of its history line after
+    # the generation, are built once, keyed by the row's bytes. history.jsonl
+    # only grows: each generation's lines are encoded once, and the file is
+    # rewritten from those chunks. The last call leaves the final files.
     members: list[dict] = []
-    history_lines: list[str] = []
+    encoded: dict[bytes, tuple[dict, str]] = {}
+    history: list[bytes] = []
     # The history rows of the front so far, and their fitness. A point left
     # out of it stays dominated, or repeats the fitness of an earlier member,
     # so the front of this front followed by the new points is the front of
@@ -337,12 +340,21 @@ def _cmd_evolve(args) -> int:
     def on_generation(gen: int, x_new: np.ndarray, f_new: np.ndarray) -> None:
         nonlocal front_rows, front_f
         start = len(members)
-        for values, (f0, f1) in zip(x_new.tolist(), f_new.tolist()):
-            g = Genotype(search.genotype_kind, values)
-            members.append({"candidate_id": candidate_id(g), "genotype": g.to_dict(),
-                            "accuracy": -f0, "mean_length": f1, "fitness": [f0, f1]})
-            history_lines.append(json.dumps({"generation": gen, **members[-1]}) + "\n")
-        write_atomic(out_dir / "history.jsonl", "".join(history_lines).encode("utf-8"))
+        # json.dumps({"generation": gen, **member}) with the member's JSON reused.
+        head = '{"generation": %d, ' % gen
+        lines = []
+        for row, values, (f0, f1) in zip(x_new, x_new.tolist(), f_new.tolist()):
+            key = row.tobytes()
+            if key not in encoded:
+                g = Genotype(search.genotype_kind, values)
+                m = {"candidate_id": candidate_id(g), "genotype": g.to_dict(),
+                     "accuracy": -f0, "mean_length": f1, "fitness": [f0, f1]}
+                encoded[key] = m, json.dumps(m)[1:]
+            m, tail = encoded[key]
+            members.append(m)
+            lines.append(head + tail + "\n")
+        history.append("".join(lines).encode("utf-8"))
+        write_atomic(out_dir / "history.jsonl", history)
         if len(f_new):
             # Not a top-level import: the bench tracer and
             # test_evolve_writes_the_front_of_each_history_prefix rebind nsga2.extract_pareto.
@@ -621,6 +633,10 @@ def _cmd_fidelity(args) -> int:
               ("--seeds", args.seeds, 1), ("--calibration-k", args.calibration_k, 2))
     _at_most(("--calibration-k", args.calibration_k, MAX_CALIBRATION_K))
     bench = _resolve_bench(args, "--calibration-k", args.calibration_k)
+    # Each seed scores --n-models candidates on every item of the benchmark.
+    items = "--n-items" if args.bench is None else f"the {len(bench)} items of --bench"
+    _at_most((f"--n-models x {items}", args.n_models * len(bench), MAX_CALIBRATION_CELLS),
+             ("--seeds x --n-models", args.seeds * args.n_models, MAX_EVALUATIONS))
 
     cells = rank_fidelity_curve(
         bench,

@@ -3,7 +3,10 @@
 Determinism contract: one master seed feeds named sub-streams keyed by
 (generation, operator), so stochastic decisions never depend on evaluation
 order and the search trajectory is identical on every rerun. Each generation
-is scored serially, in one batch. A run builds 1 + 3 * generations
+is scored serially, in one batch that holds only the generation's rows not
+scored earlier in the run, once each in order of first occurrence; it may be
+empty. A repeated row takes the fitness it got the first time, so a run
+scores each distinct candidate once. A run builds 1 + 3 * generations
 generators. With N candidates of d variables:
 
 - generation 0, init: an (N, d) uniform draw over the search box;
@@ -284,9 +287,12 @@ def run_nsga2(
     history's (H, d) genotype and (H, 2) fitness arrays.
 
     Each generation is scored with one serial ``evaluate_population(genotypes)``
-    call. ``on_generation(gen, x_new, f_new)`` receives each generation's new
-    rows once they are scored, and zero rows before an evaluation error
-    propagates, so callers can persist partial state.
+    call on its rows not scored earlier in the run, deduplicated in order of
+    first occurrence; the batch may be empty. Every other row reads its
+    fitness from the run's memo. ``on_generation(gen, x_new, f_new)``
+    receives all of each generation's new rows, repeats included, once they
+    are scored, and zero rows before an evaluation error propagates, so
+    callers can persist partial state.
 
     ``workers`` does nothing. It stays only because the bench tracer
     (``perfbench/tracing.py``) still passes it; it goes once the tracer
@@ -295,16 +301,22 @@ def run_nsga2(
     n = cfg.population_size
     xs: list[np.ndarray] = []
     fs: list[np.ndarray] = []
+    # The fitness of every row scored so far, by the row's bytes: -0.0 and 0.0
+    # stay two candidates, as they are two candidate ids.
+    memo: dict[bytes, tuple[float, float]] = {}
 
     def evaluated(gen: int, values: np.ndarray) -> np.ndarray:
-        gs = [Genotype(cfg.genotype_kind, row) for row in values.tolist()]
+        keys = [row.tobytes() for row in values]
+        new = {k: row for k, row in zip(keys, values.tolist()) if k not in memo}
+        gs = [Genotype(cfg.genotype_kind, row) for row in new.values()]
         try:
             fits = evaluate.evaluate_population(gs)
         except Exception:
             if on_generation is not None:
                 on_generation(gen, values[:0], np.empty((0, 2)))
             raise
-        f = np.array([o.fitness for o in fits], dtype=np.float64)
+        memo.update(zip(new, (o.fitness for o in fits), strict=True))
+        f = np.array([memo[k] for k in keys], dtype=np.float64)
         xs.append(values)
         fs.append(f)
         if on_generation is not None:

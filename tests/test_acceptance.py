@@ -23,11 +23,12 @@ from paretomerge.sampling import (
     bernoulli_entropy,
     build_calibration_matrix,
     default_lambda_grid,
-    expected_distinction,
     mean_fidelity,
     rank_fidelity_curve,
     select_subset,
 )
+
+from distinction import expected_distinction
 
 
 @contextmanager

@@ -453,6 +453,56 @@ def test_evolve_history_line_is_search_row(tmp_path):
         assert line["fitness"] == f[i].tolist()
 
 
+# SBX children past the narrow bounds are clamped onto them, so clamped
+# candidates repeat a genotype, and with it a fitness, of an earlier one.
+CLAMPED = {
+    "population_size": 8, "generations": 3, "seed": 1,
+    "genotype_bounds": [[0.45, 0.6]], "sbx": {"probability": 1.0, "eta": 5.0},
+    "mutation": {"per_variable_probability": 0.0},
+}
+
+
+def test_evolve_scores_and_encodes_each_distinct_candidate_once(tmp_path, monkeypatch):
+    """In a run that repeats candidates, each generation makes one
+    ``evaluate_population`` call on its rows not scored before, once each in
+    order of first occurrence; every row's fitness is a direct ``evaluate``
+    of it, and its history line is ``json.dumps({"generation": g, **member})``."""
+    from paretomerge.evaluation import SimulatedFitness, load_benchmark
+
+    batches = []
+
+    class CountingFitness(SimulatedFitness):
+        def evaluate_population(self, genotypes):
+            batches.append([g.values for g in genotypes])
+            return super().evaluate_population(genotypes)
+
+    monkeypatch.setattr(cli, "SimulatedFitness", CountingFitness)
+    cfg_path, out_dir = evolve_config(tmp_path, "clamped", search=CLAMPED)
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+
+    n = CLAMPED["population_size"]
+    lines = (out_dir / "history.jsonl").read_text().splitlines(keepends=True)
+    history = [json.loads(line) for line in lines]
+    rows = [tuple(h["genotype"]["values"]) for h in history]
+    assert len(rows) == n * (CLAMPED["generations"] + 1) and len(set(rows)) < len(rows)
+    seen, expected = set(), []
+    for gen in range(CLAMPED["generations"] + 1):
+        new = [r for r in dict.fromkeys(rows[gen * n:(gen + 1) * n]) if r not in seen]
+        seen.update(new)
+        expected.append(new)
+    assert batches == expected
+
+    direct = SimulatedFitness(load_benchmark(out_dir / "benchmark.json"),
+                              json.loads((out_dir / "subset.json").read_text())["item_ids"])
+    for i, (line, h) in enumerate(zip(lines, history)):
+        g = Genotype(MergeKind.TA, rows[i])
+        f0, f1 = direct.evaluate(g).fitness
+        assert h["fitness"] == [f0, f1]
+        member = {"candidate_id": candidate_id(g), "genotype": g.to_dict(),
+                  "accuracy": -f0, "mean_length": f1, "fitness": [f0, f1]}
+        assert line == json.dumps({"generation": i // n, **member}) + "\n"
+
+
 def test_evolve_writes_the_front_of_each_history_prefix(tmp_path, monkeypatch):
     """Each generation's pareto.json is the front of the history through it,
     repeated fitness values keeping their first occurrence; front extraction
@@ -470,14 +520,8 @@ def test_evolve_writes_the_front_of_each_history_prefix(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_write_json_atomic", write_json)
     monkeypatch.setattr(nsga2, "extract_pareto",
                         lambda f: (extractions.append(len(f)), extract(f))[1])
-    n, generations = 8, 3
-    # SBX children past the narrow bounds are clamped onto them, so clamped
-    # candidates repeat a genotype, and with it a fitness, of an earlier one.
-    cfg_path, out_dir = evolve_config(tmp_path, "clamped", search={
-        "population_size": n, "generations": generations, "seed": 1,
-        "genotype_bounds": [[0.45, 0.6]], "sbx": {"probability": 1.0, "eta": 5.0},
-        "mutation": {"per_variable_probability": 0.0},
-    })
+    n, generations = CLAMPED["population_size"], CLAMPED["generations"]
+    cfg_path, out_dir = evolve_config(tmp_path, "clamped", search=CLAMPED)
     assert main(["evolve", "--config", str(cfg_path)]) == 0
 
     history, f = history_rows(out_dir)
@@ -703,8 +747,15 @@ def test_evolve_sizes_at_the_machine_budget_pass_the_check():
      "--calibration-k must be at most 10000, got 1000000000000"),
     (["fidelity", "--gen-seed", "0", "--n-items", str(10**6), "--calibration-k", "11"],
      "--calibration-k x --n-items must be at most 10000000, got 11000000"),
+    (["fidelity", "--gen-seed", "0", "--n-models", str(10**12)],
+     "--n-models x --n-items must be at most 10000000, got 1000000000000000"),
+    (["fidelity", "--gen-seed", "0", "--n-items", "100", "--n-models", "100001"],
+     "--n-models x --n-items must be at most 10000000, got 10000100"),
+    (["fidelity", "--gen-seed", "0", "--n-items", "100", "--seeds", str(10**12)],
+     "--seeds x --n-models must be at most 1000000, got 50000000000000"),
 ], ids=["calibrate-n-items", "calibrate-k", "calibrate-records-k", "calibrate-cells",
-        "fidelity-n-items", "fidelity-calibration-k", "fidelity-cells"])
+        "fidelity-n-items", "fidelity-calibration-k", "fidelity-cells", "fidelity-n-models",
+        "fidelity-model-cells", "fidelity-seeds"])
 def test_command_size_over_machine_budget_is_usage_error(
     tmp_path, monkeypatch, capsys, argv, message
 ):
@@ -714,6 +765,31 @@ def test_command_size_over_machine_budget_is_usage_error(
     assert main(argv + ["--out", "out"]) == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_fidelity_budgets_the_items_of_a_benchmark_file(tmp_path, capsys):
+    """With --bench the model cells count the items the file holds."""
+    bench = tmp_path / "bench.json"
+    save_benchmark(generate_benchmark(seed=0, n_items=40), bench)
+    out_dir = tmp_path / "out"
+    argv = ["fidelity", "--bench", str(bench), "--sizes", "10", "--out", str(out_dir)]
+    assert main(argv + ["--n-models", "250001"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: --n-models x the 40 items of --bench must be at most 10000000, "
+        "got 10000040\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_fidelity_sizes_at_the_machine_budget_pass_the_check(tmp_path, monkeypatch):
+    """The fidelity budgets are inclusive: 10**4 models on 1,000 items are 10**7
+    cells, and 100 seeds of them 10**6 evaluations. The curve is stubbed, so
+    nothing that large is scored."""
+    calls = []
+    monkeypatch.setattr(cli, "rank_fidelity_curve", lambda *a, **kw: calls.append(kw) or [])
+    assert main(["fidelity", "--gen-seed", "0", "--n-models", str(10**4), "--seeds", "100",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert [(kw["n_models"], len(kw["seeds"])) for kw in calls] == [(10**4, 100)]
 
 
 TINY_SEARCH = {"population_size": 4, "generations": 1, "seed": 0}

@@ -860,6 +860,31 @@ def test_simulated_fitness_subset_and_kind_check():
         fit.evaluate(Genotype(MergeKind.TIES, (0.5, 1.0)))
 
 
+# Enough items for subsets on both sides of numpy's 8-element unrolled sum
+# and its 128-element pairwise blocks, with thresholds inside (0, 1).
+PAIRWISE_BENCH = generate_benchmark(seed=3, n_items=400)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    size=st.sampled_from([1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 400])
+    | st.integers(1, len(PAIRWISE_BENCH)),
+    lam=st.sampled_from(sorted(set(PAIRWISE_BENCH.t.tolist()) | {1.0})) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_at_reductions_are_the_bits_of_mean(size, lam, seed):
+    """``evaluate_at``'s count and sum reductions give ``np.mean``'s bits, at
+    any subset size and at lambda exactly on an item's threshold."""
+    bench = PAIRWISE_BENCH
+    order = np.random.default_rng(seed).permutation(len(bench)).tolist()
+    fit = SimulatedFitness(bench, [bench.item_ids[i] for i in order[:size]])
+    correct = bench.correctness_vector(lam)[fit.subset_indices]
+    lengths = bench.length_vector(lam)[fit.subset_indices]
+    ov = fit.evaluate_at(lam)
+    assert ov.accuracy.hex() == float(correct.mean()).hex()
+    assert ov.mean_length.hex() == float(lengths.mean()).hex()
+
+
 def test_records_fitness_resolution_and_errors():
     g_known = Genotype(MergeKind.TA, (0.5,))
     g_missing = Genotype(MergeKind.TA, (0.75,))

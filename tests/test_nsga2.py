@@ -381,6 +381,25 @@ def test_run_nsga2_makes_one_batch_call_per_generation():
     ]
 
 
+def test_run_nsga2_scores_each_distinct_row_once():
+    """Without crossover or mutation every child copies a parent scored
+    before, so each later generation's one batch is empty and its rows take
+    their first fitness."""
+    batches = []
+
+    class CountingFitness(Fitness):
+        def evaluate_population(self, genotypes):
+            batches.append(len(genotypes))
+            return super().evaluate_population(genotypes)
+
+    cfg = SearchConfig(population_size=6, generations=3, seed=2, sbx=SbxParams(probability=0.0),
+                       mutation=MutationParams(per_variable_probability=0.0))
+    _, x, f = run_nsga2(cfg, CountingFitness(linear_objectives))
+    assert batches == [6, 0, 0, 0]
+    assert len(x) == 24 and len(set(map(tuple, x.tolist()))) == 6
+    assert f.tolist() == [list(linear_objectives(g).fitness) for g in genotypes(cfg.genotype_kind, x)]
+
+
 def test_run_nsga2_sorts_once_per_generation(monkeypatch):
     """One sort of the initial population, one of each pool of parents and
     offspring that selects a next generation (the last pool selects none), one

@@ -15,7 +15,6 @@ from paretomerge.sampling import (
     bernoulli_entropy,
     build_calibration_matrix,
     default_lambda_grid,
-    expected_distinction,
     load_matrix,
     _midranks,
     mean_fidelity,
@@ -25,6 +24,8 @@ from paretomerge.sampling import (
     select_subset,
     spearman_rho,
 )
+
+from distinction import expected_distinction
 
 
 def matrix_from_columns(p_columns, k=10):
