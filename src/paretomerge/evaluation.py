@@ -366,6 +366,10 @@ def is_json_number(value) -> bool:
 # ---------------------------------------------------------------------------
 
 _RECORD_FIELDS = ("candidate_id", "item_id", "correct", "length")
+# The per-line decoder. A stripped line has no leading or trailing JSON
+# whitespace, so ``raw_decode`` ending at the line's end accepts exactly the
+# lines ``json.loads`` accepts, without its two whitespace scans.
+_decode = json.JSONDecoder().raw_decode
 
 
 def load_record_evaluations(path, index=None) -> dict[str, Outcomes]:
@@ -377,27 +381,31 @@ def load_record_evaluations(path, index=None) -> dict[str, Outcomes]:
     The per-line checks here are the only validation of record values: invalid
     UTF-8, malformed lines, correctness other than 0/1, booleans, negative or
     non-finite lengths and duplicate (candidate, item) pairs are rejected with
-    the line number.
+    the line number. A line is accepted exactly when ``json.loads`` accepts
+    it, and a line it refuses is reported with its message.
 
     ``index`` names a resume index (see ``_RecordColumns``) for a file that
-    only grows. When it covers a byte-identical prefix of the file, only the
-    lines after that prefix are parsed, with line numbers and the duplicate
-    check continuing across it. An index that is missing, unreadable, corrupt
-    or made for other bytes is ignored: the whole file is parsed. After a
-    successful parse that read new bytes, the index is rewritten atomically to
-    cover the file, provided the file ends in a newline. The result never
-    depends on the index.
+    only grows. When it covers a byte-identical prefix of the file (same
+    sha256), only the lines after that prefix are parsed, with line numbers
+    and the duplicate check continuing across it. An index that is missing,
+    unreadable, corrupt, of another format version or made for other bytes is
+    ignored: the whole file is parsed. After a successful parse that read new
+    bytes, the index is rewritten atomically to cover the file, provided the
+    file ends in a newline. The result never depends on the index.
     """
     with open(path, "rb") as fh:
         resumed = _resume(index, fh) if index is not None else None
         if resumed is None:
             fh.seek(0)
-            resumed = _RecordColumns.empty(), hashlib.blake2b(digest_size=_DIGEST_SIZE)
+            resumed = _RecordColumns.empty(), hashlib.sha256()
         prefix, hasher = resumed
         cands = {cand: code for code, cand in enumerate(prefix.cand_ids)}
         items = {iid: code for code, iid in enumerate(prefix.item_ids)}
-        # One integer per (candidate, item) pair: the codes are int32.
-        seen = set((prefix.cand.astype(np.int64) << 32 | prefix.item).tolist())
+        # One integer per (candidate, item) pair: the codes are int32. A record
+        # of a candidate new to the tail cannot repeat a prefix record, so the
+        # prefix pairs join ``seen`` only once a tail record has a prefix candidate.
+        seen = set()
+        prefix_cands = len(prefix.cand_ids)
         cand_col, item_col, correct_col, length_col = [], [], [], []
         lineno, raw = prefix.nlines, b""
         for lineno, raw in enumerate(fh, start=prefix.nlines + 1):
@@ -409,23 +417,29 @@ def load_record_evaluations(path, index=None) -> dict[str, Outcomes]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except ValueError as exc:  # also an integer literal over the digit limit
-                raise RecordFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
+                obj, end = _decode(line)
+            except ValueError:
+                end = -1
+            if end != len(line):  # json.loads gives json's message: BOM, extra data, digit limit
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:
+                    raise RecordFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+            if type(obj) is not dict:
                 raise RecordFormatError(f"{path}: line {lineno}: record must be an object")
-            missing = [f for f in _RECORD_FIELDS if f not in obj]
-            if missing:
+            try:
+                cand, iid, correct, length = (
+                    obj["candidate_id"], obj["item_id"], obj["correct"], obj["length"]
+                )
+            except KeyError:
+                missing = [f for f in _RECORD_FIELDS if f not in obj]
                 raise RecordFormatError(
                     f"{path}: line {lineno}: missing field(s) {', '.join(missing)}"
-                )
-            cand = obj["candidate_id"]
-            iid = obj["item_id"]
-            if not isinstance(cand, str) or not cand or not isinstance(iid, str) or not iid:
+                ) from None
+            if type(cand) is not str or not cand or type(iid) is not str or not iid:
                 raise RecordFormatError(
                     f"{path}: line {lineno}: candidate_id and item_id must be non-empty strings"
                 )
-            correct, length = obj["correct"], obj["length"]
             if type(correct) not in (int, float) or correct not in (0, 1):
                 raise RecordFormatError(
                     f"{path}: line {lineno}: correctness must be 0 or 1, got {correct!r}"
@@ -435,6 +449,9 @@ def load_record_evaluations(path, index=None) -> dict[str, Outcomes]:
                     f"{path}: line {lineno}: length must be a finite number >= 0, got {length!r}"
                 )
             c = cands.setdefault(cand, len(cands))
+            if c < prefix_cands:
+                seen.update((prefix.cand.astype(np.int64) << 32 | prefix.item).tolist())
+                prefix_cands = 0
             i = items.setdefault(iid, len(items))
             key = c << 32 | i
             if key in seen:
@@ -465,11 +482,13 @@ def load_record_evaluations(path, index=None) -> dict[str, Outcomes]:
 
 # records.index layout, little-endian: ``_INDEX_HEAD`` (magic, prefix bytes,
 # prefix lines, record count, candidate-table and item-table byte lengths,
-# blake2b digest of the prefix), the two id tables as JSON arrays, the record
+# sha256 digest of the prefix), the two id tables as JSON arrays, the record
 # columns (int32 candidate codes, int32 item codes, int8 correct, float64
-# length) and a blake2b checksum of everything before it.
-_INDEX_MAGIC = b"PMRIDX1\n"
-_DIGEST_SIZE = 32
+# length) and a blake2b checksum of everything before it. The magic names the
+# format version: ``PMRIDX1`` held a blake2b prefix digest, and an index of
+# another version is not read.
+_INDEX_MAGIC = b"PMRIDX2\n"
+_DIGEST_SIZE = 32  # sha256
 _CHECKSUM_SIZE = 16
 _INDEX_HEAD = struct.Struct(f"<8s5Q{_DIGEST_SIZE}s")
 # Stored and in-memory dtype of the candidate, item, correct and length columns.
@@ -569,7 +588,7 @@ def _resume(index, fh):
         prefix, digest = _RecordColumns.from_index(Path(index).read_bytes())
     except (OSError, ValueError):
         return None
-    hasher = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+    hasher = hashlib.sha256()
     remaining = prefix.nbytes
     while remaining:
         chunk = fh.read(min(remaining, 1 << 20))

@@ -1,20 +1,31 @@
 """One blocked merge kernel, mapped over two endpoints to give one checkpoint.
 
+The operators, for one pair of same-shaped float32 tensors ``s2`` (system2)
+and ``s1`` (system1) under a validated genotype:
+
+- TA interpolates ``(1 - lam) * s2 + lam * s1``.
+- LINEAR is the weighted sum ``w_system2 * s2 + w_system1 * s1``.
+- TIES applies the TA expression only to the ceil(k*n) largest-magnitude
+  entries of tau = s1 - s2 and leaves the rest exactly at s2, so a density
+  of 1 reproduces TA without drift. This is TIES-Merging (Yadav et al.,
+  NeurIPS 2023) for a single task vector: with one vector the sign election
+  and disjoint mean are trivial, so trimming to the top-k magnitudes is the
+  whole operator.
+
 ``_merged_blocks`` holds the three operators. It draws each pass over an
 endpoint tensor from that checkpoint's ``blocks`` hook, in flat blocks of
 ``checkpoint.BLOCK`` elements, and yields the merged tensor in blocks of the
 same size. It is the ``blocks`` hook of the checkpoint ``decode_genotype``
 returns, so a loaded endpoint is read straight from its file when a tensor
-of the merge is saved or looked up; ``merge_tensor`` is its array form. All
-arithmetic runs in float32 with a fixed expression per operator so the
-results are reproducible bit-for-bit. TA and linear take one pass and hold
-only blocks. TIES takes two: the first writes a uint32 rank key per entry
-into one tensor-sized array and partitions it as integers to find its
-threshold, the second remakes the keys per block and selects bitwise between
-the merged value and system2's. Endpoints come back exactly at lam 0/1 only
-for finite inputs: under ``merge --no-validate`` a non-finite entry of the
-other endpoint makes the result NaN there (``0 * inf`` and ``0 * nan`` are
-NaN).
+of the merge is saved or looked up. All arithmetic runs in float32 with a
+fixed expression per operator so the results are reproducible bit-for-bit.
+TA and linear take one pass and hold only blocks. TIES takes two: the first
+writes a uint32 rank key per entry into one tensor-sized array and
+partitions it as integers to find its threshold, the second remakes the keys
+per block and selects bitwise between the merged value and system2's.
+Endpoints come back exactly at lam 0/1 only for finite inputs: under
+``merge --no-validate`` a non-finite entry of the other endpoint makes the
+result NaN there (``0 * inf`` and ``0 * nan`` are NaN).
 """
 
 from __future__ import annotations
@@ -92,28 +103,6 @@ def default_genotype_bounds(kind: MergeKind) -> tuple[tuple[float, float], ...]:
     if kind == MergeKind.TIES:
         return ((0.0, 1.0), (MIN_TIES_DENSITY, 1.0))
     return (LINEAR_BOUNDS, LINEAR_BOUNDS)
-
-
-def merge_tensor(genotype: Genotype, s2: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """Merge one pair of same-shaped float32 tensors under a genotype (validated first).
-
-    - TA interpolates ``(1 - lam) * s2 + lam * s1``.
-    - LINEAR is the weighted sum ``w_system2 * s2 + w_system1 * s1``.
-    - TIES applies the TA expression only to the ceil(k*n) largest-magnitude
-      entries of tau = s1 - s2 and leaves the rest exactly at s2, so a
-      density of 1 reproduces TA without drift. This is TIES-Merging (Yadav
-      et al., NeurIPS 2023) for a single task vector: with one vector the
-      sign election and disjoint mean are trivial, so trimming to the top-k
-      magnitudes is the whole operator.
-
-    This is the array form of the blocked kernel that ``decode_genotype``
-    streams (see :func:`_merged_blocks` for the TIES passes): it merges the
-    pair as two one-tensor checkpoints. The output is the only tensor-sized
-    array it allocates: the kernel writes its blocks straight into it, and
-    TIES holds its uint32 rank keys there before that.
-    """
-    merged = decode_genotype(genotype, Checkpoint({"t": s2}), Checkpoint({"t": s1}))
-    return merged.tensors["t"]
 
 
 def _merged_blocks(genotype, n: int, src2, src1, out=None) -> Iterator[np.ndarray]:

@@ -23,7 +23,8 @@ import paretomerge.checkpoint as checkpoint
 from paretomerge.checkpoint import Checkpoint, LazyTensors, load_checkpoint, save_checkpoint
 from paretomerge.cli import main
 from paretomerge.errors import CheckpointFormatError
-from paretomerge.merge import Genotype, MergeKind, decode_genotype, merge_tensor
+from paretomerge.merge import Genotype, MergeKind, decode_genotype
+from tensor_merge import merge_tensor
 
 SHAPES = {"head": (3,), "w": (5, 7), "tail": (4, 2)}
 OPS = [("ta", (0.3,)), ("linear", (0.6, 0.5)), ("ties", (0.5, 0.2)), ("ties", (0.7, 0.55))]

@@ -1038,7 +1038,7 @@ CALIBRATED_RUN_DIGESTS = {
     "manifest.jsonl": "6ffebea61575ded9",
     "matrix.json": "227c39ec37af8b31",
     "pareto.json": "411cf5c4adfc88b6",
-    "records.index": "f3d2d22d535b5dcf",
+    "records.index": "89341682f3ab1e50",
     "subset.json": "8eb7246244d44eb5",
 }
 

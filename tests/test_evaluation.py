@@ -31,6 +31,7 @@ from paretomerge.evaluation import (
 from paretomerge.merge import Genotype, MergeKind
 
 from manifests import read_manifest
+from record_oracle import reference_load
 
 
 UP, DOWN, LOGISTIC = map(RESPONSE_KINDS.index, ("THRESHOLD_UP", "THRESHOLD_DOWN", "LOGISTIC"))
@@ -591,6 +592,74 @@ def test_load_records_injected_bad_line_property(tmp_path, lines, data):
     assert str(info.value) == f"{path}: line {pos + 1}: {message}"
 
 
+# Record lines that the per-line parser must treat exactly as json.loads does.
+# Padding of characters str.strip removes (JSON whitespace among them) is
+# valid around a record and invalid inside one; the bad values include NaN
+# and integer literals past float64 and past the digit limit.
+_PADDING = st.text(st.sampled_from(" \t\r\x0c\x1c\x85\u3000\u2028"), max_size=2)
+_GOOD_VALUES = {
+    "candidate_id": ['"m0"', '"m1"', '"m2"', '"m3"'],
+    "item_id": ['"q0"', '"q1"', '"q2"', '"q3"', '"q4"', '"q5"'],
+    "correct": ["0", "1", "0.0", "1.0", "1e0", "-0.0"],
+    "length": ["0", "12", "3.5", "1e3", "1" + "0" * 300],
+}
+_BAD_VALUES = {
+    "candidate_id": ['""', "7", "null"],
+    "item_id": ['""', "[]"],
+    "correct": ["true", "2", "NaN"],
+    "length": ["-1", '"5"', "NaN", "Infinity", "-Infinity", "true",
+               "1" + "0" * 400, "1" + "0" * 4300],
+}
+_FLAWS = [None] * 8 + ["value", "missing", "non-object", "bom", "trailing", "inner-padding"]
+
+
+@st.composite
+def mixed_record_lines(draw):
+    """A valid record line, or (one time in four) one with a single flaw."""
+    fields = {k: draw(st.sampled_from(v)) for k, v in _GOOD_VALUES.items()}
+    flaw = draw(st.sampled_from(_FLAWS))
+    if flaw == "value":
+        field = draw(st.sampled_from(sorted(_BAD_VALUES)))
+        fields[field] = draw(st.sampled_from(_BAD_VALUES[field]))
+    elif flaw == "missing":
+        del fields[draw(st.sampled_from(sorted(fields)))]
+    if draw(st.booleans()):
+        fields["note"] = '"ignored"'
+    inner = draw(_PADDING.filter(lambda pad: pad.strip(" \t\r"))) if flaw == "inner-padding" else ""
+    body = "{" + inner + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+    if flaw == "non-object":
+        body = draw(st.sampled_from(["[1, 2]", '"x"', "3", "null", "{not json"]))
+    elif flaw == "bom":
+        body = "\ufeff" + body
+    elif flaw == "trailing":
+        body += draw(st.sampled_from([" x", "{}", " 1", "}", "\x0c}"]))
+    return draw(_PADDING) + body + draw(_PADDING)
+
+
+def load_outcome(load, path):
+    """The loaded records, or the message of the ``RecordFormatError`` raised."""
+    try:
+        return load(path)
+    except RecordFormatError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(mixed_record_lines(), max_size=8), final_newline=st.booleans())
+@example(lines=["\u3000" + _BAD_RECORD % ("1", "12"), _BAD_RECORD % ("1", "1" + "0" * 4300)],
+         final_newline=True)  # over the digit limit, after a padded record
+@example(lines=["\x1c" + _BAD_RECORD % ("1", "NaN") + "\x0c"], final_newline=False)
+def test_load_records_matches_the_json_loads_oracle_property(tmp_path, lines, final_newline):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(("\n".join(lines) + ("\n" if final_newline else "")).encode("utf-8"))
+    got, want = load_outcome(load_record_evaluations, path), load_outcome(reference_load, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_outcomes(got, want)
+
+
 def test_load_records_duplicate_pair(tmp_path):
     path = tmp_path / "dup.jsonl"
     path.write_text(
@@ -818,18 +887,82 @@ def test_load_records_invalid_utf8_is_located_and_writes_no_index(tmp_path):
 
 
 def test_load_records_resume_parses_only_the_tail(tmp_path, monkeypatch):
+    from paretomerge import evaluation
+
     path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
     path.write_text(GRID)
     load_record_evaluations(path, index=index)
     path.write_text(GRID + MORE)
     calls = []
-    loads = json.loads
-    monkeypatch.setattr(json, "loads", lambda s, *a, **kw: calls.append(s) or loads(s, *a, **kw))
+    decode = evaluation._decode
+    monkeypatch.setattr(evaluation, "_decode", lambda line: calls.append(line) or decode(line))
     resumed = load_record_evaluations(path, index=index)
     monkeypatch.undo()
-    records = [c for c in calls if isinstance(c, str)]  # the index's id tables are bytes
-    assert records == [line.strip() for line in MORE.splitlines()]
+    assert calls == [line.strip() for line in MORE.splitlines()]
     assert_same_outcomes(resumed, load_record_evaluations(path))
+
+
+@pytest.mark.parametrize("tail, error", [
+    # GRID holds m0, m1 and m2; m3 is new to the tail
+    pytest.param(_record("m3", "q0") + _record("m0", "q9"), None, id="prefix-candidate-new-item"),
+    pytest.param(_record("m3", "q0") + _record("m1", "q2"),
+                 "line 14: duplicate record for candidate 'm1', item 'q2'",
+                 id="prefix-candidate-prefix-item"),
+    pytest.param(_record("m3", "q0") + _record("m3", "q0"),
+                 "line 14: duplicate record for candidate 'm3', item 'q0'",
+                 id="new-candidate-repeated-in-tail"),
+    pytest.param(_record("m0", "q9") + _record("m3", "q0") + _record("m2", "q3"),
+                 "line 15: duplicate record for candidate 'm2', item 'q3'",
+                 id="second-prefix-candidate-prefix-item"),
+])
+def test_load_records_resumed_duplicates_against_the_prefix(tmp_path, tail, error):
+    """A tail record of a candidate first seen in the prefix is checked
+    against the prefix records; the outcome is the fresh parse's."""
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    path.write_text(GRID)
+    load_record_evaluations(path, index=index)
+    path.write_text(GRID + tail)
+    resumed = load_outcome(lambda p: load_record_evaluations(p, index=index), path)
+    fresh = load_outcome(reference_load, path)
+    if error is None:
+        assert_same_outcomes(resumed, fresh)
+    else:
+        assert resumed == fresh == f"{path}: {error}"
+
+
+def _earlier_format_index(index, prefix: bytes, flip_correct=False) -> bytes:
+    """The index an earlier version wrote for ``prefix``: magic ``PMRIDX1``
+    and a blake2b prefix digest (or, with ``flip_correct``, a sha256 digest
+    and the first record's correctness flipped, so reading it would show)."""
+    from paretomerge.evaluation import _CHECKSUM_SIZE, _INDEX_HEAD, _RecordColumns
+
+    columns, _ = _RecordColumns.from_index(index.read_bytes())
+    if flip_correct:
+        correct = columns.correct.copy()
+        correct[0] ^= 1
+        columns = dataclasses.replace(columns, correct=correct)
+        digest = hashlib.sha256(prefix).digest()
+    else:
+        digest = hashlib.blake2b(prefix, digest_size=32).digest()
+    blob = columns.to_index(digest)
+    head = _INDEX_HEAD.unpack_from(blob)
+    assert head[0] == b"PMRIDX2\n"
+    body = _INDEX_HEAD.pack(b"PMRIDX1\n", *head[1:]) + blob[_INDEX_HEAD.size:-_CHECKSUM_SIZE]
+    return body + hashlib.blake2b(body, digest_size=_CHECKSUM_SIZE).digest()
+
+
+@pytest.mark.parametrize("flip_correct", [False, True], ids=["as-written", "sha256-forged"])
+def test_load_records_earlier_index_format_is_ignored_and_rewritten(tmp_path, flip_correct):
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    path.write_text(GRID)
+    load_record_evaluations(path, index=index)
+    index.write_bytes(_earlier_format_index(index, GRID.encode(), flip_correct))
+    path.write_text(GRID + MORE)
+    assert_same_outcomes(load_record_evaluations(path, index=index), reference_load(path))
+    fresh = tmp_path / "fresh.index"
+    load_record_evaluations(path, index=fresh)
+    assert index.read_bytes() == fresh.read_bytes()
+    assert index.read_bytes().startswith(b"PMRIDX2\n")
 
 
 def test_candidate_id_stable_and_distinct():

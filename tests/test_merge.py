@@ -14,8 +14,8 @@ from paretomerge.merge import (
     MergeKind,
     _rank_key,
     decode_genotype,
-    merge_tensor,
 )
+from tensor_merge import merge_tensor
 
 
 def ckpt(arrays):
