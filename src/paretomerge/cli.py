@@ -161,26 +161,29 @@ def _at_most(*checks: tuple[str, int, int]) -> None:
 # history or a fidelity curve would run out of memory or take hours.
 MAX_ITEMS = 10**6  # evaluator.simulated.n_items, --n-items
 MAX_CALIBRATION_K = 10**4  # subset.calibration_k, --k, --calibration-k
-MAX_CALIBRATION_CELLS = 10**7  # calibration k x generated n_items; fidelity n_models x n_items
+MAX_CALIBRATION_CELLS = 10**7  # calibration k x benchmark items; fidelity n_models x n_items
 MAX_EVALUATIONS = 10**6  # history rows, population_size x (generations + 1); fidelity seeds x n_models
 
 
 def _resolve_bench(args, k_flag: str, k: int) -> SimulatedBenchmark:
-    """The benchmark of ``--bench`` or ``--gen-seed``. A generated one budgets
-    the calibration size ``k``, named by ``k_flag``, times ``--n-items``."""
+    """The benchmark of ``--bench`` or ``--gen-seed``. The calibration size
+    ``k``, named by ``k_flag``, times its items is budgeted: ``--n-items``
+    before a benchmark is generated, a file's items once it is loaded."""
     if (args.bench is None) == (args.gen_seed is None):
         raise UsageError("provide exactly one of --bench or --gen-seed")
     n_items = 1000 if args.n_items is None else args.n_items
     _at_least(("--gen-seed", args.gen_seed or 0, 0), ("--n-items", n_items, 1))
-    cells = k * n_items if args.bench is None else 0
-    _at_most(("--n-items", n_items, MAX_ITEMS),
-             (f"{k_flag} x --n-items", cells, MAX_CALIBRATION_CELLS))
+    _at_most(("--n-items", n_items, MAX_ITEMS))
     noise_seed = 0 if args.noise_seed is None else args.noise_seed
-    if args.bench is not None:
-        if args.n_items is not None:
-            raise UsageError("--n-items applies only to --gen-seed")
-        return load_benchmark(args.bench, noise_seed=noise_seed)
-    return generate_benchmark(seed=args.gen_seed, n_items=n_items, noise_seed=noise_seed)
+    if args.bench is None:
+        _at_most((f"{k_flag} x --n-items", k * n_items, MAX_CALIBRATION_CELLS))
+        return generate_benchmark(seed=args.gen_seed, n_items=n_items, noise_seed=noise_seed)
+    if args.n_items is not None:
+        raise UsageError("--n-items applies only to --gen-seed")
+    bench = load_benchmark(args.bench, noise_seed=noise_seed)
+    _at_most((f"{k_flag} x the {len(bench)} items of --bench", k * len(bench),
+              MAX_CALIBRATION_CELLS))
+    return bench
 
 
 # ---------------------------------------------------------------------------
@@ -297,23 +300,28 @@ def _cmd_evolve(args) -> int:
         )
     _check_budgets(search, sim if sources[0] == "simulated" else None, subset_block)
 
-    out_dir = Path(args.out or raw.get("output_dir") or "paretomerge-run")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    # The inputs are read, and a benchmark file budgeted, before the run directory exists.
     bench: SimulatedBenchmark | None = None
     records = None
-    if sources[0] == "simulated":
-        if sim.get("benchmark"):
-            bench = load_benchmark(sim["benchmark"], noise_seed=sim.get("noise_seed", 0))
-        else:
-            bench = generate_benchmark(
-                seed=sim.get("generator_seed", 0),
-                n_items=sim.get("n_items", 1000),
-                noise_seed=sim.get("noise_seed"),
-            )
-        save_benchmark(bench, out_dir / "benchmark.json")
+    if sources[0] == "records":
+        records = load_record_evaluations(rec_block["path"])
+    elif sim.get("benchmark"):
+        bench = load_benchmark(sim["benchmark"], noise_seed=sim.get("noise_seed", 0))
+        if subset_block is not None and "item_ids" not in subset_block:
+            _at_most((f"config 'subset.calibration_k' x the {len(bench)} items of "
+                      "'evaluator.simulated.benchmark'",
+                      subset_block.get("calibration_k", 10) * len(bench), MAX_CALIBRATION_CELLS))
     else:
-        records = load_record_evaluations(rec_block["path"], index=out_dir / "records.index")
+        bench = generate_benchmark(
+            seed=sim.get("generator_seed", 0),
+            n_items=sim.get("n_items", 1000),
+            noise_seed=sim.get("noise_seed"),
+        )
+
+    out_dir = Path(args.out or raw.get("output_dir") or "paretomerge-run")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if bench is not None:
+        save_benchmark(bench, out_dir / "benchmark.json")
 
     echo = {
         "search": dataclasses.asdict(search),
@@ -457,7 +465,8 @@ _CONFIG = {
 
 def _check_budgets(search: SearchConfig, sim: dict | None, subset_block) -> None:
     """Refuse a config over a machine budget, naming its fields. ``sim`` is the
-    simulated evaluator block, None with records."""
+    simulated evaluator block, None with records. A benchmark file's
+    calibration cells are checked once ``_cmd_evolve`` has loaded it."""
     n_items = sim.get("n_items", 1000) if sim is not None else 0
     k = (subset_block or {}).get("calibration_k", 10)
     generated = sim is not None and not sim.get("benchmark")

@@ -19,6 +19,7 @@ genotype in input order; see ``FitnessEvaluator`` for the batch contract.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -372,7 +373,7 @@ _RECORD_FIELDS = ("candidate_id", "item_id", "correct", "length")
 _decode = json.JSONDecoder().raw_decode
 
 
-def load_record_evaluations(path, index=None) -> dict[str, Outcomes]:
+def load_record_evaluations(path) -> dict[str, Outcomes]:
     """Parse a JSONL record file into one ``Outcomes`` per candidate id.
 
     One UTF-8 object per line (lines split at newline bytes only):
@@ -384,17 +385,18 @@ def load_record_evaluations(path, index=None) -> dict[str, Outcomes]:
     the line number. A line is accepted exactly when ``json.loads`` accepts
     it, and a line it refuses is reported with its message.
 
-    ``index`` names a resume index (see ``_RecordColumns``) for a file that
-    only grows. When it covers a byte-identical prefix of the file (same
+    The resume index ``<path>.index`` (see ``_RecordColumns``) serves a file
+    that only grows. When it covers a byte-identical prefix of the file (same
     sha256), only the lines after that prefix are parsed, with line numbers
     and the duplicate check continuing across it. An index that is missing,
     unreadable, corrupt, of another format version or made for other bytes is
     ignored: the whole file is parsed. After a successful parse that read new
-    bytes, the index is rewritten atomically to cover the file, provided the
-    file ends in a newline. The result never depends on the index.
+    bytes of a file that ends in a newline, the index is rewritten atomically;
+    a write that fails is skipped. The result never depends on the index.
     """
+    index = f"{path}.index"
     with open(path, "rb") as fh:
-        resumed = _resume(index, fh) if index is not None else None
+        resumed = _resume(index, fh)
         if resumed is None:
             fh.seek(0)
             resumed = _RecordColumns.empty(), hashlib.sha256()
@@ -475,18 +477,19 @@ def load_record_evaluations(path, index=None) -> dict[str, Outcomes]:
         correct=np.concatenate([prefix.correct, np.array(correct_col, dtype=np.int8)]),
         length=np.concatenate([prefix.length, np.array(length_col, dtype=np.float64)]),
     )
-    if index is not None and raw[-1:] == b"\n":
-        write_atomic(index, columns.to_index(hasher.digest()))
+    if raw[-1:] == b"\n":
+        with contextlib.suppress(OSError):  # read-only dir or lost race: next load parses all
+            write_atomic(index, columns.to_index(hasher.digest()))
     return columns.outcomes()
 
 
-# records.index layout, little-endian: ``_INDEX_HEAD`` (magic, prefix bytes,
-# prefix lines, record count, candidate-table and item-table byte lengths,
-# sha256 digest of the prefix), the two id tables as JSON arrays, the record
-# columns (int32 candidate codes, int32 item codes, int8 correct, float64
-# length) and a blake2b checksum of everything before it. The magic names the
-# format version: ``PMRIDX1`` held a blake2b prefix digest, and an index of
-# another version is not read.
+# Resume index layout (the record path with ``.index`` appended), little-endian:
+# ``_INDEX_HEAD`` (magic, prefix bytes, prefix lines, record count,
+# candidate-table and item-table byte lengths, sha256 digest of the prefix),
+# the two id tables as JSON arrays, the record columns (int32 candidate codes,
+# int32 item codes, int8 correct, float64 length) and a blake2b checksum of
+# everything before it. The magic names the format version: ``PMRIDX1`` held a
+# blake2b prefix digest, and an index of another version is not read.
 _INDEX_MAGIC = b"PMRIDX2\n"
 _DIGEST_SIZE = 32  # sha256
 _CHECKSUM_SIZE = 16

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import sys
@@ -6,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import paretomerge.cli as cli
 from paretomerge.checkpoint import Checkpoint, save_checkpoint
 from paretomerge.cli import main
+from paretomerge.errors import RecordFormatError
 from paretomerge.evaluation import (
     candidate_id,
     generate_benchmark,
@@ -720,8 +722,8 @@ def test_evolve_size_over_machine_budget_is_usage_error(tmp_path, capsys, config
 
 
 def test_evolve_sizes_at_the_machine_budget_pass_the_check():
-    """The budgets are inclusive; a subset of explicit ids or a benchmark file
-    leaves the calibration cells unchecked."""
+    """The budgets are inclusive; a subset of explicit ids leaves the
+    calibration cells unchecked, and a benchmark file's wait for its load."""
     search = SearchConfig(population_size=10**4, generations=99)
     cli._check_budgets(search, {"n_items": 10**6}, {"calibration_k": 10})
     cli._check_budgets(search, {"n_items": 10**6}, {"calibration_k": 10**4, "item_ids": ["i"]})
@@ -790,6 +792,54 @@ def test_fidelity_sizes_at_the_machine_budget_pass_the_check(tmp_path, monkeypat
     assert main(["fidelity", "--gen-seed", "0", "--n-models", str(10**4), "--seeds", "100",
                  "--out", str(tmp_path / "out")]) == 0
     assert [(kw["n_models"], len(kw["seeds"])) for kw in calls] == [(10**4, 100)]
+
+
+def test_calibration_budget_counts_the_items_of_a_benchmark_file(tmp_path, monkeypatch, capsys):
+    """A loaded benchmark's calibration cells are budgeted like a generated
+    one's: each command is a usage error that names its flag or field and the
+    file's item count, before it writes anything."""
+    monkeypatch.setattr(cli, "MAX_CALIBRATION_CELLS", 399)  # k = 10 over 40 items is 400
+    bench = tmp_path / "bench.json"
+    save_benchmark(generate_benchmark(seed=0, n_items=40), bench)
+    cfg_path, run_dir = evolve_config(
+        tmp_path, evaluator={"simulated": {"benchmark": str(bench)}},
+        subset={"strategy": "entropy", "size": 5, "calibration_k": 10},
+    )
+    out = str(tmp_path / "out")
+    for argv, message in [
+        (["calibrate", "--gen-seed", "0", "--n-items", "40", "--out", out],
+         "--k x --n-items must be at most 399, got 400"),
+        (["calibrate", "--bench", str(bench), "--save-bench", out, "--out", out],
+         "--k x the 40 items of --bench must be at most 399, got 400"),
+        (["fidelity", "--bench", str(bench), "--sizes", "5", "--n-models", "2", "--out", out],
+         "--calibration-k x the 40 items of --bench must be at most 399, got 400"),
+        (["evolve", "--config", str(cfg_path)],
+         "config 'subset.calibration_k' x the 40 items of 'evaluator.simulated.benchmark' "
+         "must be at most 399, got 400"),
+    ]:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.json", cfg_path.name]
+
+    monkeypatch.setattr(cli, "MAX_CALIBRATION_CELLS", 400)  # inclusive
+    assert main(["calibrate", "--bench", str(bench), "--out", out]) == 0
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+
+
+@pytest.mark.parametrize("evaluator, message", [
+    ({"records": {"path": "missing.jsonl"}}, "No such file or directory"),
+    ({"records": {"path": "bad.jsonl"}}, "bad.jsonl: line 1: invalid JSON"),
+    ({"simulated": {"benchmark": "missing.json"}}, "No such file or directory"),
+], ids=["records-missing", "records-malformed", "benchmark-missing"])
+def test_evolve_unreadable_input_creates_no_run_directory(
+    tmp_path, monkeypatch, capsys, evaluator, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.jsonl").write_text("{not json\n")
+    cfg_path, run_dir = evolve_config(tmp_path, evaluator=evaluator, subset=None)
+    assert main(["evolve", "--config", str(cfg_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not run_dir.exists()
 
 
 TINY_SEARCH = {"population_size": 4, "generations": 1, "seed": 0}
@@ -1038,9 +1088,10 @@ CALIBRATED_RUN_DIGESTS = {
     "manifest.jsonl": "6ffebea61575ded9",
     "matrix.json": "227c39ec37af8b31",
     "pareto.json": "411cf5c4adfc88b6",
-    "records.index": "89341682f3ab1e50",
     "subset.json": "8eb7246244d44eb5",
 }
+# The resume index beside the record file once the calibrated harness loop ends.
+CALIBRATED_INDEX_DIGEST = "89341682f3ab1e50"
 
 
 def test_evolve_records_with_strategy_subset_from_calibration(tmp_path):
@@ -1050,13 +1101,15 @@ def test_evolve_records_with_strategy_subset_from_calibration(tmp_path):
     front = json.loads((run_dir / "pareto.json").read_text())
     assert front["members"]
     assert run_dir_digests(tmp_path, run_dir) == CALIBRATED_RUN_DIGESTS
+    index = tmp_path / "records.jsonl.index"
+    assert sha16(index) == CALIBRATED_INDEX_DIGEST
 
     # The resume index and the calibration key written round by round are the
     # ones a single run over the final record file writes: their bytes are a
     # function of that file (and the config) alone.
-    fresh = tmp_path / "fresh.index"
-    load_record_evaluations(tmp_path / "records.jsonl", index=fresh)
-    assert fresh.read_bytes() == (run_dir / "records.index").read_bytes()
+    index.unlink()
+    load_record_evaluations(tmp_path / "records.jsonl")
+    assert sha16(index) == CALIBRATED_INDEX_DIGEST
     cfg_path, fresh_dir = calibrated_config(tmp_path, "fresh")
     assert main(["evolve", "--config", str(cfg_path)]) == 0
     key = (run_dir / "calibration.key").read_bytes()
@@ -1069,6 +1122,82 @@ def _first_call_only(fn, calls):
         calls.append(fn.__name__)
         return fn(*args, **kwargs)
     return call
+
+
+def _record_readers(base) -> list[list[str]]:
+    """``report`` and ``calibrate --records`` over the calibrated harness's record file."""
+    records = str(base / "records.jsonl")
+    low, high = (candidate_id(g) for g in (CALIBRATION_GRID[0], CALIBRATION_GRID[-1]))
+    return [
+        ["report", "--records", records, "--candidate", high, "--baseline", low,
+         "--out", str(base / "report")],
+        ["calibrate", "--records", records, "--k", str(len(CALIBRATION_GRID)),
+         "--out", str(base / "matrix.json")],
+    ]
+
+
+def test_every_record_reader_resumes_from_the_index(tmp_path, monkeypatch):
+    """After a finished records evolve, evolve, report and calibrate --records
+    read the unchanged record file through its index: none decodes a line."""
+    from paretomerge import evaluation
+
+    run_dir = run_calibrated_harness(tmp_path)
+    calls = []
+    decode = evaluation._decode
+    monkeypatch.setattr(evaluation, "_decode", lambda line: calls.append(line) or decode(line))
+    for argv in _record_readers(tmp_path):
+        assert main(argv) == 0
+    assert main(["evolve", "--config", str(calibrated_config(tmp_path)[0])]) == 0
+    assert calls == []
+    assert (tmp_path / "matrix.json").read_bytes() == (run_dir / "matrix.json").read_bytes()
+
+
+def _fail_index_writes(monkeypatch) -> list[Path]:
+    """Make each write of a resume index fail part-way with an ``OSError``
+    (a full disk); returns the paths it was asked to write."""
+    from paretomerge import evaluation
+
+    write, failed = evaluation.write_atomic, []
+
+    def write_atomic(path, data):
+        if not str(path).endswith(".index"):
+            return write(path, data)
+        failed.append(Path(path))
+
+        def chunks():
+            yield b"PMRIDX2\n"
+            raise OSError(28, "No space left on device")
+
+        return write(path, chunks())
+
+    monkeypatch.setattr(evaluation, "write_atomic", write_atomic)
+    return failed
+
+
+def test_unwritable_index_changes_no_output(tmp_path, monkeypatch, capsys):
+    """When the index cannot be written, evolve, report and calibrate --records
+    exit as before and write the same bytes, and no temp file is left."""
+    outputs = {}
+    for name in ("writable", "unwritable"):
+        base = tmp_path / name
+        base.mkdir()
+        with monkeypatch.context() as m:
+            failed = _fail_index_writes(m) if name == "unwritable" else []
+            run_dir = run_calibrated_harness(base)
+            assert [main(argv) for argv in _record_readers(base)] == [0, 0]
+        assert run_dir_digests(base, run_dir) == CALIBRATED_RUN_DIGESTS
+        assert (base / "records.jsonl.index").exists() == (name == "writable")
+        # Each load parses the whole file and tries to write the index: three
+        # evolve rounds, report and calibrate.
+        assert failed == [base / "records.jsonl.index"] * (5 if name == "unwritable" else 0)
+        printed = capsys.readouterr()
+        outputs[name] = [
+            (base / "report" / "report.csv").read_bytes(),
+            (base / "matrix.json").read_bytes(),
+            *(text.replace(str(base), "BASE") for text in printed),
+        ]
+    assert outputs["unwritable"] == outputs["writable"]
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_evolve_records_reuses_calibration_across_rounds(tmp_path, monkeypatch):
@@ -1185,32 +1314,39 @@ def test_evolve_records_new_grid_item_still_fails_the_rebuild(tmp_path, capsys):
     assert not (run_dir / "calibration.key").exists()
 
 
-def run_records_without_subset(tmp_path, between_rounds=lambda index: None):
+def run_records_without_subset(tmp_path, between_rounds=lambda index: None, seeds=(3,)):
     # No subset block: each candidate is scored on all of its records, summed in
     # file order. Items are written in reverse benchmark order so that file
-    # order differs from item-id order. ``between_rounds`` gets the path of the
-    # resume index after each harness round.
+    # order differs from item-id order. One search per seed, each with its own
+    # run directory, reads the one record file; their harness rounds take
+    # turns. ``between_rounds`` gets the path of the resume index after each
+    # harness round. Returns each search's digests, in seed order.
     bench = generate_benchmark(seed=0, n_items=40)
     records_path = tmp_path / "records.jsonl"
     records_path.write_text("")
-    cfg_path, run_dir = evolve_config(
-        tmp_path, "fullrun",
-        search={"population_size": 6, "generations": 2, "seed": 3},
+    runs = [evolve_config(
+        tmp_path, f"fullrun{seed}",
+        search={"population_size": 6, "generations": 2, "seed": seed},
         evaluator={"records": {"path": str(records_path)}},
         subset=None,
-    )
-    known = []
+    ) for seed in seeds]
+    known, pending = {}, list(runs)
     for _ in range(5):
-        rc = main(["evolve", "--config", str(cfg_path)])
-        if rc == 0:
+        for cfg_path, run_dir in list(pending):
+            rc = main(["evolve", "--config", str(cfg_path)])
+            if rc == 0:
+                pending.remove((cfg_path, run_dir))
+                continue
+            assert rc == 1
+            known.update(read_manifest(run_dir / "manifest.jsonl"))
+            simulated_records_for(bench, known.values(), records_path, subset=bench.item_ids[::-1])
+            between_rounds(tmp_path / "records.jsonl.index")
+        if not pending:
             break
-        assert rc == 1
-        known.extend(g for _, g in read_manifest(run_dir / "manifest.jsonl"))
-        simulated_records_for(bench, known, records_path, subset=bench.item_ids[::-1])
-        between_rounds(run_dir / "records.index")
     else:
         pytest.fail("records evolve did not converge in 5 harness rounds")
-    return {name: sha16(run_dir / name) for name in ("history.jsonl", "pareto.json")}
+    return [{name: sha16(run_dir / name) for name in ("history.jsonl", "pareto.json")}
+            for _, run_dir in runs]
 
 
 RECORDS_WITHOUT_SUBSET_DIGESTS = {
@@ -1220,11 +1356,22 @@ RECORDS_WITHOUT_SUBSET_DIGESTS = {
 
 
 def test_evolve_records_without_subset_digests(tmp_path):
-    assert run_records_without_subset(tmp_path) == RECORDS_WITHOUT_SUBSET_DIGESTS
+    assert run_records_without_subset(tmp_path) == [RECORDS_WITHOUT_SUBSET_DIGESTS]
+
+
+def test_two_evolve_runs_share_one_record_file(tmp_path):
+    """Two searches with other seeds and their own run directories read one
+    record file, and so share its index, with their harness rounds
+    interleaved: each ends with the outputs it writes alone."""
+    (tmp_path / "alone").mkdir()
+    alone = run_records_without_subset(tmp_path / "alone", seeds=(4,))
+    assert alone != [RECORDS_WITHOUT_SUBSET_DIGESTS]
+    shared = run_records_without_subset(tmp_path, seeds=(3, 4))
+    assert shared == [RECORDS_WITHOUT_SUBSET_DIGESTS, *alone]
 
 
 def _roll_back_to_first_index(index):
-    first = index.parent.parent / "first.index"
+    first = index.with_name("first.index")
     if first.exists():
         index.write_bytes(first.read_bytes())
     elif index.exists():
@@ -1240,9 +1387,17 @@ def _roll_back_to_first_index(index):
     pytest.param(_roll_back_to_first_index, id="stale"),  # resumes from the oldest prefix
 ])
 def test_evolve_records_resume_index_is_disposable(tmp_path, between_rounds):
-    """Deleting, damaging or rolling back records.index between harness rounds
-    leaves every output byte unchanged."""
-    assert run_records_without_subset(tmp_path, between_rounds) == RECORDS_WITHOUT_SUBSET_DIGESTS
+    """Deleting, damaging or rolling back the record file's index between
+    harness rounds leaves every output byte unchanged."""
+    found = []
+
+    def damage(index):
+        found.append(index.exists())
+        between_rounds(index)
+
+    assert run_records_without_subset(tmp_path, damage) == [RECORDS_WITHOUT_SUBSET_DIGESTS]
+    # The first round read an empty file, so each later round left an index to damage.
+    assert found == [False] + [True] * (len(found) - 1) and len(found) > 1
 
 
 def test_evolve_records_missing_item_named(tmp_path):
@@ -1504,3 +1659,70 @@ def test_report_csv_digest_with_prefixed_ids_and_fractional_lengths(tmp_path):
     assert main(["report", "--records", str(records), "--candidate", "cand",
                  "--baseline", "base", "--out", str(out_dir)]) == 0
     assert sha16(out_dir / "report.csv") == "99d15553ce2cd657"
+
+
+REPORT_ITEMS = [f"{suite}q{i}" for suite in ("gsm/", "math/", "/", "") for i in range(3)]
+# A record file whose index is foreign to every drawn one.
+FOREIGN_RECORDS = "".join(
+    json.dumps({"candidate_id": cand, "item_id": f"gsm/q{i}", "correct": 1, "length": 7.25}) + "\n"
+    for cand in ("base", "cand") for i in range(4)
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(items=st.lists(st.sampled_from(REPORT_ITEMS), unique=True, min_size=1, max_size=8),
+       data=st.data())
+def test_report_is_the_same_whatever_the_index_property(tmp_path, capsys, items, data):
+    """``report`` prints and writes the same bytes, or fails with the same
+    located error, with no index beside the record file, one of a prefix of
+    it or of all of it, and one that is damaged, foreign or truncated."""
+    # Each item has a record of both ids and of a third, in a drawn order.
+    pairs = data.draw(st.permutations([(c, i) for i in items for c in ("cand", "base", "other")]))
+    lines = [json.dumps({"candidate_id": cand, "item_id": item,
+                         "correct": data.draw(st.integers(0, 1)),
+                         "length": data.draw(st.floats(1, 5000) | st.integers(1, 5000))})
+             for cand, item in pairs]
+    # A bad line, if any, comes after the first ``cut`` lines.
+    cut = data.draw(st.integers(1, len(lines)))
+    bad = data.draw(st.sampled_from([None, None, None, "{not json", '{"candidate_id": "cand"}',
+                                     "repeat"]))
+    if bad == "repeat":
+        copied = data.draw(st.integers(0, len(lines) - 1))
+        lines.insert(data.draw(st.integers(max(cut, copied + 1), len(lines))), lines[copied])
+    elif bad is not None:
+        lines.insert(data.draw(st.integers(cut, len(lines))), bad)
+    text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.jsonl.index"
+
+    def index_of(content: str) -> bytes | None:
+        path.write_text(content)
+        index.unlink(missing_ok=True)
+        with contextlib.suppress(RecordFormatError):
+            load_record_evaluations(path)
+        return index.read_bytes() if index.exists() else None
+
+    matching = [b for b in (index_of("".join(line + "\n" for line in lines[:cut])),
+                            index_of(text)) if b is not None]
+    siblings = [None, *matching, index_of(FOREIGN_RECORDS)]
+    if matching:
+        blob = data.draw(st.sampled_from(matching))
+        flipped = bytearray(blob)
+        flipped[data.draw(st.integers(0, len(blob) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+        siblings += [bytes(flipped), blob[:data.draw(st.integers(0, len(blob) - 1))]]
+
+    def report(sibling):
+        path.write_text(text)
+        index.unlink(missing_ok=True)
+        if sibling is not None:
+            index.write_bytes(sibling)
+        (tmp_path / "out" / "report.csv").unlink(missing_ok=True)
+        rc = main(["report", "--records", str(path), "--candidate", "cand",
+                   "--baseline", "base", "--out", str(tmp_path / "out")])
+        printed = capsys.readouterr()
+        csv = tmp_path / "out" / "report.csv"
+        return rc, printed.out, printed.err, csv.read_bytes() if csv.exists() else None
+
+    want = report(None)
+    for sibling in siblings[1:]:
+        assert report(sibling) == want

@@ -688,26 +688,26 @@ def test_load_records_resume_index_matches_full_parse_property(
     tmp_path, lines, newline, final_newline, data
 ):
     """Cut a valid file at a newline, index the prefix, then load the whole
-    file through that index: the result is the no-index loader's."""
+    file through that index: the result is the slow oracle's."""
     cut = data.draw(st.integers(0, len(lines)))
     head = "".join(line + newline for line in lines[:cut]).encode("utf-8")
     rest = newline.join(lines[cut:]) + (newline if final_newline and lines[cut:] else "")
-    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.jsonl.index"
     index.unlink(missing_ok=True)
 
     path.write_bytes(head)
-    assert_same_outcomes(load_record_evaluations(path, index=index), load_record_evaluations(path))
+    assert_same_outcomes(load_record_evaluations(path), reference_load(path))
     assert index.exists() == bool(head)
 
     path.write_bytes(head + rest.encode("utf-8"))
-    assert_same_outcomes(load_record_evaluations(path, index=index), load_record_evaluations(path))
+    assert_same_outcomes(load_record_evaluations(path), reference_load(path))
     # The index now covers the whole file, and is the one a fresh parse writes.
-    fresh = tmp_path / "fresh.index"
-    fresh.unlink(missing_ok=True)
-    load_record_evaluations(path, index=fresh)
-    assert fresh.exists() == path.read_bytes().endswith(b"\n")
-    if fresh.exists():
-        assert index.read_bytes() == fresh.read_bytes()
+    resumed = index.read_bytes() if index.exists() else None
+    index.unlink(missing_ok=True)
+    load_record_evaluations(path)
+    assert index.exists() == path.read_bytes().endswith(b"\n")
+    if index.exists():
+        assert index.read_bytes() == resumed
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None,
@@ -715,7 +715,7 @@ def test_load_records_resume_index_matches_full_parse_property(
 @given(lines=record_lines(), newline=st.sampled_from(["\n", "\r\n"]), data=st.data())
 def test_load_records_resume_index_bad_tail_line_property(tmp_path, lines, newline, data):
     """A bad line or a repeated record after the indexed prefix raises the
-    no-index loader's exact message and line number, and leaves the index alone."""
+    slow oracle's exact message and line number, and leaves the index alone."""
     records = [i for i, line in enumerate(lines) if line.strip()]
     cut = data.draw(st.integers(0, len(lines)))
     kinds = len(BAD_LINES) + (1 if records else 0)  # the last kind repeats a record
@@ -734,18 +734,18 @@ def test_load_records_resume_index_bad_tail_line_property(tmp_path, lines, newli
             with pytest.raises(json.JSONDecodeError) as info:
                 json.loads(bad)
             message = f"invalid JSON: {info.value}"
-    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.jsonl.index"
     index.unlink(missing_ok=True)
     path.write_bytes("".join(line + newline for line in lines[:cut]).encode("utf-8"))
-    load_record_evaluations(path, index=index)
+    load_record_evaluations(path)
     indexed = index.read_bytes() if index.exists() else None
 
     with_bad = lines[:pos] + [bad] + lines[pos:]
     path.write_bytes("".join(line + newline for line in with_bad).encode("utf-8"))
     with pytest.raises(RecordFormatError) as oracle:
-        load_record_evaluations(path)
+        reference_load(path)
     with pytest.raises(RecordFormatError) as resumed:
-        load_record_evaluations(path, index=index)
+        load_record_evaluations(path)
     assert str(resumed.value) == str(oracle.value) == f"{path}: line {pos + 1}: {message}"
     assert (index.read_bytes() if index.exists() else None) == indexed
 
@@ -763,14 +763,14 @@ MORE = "".join(_record(f"m{c}", f"q{i}", 1, 7) for c in (2, 3) for i in (4, 5))
 def _index_then_load(tmp_path, indexed: str, now: str, damage=None):
     """Index ``indexed``, make the file ``now`` (and apply ``damage`` to the
     index), then load with the index; returns (resumed result, oracle result)."""
-    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.jsonl.index"
     path.write_text(indexed)
-    load_record_evaluations(path, index=index)
+    load_record_evaluations(path)
     assert index.exists()
     path.write_text(now)
     if damage is not None:
         damage(index)
-    return load_record_evaluations(path, index=index), load_record_evaluations(path)
+    return load_record_evaluations(path), reference_load(path)
 
 
 def _flip_digit(text: str) -> str:
@@ -833,73 +833,73 @@ def _covered_bytes(index) -> int:
 
 
 def test_load_records_index_covers_only_newline_terminated_files(tmp_path):
-    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.jsonl.index"
     unterminated = _record("m9", "q0").rstrip("\n")
     path.write_text(GRID + unterminated)
-    load_record_evaluations(path, index=index)
+    load_record_evaluations(path)
     assert not index.exists()
 
     path.write_text(GRID)
-    load_record_evaluations(path, index=index)
+    load_record_evaluations(path)
     assert _covered_bytes(index) == len(GRID)
     path.write_text(GRID + unterminated)
-    assert_same_outcomes(load_record_evaluations(path, index=index), load_record_evaluations(path))
+    assert_same_outcomes(load_record_evaluations(path), reference_load(path))
     assert _covered_bytes(index) == len(GRID)  # the unfinished last line is not covered
 
     # The harness finishes the line and appends more: the index is still reused.
     path.write_text(GRID + unterminated + "\n" + MORE)
-    assert_same_outcomes(load_record_evaluations(path, index=index), load_record_evaluations(path))
+    assert_same_outcomes(load_record_evaluations(path), reference_load(path))
     assert _covered_bytes(index) == len(GRID + unterminated + "\n" + MORE)
 
 
 def test_load_records_failed_parse_writes_no_index(tmp_path):
-    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.jsonl.index"
     path.write_text(GRID + "{not json\n")
     with pytest.raises(RecordFormatError, match="line 13: invalid JSON"):
-        load_record_evaluations(path, index=index)
+        load_record_evaluations(path)
     assert not index.exists()
 
     path.write_text(GRID)
-    load_record_evaluations(path, index=index)
+    load_record_evaluations(path)
     before = index.read_bytes()
     path.write_text(GRID + MORE + _record("m0", "q0"))  # a repeat of line 1
     with pytest.raises(RecordFormatError, match="line 17: duplicate record for candidate 'm0'"):
-        load_record_evaluations(path, index=index)
+        load_record_evaluations(path)
     assert index.read_bytes() == before
 
 
 def test_load_records_invalid_utf8_is_located_and_writes_no_index(tmp_path):
-    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.jsonl.index"
     bad = _record("m0", "q9").encode().replace(b"q9", b"q\xff")
     located = rf"^{re.escape(str(path))}: line 13: not valid UTF-8: .* byte 0xff in position 36"
     path.write_bytes(GRID.encode() + bad)
     with pytest.raises(RecordFormatError, match=located):  # a fresh parse
-        load_record_evaluations(path, index=index)
+        load_record_evaluations(path)
     assert not index.exists()
 
     path.write_text(GRID)
-    load_record_evaluations(path, index=index)
+    load_record_evaluations(path)
     before = index.read_bytes()
     path.write_bytes(GRID.encode() + bad)
     with pytest.raises(RecordFormatError, match=located):  # resumed after line 12
-        load_record_evaluations(path, index=index)
+        load_record_evaluations(path)
     assert index.read_bytes() == before
 
 
 def test_load_records_resume_parses_only_the_tail(tmp_path, monkeypatch):
     from paretomerge import evaluation
 
-    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.jsonl.index"
     path.write_text(GRID)
-    load_record_evaluations(path, index=index)
+    load_record_evaluations(path)
     path.write_text(GRID + MORE)
     calls = []
     decode = evaluation._decode
     monkeypatch.setattr(evaluation, "_decode", lambda line: calls.append(line) or decode(line))
-    resumed = load_record_evaluations(path, index=index)
+    resumed = load_record_evaluations(path)
     monkeypatch.undo()
     assert calls == [line.strip() for line in MORE.splitlines()]
-    assert_same_outcomes(resumed, load_record_evaluations(path))
+    assert_same_outcomes(resumed, reference_load(path))
 
 
 @pytest.mark.parametrize("tail, error", [
@@ -918,11 +918,11 @@ def test_load_records_resume_parses_only_the_tail(tmp_path, monkeypatch):
 def test_load_records_resumed_duplicates_against_the_prefix(tmp_path, tail, error):
     """A tail record of a candidate first seen in the prefix is checked
     against the prefix records; the outcome is the fresh parse's."""
-    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.jsonl.index"
     path.write_text(GRID)
-    load_record_evaluations(path, index=index)
+    load_record_evaluations(path)
     path.write_text(GRID + tail)
-    resumed = load_outcome(lambda p: load_record_evaluations(p, index=index), path)
+    resumed = load_outcome(load_record_evaluations, path)
     fresh = load_outcome(reference_load, path)
     if error is None:
         assert_same_outcomes(resumed, fresh)
@@ -953,16 +953,17 @@ def _earlier_format_index(index, prefix: bytes, flip_correct=False) -> bytes:
 
 @pytest.mark.parametrize("flip_correct", [False, True], ids=["as-written", "sha256-forged"])
 def test_load_records_earlier_index_format_is_ignored_and_rewritten(tmp_path, flip_correct):
-    path, index = tmp_path / "records.jsonl", tmp_path / "records.index"
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.jsonl.index"
     path.write_text(GRID)
-    load_record_evaluations(path, index=index)
+    load_record_evaluations(path)
     index.write_bytes(_earlier_format_index(index, GRID.encode(), flip_correct))
     path.write_text(GRID + MORE)
-    assert_same_outcomes(load_record_evaluations(path, index=index), reference_load(path))
-    fresh = tmp_path / "fresh.index"
-    load_record_evaluations(path, index=fresh)
-    assert index.read_bytes() == fresh.read_bytes()
-    assert index.read_bytes().startswith(b"PMRIDX2\n")
+    assert_same_outcomes(load_record_evaluations(path), reference_load(path))
+    rewritten = index.read_bytes()
+    index.unlink()
+    load_record_evaluations(path)  # a fresh parse
+    assert index.read_bytes() == rewritten
+    assert rewritten.startswith(b"PMRIDX2\n")
 
 
 def test_candidate_id_stable_and_distinct():
