@@ -47,7 +47,6 @@ from .sampling import (
     build_calibration_matrix,
     default_lambda_grid,
     load_matrix,
-    mean_fidelity,
     rank_fidelity_curve,
     save_matrix,
     save_subset,
@@ -284,9 +283,8 @@ def _cmd_evolve(args) -> int:
     sources = [k for k in ("simulated", "records") if k in evaluator_block]
     if len(sources) != 1:
         raise UsageError("config must name exactly one evaluator source (simulated or records)")
-    if sources[0] == "simulated":
-        sim = evaluator_block["simulated"] or {}
-    else:
+    sim = evaluator_block.get("simulated") or {}
+    if sources[0] == "records":
         rec_block = evaluator_block["records"]
         if not isinstance(rec_block, dict) or not isinstance(rec_block.get("path"), str):
             raise UsageError("evaluator.records must be an object with a string 'path'")
@@ -298,6 +296,14 @@ def _cmd_evolve(args) -> int:
             f"config '{field}' must be ta with a simulated evaluator, "
             f"got {json.dumps(search.genotype_kind.value)}"
         )
+    # A benchmark file fixes the items, and explicit item ids the subset.
+    for where, block, owner, fields in (
+        ("evaluator.simulated", sim, "benchmark", ("n_items", "generator_seed")),
+        ("subset", subset_block or {}, "item_ids", ("strategy", "size", "seed", "calibration_k")),
+    ):
+        ignored = [f"'{where}.{name}'" for name in fields if name in block]
+        if block.get(owner) and ignored:
+            raise UsageError(f"config '{where}.{owner}' excludes {', '.join(ignored)}")
     _check_budgets(search, sim if sources[0] == "simulated" else None, subset_block)
 
     # The inputs are read, and a benchmark file budgeted, before the run directory exists.
@@ -569,13 +575,18 @@ def _resolve_subset(subset_block, bench, records, out_dir) -> list[str] | None:
 def _calibration_matrix(grid, bench, records) -> CorrectnessMatrix:
     """One matrix row per grid coefficient, simulated when ``bench`` is given, else from records.
 
-    Record rows are sorted by item id. Raises :class:`MissingCandidatesError`
-    naming every grid candidate without records.
+    Record columns are sorted by item id, and a grid candidate whose records
+    cover other items than the first one's is a ``ValueError``. Raises
+    :class:`MissingCandidatesError` naming every grid candidate without records.
     """
     if bench is not None:
-        return build_calibration_matrix(bench.outcomes, grid)
+        return build_calibration_matrix(bench.correctness_vector, bench.item_ids, grid)
     rows = dict(zip(grid, _grid_records(grid, records).values()))
-    return build_calibration_matrix(lambda lam: rows[lam].select(sorted(rows[lam].item_ids)), grid)
+    item_ids = sorted(rows[grid[0]].item_ids)
+    for lam, row in rows.items():
+        if sorted(row.item_ids) != item_ids:
+            raise ValueError(f"candidate at lambda={lam} returned a different item set")
+    return build_calibration_matrix(lambda lam: rows[lam].select(item_ids).correct, item_ids, grid)
 
 
 def _grid_records(grid, records) -> dict[str, Outcomes]:
@@ -638,6 +649,10 @@ def _cmd_fidelity(args) -> int:
         raise UsageError(str(exc))
     if not strategies or not sizes:
         raise UsageError("--strategies and --sizes must be non-empty")
+    for flag, values in (("--strategies", [s.value for s in strategies]), ("--sizes", sizes)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise UsageError(f"{flag} lists {repeated[0]} more than once")
     _at_least(("--sizes", min(sizes), 1), ("--n-models", args.n_models, 2),
               ("--seeds", args.seeds, 1), ("--calibration-k", args.calibration_k, 2))
     _at_most(("--calibration-k", args.calibration_k, MAX_CALIBRATION_K))
@@ -647,7 +662,7 @@ def _cmd_fidelity(args) -> int:
     _at_most((f"--n-models x {items}", args.n_models * len(bench), MAX_CALIBRATION_CELLS),
              ("--seeds x --n-models", args.seeds * args.n_models, MAX_EVALUATIONS))
 
-    cells = rank_fidelity_curve(
+    rho = rank_fidelity_curve(
         bench,
         strategies,
         sizes,
@@ -657,17 +672,19 @@ def _cmd_fidelity(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    cells = [(i, j, s.value, size) for i, s in enumerate(strategies) for j, size in enumerate(sizes)]
     lines = ["strategy,size,seed,rho"]
-    lines += [f"{c.strategy.value},{c.size},{c.seed},{c.rho:.6f}" for c in cells]
+    lines += [f"{s},{size},{seed},{rho[i, j, seed]:.6f}"
+              for seed in range(args.seeds) for i, j, s, size in cells]
     write_atomic(out_dir / "fidelity.csv", ("\n".join(lines) + "\n").encode("utf-8"))
 
-    means = mean_fidelity(cells)
+    # A cell's seeds are contiguous, so its mean has np.mean's bits over their list.
     lines = ["strategy,size,mean_rho"]
-    lines += [f"{s.value},{size},{rho:.6f}" for s, size, rho in means]
+    lines += [f"{s},{size},{rho[i, j].mean():.6f}" for i, j, s, size in cells]
     write_atomic(out_dir / "fidelity_mean.csv", ("\n".join(lines) + "\n").encode("utf-8"))
 
-    for s, size, rho in means:
-        print(f"{s.value:<13} size={size:<5} mean rho = {rho:.4f}")
+    for i, j, s, size in cells:
+        print(f"{s:<13} size={size:<5} mean rho = {rho[i, j].mean():.4f}")
     print(f"wrote {out_dir / 'fidelity.csv'} and {out_dir / 'fidelity_mean.csv'}")
     return 0
 

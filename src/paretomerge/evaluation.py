@@ -221,10 +221,6 @@ class SimulatedBenchmark:
         """Deterministic per-item output length, linear between the endpoints."""
         return _lengths_at(self.len_long, self.len_short, lam)
 
-    def outcomes(self, lam: float) -> Outcomes:
-        """Every item's outcome at ``lam``, in benchmark order."""
-        return Outcomes(self.item_ids, self.correctness_vector(lam), self.length_vector(lam))
-
 
 def logistic_response(a: float, b: float, lam: float) -> float:
     """Standard logistic curve sigmoid(a * (lam - b)); a must be positive."""

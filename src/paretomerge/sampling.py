@@ -20,7 +20,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .errors import SubsetSelectionError
-from .evaluation import Outcomes, SimulatedBenchmark, candidate_id, is_id_list, load_json
+from .evaluation import SimulatedBenchmark, candidate_id, is_id_list, load_json
 from .merge import Genotype, MergeKind
 
 
@@ -88,14 +88,15 @@ def default_lambda_grid(k: int) -> list[float]:
 
 
 def build_calibration_matrix(
-    evaluate_at: Callable[[float], Outcomes],
+    correct_at: Callable[[float], np.ndarray],
+    item_ids: Sequence[str],
     lam_grid: Sequence[float],
 ) -> CorrectnessMatrix:
-    """Evaluate one candidate per grid coefficient and stack the outcome columns.
+    """Stack ``correct_at(lam)``, one candidate's 0/1 outcome on each of ``item_ids``, per grid coefficient.
 
-    Row k holds the outcomes of the candidate at ``lam_grid[k]`` over all
-    items; every row must cover the same items in the same order. Model ids
-    are the deterministic candidate ids of the interpolation genotypes.
+    Row k is the candidate at ``lam_grid[k]``; ``CorrectnessMatrix`` checks the
+    rows' shape and values. Model ids are the deterministic candidate ids of
+    the interpolation genotypes.
     """
     grid = [float(v) for v in lam_grid]
     if len(grid) < 2:
@@ -104,15 +105,10 @@ def build_calibration_matrix(
         raise ValueError("lambda grid values must lie in [0, 1]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be strictly increasing")
-
-    rows = [evaluate_at(lam) for lam in grid]
-    for lam, row in zip(grid, rows):
-        if row.item_ids != rows[0].item_ids:
-            raise ValueError(f"candidate at lambda={lam} returned a different item set")
     return CorrectnessMatrix(
         model_ids=[candidate_id(Genotype(MergeKind.TA, (lam,))) for lam in grid],
-        item_ids=list(rows[0].item_ids),
-        correct=np.stack([row.correct for row in rows]),
+        item_ids=list(item_ids),
+        correct=np.stack([correct_at(lam) for lam in grid]),
     )
 
 
@@ -189,14 +185,6 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
     return float((rx @ ry) / math.sqrt((rx @ rx) * (ry @ ry)))
 
 
-@dataclass(frozen=True)
-class FidelityCell:
-    strategy: SubsetStrategy
-    size: int
-    seed: int
-    rho: float
-
-
 def rank_fidelity_curve(
     bench: SimulatedBenchmark,
     strategies: Sequence[SubsetStrategy | str],
@@ -204,14 +192,15 @@ def rank_fidelity_curve(
     n_models: int,
     seeds: Sequence[int],
     calibration_k: int = 10,
-) -> list[FidelityCell]:
+) -> np.ndarray:
     """Measure how well subset rankings reproduce full-benchmark rankings.
 
     For each seed, ``n_models`` candidate coefficients are drawn uniformly
     and every candidate is scored on the full benchmark; each
-    (strategy, size) subset then induces its own accuracy ranking and the
-    Spearman correlation against the full ranking is recorded. A constant
-    ranking on either side (no information) is recorded as rho = 0.
+    (strategy, size) subset then induces its own accuracy ranking. Its Spearman
+    correlation against the full ranking is ``rho[i, j, s]`` of the returned
+    C-ordered float64 array, for ``strategies[i]``, ``sizes[j]`` and ``seeds[s]``;
+    a constant ranking on either side (no information) is rho = 0.
     """
     if n_models < 2:
         raise ValueError("need at least 2 candidate models to rank")
@@ -219,7 +208,8 @@ def rank_fidelity_curve(
     if any(s < 1 or s > n for s in sizes):
         raise ValueError(f"subset sizes must lie in [1, {n}]")
     strategies = [SubsetStrategy(s) for s in strategies]
-    matrix = build_calibration_matrix(bench.outcomes, default_lambda_grid(calibration_k))
+    grid = default_lambda_grid(calibration_k)
+    matrix = build_calibration_matrix(bench.correctness_vector, bench.item_ids, grid)
 
     # The matrix columns are in benchmark order, so a subset indexes ``corr``.
     # Entropy / disagreement subsets are functions of the matrix alone;
@@ -230,31 +220,19 @@ def rank_fidelity_curve(
         for size in sizes
     }
 
-    cells = []
-    for seed in seeds:
+    rho = np.empty((len(strategies), len(sizes), len(seeds)))
+    for s, seed in enumerate(seeds):
         lam_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-        lams = lam_rng.uniform(0.0, 1.0, size=n_models)
-        corr = np.stack([bench.correctness_vector(lam) for lam in lams])
+        corr = np.stack([bench.correctness_vector(lam) for lam in lam_rng.uniform(0.0, 1.0, n_models)])
         full_acc = corr.mean(axis=1)
-        for strategy in strategies:
-            for size in sizes:
+        for i, strategy in enumerate(strategies):
+            for j, size in enumerate(sizes):
                 if strategy == SubsetStrategy.RANDOM:
                     idx = select_subset(matrix, strategy, size, seed=seed)
                 else:
                     idx = static_indices[(strategy, size)]
-                sub_acc = corr[:, idx].mean(axis=1)
-                cells.append(
-                    FidelityCell(strategy=strategy, size=size, seed=seed, rho=_safe_rho(sub_acc, full_acc))
-                )
-    return cells
-
-
-def mean_fidelity(cells: Sequence[FidelityCell]) -> list[tuple[SubsetStrategy, int, float]]:
-    """Per (strategy, size) mean rho, in first-seen order."""
-    sums: dict[tuple[SubsetStrategy, int], list[float]] = {}
-    for cell in cells:
-        sums.setdefault((cell.strategy, cell.size), []).append(cell.rho)
-    return [(s, size, float(np.mean(v))) for (s, size), v in sums.items()]
+                rho[i, j, s] = _safe_rho(corr[:, idx].mean(axis=1), full_acc)
+    return rho
 
 
 def _safe_rho(x: np.ndarray, y: np.ndarray) -> float:

@@ -788,10 +788,28 @@ def test_fidelity_sizes_at_the_machine_budget_pass_the_check(tmp_path, monkeypat
     cells, and 100 seeds of them 10**6 evaluations. The curve is stubbed, so
     nothing that large is scored."""
     calls = []
-    monkeypatch.setattr(cli, "rank_fidelity_curve", lambda *a, **kw: calls.append(kw) or [])
+    monkeypatch.setattr(cli, "rank_fidelity_curve",
+                        lambda *a, **kw: calls.append(kw) or np.zeros((3, 5, len(kw["seeds"]))))
     assert main(["fidelity", "--gen-seed", "0", "--n-models", str(10**4), "--seeds", "100",
                  "--out", str(tmp_path / "out")]) == 0
     assert [(kw["n_models"], len(kw["seeds"])) for kw in calls] == [(10**4, 100)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sizes", "15,15"], "--sizes lists 15 more than once"),
+    (["--sizes", "10,15,010"], "--sizes lists 10 more than once"),
+    (["--strategies", "entropy,random,entropy", "--sizes", "10"],
+     "--strategies lists entropy more than once"),
+    (["--strategies", "random, random", "--sizes", "10"], "--strategies lists random more than once"),
+], ids=["sizes", "sizes-same-number", "strategies", "strategies-spaced"])
+def test_fidelity_repeated_entry_is_usage_error(tmp_path, capsys, argv, message):
+    """Each listed strategy and size is one slot of the curve: a repeated entry
+    is a usage error naming its flag, raised before --out exists."""
+    out_dir = tmp_path / "out"
+    assert main(["fidelity", "--gen-seed", "0", "--n-items", "40", "--n-models", "4",
+                 "--seeds", "2", *argv, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out_dir.exists()
 
 
 def test_calibration_budget_counts_the_items_of_a_benchmark_file(tmp_path, monkeypatch, capsys):
@@ -839,6 +857,34 @@ def test_evolve_unreadable_input_creates_no_run_directory(
     cfg_path, run_dir = evolve_config(tmp_path, evaluator=evaluator, subset=None)
     assert main(["evolve", "--config", str(cfg_path)]) == 1
     assert message in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"evaluator": {"simulated": {"benchmark": "BENCH", "n_items": 7, "generator_seed": 9}}},
+     "'evaluator.simulated.benchmark' excludes 'evaluator.simulated.n_items', "
+     "'evaluator.simulated.generator_seed'"),
+    ({"evaluator": {"simulated": {"benchmark": "BENCH", "generator_seed": 0, "noise_seed": 3}}},
+     "'evaluator.simulated.benchmark' excludes 'evaluator.simulated.generator_seed'"),
+    ({"subset": {"item_ids": ["item-00"], "strategy": "entropy", "size": 5, "calibration_k": 3}},
+     "'subset.item_ids' excludes 'subset.strategy', 'subset.size', 'subset.calibration_k'"),
+    ({"subset": {"item_ids": ["item-00"], "seed": 0}}, "'subset.item_ids' excludes 'subset.seed'"),
+    ({"evaluator": {"records": {"path": "RECORDS"}}, "subset": {"item_ids": ["q1"], "size": 1}},
+     "'subset.item_ids' excludes 'subset.size'"),
+], ids=["benchmark-generator-fields", "benchmark-generator-seed", "item-ids-selection-fields",
+        "item-ids-seed", "item-ids-records"])
+def test_evolve_fields_the_source_overrides_are_usage_errors(tmp_path, capsys, config, message):
+    """A benchmark file fixes the items and explicit ids fix the subset, so a
+    field they would leave unused is a usage error naming it, raised before
+    the run directory exists."""
+    bench = tmp_path / "bench.json"
+    save_benchmark(generate_benchmark(seed=0, n_items=40), bench)
+    records = tmp_path / "records.jsonl"
+    records.write_text("")
+    text = json.dumps(config).replace("BENCH", str(bench)).replace("RECORDS", str(records))
+    cfg_path, run_dir = evolve_config(tmp_path, **{"evaluator": SIM, **json.loads(text)})
+    assert main(["evolve", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"usage error: config {message}\n"
     assert not run_dir.exists()
 
 
@@ -1312,6 +1358,47 @@ def test_evolve_records_new_grid_item_still_fails_the_rebuild(tmp_path, capsys):
     assert main(["evolve", "--config", str(cfg_path)]) == 1
     assert "returned a different item set" in capsys.readouterr().err
     assert not (run_dir / "calibration.key").exists()
+
+
+def _drop_last_record(records):
+    records.write_text("".join(records.read_text().splitlines(keepends=True)[:-1]))
+
+
+def _append_extra_record(records):
+    with open(records, "a") as fh:
+        fh.write(json.dumps({"candidate_id": candidate_id(CALIBRATION_GRID[-1]),
+                             "item_id": "extra/q0", "correct": 1, "length": 10.0}) + "\n")
+
+
+def _rename_last_item(records):
+    *head, last = records.read_text().splitlines(keepends=True)
+    record = json.loads(last)
+    records.write_text("".join(head) + json.dumps({**record, "item_id": "extra/q0"}) + "\n")
+
+
+@pytest.mark.parametrize("edit", [_drop_last_record, _append_extra_record, _rename_last_item],
+                         ids=["lacks-an-item", "extra-item", "other-item"])
+@pytest.mark.parametrize("command", ["evolve", "calibrate"])
+def test_records_grid_row_over_other_items_fails_the_calibration(tmp_path, capsys, edit, command):
+    """The last grid candidate's records lack an item the others have, hold one
+    more, or swap one for another: the calibration stops with exit 1 naming
+    its coefficient, and neither calibration.key nor a matrix is left."""
+    records = tmp_path / "records.jsonl"
+    simulated_records_for(generate_benchmark(seed=0, n_items=80), CALIBRATION_GRID, records)
+    cfg_path, run_dir = calibrated_config(tmp_path)
+    matrix = tmp_path / "matrix.json"
+    argv = (["evolve", "--config", str(cfg_path)] if command == "evolve" else
+            ["calibrate", "--records", str(records), "--k", "4", "--out", str(matrix)])
+    assert main(argv) == (1 if command == "evolve" else 0)
+    assert (run_dir / "calibration.key").exists() or matrix.exists()
+    matrix.unlink(missing_ok=True)
+    edit(records)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: candidate at lambda=1.0 returned a different item set\n")
+    assert not (run_dir / "calibration.key").exists()
+    assert not matrix.exists()
 
 
 def run_records_without_subset(tmp_path, between_rounds=lambda index: None, seeds=(3,)):

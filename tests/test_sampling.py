@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from paretomerge.errors import SubsetSelectionError
-from paretomerge.evaluation import Outcomes, generate_benchmark
+from paretomerge.evaluation import generate_benchmark
 from paretomerge.sampling import (
     CorrectnessMatrix,
     SubsetStrategy,
@@ -17,7 +17,6 @@ from paretomerge.sampling import (
     default_lambda_grid,
     load_matrix,
     _midranks,
-    mean_fidelity,
     rank_fidelity_curve,
     save_matrix,
     save_subset,
@@ -70,23 +69,31 @@ def test_default_lambda_grid():
 
 def test_build_calibration_matrix_shape_and_grid_checks():
     bench = generate_benchmark(seed=1, n_items=30)
+    calls = []
 
-    def outcomes_at(lam):
-        return Outcomes(bench.item_ids, bench.correctness_vector(lam), bench.length_vector(lam))
+    def correct_at(lam):
+        calls.append(lam)
+        return bench.correctness_vector(lam)
 
-    matrix = build_calibration_matrix(outcomes_at, default_lambda_grid(10))
+    matrix = build_calibration_matrix(correct_at, bench.item_ids, default_lambda_grid(10))
     assert matrix.correct.shape == (10, 30)
     assert matrix.item_ids == bench.item_ids
+    assert calls == default_lambda_grid(10)
     # row k equals the candidate evaluated at grid point k
     for row, lam in zip(matrix.correct, default_lambda_grid(10)):
         assert np.array_equal(row, bench.correctness_vector(lam))
 
     with pytest.raises(ValueError, match="strictly increasing"):
-        build_calibration_matrix(outcomes_at, [0.5, 0.2])
+        build_calibration_matrix(correct_at, bench.item_ids, [0.5, 0.2])
     with pytest.raises(ValueError, match="at least 2"):
-        build_calibration_matrix(outcomes_at, [0.5])
-    with pytest.raises(ValueError, match="lambda=1.0 returned a different item set"):
-        build_calibration_matrix(lambda lam: Outcomes([f"q{lam}"], [1], [1.0]), [0.0, 1.0])
+        build_calibration_matrix(correct_at, bench.item_ids, [0.5])
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        build_calibration_matrix(correct_at, bench.item_ids, [0.0, 1.5])
+    # a row over other items, or not 0/1, is refused by the matrix
+    with pytest.raises(ValueError, match=r"shape \(2, 29\)"):
+        build_calibration_matrix(correct_at, bench.item_ids[1:], [0.0, 1.0])
+    with pytest.raises(ValueError, match="binary"):
+        build_calibration_matrix(lambda lam: np.full(30, 2), bench.item_ids, [0.0, 1.0])
 
 
 def test_empirical_solve_rate():
@@ -304,42 +311,48 @@ def test_spearman_errors():
 
 def test_rank_fidelity_full_size_is_perfect():
     bench = generate_benchmark(seed=3, n_items=60)
-    cells = rank_fidelity_curve(
+    rho = rank_fidelity_curve(
         bench,
         [SubsetStrategy.ENTROPY, SubsetStrategy.RANDOM],
         sizes=[60],
         n_models=12,
         seeds=range(3),
     )
-    assert all(c.rho == pytest.approx(1.0) for c in cells)
+    assert rho.shape == (2, 1, 3)
+    assert rho == pytest.approx(np.ones((2, 1, 3)))
 
 
 def test_rank_fidelity_two_models_degenerate():
     bench = generate_benchmark(seed=4, n_items=50)
-    cells = rank_fidelity_curve(
+    rho = rank_fidelity_curve(
         bench, [SubsetStrategy.RANDOM], sizes=[50], n_models=2, seeds=range(5)
     )
-    assert all(c.rho in (-1.0, 0.0, 1.0) for c in cells)
+    assert set(rho.ravel().tolist()) <= {-1.0, 0.0, 1.0}
 
 
 def test_rank_fidelity_entropy_beats_random_at_default_size():
     bench = generate_benchmark(seed=0)
-    cells = rank_fidelity_curve(
+    rho = rank_fidelity_curve(
         bench,
         [SubsetStrategy.ENTROPY, SubsetStrategy.RANDOM],
         sizes=[50],
         n_models=20,
         seeds=range(5),
     )
-    means = {s.value: rho for s, _, rho in mean_fidelity(cells)}
-    assert means["entropy"] > means["random"]
+    assert rho[0, 0].mean() > rho[1, 0].mean()
 
 
-def test_mean_fidelity_aggregation():
-    bench = generate_benchmark(seed=5, n_items=40)
-    cells = rank_fidelity_curve(
-        bench, [SubsetStrategy.RANDOM], sizes=[10, 40], n_models=8, seeds=range(4)
-    )
-    assert len(cells) == 8
-    means = mean_fidelity(cells)
-    assert [(s.value, size) for s, size, _ in means] == [("random", 10), ("random", 40)]
+def test_rank_fidelity_rho_array_layout():
+    """rho[i, j, s] is strategy i, size j and seed s, in a C-ordered float64
+    array, and each cell's seeds are contiguous, so its mean has the bits of
+    np.mean over their list."""
+    bench = generate_benchmark(seed=5, n_items=150)
+    strategies, sizes, seeds = [SubsetStrategy.RANDOM, SubsetStrategy.ENTROPY], [5, 40], [4, 1, 7]
+    rho = rank_fidelity_curve(bench, strategies, sizes, n_models=20, seeds=seeds)
+    assert rho.shape == (2, 2, 3) and rho.dtype == np.float64 and rho.flags.c_contiguous
+    for i, strategy in enumerate(strategies):
+        for j, size in enumerate(sizes):
+            for s, seed in enumerate(seeds):
+                one = rank_fidelity_curve(bench, [strategy], [size], n_models=20, seeds=[seed])
+                assert one.shape == (1, 1, 1) and one[0, 0, 0] == rho[i, j, s]
+            assert rho[i, j].mean().hex() == float(np.mean(rho[i, j].tolist())).hex()
