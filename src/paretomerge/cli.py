@@ -164,25 +164,37 @@ MAX_CALIBRATION_CELLS = 10**7  # calibration k x benchmark items; fidelity n_mod
 MAX_EVALUATIONS = 10**6  # history rows, population_size x (generations + 1); fidelity seeds x n_models
 
 
-def _resolve_bench(args, k_flag: str, k: int) -> SimulatedBenchmark:
-    """The benchmark of ``--bench`` or ``--gen-seed``. The calibration size
-    ``k``, named by ``k_flag``, times its items is budgeted: ``--n-items``
-    before a benchmark is generated, a file's items once it is loaded."""
+def _benchmark(names, path, seed, n_items, noise_seed, per_item=(), then=()) -> SimulatedBenchmark:
+    """The benchmark file at ``path``, or one generated from ``seed`` and
+    ``n_items`` (default 1000); a None ``noise_seed`` is 0 for a file and the
+    generator seed otherwise. ``n_items``, each ``(label, count)`` of
+    ``per_item`` x the items, then the checks of ``then`` are budgeted before a
+    benchmark is generated, or right after a file is loaded. ``names`` holds
+    the messages' prefix and the item count's and file's labels."""
+    prefix, items, source = names
+    if path is None:
+        n_items = 1000 if n_items is None else n_items
+        _at_least((prefix + items, n_items, 1))
+        _at_most((prefix + items, n_items, MAX_ITEMS))
+    else:
+        bench = load_benchmark(path, noise_seed=noise_seed or 0)
+        n_items, items = len(bench), f"the {len(bench)} items of {source}"
+    _at_most(*[(f"{prefix}{label} x {items}", count * n_items, MAX_CALIBRATION_CELLS)
+               for label, count in per_item], *then)
+    if path is None:
+        bench = generate_benchmark(seed=seed, n_items=n_items, noise_seed=noise_seed)
+    return bench
+
+
+def _resolve_bench(args, per_item, then=()) -> SimulatedBenchmark:
+    """The benchmark of ``--bench`` or ``--gen-seed``, by :func:`_benchmark`."""
     if (args.bench is None) == (args.gen_seed is None):
         raise UsageError("provide exactly one of --bench or --gen-seed")
-    n_items = 1000 if args.n_items is None else args.n_items
-    _at_least(("--gen-seed", args.gen_seed or 0, 0), ("--n-items", n_items, 1))
-    _at_most(("--n-items", n_items, MAX_ITEMS))
-    noise_seed = 0 if args.noise_seed is None else args.noise_seed
-    if args.bench is None:
-        _at_most((f"{k_flag} x --n-items", k * n_items, MAX_CALIBRATION_CELLS))
-        return generate_benchmark(seed=args.gen_seed, n_items=n_items, noise_seed=noise_seed)
-    if args.n_items is not None:
+    _at_least(("--gen-seed", args.gen_seed or 0, 0))
+    if args.bench is not None and args.n_items is not None:
         raise UsageError("--n-items applies only to --gen-seed")
-    bench = load_benchmark(args.bench, noise_seed=noise_seed)
-    _at_most((f"{k_flag} x the {len(bench)} items of --bench", k * len(bench),
-              MAX_CALIBRATION_CELLS))
-    return bench
+    return _benchmark(("", "--n-items", "--bench"), args.bench, args.gen_seed, args.n_items,
+                      args.noise_seed or 0, per_item, then)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +244,7 @@ def _cmd_calibrate(args) -> int:
     elif args.manifest is not None:
         raise UsageError("--manifest needs --records")
     else:
-        bench = _resolve_bench(args, "--k", args.k)
+        bench = _resolve_bench(args, [("--k", args.k)])
         if args.save_bench:
             save_benchmark(bench, args.save_bench)
     try:
@@ -304,25 +316,21 @@ def _cmd_evolve(args) -> int:
         ignored = [f"'{where}.{name}'" for name in fields if name in block]
         if block.get(owner) and ignored:
             raise UsageError(f"config '{where}.{owner}' excludes {', '.join(ignored)}")
-    _check_budgets(search, sim if sources[0] == "simulated" else None, subset_block)
+    k = (subset_block or {}).get("calibration_k", 10)
+    _at_most(("config 'subset.calibration_k'", k, MAX_CALIBRATION_K),
+             ("config 'search.population_size' x ('search.generations' + 1)",
+              search.population_size * (search.generations + 1), MAX_EVALUATIONS))
 
-    # The inputs are read, and a benchmark file budgeted, before the run directory exists.
-    bench: SimulatedBenchmark | None = None
-    records = None
+    # The inputs are read, and budgeted, before the run directory exists.
+    bench = records = None
     if sources[0] == "records":
         records = load_record_evaluations(rec_block["path"])
-    elif sim.get("benchmark"):
-        bench = load_benchmark(sim["benchmark"], noise_seed=sim.get("noise_seed", 0))
-        if subset_block is not None and "item_ids" not in subset_block:
-            _at_most((f"config 'subset.calibration_k' x the {len(bench)} items of "
-                      "'evaluator.simulated.benchmark'",
-                      subset_block.get("calibration_k", 10) * len(bench), MAX_CALIBRATION_CELLS))
     else:
-        bench = generate_benchmark(
-            seed=sim.get("generator_seed", 0),
-            n_items=sim.get("n_items", 1000),
-            noise_seed=sim.get("noise_seed"),
-        )
+        calibrates = subset_block is not None and "item_ids" not in subset_block
+        bench = _benchmark(
+            ("config ", "'evaluator.simulated.n_items'", "'evaluator.simulated.benchmark'"),
+            sim.get("benchmark"), sim.get("generator_seed", 0), sim.get("n_items"),
+            sim.get("noise_seed"), [("'subset.calibration_k'", k)] if calibrates else [])
 
     out_dir = Path(args.out or raw.get("output_dir") or "paretomerge-run")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -468,24 +476,6 @@ _CONFIG = {
     # Any falsy output_dir falls back to the default directory.
     "output_dir": (lambda v: not v or isinstance(v, str), "a string"),
 }
-
-def _check_budgets(search: SearchConfig, sim: dict | None, subset_block) -> None:
-    """Refuse a config over a machine budget, naming its fields. ``sim`` is the
-    simulated evaluator block, None with records. A benchmark file's
-    calibration cells are checked once ``_cmd_evolve`` has loaded it."""
-    n_items = sim.get("n_items", 1000) if sim is not None else 0
-    k = (subset_block or {}).get("calibration_k", 10)
-    generated = sim is not None and not sim.get("benchmark")
-    calibrates = subset_block is not None and "item_ids" not in subset_block
-    _at_most(
-        ("config 'evaluator.simulated.n_items'", n_items, MAX_ITEMS),
-        ("config 'subset.calibration_k'", k, MAX_CALIBRATION_K),
-        ("config 'subset.calibration_k' x 'evaluator.simulated.n_items'",
-         k * n_items if generated and calibrates else 0, MAX_CALIBRATION_CELLS),
-        ("config 'search.population_size' x ('search.generations' + 1)",
-         search.population_size * (search.generations + 1), MAX_EVALUATIONS),
-    )
-
 
 # Blocks with a value that stands for "no settings": a null subset selects
 # every item, and a falsy simulated block generates the default benchmark.
@@ -642,25 +632,21 @@ def _calibration_key_file(key: str, out_dir: Path) -> bytes:
 
 
 def _cmd_fidelity(args) -> int:
-    try:
-        strategies = [SubsetStrategy(s.strip()) for s in args.strategies.split(",") if s.strip()]
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    allowed = [s.value for s in SubsetStrategy]
+    strategies = _entries("--strategies", args.strategies, lambda e: e if e in allowed else None,
+                          "one of " + ", ".join(allowed))
+    # ASCII digits only: int() also reads "1_0", a sign and other scripts' digits.
+    sizes = _entries("--sizes", args.sizes,
+                     lambda e: int(e) if e.isascii() and e.isdigit() else None, "decimal digits")
     if not strategies or not sizes:
         raise UsageError("--strategies and --sizes must be non-empty")
-    for flag, values in (("--strategies", [s.value for s in strategies]), ("--sizes", sizes)):
-        repeated = [v for i, v in enumerate(values) if v in values[:i]]
-        if repeated:
-            raise UsageError(f"{flag} lists {repeated[0]} more than once")
     _at_least(("--sizes", min(sizes), 1), ("--n-models", args.n_models, 2),
               ("--seeds", args.seeds, 1), ("--calibration-k", args.calibration_k, 2))
     _at_most(("--calibration-k", args.calibration_k, MAX_CALIBRATION_K))
-    bench = _resolve_bench(args, "--calibration-k", args.calibration_k)
     # Each seed scores --n-models candidates on every item of the benchmark.
-    items = "--n-items" if args.bench is None else f"the {len(bench)} items of --bench"
-    _at_most((f"--n-models x {items}", args.n_models * len(bench), MAX_CALIBRATION_CELLS),
-             ("--seeds x --n-models", args.seeds * args.n_models, MAX_EVALUATIONS))
+    bench = _resolve_bench(args, [("--calibration-k", args.calibration_k),
+                                  ("--n-models", args.n_models)],
+                           [("--seeds x --n-models", args.seeds * args.n_models, MAX_EVALUATIONS)])
 
     rho = rank_fidelity_curve(
         bench,
@@ -672,7 +658,7 @@ def _cmd_fidelity(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [(i, j, s.value, size) for i, s in enumerate(strategies) for j, size in enumerate(sizes)]
+    cells = [(i, j, s, size) for i, s in enumerate(strategies) for j, size in enumerate(sizes)]
     lines = ["strategy,size,seed,rho"]
     lines += [f"{s},{size},{seed},{rho[i, j, seed]:.6f}"
               for seed in range(args.seeds) for i, j, s, size in cells]
@@ -687,6 +673,21 @@ def _cmd_fidelity(args) -> int:
         print(f"{s:<13} size={size:<5} mean rho = {rho[i, j].mean():.4f}")
     print(f"wrote {out_dir / 'fidelity.csv'} and {out_dir / 'fidelity_mean.csv'}")
     return 0
+
+
+def _entries(flag: str, text: str, parse, phrase: str) -> list:
+    """The values ``parse`` gives the stripped, non-empty entries of a
+    comma-separated flag. An entry it maps to None, or a value listed twice
+    (each is one slot of the fidelity curve), is a usage error naming the flag."""
+    values = []
+    for entry in filter(None, map(str.strip, text.split(","))):
+        value = parse(entry)
+        if value is None:
+            raise UsageError(f"{flag} entry must be {phrase}, got {entry!r}")
+        if value in values:
+            raise UsageError(f"{flag} lists {value} more than once")
+        values.append(value)
+    return values
 
 
 # ---------------------------------------------------------------------------

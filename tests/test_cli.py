@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import json
@@ -721,14 +722,39 @@ def test_evolve_size_over_machine_budget_is_usage_error(tmp_path, capsys, config
     assert not (tmp_path / "run").exists()
 
 
-def test_evolve_sizes_at_the_machine_budget_pass_the_check():
+class _Started(Exception):
+    """Raised by a stub where a run would start its work."""
+
+
+def test_evolve_sizes_at_the_machine_budget_pass_the_check(tmp_path, monkeypatch):
     """The budgets are inclusive; a subset of explicit ids leaves the
-    calibration cells unchecked, and a benchmark file's wait for its load."""
-    search = SearchConfig(population_size=10**4, generations=99)
-    cli._check_budgets(search, {"n_items": 10**6}, {"calibration_k": 10})
-    cli._check_budgets(search, {"n_items": 10**6}, {"calibration_k": 10**4, "item_ids": ["i"]})
-    cli._check_budgets(search, {"n_items": 10**6, "benchmark": "b.json"}, {"calibration_k": 10**4})
-    cli._check_budgets(search, None, {"calibration_k": 10**4})
+    calibration cells unchecked, and a benchmark file's wait for its load.
+    Each run stops where its subset would be resolved, and the generator is
+    stubbed, so no 10**6-item benchmark is built."""
+    generated, tiny = [], generate_benchmark(seed=0, n_items=5)
+    monkeypatch.setattr(cli, "generate_benchmark",
+                        lambda **kw: generated.append(kw["n_items"]) or tiny)
+
+    def started(*args):
+        raise _Started
+
+    monkeypatch.setattr(cli, "_resolve_subset", started)
+    bench, records = tmp_path / "bench.json", tmp_path / "records.jsonl"
+    save_benchmark(generate_benchmark(seed=0, n_items=1000), bench)
+    records.write_text("")
+    search = {"population_size": 10**4, "generations": 99}  # 10**6 history rows
+    for cells, evaluator, subset in [
+        (10**7, {"simulated": {"n_items": 10**6}}, {"calibration_k": 10}),
+        # item_ids excludes calibration_k; a cell budget of 0 shows the cells go unchecked
+        (0, {"simulated": {"n_items": 10**6}}, {"item_ids": ["item-00"]}),
+        (10**7, {"simulated": {"benchmark": str(bench)}}, {"calibration_k": 10**4}),
+        (10**7, {"records": {"path": str(records)}}, {"calibration_k": 10**4}),
+    ]:
+        monkeypatch.setattr(cli, "MAX_CALIBRATION_CELLS", cells)
+        cfg_path, _ = evolve_config(tmp_path, search=search, evaluator=evaluator, subset=subset)
+        with pytest.raises(_Started):
+            main(["evolve", "--config", str(cfg_path)])
+    assert generated == [10**6, 10**6]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -769,6 +795,91 @@ def test_command_size_over_machine_budget_is_usage_error(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["calibrate", "--gen-seed", "0", "--n-items", str(10**6), "--k", "11"],
+     "--k x --n-items must be at most 10000000, got 11000000"),
+    (["fidelity", "--gen-seed", "0", "--n-items", str(10**6), "--calibration-k", "11"],
+     "--calibration-k x --n-items must be at most 10000000, got 11000000"),
+    (["fidelity", "--gen-seed", "0", "--n-items", str(10**6), "--n-models", "11",
+      "--calibration-k", "2"],
+     "--n-models x --n-items must be at most 10000000, got 11000000"),
+    (["fidelity", "--gen-seed", "0", "--n-items", str(10**6), "--n-models", "2",
+      "--seeds", "500001"],
+     "--seeds x --n-models must be at most 1000000, got 1000002"),
+    (["evolve", "--config", "config.json"],
+     "config 'subset.calibration_k' x 'evaluator.simulated.n_items' must be at most 10000000, "
+     "got 11000000"),
+], ids=["calibrate-k", "fidelity-calibration-k", "fidelity-n-models", "fidelity-seeds",
+        "evolve-calibration-k"])
+def test_budget_fails_before_a_benchmark_is_generated(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    """Every budget on a generated benchmark is checked before the generator
+    runs: here it refuses to."""
+    def refuse(**kw):
+        raise AssertionError(f"generate_benchmark(**{kw}) was called")
+
+    monkeypatch.setattr(cli, "generate_benchmark", refuse)
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps({
+        "evaluator": {"simulated": {"n_items": 10**6}}, "subset": {"calibration_k": 11},
+        "output_dir": "out",
+    }))
+    assert main(argv + (["--out", "out"] if argv[0] != "evolve" else [])) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+BUILDERS = ("generate_benchmark", "load_benchmark")
+
+
+def benchmark_builders(source: str) -> list[tuple[int, str, str]]:
+    """``(line, function, name)`` for each reference to a benchmark builder, by
+    name or as an attribute, in the innermost function around it (``""`` at
+    module level); imports are not references."""
+    tree = ast.parse(source)
+    owner = {}
+    for fn in ast.walk(tree):  # breadth first: an inner function overrides its outer one
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    return sorted(
+        (node.lineno, owner.get(id(node), ""), name)
+        for node in ast.walk(tree)
+        for name in [node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute) else None]
+        if name in BUILDERS
+    )
+
+
+def test_guard_finds_benchmark_builders():
+    source = (
+        "from .evaluation import generate_benchmark, load_benchmark\n"
+        "generate_benchmark()\n"
+        "def _benchmark(p):\n"
+        "    return load_benchmark(p)\n"
+        "def other():\n"
+        "    build = evaluation.generate_benchmark\n"
+        "    def inner(p):\n"
+        "        return functools.partial(load_benchmark, p)\n"
+    )
+    assert benchmark_builders(source) == [
+        (2, "", "generate_benchmark"),
+        (4, "_benchmark", "load_benchmark"),
+        (6, "other", "generate_benchmark"),
+        (8, "inner", "load_benchmark"),
+    ]
+
+
+def test_cli_builds_a_benchmark_only_in_the_resolver():
+    """Only ``cli._benchmark`` loads or generates a benchmark, once each, so no
+    command can build one past the machine budgets."""
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert sorted((fn, name) for _, fn, name in benchmark_builders(source)) == [
+        ("_benchmark", "generate_benchmark"),
+        ("_benchmark", "load_benchmark"),
+    ]
+
+
 def test_fidelity_budgets_the_items_of_a_benchmark_file(tmp_path, capsys):
     """With --bench the model cells count the items the file holds."""
     bench = tmp_path / "bench.json"
@@ -805,6 +916,27 @@ def test_fidelity_sizes_at_the_machine_budget_pass_the_check(tmp_path, monkeypat
 def test_fidelity_repeated_entry_is_usage_error(tmp_path, capsys, argv, message):
     """Each listed strategy and size is one slot of the curve: a repeated entry
     is a usage error naming its flag, raised before --out exists."""
+    out_dir = tmp_path / "out"
+    assert main(["fidelity", "--gen-seed", "0", "--n-items", "40", "--n-models", "4",
+                 "--seeds", "2", *argv, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--strategies", "bogus"],
+     "--strategies entry must be one of entropy, random, disagreement, got 'bogus'"),
+    (["--sizes", "1_0"], "--sizes entry must be decimal digits, got '1_0'"),
+    (["--sizes", "10,a"], "--sizes entry must be decimal digits, got 'a'"),
+    (["--sizes", "10, -5"], "--sizes entry must be decimal digits, got '-5'"),
+    (["--sizes", "+5"], "--sizes entry must be decimal digits, got '+5'"),
+    (["--sizes", "\u0661\u0665"], "--sizes entry must be decimal digits, got '\u0661\u0665'"),
+], ids=["strategy", "sizes-underscore", "sizes-letter", "sizes-sign",
+        "sizes-plus", "sizes-arabic-indic"])
+def test_fidelity_bad_entry_is_usage_error_naming_the_flag(tmp_path, capsys, argv, message):
+    """A --strategies entry that names no strategy, or a --sizes entry that is
+    not plain ASCII digits, is a usage error naming the flag and the entry,
+    raised before --out exists."""
     out_dir = tmp_path / "out"
     assert main(["fidelity", "--gen-seed", "0", "--n-items", "40", "--n-models", "4",
                  "--seeds", "2", *argv, "--out", str(out_dir)]) == 2
