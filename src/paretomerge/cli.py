@@ -65,7 +65,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except MissingCandidatesError as exc:
+            # A records command sets args.manifest before it can raise this.
+            write_manifest(args.manifest, exc.pending)
+            print(f"wrote manifest for {len(exc.pending)} pending candidate(s) to {args.manifest}; "
+                  "evaluate them externally, append the records, and rerun", file=sys.stderr)
+            raise
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -94,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="build the K-row calibration correctness matrix")
     _add_bench_args(p)
-    p.add_argument("--k", type=int, default=10, help="number of calibration candidates")
+    p.add_argument("--k", type=_integer, default=10, help="number of calibration candidates")
     p.add_argument("--records", help="JSONL records from an external harness")
     p.add_argument("--manifest", help="manifest path for missing candidates (records mode)")
     p.add_argument("--save-bench", help="also persist the simulated benchmark JSON here")
@@ -104,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-subset", help="select an evaluation subset from a matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--strategy", required=True, choices=[s.value for s in SubsetStrategy])
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--size", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--out", required=True, help="subset JSON path")
     p.set_defaults(func=_cmd_sample_subset)
 
@@ -118,9 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_bench_args(p)
     p.add_argument("--strategies", default="entropy,random,disagreement")
     p.add_argument("--sizes", default="10,25,50,100,200")
-    p.add_argument("--n-models", type=int, default=50)
-    p.add_argument("--seeds", type=int, default=20, help="number of seeds (0..n-1)")
-    p.add_argument("--calibration-k", type=int, default=10)
+    p.add_argument("--n-models", type=_integer, default=50)
+    p.add_argument("--seeds", type=_integer, default=20, help="number of seeds (0..n-1)")
+    p.add_argument("--calibration-k", type=_integer, default=10)
     p.add_argument("--out", required=True, help="output directory for CSVs")
     p.set_defaults(func=_cmd_fidelity)
 
@@ -136,9 +143,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_bench_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bench", help="simulated benchmark JSON path")
-    p.add_argument("--gen-seed", type=int, help="generate the default benchmark with this seed")
-    p.add_argument("--n-items", type=int, help="items to generate (default 1000)")
-    p.add_argument("--noise-seed", type=int, help="seed of the logistic draws (default 0)")
+    p.add_argument("--gen-seed", type=_integer, help="generate the default benchmark with this seed")
+    p.add_argument("--n-items", type=_integer, help="items to generate (default 1000)")
+    p.add_argument("--noise-seed", type=_integer, help="seed of the logistic draws (default 0)")
+
+
+def _integer(text: str) -> int:
+    """An integer flag's value: ASCII digits after an optional '-' (int() also reads
+    "1_0", "+3" and other scripts' digits), within the interpreter's digit limit."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be ASCII digits after an optional '-', got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(f"has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _at_least(*checks: tuple[str, int, int]) -> None:
@@ -204,6 +223,9 @@ def _resolve_bench(args, per_item, then=()) -> SimulatedBenchmark:
 
 def _cmd_merge(args) -> int:
     try:
+        # float() also reads "0.1_5" and other scripts' digits.
+        if not args.params.isascii() or "_" in args.params:
+            raise ValueError
         values = tuple(float(v) for v in args.params.split(","))
     except ValueError:
         raise UsageError(f"--params must be comma-separated numbers, got {args.params!r}")
@@ -241,19 +263,14 @@ def _cmd_calibrate(args) -> int:
                 "--records excludes --bench, --gen-seed, --save-bench, --n-items and --noise-seed"
             )
         records = load_record_evaluations(args.records)
+        args.manifest = args.manifest or str(Path(args.out).with_suffix(".manifest.jsonl"))
     elif args.manifest is not None:
         raise UsageError("--manifest needs --records")
     else:
         bench = _resolve_bench(args, [("--k", args.k)])
         if args.save_bench:
             save_benchmark(bench, args.save_bench)
-    try:
-        matrix = _calibration_matrix(default_lambda_grid(args.k), bench, records)
-    except MissingCandidatesError as exc:
-        manifest = args.manifest or str(Path(args.out).with_suffix(".manifest.jsonl"))
-        write_manifest(manifest, [g for _, g in exc.pending])
-        print(f"wrote manifest for {len(exc.pending)} candidate(s) to {manifest}", file=sys.stderr)
-        raise
+    matrix = _calibration_matrix(default_lambda_grid(args.k), bench, records)
     save_matrix(matrix, args.out)
     print(f"calibration matrix: {len(matrix.model_ids)} models x {len(matrix.item_ids)} items")
     print(f"wrote {args.out}")
@@ -334,6 +351,7 @@ def _cmd_evolve(args) -> int:
 
     out_dir = Path(args.out or raw.get("output_dir") or "paretomerge-run")
     out_dir.mkdir(parents=True, exist_ok=True)
+    args.manifest = out_dir / "manifest.jsonl"
     if bench is not None:
         save_benchmark(bench, out_dir / "benchmark.json")
 
@@ -350,21 +368,17 @@ def _cmd_evolve(args) -> int:
     # the generation, are built once, keyed by the row's bytes. history.jsonl
     # only grows: each generation's lines are encoded once, and the file is
     # rewritten from those chunks. The last call leaves the final files.
-    members: list[dict] = []
     encoded: dict[bytes, tuple[dict, str]] = {}
     history: list[bytes] = []
-    # The history rows of the front so far, and their fitness. A point left
-    # out of it stays dominated, or repeats the fitness of an earlier member,
-    # so the front of this front followed by the new points is the front of
-    # the whole history.
-    front_rows, front_f = np.empty(0, dtype=np.intp), np.empty((0, 2))
+    # The front so far as its members and their (m, 2) fitness; pareto.json,
+    # front_points.csv and the summary read it. A point left out of it stays
+    # dominated, or repeats the fitness of an earlier member, so the front of
+    # this front followed by the new points is the front of the whole history.
+    front, front_f = [], np.empty((0, 2))
 
     def on_generation(gen: int, x_new: np.ndarray, f_new: np.ndarray) -> None:
-        nonlocal front_rows, front_f
-        start = len(members)
-        # json.dumps({"generation": gen, **member}) with the member's JSON reused.
-        head = '{"generation": %d, ' % gen
-        lines = []
+        nonlocal front, front_f
+        new = []
         for row, values, (f0, f1) in zip(x_new, x_new.tolist(), f_new.tolist()):
             key = row.tobytes()
             if key not in encoded:
@@ -372,40 +386,29 @@ def _cmd_evolve(args) -> int:
                 m = {"candidate_id": candidate_id(g), "genotype": g.to_dict(),
                      "accuracy": -f0, "mean_length": f1, "fitness": [f0, f1]}
                 encoded[key] = m, json.dumps(m)[1:]
-            m, tail = encoded[key]
-            members.append(m)
-            lines.append(head + tail + "\n")
-        history.append("".join(lines).encode("utf-8"))
+            new.append(encoded[key])
+        # json.dumps({"generation": gen, **member}) with the member's JSON reused.
+        head = '{"generation": %d, ' % gen
+        history.append("".join(head + tail + "\n" for _, tail in new).encode("utf-8"))
         write_atomic(out_dir / "history.jsonl", history)
-        if len(f_new):
+        if new:
             # Not a top-level import: the bench tracer and
             # test_evolve_writes_the_front_of_each_history_prefix rebind nsga2.extract_pareto.
             from .nsga2 import extract_pareto
 
-            rows = np.concatenate((front_rows, np.arange(start, len(members))))
+            front = front + [m for m, _ in new]  # not +=: the last write was handed that list
             f = np.vstack((front_f, f_new))
             keep = extract_pareto(f)
-            front_rows, front_f = rows[keep], f[keep]
-            _write_json_atomic(out_dir / "pareto.json",
-                               {"members": [members[i] for i in front_rows.tolist()]})
+            front, front_f = [front[i] for i in keep.tolist()], f[keep]
+            _write_json_atomic(out_dir / "pareto.json", {"members": front})
 
-    try:
-        subset_ids = _resolve_subset(subset_block, bench, records, out_dir)
-        if bench is not None:
-            evaluator = SimulatedFitness(bench, subset_ids)
-        else:
-            evaluator = RecordsFitness(records, subset_ids)
-        _write_json_atomic(out_dir / "config.json", echo)
-        front, _, f = run_nsga2(search, evaluator, on_generation=on_generation)
-    except MissingCandidatesError as exc:
-        manifest = out_dir / "manifest.jsonl"
-        write_manifest(manifest, [g for _, g in exc.pending])
-        print(
-            f"wrote manifest for {len(exc.pending)} pending candidate(s) to {manifest}; "
-            "evaluate them externally, append the records, and rerun",
-            file=sys.stderr,
-        )
-        raise
+    subset_ids = _resolve_subset(subset_block, bench, records, out_dir)
+    if bench is not None:
+        evaluator = SimulatedFitness(bench, subset_ids)
+    else:
+        evaluator = RecordsFitness(records, subset_ids)
+    _write_json_atomic(out_dir / "config.json", echo)
+    _, _, f = run_nsga2(search, evaluator, on_generation=on_generation)
 
     # Length reductions are relative to the lambda = 0 baseline, so there are
     # none without its records on the subset or when its mean length is 0.
@@ -416,12 +419,12 @@ def _cmd_evolve(args) -> int:
     if baseline_length > 0:
         write_atomic(
             out_dir / "front_points.csv",
-            front_points_csv(f[front], baseline_length).encode("utf-8"),
+            front_points_csv(front_f, baseline_length).encode("utf-8"),
         )
 
     print(f"evaluated {len(f)} candidates over {search.generations} generations")
     print(f"{'genotype':<28} {'accuracy':>9} {'mean_length':>12}")
-    for m in map(members.__getitem__, front.tolist()):
+    for m in front:
         values = ", ".join(f"{v:.4f}" for v in m["genotype"]["values"])
         print(
             f"{m['genotype']['kind']}[{values}]".ljust(28)
@@ -635,9 +638,8 @@ def _cmd_fidelity(args) -> int:
     allowed = [s.value for s in SubsetStrategy]
     strategies = _entries("--strategies", args.strategies, lambda e: e if e in allowed else None,
                           "one of " + ", ".join(allowed))
-    # ASCII digits only: int() also reads "1_0", a sign and other scripts' digits.
     sizes = _entries("--sizes", args.sizes,
-                     lambda e: int(e) if e.isascii() and e.isdigit() else None, "decimal digits")
+                     lambda e: _integer(e) if e.isascii() and e.isdigit() else None, "decimal digits")
     if not strategies or not sizes:
         raise UsageError("--strategies and --sizes must be non-empty")
     _at_least(("--sizes", min(sizes), 1), ("--n-models", args.n_models, 2),
@@ -677,11 +679,15 @@ def _cmd_fidelity(args) -> int:
 
 def _entries(flag: str, text: str, parse, phrase: str) -> list:
     """The values ``parse`` gives the stripped, non-empty entries of a
-    comma-separated flag. An entry it maps to None, or a value listed twice
-    (each is one slot of the fidelity curve), is a usage error naming the flag."""
+    comma-separated flag. An entry it maps to None or fails with
+    ``ArgumentTypeError``, or a value listed twice (each is one slot of the
+    fidelity curve), is a usage error naming the flag."""
     values = []
     for entry in filter(None, map(str.strip, text.split(","))):
-        value = parse(entry)
+        try:
+            value = parse(entry)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"{flag} entry {exc}") from None
         if value is None:
             raise UsageError(f"{flag} entry must be {phrase}, got {entry!r}")
         if value in values:

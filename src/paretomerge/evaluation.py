@@ -62,6 +62,14 @@ class ObjectiveVector:
         return (-self.accuracy, self.mean_length)
 
 
+def left_sum(values) -> float:
+    """The float64 sum of a non-empty ``values`` from +0.0, left to right: the
+    bits ``sum`` gave before Python 3.12 made it a compensated sum.
+    ``np.add.accumulate`` adds in order, and adding its last sum to 0.0 makes a
+    sum of only -0.0 the +0.0 that a start at +0.0 gives."""
+    return 0.0 + np.add.accumulate(np.asarray(values, dtype=np.float64))[-1].item()
+
+
 @dataclass(frozen=True, eq=False)
 class Outcomes:
     """One candidate's per-item results as columns: entry i of ``correct`` (0/1,
@@ -93,7 +101,7 @@ class Outcomes:
         # changes the last bit of the mean and with it the output files.
         return ObjectiveVector(
             accuracy=np.count_nonzero(self.correct) / n,
-            mean_length=sum(self.lengths.tolist()) / n,
+            mean_length=left_sum(self.lengths) / n,
         )
 
     def select(self, item_ids: Sequence[str]) -> "Outcomes":
@@ -150,11 +158,16 @@ class SimulatedBenchmark:
         for name, col in raw.items():
             if col.shape != (len(self),) or col.dtype.kind == "O":
                 raise ValueError(f"{name} must hold one number per item, got {col.dtype}{list(col.shape)}")
-        # numpy reads a bool among numbers as 0 or 1, so those bools are found in
-        # what was given; they and every entry of a bool or string column are no number
-        mixed = {name: np.array([isinstance(v, (bool, np.bool_)) for v in given[name]], dtype=bool)
-                 if col.dtype.kind in "iuf" and not isinstance(given[name], np.ndarray)
+        # numpy reads a bool among numbers as 0 or 1 and a number among strings
+        # as a string, so those bools and strings are found in what was given,
+        # and such a column is read again with 0 in their place; they and every
+        # entry of a bool or string array are no number
+        mixed = {name: np.array([isinstance(v, (*_BOOL_TYPES, str, bytes)) for v in given[name]])
+                 if col.dtype.kind in "iufSU" and not isinstance(given[name], np.ndarray)
                  else np.zeros(len(self), dtype=bool) for name, col in raw.items()}
+        for name, col in raw.items():
+            if col.dtype.kind in "SU" and mixed[name].any():
+                raw[name] = np.asarray([0 if m else v for v, m in zip(given[name], mixed[name].tolist())])
         t, a, len_long, len_short = numbers = [
             np.where(mixed[name], np.nan, raw[name].astype(np.float64))
             if raw[name].dtype.kind in "iuf" else np.full(len(self), np.nan)
@@ -174,8 +187,9 @@ class SimulatedBenchmark:
         if bad.size:
             i = int(bad[0])
             message, *names = next(rest for ok, *rest in rules if not ok[i])
+            quoted = [given[name][i] if mixed[name][i] else raw[name].item(i) for name in names]
             raise ValueError(f"item {i} ({self.item_ids[i]!r}): " + message.format(
-                *(bool(raw[name][i]) if mixed[name][i] else raw[name].item(i) for name in names)))
+                *(v.item() if isinstance(v, np.generic) else v for v in quoted)))
         self.kinds = raw["kinds"].astype(np.int8)
         self.t, self.a, self.len_long, self.len_short = numbers
         # Per rule, the items it scores; threshold items also keep their t, and
@@ -605,12 +619,10 @@ def candidate_id(genotype: Genotype) -> str:
     return f"{genotype.kind.value}-{digest}"
 
 
-def write_manifest(path, genotypes: Sequence[Genotype]) -> None:
-    """Emit the candidate manifest consumed by an external evaluation harness."""
-    lines = (
-        json.dumps({"candidate_id": candidate_id(g), "genotype": g.to_dict()}) + "\n"
-        for g in genotypes
-    )
+def write_manifest(path, pending: Sequence[tuple[str, Genotype]]) -> None:
+    """Emit the candidate manifest consumed by an external evaluation harness,
+    one line per ``(candidate_id, genotype)`` pair of ``MissingCandidatesError.pending``."""
+    lines = (json.dumps({"candidate_id": cid, "genotype": g.to_dict()}) + "\n" for cid, g in pending)
     write_atomic(path, "".join(lines).encode("utf-8"))
 
 

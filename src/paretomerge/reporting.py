@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .evaluation import Outcomes
+from .evaluation import Outcomes, left_sum
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,12 @@ def build_report(
         )
 
     total = sum(r.item_count for r in rows)
-    avg_acc = sum(r.accuracy for r in rows) / len(rows)
-    weighted_acc = sum(r.accuracy * r.item_count for r in rows) / total
-    avg_len = sum(r.mean_length for r in rows) / len(rows)
-    avg_base_len = sum(r.baseline_mean_length for r in rows) / len(rows)
-    pooled_len = sum(r.mean_length * r.item_count for r in rows) / total
-    pooled_base_len = sum(r.baseline_mean_length * r.item_count for r in rows) / total
+    avg_acc = left_sum([r.accuracy for r in rows]) / len(rows)
+    weighted_acc = left_sum([r.accuracy * r.item_count for r in rows]) / total
+    avg_len = left_sum([r.mean_length for r in rows]) / len(rows)
+    avg_base_len = left_sum([r.baseline_mean_length for r in rows]) / len(rows)
+    pooled_len = left_sum([r.mean_length * r.item_count for r in rows]) / total
+    pooled_base_len = left_sum([r.baseline_mean_length * r.item_count for r in rows]) / total
     return AggregateReport(
         rows=tuple(rows),
         average_accuracy=avg_acc,

@@ -16,8 +16,11 @@ from paretomerge.checkpoint import Checkpoint, save_checkpoint
 from paretomerge.cli import main
 from paretomerge.errors import RecordFormatError
 from paretomerge.evaluation import (
+    RecordsFitness,
+    SimulatedFitness,
     candidate_id,
     generate_benchmark,
+    load_benchmark,
     load_record_evaluations,
     save_benchmark,
 )
@@ -80,6 +83,18 @@ def test_merge_usage_errors(endpoints, tmp_path):
     assert main(base + ["--op", "ta", "--params", "1.5"]) == 2
     assert main(base + ["--op", "ta", "--params", "abc"]) == 2
     assert main(base + ["--op", "dare", "--params", "0.5"]) == 2  # argparse choices
+
+
+@pytest.mark.parametrize("params", ["0.1_5", "1e-1_0", "\u0660.\u0665", "0.5,0.2_0"])
+def test_merge_params_take_ascii_numbers_without_underscores(endpoints, tmp_path, capsys, params):
+    # float() reads each of these; "0.1_5" would merge at lambda = 0.15
+    p2, p1 = endpoints
+    out = tmp_path / "x.pmrg"
+    assert main(["merge", "--system2", str(p2), "--system1", str(p1), "--out", str(out),
+                 "--op", "ties" if "," in params else "ta", "--params", params]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: --params must be comma-separated numbers, got {params!r}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("op, params, digest", [
@@ -203,6 +218,22 @@ def test_calibrate_records_matrix_and_manifest_digests(tmp_path):
     simulated_records_for(bench, grid, records_path)
     assert main(base) == 0
     assert sha16(out) == "71f67d0c5625001f"
+
+
+def test_calibrate_records_prints_the_manifest_hint_or_the_write_error(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    records.write_text("")
+    base = ["calibrate", "--records", str(records), "--k", "4", "--out", str(tmp_path / "m.json")]
+    assert main(base) == 1
+    hint, error = capsys.readouterr().err.splitlines()
+    assert hint == (f"wrote manifest for 4 pending candidate(s) to {tmp_path / 'm.manifest.jsonl'}; "
+                    "evaluate them externally, append the records, and rerun")
+    assert error.startswith("error: 4 candidate(s) have no evaluation records: ta-")
+
+    # a manifest that cannot be written is the error, with no traceback
+    assert main(base + ["--manifest", str(tmp_path / "missing" / "pending.jsonl")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: [Errno 2] No such file or directory")
 
 
 def test_calibrate_from_records_with_manifest_round_trip(tmp_path):
@@ -1138,6 +1169,42 @@ def test_negative_seed_flag_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, argv", [
+    ("--n-items", "1_0", ["calibrate", "--gen-seed", "0", "--out", "OUT/m.json"]),
+    ("--k", "1_0", ["calibrate", "--gen-seed", "0", "--n-items", "50", "--out", "OUT/m.json"]),
+    ("--n-items", "\u0665\u0660", ["calibrate", "--gen-seed", "0", "--out", "OUT/m.json"]),
+    ("--k", "+3", ["calibrate", "--gen-seed", "0", "--n-items", "50", "--out", "OUT/m.json"]),
+    ("--gen-seed", " 0", ["calibrate", "--n-items", "50", "--out", "OUT/m.json"]),
+    ("--gen-seed", "9" * 5000, ["calibrate", "--n-items", "50", "--out", "OUT/m.json"]),
+    ("--noise-seed", "1_0", ["calibrate", "--gen-seed", "0", "--n-items", "50", "--out", "OUT/m.json"]),
+    ("--n-models", "1_0", ["fidelity", "--gen-seed", "0", "--n-items", "50", "--out", "OUT"]),
+    ("--seeds", "+2", ["fidelity", "--gen-seed", "0", "--n-items", "50", "--out", "OUT"]),
+    ("--calibration-k", "\u0661\u0660", ["fidelity", "--gen-seed", "0", "--n-items", "50", "--out", "OUT"]),
+    ("--size", "1_0", ["sample-subset", "--matrix", "m.json", "--strategy", "entropy",
+                       "--out", "OUT/s.json"]),
+    ("--seed", "+1", ["sample-subset", "--matrix", "m.json", "--strategy", "entropy", "--size", "5",
+                      "--out", "OUT/s.json"]),
+], ids=["n-items-underscore", "k-underscore", "n-items-arabic-indic", "k-plus", "gen-seed-space",
+        "gen-seed-5000-digits", "noise-seed-underscore", "n-models-underscore", "seeds-plus",
+        "calibration-k-arabic-indic", "size-underscore", "seed-plus"])
+def test_integer_flag_takes_ascii_digits_after_an_optional_minus(tmp_path, capsys, flag, value, argv):
+    # int() reads an underscore, a plus sign, spaces and other scripts' digits
+    out = tmp_path / "out"
+    assert main([a.replace("OUT", str(out)) for a in argv] + [flag, value]) == 2
+    assert f"error: argument {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python converts integer strings of any length")
+def test_fidelity_sizes_entry_past_the_digit_limit_is_usage_error(tmp_path, capsys):
+    out, limit = tmp_path / "out", sys.get_int_max_str_digits()
+    assert main(["fidelity", "--gen-seed", "0", "--n-items", "50", "--sizes", "10," + "9" * (limit + 1),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"usage error: --sizes entry has more than {limit} digits\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["calibrate", "--gen-seed", "0", "--n-items", "0", "--out", "OUT/m.json"],
      "--n-items must be >= 1"),
@@ -1292,6 +1359,36 @@ def test_evolve_records_with_strategy_subset_from_calibration(tmp_path):
     assert main(["evolve", "--config", str(cfg_path)]) == 0
     key = (run_dir / "calibration.key").read_bytes()
     assert (fresh_dir / "calibration.key").read_bytes() == key
+
+
+def assert_outputs_list_the_front(run_dir, evaluator, stdout):
+    """front_points.csv and the summary after the last table header hold
+    exactly the members of pareto.json, in its order."""
+    members = json.loads((run_dir / "pareto.json").read_text())["members"]
+    assert members
+    base = evaluator.evaluate(Genotype(MergeKind.TA, (0.0,))).mean_length
+    rows = [f"{100.0 * (1.0 - m['fitness'][1] / base):.4f},{-100.0 * m['fitness'][0]:.4f}" for m in members]
+    assert (run_dir / "front_points.csv").read_text().splitlines() == ["length_reduction_pct,accuracy_pct"] + rows
+    lines = stdout.splitlines()
+    header = len(lines) - lines[::-1].index(f"{'genotype':<28} {'accuracy':>9} {'mean_length':>12}")
+    assert lines[header:] == [
+        f"ta[{m['genotype']['values'][0]:.4f}]".ljust(28)
+        + f" {m['accuracy']:>9.4f} {m['mean_length']:>12.2f}" for m in members] + [f"run directory: {run_dir}"]
+
+
+def test_evolve_simulated_outputs_list_the_front(tmp_path, capsys):
+    cfg_path, run_dir = evolve_config(tmp_path, search=CLAMPED)
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+    subset = json.loads((run_dir / "subset.json").read_text())["item_ids"]
+    evaluator = SimulatedFitness(load_benchmark(run_dir / "benchmark.json"), subset)
+    assert_outputs_list_the_front(run_dir, evaluator, capsys.readouterr().out)
+
+
+def test_evolve_records_outputs_list_the_front(tmp_path, capsys):
+    run_dir = run_calibrated_harness(tmp_path)
+    subset = json.loads((run_dir / "subset.json").read_text())["item_ids"]
+    evaluator = RecordsFitness(load_record_evaluations(tmp_path / "records.jsonl"), subset)
+    assert_outputs_list_the_front(run_dir, evaluator, capsys.readouterr().out)
 
 
 def _first_call_only(fn, calls):

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import paretomerge.evaluation as evaluation
+import paretomerge.reporting as reporting
 from paretomerge.errors import GenotypeError, MissingCandidatesError, RecordFormatError
 from paretomerge.evaluation import (
     DOWN_BAND,
@@ -22,6 +24,7 @@ from paretomerge.evaluation import (
     SimulatedFitness,
     candidate_id,
     generate_benchmark,
+    left_sum,
     load_benchmark,
     load_record_evaluations,
     logistic_response,
@@ -29,6 +32,7 @@ from paretomerge.evaluation import (
     write_manifest,
 )
 from paretomerge.merge import Genotype, MergeKind
+from paretomerge.reporting import build_report
 
 from manifests import read_manifest
 from record_oracle import reference_load
@@ -220,7 +224,62 @@ def test_outcomes_mean_length_sums_left_to_right():
     assert out.objectives().mean_length == expected / 1000
     assert expected / 1000 != float(np.mean(lengths))
     reversed_ids = list(reversed(out.item_ids))
-    assert out.select(reversed_ids).objectives().mean_length == sum(lengths.tolist()[::-1]) / 1000
+    assert out.select(reversed_ids).objectives().mean_length == left_to_right(lengths[::-1]) / 1000
+
+
+def left_to_right(values, start=0):
+    """``sum`` as it is over floats before Python 3.12."""
+    total = start
+    for v in values:
+        total += v
+    return total
+
+
+def neumaier(values, start=0):
+    """``sum`` as it is over floats from Python 3.12 on: compensated."""
+    total, compensation = float(start), 0.0
+    for v in values:
+        t = total + v
+        compensation += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + compensation
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e16, -1e16]),
+                          st.floats(-1e6, 1e6, allow_nan=False)), min_size=1, max_size=40))
+def test_left_sum_matches_the_loop_bit_for_bit(values):
+    assert left_sum(values).hex() == left_to_right(values, 0.0).hex()
+
+
+def test_record_means_are_left_to_right_sums_whatever_sum_does(monkeypatch):
+    """Record means and report fields keep their bits when ``sum`` is the
+    compensated sum of Python 3.12 and later."""
+    assert left_to_right([0.1] * 10 + [1e16, 1.0, -1e16]) != neumaier([0.1] * 10 + [1e16, 1.0, -1e16])
+    rng = np.random.default_rng(0)
+    groups, baseline = {}, {}
+    for g, correct in enumerate((1, 2, 3)):
+        ids = [f"b{g}/q{i}" for i in range(10)]
+        groups[f"b{g}"] = Outcomes(ids, [1] * correct + [0] * (10 - correct), rng.uniform(100, 6000, 10))
+        baseline[f"b{g}"] = Outcomes(ids, [0] * 10, rng.uniform(100, 6000, 10))
+
+    def bits():
+        report = build_report(groups, baseline)
+        values = [report.average_accuracy, report.weighted_average_accuracy,
+                  report.average_length_reduction_pct, report.weighted_length_reduction_pct]
+        values += [row.mean_length for row in report.rows]
+        return [v.hex() for v in values]
+
+    results = []
+    for total in (left_to_right, neumaier):
+        for module in (evaluation, reporting):
+            monkeypatch.setattr(module, "sum", total, raising=False)
+        results.append(bits())
+    assert results[0] == results[1]
+    for outcomes in groups.values():
+        assert outcomes.objectives().mean_length == left_to_right(outcomes.lengths.tolist()) / 10
+    # the sum starts at +0.0, so a column of -0.0 has the mean +0.0, as with sum()
+    assert math.copysign(1.0, Outcomes(["q"], [0], [-0.0]).objectives().mean_length) == 1.0
 
 
 def test_fitness_orientation():
@@ -303,6 +362,23 @@ def test_benchmark_constructor_names_the_first_bad_item(rows, message):
     with pytest.raises(ValueError) as info:
         bench_of(*rows)
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("columns, message", [
+    (([0, 0], [0.5, "0.7"], [1.0, 1.0], [9.0, 9.0], [1.0, 1.0]),
+     "item 1 ('b'): t must be a finite number, got '0.7'"),
+    (([0, "1"], [0.5, 0.5], [1.0, 1.0], [9.0, 9.0], [1.0, 1.0]),
+     "item 1 ('b'): kind must be a code into ('THRESHOLD_UP', 'THRESHOLD_DOWN', 'LOGISTIC'), got '1'"),
+    (([0, 0], [0.5, 0.5], [1.0, 1.0], [9.0, 9.0], [1.0, np.str_("x")]),
+     "item 1 ('b'): len_short must be a finite number, got 'x'"),
+    (([0, 0], [0.5, 0.5], [1.0, b"2"], [9.0, 9.0], [1.0, 1.0]),
+     "item 1 ('b'): a must be a finite number, got b'2'"),
+], ids=["t", "kinds", "len_short-numpy-str", "a-bytes"])
+def test_benchmark_constructor_names_the_item_that_holds_a_string(columns, message):
+    # numpy reads a number among strings as a string; only the string is refused
+    with pytest.raises(ValueError) as info:
+        SimulatedBenchmark(["a", "b"], *columns)
+    assert str(info.value) == message
 
 
 def test_benchmark_columns_have_one_entry_per_item_and_are_read_only():
@@ -978,10 +1054,9 @@ def test_candidate_id_stable_and_distinct():
 def test_manifest_round_trip(tmp_path):
     gs = [Genotype(MergeKind.TA, (0.25,)), Genotype(MergeKind.TIES, (0.5, 0.8))]
     path = tmp_path / "manifest.jsonl"
-    write_manifest(path, gs)
-    loaded = read_manifest(path)
-    assert [g for _, g in loaded] == gs
-    assert [cid for cid, _ in loaded] == [candidate_id(g) for g in gs]
+    pending = [(candidate_id(g), g) for g in gs]
+    write_manifest(path, pending)
+    assert read_manifest(path) == pending
 
 
 def test_simulated_fitness_subset_and_kind_check():
