@@ -42,6 +42,11 @@ _BOOL_TYPES = (bool, np.bool_)
 _FLOAT_MAX = sys.float_info.max
 
 
+def _python_value(value):
+    """A numpy scalar as its ``.item()``; any other value as it is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class ObjectiveVector:
     """Accuracy and mean output length, with the minimization-form fitness."""
@@ -66,8 +71,10 @@ def left_sum(values) -> float:
     """The float64 sum of a non-empty ``values`` from +0.0, left to right: the
     bits ``sum`` gave before Python 3.12 made it a compensated sum.
     ``np.add.accumulate`` adds in order, and adding its last sum to 0.0 makes a
-    sum of only -0.0 the +0.0 that a start at +0.0 gives."""
-    return 0.0 + np.add.accumulate(np.asarray(values, dtype=np.float64))[-1].item()
+    sum of only -0.0 the +0.0 that a start at +0.0 gives. A sum past the
+    float64 range is inf, with no warning; its callers refuse it."""
+    with np.errstate(over="ignore"):
+        return 0.0 + np.add.accumulate(np.asarray(values, dtype=np.float64))[-1].item()
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,13 +142,13 @@ class SimulatedBenchmark:
 
     Entry i of ``kinds`` (int8 codes into ``RESPONSE_KINDS``) and of the
     float64 columns ``t``, ``a``, ``len_long`` and ``len_short`` belongs to
-    ``item_ids[i]``; the columns are read-only. They are checked once, here:
-    ids are unique non-empty strings, numbers are finite (a bool or string is
-    no number; an object column is refused whole), ``t`` lies in [0, 1],
-    ``a > 0`` and ``len_long >= len_short >= 0``. A ``ValueError`` names the
-    first bad item. A logistic item's id must also encode as UTF-8, since its
-    draws are keyed by those bytes; one that does not (a lone surrogate)
-    raises ``UnicodeEncodeError``.
+    ``item_ids[i]``; the columns are read-only. They are checked once, here,
+    entry by entry: ids are unique non-empty strings, a kind is an exact
+    ``int`` code, a number is what ``is_json_number`` accepts (a numpy scalar
+    is read by its ``.item()``), ``t`` lies in [0, 1], ``a > 0`` and
+    ``len_long >= len_short >= 0``. A logistic item's id must also encode as
+    UTF-8, since its draws are keyed by those bytes. A ``ValueError`` names the
+    first bad item.
     """
 
     def __init__(self, item_ids, kinds, t, a, len_long, len_short, noise_seed: int = 0):
@@ -153,44 +160,33 @@ class SimulatedBenchmark:
                 raise ValueError(f"item {pos}: item_id must be a non-empty string, got {iid!r}")
             if self._index.setdefault(iid, pos) != pos:
                 raise ValueError(f"item {pos}: item id {iid!r} repeats item {self._index[iid]}")
-        given = dict(zip(("kinds", *_NUMBER_FIELDS), (kinds, t, a, len_long, len_short)))
-        raw = {name: np.asarray(values) for name, values in given.items()}
-        for name, col in raw.items():
-            if col.shape != (len(self),) or col.dtype.kind == "O":
-                raise ValueError(f"{name} must hold one number per item, got {col.dtype}{list(col.shape)}")
-        # numpy reads a bool among numbers as 0 or 1 and a number among strings
-        # as a string, so those bools and strings are found in what was given,
-        # and such a column is read again with 0 in their place; they and every
-        # entry of a bool or string array are no number
-        mixed = {name: np.array([isinstance(v, (*_BOOL_TYPES, str, bytes)) for v in given[name]])
-                 if col.dtype.kind in "iufSU" and not isinstance(given[name], np.ndarray)
-                 else np.zeros(len(self), dtype=bool) for name, col in raw.items()}
-        for name, col in raw.items():
-            if col.dtype.kind in "SU" and mixed[name].any():
-                raw[name] = np.asarray([0 if m else v for v, m in zip(given[name], mixed[name].tolist())])
-        t, a, len_long, len_short = numbers = [
-            np.where(mixed[name], np.nan, raw[name].astype(np.float64))
-            if raw[name].dtype.kind in "iuf" else np.full(len(self), np.nan)
-            for name in _NUMBER_FIELDS
-        ]
+        given = {}  # each entry as a Python value, a numpy scalar by its .item()
+        for name, col in zip(("kinds", *_NUMBER_FIELDS), (kinds, t, a, len_long, len_short)):
+            entries = np.asarray(col, dtype=object)
+            if entries.shape != (len(self),):
+                raise ValueError(f"{name} must hold one number per item, "
+                                 f"got {np.asarray(col).dtype}{list(entries.shape)}")
+            given[name] = list(map(_python_value, entries.tolist()))
+        t, a, len_long, len_short = numbers = [  # NaN where an entry is no number
+            np.array([v if is_json_number(v) else math.nan for v in given[name]], dtype=np.float64)
+            for name in _NUMBER_FIELDS]
         rules = [  # (the items that pass, the message, the columns it quotes)
-            (np.isin(raw["kinds"], range(len(RESPONSE_KINDS))) & (raw["kinds"].dtype.kind in "iu")
-             & ~mixed["kinds"], f"kind must be a code into {RESPONSE_KINDS}, got {{!r}}", "kinds"),
-            *((np.isfinite(col), f"{name} must be a finite number, got {{!r}}", name)
+            ([type(k) is int and 0 <= k < len(RESPONSE_KINDS) for k in given["kinds"]],
+             f"kind must be a code into {RESPONSE_KINDS}, got {{!r}}", given["kinds"]),
+            *((np.isfinite(col), f"{name} must be a finite number, got {{!r}}", given[name])
               for name, col in zip(_NUMBER_FIELDS, numbers)),
-            ((0.0 <= t) & (t <= 1.0), "t must lie in [0, 1], got {!r}", "t"),
-            (a > 0, "slope a must be > 0, got {!r}", "a"),
+            ((0.0 <= t) & (t <= 1.0), "t must lie in [0, 1], got {!r}", t),
+            (a > 0, "slope a must be > 0, got {!r}", a),
             ((len_long >= len_short) & (len_short >= 0),
-             "need len_long >= len_short >= 0, got {!r} / {!r}", "len_long", "len_short"),
+             "need len_long >= len_short >= 0, got {!r} / {!r}", len_long, len_short),
         ]
         bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, *_ in rules]))
         if bad.size:
             i = int(bad[0])
-            message, *names = next(rest for ok, *rest in rules if not ok[i])
-            quoted = [given[name][i] if mixed[name][i] else raw[name].item(i) for name in names]
-            raise ValueError(f"item {i} ({self.item_ids[i]!r}): " + message.format(
-                *(v.item() if isinstance(v, np.generic) else v for v in quoted)))
-        self.kinds = raw["kinds"].astype(np.int8)
+            message, *cols = next(rest for ok, *rest in rules if not ok[i])
+            raise ValueError(f"item {i} ({self.item_ids[i]!r}): "
+                             + message.format(*(_python_value(col[i]) for col in cols)))
+        self.kinds = np.array(given["kinds"], dtype=np.int8)
         self.t, self.a, self.len_long, self.len_short = numbers
         # Per rule, the items it scores; threshold items also keep their t, and
         # logistic items their (a, t) as floats and the UTF-8 key prefix of their draws.
@@ -201,8 +197,13 @@ class SimulatedBenchmark:
                     self._t_up, self._t_down):
             col.flags.writeable = False
         self._slopes = tuple(zip(self.a[self._logistic].tolist(), self.t[self._logistic].tolist()))
-        self._draw_keys = tuple(f"{self.item_ids[i]}:".encode("utf-8")
-                                for i in self._logistic.tolist())
+        try:
+            self._draw_keys = tuple(f"{self.item_ids[i]}:".encode("utf-8")
+                                    for i in self._logistic.tolist())
+        except UnicodeEncodeError as exc:  # a lone surrogate; exc.object is "{item_id}:"
+            iid = exc.object[:-1]
+            raise ValueError(f"item {self._index[iid]} ({iid!r}): a logistic item's id must "
+                             f"encode as UTF-8 ({exc.reason})") from exc
 
     def __len__(self) -> int:
         return len(self.item_ids)
@@ -328,7 +329,8 @@ def load_json(path):
 
 
 def load_benchmark(path, noise_seed: int = 0) -> SimulatedBenchmark:
-    """Read a ``save_benchmark`` file; ``a`` defaults to 1. A bad item is a
+    """Read a ``save_benchmark`` file; ``a`` defaults to 1. The values go to
+    ``SimulatedBenchmark`` as the file holds them, and a bad item is a
     ``ValueError`` naming ``path`` and the item's position."""
     payload = load_json(path)
     if not isinstance(payload, list):
@@ -342,12 +344,9 @@ def load_benchmark(path, noise_seed: int = 0) -> SimulatedBenchmark:
             if entry["response_kind"] not in RESPONSE_KINDS:
                 raise ValueError(f"response_kind must be one of {', '.join(RESPONSE_KINDS)}, "
                                  f"got {entry['response_kind']!r}")
-            columns["item_id"].append(entry["item_id"])
-            columns["response_kind"].append(RESPONSE_KINDS.index(entry["response_kind"]))
-            for name in _NUMBER_FIELDS:
-                if not is_json_number(entry[name]):
-                    raise ValueError(f"{name} must be a finite JSON number, got {entry[name]!r}")
-                columns[name].append(float(entry[name]))
+            entry["response_kind"] = RESPONSE_KINDS.index(entry["response_kind"])
+            for name in _ITEM_FIELDS:
+                columns[name].append(entry[name])
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: item {pos}: {exc}") from exc
     try:
@@ -718,7 +717,10 @@ class RecordsFitness(FitnessEvaluator):
                     f"candidate {cid!r} has no record for item(s): {', '.join(missing[:5])}"
                     + ("" if len(missing) <= 5 else f" (+{len(missing) - 5} more)")
                 ) from None
-        return outcomes.objectives()
+        try:
+            return outcomes.objectives()
+        except ValueError as exc:  # a mean length past the float64 range
+            raise ValueError(f"candidate {cid!r}: {exc}") from None
 
     def evaluate_population(self, genotypes: Sequence[Genotype]) -> list[ObjectiveVector]:
         results = []

@@ -9,7 +9,9 @@ longer than the baseline).
 
 from __future__ import annotations
 
+import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -63,8 +65,13 @@ def build_report(
 
     rows = []
     for name in groups:
-        cand = groups[name].objectives()
-        base = baseline[name].objectives()
+        sides = []
+        for side, outcomes in (("candidate", groups[name]), ("baseline", baseline[name])):
+            try:
+                sides.append(outcomes.objectives())
+            except ValueError as exc:  # a mean length past the float64 range
+                raise ValueError(f"benchmark {name!r}: {side} {exc}") from None
+        cand, base = sides
         if base.mean_length == 0:
             raise ValueError(f"benchmark {name!r}: baseline mean length is zero")
         rows.append(
@@ -85,35 +92,44 @@ def build_report(
     avg_base_len = left_sum([r.baseline_mean_length for r in rows]) / len(rows)
     pooled_len = left_sum([r.mean_length * r.item_count for r in rows]) / total
     pooled_base_len = left_sum([r.baseline_mean_length * r.item_count for r in rows]) / total
-    return AggregateReport(
+    report = AggregateReport(
         rows=tuple(rows),
         average_accuracy=avg_acc,
         weighted_average_accuracy=weighted_acc,
         average_length_reduction_pct=100.0 * (1.0 - avg_len / avg_base_len),
         weighted_length_reduction_pct=100.0 * (1.0 - pooled_len / pooled_base_len),
     )
+    # Each mean is finite, but a sum or a ratio of them can pass the float64 range.
+    for label, value in (
+        ("average mean length", avg_len), ("average baseline mean length", avg_base_len),
+        ("weighted average mean length", pooled_len),
+        ("weighted average baseline mean length", pooled_base_len),
+        ("average length reduction", report.average_length_reduction_pct),
+        ("weighted length reduction", report.weighted_length_reduction_pct),
+        *((f"benchmark {r.name!r} length reduction", r.length_reduction_pct) for r in rows),
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"report {label} must be a finite number, got {value!r}")
+    return report
 
 
 def report_to_csv(report: AggregateReport) -> str:
-    """Machine-readable form; this CSV is the contract, the table is cosmetic."""
+    """Machine-readable form; this CSV is the contract, the table is cosmetic.
+    Names are quoted as the ``csv`` module quotes them."""
     buf = io.StringIO()
-    buf.write("benchmark,item_count,accuracy_pct,mean_length,baseline_accuracy_pct,"
-              "baseline_mean_length,length_reduction_pct\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["benchmark", "item_count", "accuracy_pct", "mean_length",
+                     "baseline_accuracy_pct", "baseline_mean_length", "length_reduction_pct"])
     for r in report.rows:
-        buf.write(
-            f"{r.name},{r.item_count},{100.0 * r.accuracy:.4f},{r.mean_length:.4f},"
-            f"{100.0 * r.baseline_accuracy:.4f},{r.baseline_mean_length:.4f},"
-            f"{r.length_reduction_pct:.4f}\n"
-        )
+        writer.writerow([r.name, r.item_count, f"{100.0 * r.accuracy:.4f}", f"{r.mean_length:.4f}",
+                         f"{100.0 * r.baseline_accuracy:.4f}", f"{r.baseline_mean_length:.4f}",
+                         f"{r.length_reduction_pct:.4f}"])
     total = sum(r.item_count for r in report.rows)
-    buf.write(
-        f"average,{total},{100.0 * report.average_accuracy:.4f},,,,"
-        f"{report.average_length_reduction_pct:.4f}\n"
-    )
-    buf.write(
-        f"weighted_average,{total},{100.0 * report.weighted_average_accuracy:.4f},,,,"
-        f"{report.weighted_length_reduction_pct:.4f}\n"
-    )
+    for label, accuracy, reduction in (
+        ("average", report.average_accuracy, report.average_length_reduction_pct),
+        ("weighted_average", report.weighted_average_accuracy, report.weighted_length_reduction_pct),
+    ):
+        writer.writerow([label, total, f"{100.0 * accuracy:.4f}", "", "", "", f"{reduction:.4f}"])
     return buf.getvalue()
 
 

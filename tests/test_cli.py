@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import hashlib
 import json
 import sys
@@ -1281,6 +1282,96 @@ def test_evolve_records_manifest_round_trips(tmp_path):
     # N*(T+1) = 8 candidates evaluated over two harness rounds
     history = (tmp_path / "recrun" / "history.jsonl").read_text().splitlines()
     assert len(history) == 8
+
+
+def overflowing_records(cids, items):
+    """Record lines whose mean length, a left-to-right sum over 3 items, passes the float64 range."""
+    return "".join(json.dumps({"candidate_id": cid, "item_id": iid, "correct": 1, "length": 1.5e308})
+                   + "\n" for cid in cids for iid in items)
+
+
+def test_evolve_names_the_candidate_whose_mean_length_overflows(tmp_path, capsys):
+    """A records evolve refuses a record mean past the float64 range with the
+    candidate's id and no numpy warning, in the search and at the lambda = 0
+    baseline of front_points.csv."""
+    bench = generate_benchmark(seed=0, n_items=20)
+    items = bench.item_ids[:3]
+    records, run = tmp_path / "records.jsonl", tmp_path / "run"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "search": {"population_size": 4, "generations": 1, "seed": 0},
+        "evaluator": {"records": {"path": str(records)}},
+        "subset": {"item_ids": items}, "output_dir": str(run)}))
+    records.write_text("")
+    assert main(["evolve", "--config", str(cfg)]) == 1
+    pending = [cid for cid, _ in read_manifest(run / "manifest.jsonl")]
+    records.write_text(overflowing_records(pending, items))
+    capsys.readouterr()
+    assert main(["evolve", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: candidate {pending[0]!r}: mean_length must be a finite number >= 0, got inf\n")
+
+    # Finite records for the whole search; then only the baseline overflows.
+    records.write_text("")
+    known = []
+    while main(["evolve", "--config", str(cfg)]) == 1:
+        known.extend(g for _, g in read_manifest(run / "manifest.jsonl"))
+        simulated_records_for(bench, known, records, subset=items)
+    baseline = candidate_id(Genotype(MergeKind.TA, (0.0,)))
+    assert baseline not in {candidate_id(g) for g in known}
+    assert not (run / "front_points.csv").exists()  # no baseline records: no reductions
+    with records.open("a") as fh:
+        fh.write(overflowing_records([baseline], items))
+    capsys.readouterr()
+    assert main(["evolve", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: candidate {baseline!r}: mean_length must be a finite number >= 0, got inf\n")
+    assert not (run / "front_points.csv").exists()
+
+
+@pytest.mark.parametrize("lengths, message", [
+    ({("cand", "gsm"): [1.5e308] * 2},
+     "benchmark 'gsm': candidate mean_length must be a finite number >= 0, got inf"),
+    ({("base", "math"): [1.5e308] * 2},
+     "benchmark 'math': baseline mean_length must be a finite number >= 0, got inf"),
+    # each mean is finite; their sum, or a ratio of them, is not
+    ({("cand", "gsm"): [1e308], ("cand", "math"): [1e308]},
+     "report average mean length must be a finite number, got inf"),
+    ({("base", "gsm"): [1e308], ("base", "math"): [1e308]},
+     "report average baseline mean length must be a finite number, got inf"),
+    ({("cand", "gsm"): [8e307] * 2, ("cand", "math"): [8e307] * 2},
+     "report weighted average mean length must be a finite number, got inf"),
+    ({("base", "gsm"): [5e-324] * 2},
+     "report benchmark 'gsm' length reduction must be a finite number, got -inf"),
+])
+def test_report_refuses_a_mean_past_the_float64_range(tmp_path, capsys, lengths, message):
+    records = tmp_path / "records.jsonl"
+    records.write_text("".join(
+        json.dumps({"candidate_id": cid, "item_id": f"{name}/q{i}", "correct": 1,
+                    "length": length}) + "\n"
+        for cid in ("cand", "base") for name in ("gsm", "math")
+        for i, length in enumerate(lengths.get((cid, name), [100.0] * 2))))
+    assert main(["report", "--records", str(records), "--candidate", "cand",
+                 "--baseline", "base", "--out", str(tmp_path / "rep")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_csv_quotes_names_as_the_csv_module_reads_them(tmp_path):
+    names = ["math,hard", 'say "hi"', "two\nlines", "plain"]
+    records = tmp_path / "records.jsonl"
+    records.write_text("".join(
+        json.dumps({"candidate_id": cid, "item_id": f"{name}/q{i}", "correct": i % 2,
+                    "length": 100.0 + i + len(cid)}) + "\n"
+        for cid in ("cand", "base") for name in names for i in range(2)))
+    assert main(["report", "--records", str(records), "--candidate", "cand",
+                 "--baseline", "base", "--out", str(tmp_path / "rep")]) == 0
+    with open(tmp_path / "rep" / "report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [7] * 7
+    assert [row[0] for row in rows[1:]] == names + ["average", "weighted_average"]
+    assert rows[1][1:] == ["2", "50.0000", "104.5000", "50.0000", "104.5000", "0.0000"]
+    assert rows[4][1:] == rows[1][1:]  # the plain name's figures: 1 of 2 solved on each side
 
 
 CALIBRATION_GRID = [Genotype(MergeKind.TA, (k / 3,)) for k in range(4)]

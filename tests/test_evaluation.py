@@ -1,8 +1,11 @@
+import ast
 import dataclasses
 import hashlib
 import json
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,8 +195,11 @@ def test_logistic_draws_vary_with_the_lambda_bucket_and_seed():
 
 def test_logistic_item_id_must_encode_as_utf8():
     # Its draws are keyed by the id's UTF-8 bytes, which a lone surrogate lacks.
-    with pytest.raises(UnicodeEncodeError):
-        logistic_bench(["\ud800"], 0)
+    with pytest.raises(ValueError) as info:
+        logistic_bench(["a", "q\ud800"], 0)
+    assert str(info.value) == ("item 1 ('q\\ud800'): a logistic item's id must encode as UTF-8 "
+                               "(surrogates not allowed)")
+    assert isinstance(info.value.__cause__, UnicodeEncodeError)
     assert logistic_bench(["\ud800"], 0, (UP,)).correctness_vector(0.5).tolist() == [1]
 
 
@@ -388,7 +394,7 @@ def test_benchmark_columns_have_one_entry_per_item_and_are_read_only():
         SimulatedBenchmark(["a"], [UP], 0.5, [1.0], [9.0], [1.0])
     with pytest.raises(ValueError, match=r"^len_short must hold one number per item, got float64\[2\]$"):
         SimulatedBenchmark(["a"], [UP], [0.5], [1.0], [9.0], [1.0, 2.0])
-    with pytest.raises(ValueError, match=r"^a must hold one number per item, got object\[2\]$"):
+    with pytest.raises(ValueError, match=r"^item 1 \('b'\): a must be a finite number, got None$"):
         SimulatedBenchmark(["a", "b"], [UP] * 2, [0.5] * 2, [1.0, None], [9.0] * 2, [1.0] * 2)
     t = np.array([0.5])
     bench = SimulatedBenchmark(["a"], [UP], t, [1.0], [9.0], [1.0])
@@ -397,6 +403,173 @@ def test_benchmark_columns_have_one_entry_per_item_and_are_read_only():
     for name in COLUMNS:
         with pytest.raises(ValueError, match="read-only"):
             getattr(bench, name)[0] = 0
+
+
+@pytest.mark.parametrize("len_long, message", [
+    ([9, 2**64], None),  # numpy reads this column as objects; each entry is a number
+    ([9.0, 10**400], "item 1 ('b'): len_long must be a finite number, got 1" + "0" * 400),
+    ([9.0, None], "item 1 ('b'): len_long must be a finite number, got None"),
+    (np.array([9.0, None]), "item 1 ('b'): len_long must be a finite number, got None"),
+    (np.array([9, 2**64], dtype=object), None),
+])
+def test_benchmark_constructor_reads_an_object_column_entry_by_entry(len_long, message):
+    columns = (["a", "b"], [UP, UP], [0.5, 0.5], [1.0, 1.0], len_long, [1.0, 1.0])
+    if message is None:
+        assert SimulatedBenchmark(*columns).len_long.tolist() == [9.0, 1.8446744073709552e+19]
+    else:
+        with pytest.raises(ValueError) as info:
+            SimulatedBenchmark(*columns)
+        assert str(info.value) == message
+
+
+NUMBER_FIELDS = COLUMNS[1:]
+FLOAT_MAX = sys.float_info.max
+
+
+def constructor_oracle(ids, columns):
+    """The constructor's checks one item and one rule at a time: the message
+    for the first rule the first bad item breaks, or the kind codes and the
+    float64 columns."""
+    values = [[v.item() if isinstance(v, np.generic) else v for v in col] for col in columns]
+    for i, iid in enumerate(ids):
+        located = f"item {i} ({iid!r}): "
+        kind, *numbers = (col[i] for col in values)
+        if type(kind) is not int or kind not in range(len(RESPONSE_KINDS)):
+            return located + f"kind must be a code into {RESPONSE_KINDS}, got {kind!r}"
+        for name, v in zip(NUMBER_FIELDS, numbers):
+            if not (type(v) is float and math.isfinite(v) or type(v) is int and abs(v) <= FLOAT_MAX):
+                return located + f"{name} must be a finite number, got {v!r}"
+        t, a, len_long, len_short = map(float, numbers)
+        if not 0.0 <= t <= 1.0:
+            return located + f"t must lie in [0, 1], got {t!r}"
+        if not a > 0:
+            return located + f"slope a must be > 0, got {a!r}"
+        if not len_long >= len_short >= 0:
+            return located + f"need len_long >= len_short >= 0, got {len_long!r} / {len_short!r}"
+    return [values[0], *([float(v) for v in col] for col in values[1:])]
+
+
+# Entries that are numbers, some outside a column's range, of every type the
+# constructor reads; and entries that are no number or have no float64 value.
+NUMBERS = st.one_of(
+    st.sampled_from([0, 1, 0.0, -0.0, 0.5, 1.0, 2.0, -1.0, 9, 2**64]),
+    st.floats(-0.5, 1.5), st.integers(-2, 3),
+    st.floats(-1.0, 2.0).map(np.float64), st.floats(-1.0, 2.0, width=32).map(np.float32),
+    st.integers(-1, 3).map(np.int8), st.integers(0, 3).map(np.uint16),
+)
+NON_NUMBERS = st.sampled_from([
+    math.nan, math.inf, -math.inf, 10**400, -(10**400), True, False, np.bool_(True),
+    np.bool_(False), np.float64("nan"), np.float32("inf"), "1", "0.5", np.str_("2"), b"1",
+    np.bytes_(b"0"), None, 0.0, -1, 3,
+])
+
+
+def one_in_four(rare, common):
+    """Entries from ``rare`` one time in four, otherwise from ``common``."""
+    return st.integers(0, 3).flatmap(lambda k: rare if k == 0 else common)
+
+
+# Per column: its entries, mostly in range, and the array dtypes it is given as.
+COLUMN_ENTRIES = (
+    (st.one_of(st.integers(0, 2), st.integers(0, 2).map(np.int8)), (None, object, np.int64, np.int8)),
+    (one_in_four(NUMBERS, st.floats(0.0, 1.0)), (None, object, np.float64, np.float32)),
+    (one_in_four(NUMBERS, st.floats(0.5, 20.0)), (None, object, np.float64, np.int64)),
+    (one_in_four(NUMBERS, st.floats(100.0, 200.0)), (None, object, np.float64, np.int64)),
+    (one_in_four(NUMBERS, st.floats(0.0, 100.0)), (None, object, np.float64, np.int64)),
+)
+
+
+@st.composite
+def benchmark_columns(draw):
+    """Five columns of one length, each a list or a numpy array of mixed entries."""
+    n, columns = draw(st.integers(1, 4)), []
+    for good, dtypes in COLUMN_ENTRIES:
+        entries = draw(st.lists(one_in_four(NON_NUMBERS, good), min_size=n, max_size=n))
+        dtype = draw(st.sampled_from([list, *dtypes]))
+        if dtype is not list:
+            try:
+                entries = np.array(entries, dtype=dtype)
+            except (TypeError, ValueError, OverflowError):  # numpy refuses to make it
+                pass
+        columns.append(entries)
+    return columns
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(columns=benchmark_columns())
+@example(columns=[[0, 0], [0.5, 0.5], [1.0, 1.0], [9, 2**64], [1.0, np.bool_(True)]])
+@example(columns=[[0], [np.float64(0.25)], [np.float32(4)], [np.int64(9)], [np.uint16(0)]])
+def test_benchmark_constructor_matches_the_per_item_oracle(columns):
+    ids = [f"i{k}" for k in range(len(columns[0]))]
+    want = constructor_oracle(ids, columns)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as info:
+            SimulatedBenchmark(ids, *columns)
+        assert str(info.value) == want
+    else:
+        bench = SimulatedBenchmark(ids, *columns)
+        assert bench.kinds.dtype == np.int8 and bench.kinds.tolist() == want[0]
+        for name, expected in zip(NUMBER_FIELDS, want[1:]):
+            col = getattr(bench, name)
+            assert col.dtype == np.float64 and [v.hex() for v in col.tolist()] == [v.hex() for v in expected]
+
+
+# What applies the number rule or converts a number.
+NUMBER_CONVERTERS = ("is_json_number", "float", "int", "isfinite", "asarray", "array", "astype",
+                     "float64")
+
+
+def references(source: str, names) -> list[tuple[str, str]]:
+    """``(owner, name)`` for each reference to one of ``names``, by name or as an
+    attribute, where ``owner`` is the dotted path of the classes and functions
+    around it (``""`` at module level); definitions, imports and annotations are
+    not references."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}".lstrip(".")
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in names:
+            found.append((owner, name))
+        annotations = {id(getattr(node, "annotation", None)), id(getattr(node, "returns", None))}
+        for child in ast.iter_child_nodes(node):
+            if id(child) not in annotations:
+                visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_only_the_constructor_checks_the_numbers_of_a_benchmark():
+    """``SimulatedBenchmark.__init__`` is the one place in ``evaluation`` that
+    applies the number rule, and ``load_benchmark`` converts no number, so each
+    number of a benchmark file is checked once, by one rule."""
+    # The guard fires on a rule or a conversion anywhere, annotations aside.
+    sample = (
+        "from .x import is_json_number\n"
+        "class SimulatedBenchmark:\n"
+        "    def __init__(self, t: float):\n"
+        "        ok = list(map(is_json_number, t))\n"
+        "def load_benchmark(path) -> int:\n"
+        "    x = float(entry['t'])\n"
+        "    def inner(v):\n"
+        "        return evaluation.is_json_number(v) and np.isfinite(v)\n"
+        "def is_json_number(v):\n"
+        "    return v\n"
+    )
+    assert references(sample, NUMBER_CONVERTERS) == [
+        ("SimulatedBenchmark.__init__", "is_json_number"),
+        ("load_benchmark", "float"),
+        ("load_benchmark.inner", "is_json_number"),
+        ("load_benchmark.inner", "isfinite"),
+    ]
+    found = references(Path(evaluation.__file__).read_text(encoding="utf-8"), NUMBER_CONVERTERS)
+    assert [owner for owner, name in found if name == "is_json_number"] == [
+        "SimulatedBenchmark.__init__"]
+    assert [(owner, name) for owner, name in found
+            if owner.split(".")[0] == "load_benchmark"] == []
 
 
 def test_default_generator_profile_and_endpoint_invariant():
@@ -520,8 +693,28 @@ def test_load_benchmark_rejects_non_numbers_and_non_finite(tmp_path, field, raw)
     bad = json.dumps({**good, "item_id": "q1", field: "@"}).replace('"@"', raw)
     path = tmp_path / "bench.json"
     path.write_text(f"[{json.dumps(good)}, {bad}]")
-    with pytest.raises(ValueError, match=rf"item 1: .*{field}"):
+    with pytest.raises(ValueError, match=rf"item 1 \('q1'\): {field} must be a finite number"):
         load_benchmark(path)
+
+
+@pytest.mark.parametrize("second, third, message", [
+    ({"t": True}, {}, "item 1 ('q1'): t must be a finite number, got True"),
+    # the constructor checks every id before any number
+    ({"t": True}, {"item_id": "q0"}, "item 2: item id 'q0' repeats item 0"),
+    ({"item_id": "q\ud800"}, {},
+     "item 1 ('q\\ud800'): a logistic item's id must encode as UTF-8 (surrogates not allowed)"),
+    ({"item_id": "q\ud800", "response_kind": "THRESHOLD_UP"}, {"a": None},
+     "item 2 ('q2'): a must be a finite number, got None"),
+])
+def test_load_benchmark_leaves_the_values_to_the_constructor(tmp_path, second, third, message):
+    good = {"item_id": "q0", "response_kind": "LOGISTIC", "t": 0.5, "a": 4.0,
+            "len_long": 500.0, "len_short": 100.0}
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps([good, {**good, "item_id": "q1", **second},
+                                {**good, "item_id": "q2", **third}]))
+    with pytest.raises(ValueError) as info:
+        load_benchmark(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_load_records_grouping(tmp_path):
