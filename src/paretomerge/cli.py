@@ -23,8 +23,8 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .errors import MissingCandidatesError, ParetoMergeError, RecordFormatError, SearchConfigError
 from .evaluation import (
-    Outcomes,
     RecordsFitness,
+    RecordTable,
     SimulatedBenchmark,
     SimulatedFitness,
     candidate_id,
@@ -270,7 +270,9 @@ def _cmd_calibrate(args) -> int:
         bench = _resolve_bench(args, [("--k", args.k)])
         if args.save_bench:
             save_benchmark(bench, args.save_bench)
-    matrix = _calibration_matrix(default_lambda_grid(args.k), bench, records)
+    grid = default_lambda_grid(args.k)
+    rows = None if records is None else _grid_records(grid, records)
+    matrix = _calibration_matrix(grid, bench, records, rows)
     save_matrix(matrix, args.out)
     print(f"calibration matrix: {len(matrix.model_ids)} models x {len(matrix.item_ids)} items")
     print(f"wrote {args.out}")
@@ -546,9 +548,10 @@ def _resolve_subset(subset_block, bench, records, out_dir) -> list[str] | None:
     seed = subset_block.get("seed", 0)
     grid = default_lambda_grid(subset_block.get("calibration_k", 10))
     key_path = out_dir / "calibration.key"
-    key = None
+    key = rows = None
     if bench is None:
-        key = _calibration_key(strategy, size, seed, grid, _grid_records(grid, records))
+        rows = _grid_records(grid, records)
+        key = _calibration_key(strategy, size, seed, grid, records, rows)
         try:
             reuse = key_path.read_bytes() == _calibration_key_file(key, out_dir)
         except OSError:
@@ -556,7 +559,7 @@ def _resolve_subset(subset_block, bench, records, out_dir) -> list[str] | None:
         if reuse:
             return load_json(out_dir / "subset.json")["item_ids"]
     key_path.unlink(missing_ok=True)
-    matrix = _calibration_matrix(grid, bench, records)
+    matrix = _calibration_matrix(grid, bench, records, rows)
     save_matrix(matrix, out_dir / "matrix.json")
     subset_ids = [matrix.item_ids[i] for i in select_subset(matrix, strategy, size, seed=seed)]
     save_subset(out_dir / "subset.json", strategy, seed, subset_ids)
@@ -565,25 +568,27 @@ def _resolve_subset(subset_block, bench, records, out_dir) -> list[str] | None:
     return subset_ids
 
 
-def _calibration_matrix(grid, bench, records) -> CorrectnessMatrix:
-    """One matrix row per grid coefficient, simulated when ``bench`` is given, else from records.
+def _calibration_matrix(grid, bench, records, rows) -> CorrectnessMatrix:
+    """One matrix row per grid coefficient, simulated when ``bench`` is given,
+    else from the ``records`` rows of each grid candidate (``_grid_records``).
 
     Record columns are sorted by item id, and a grid candidate whose records
-    cover other items than the first one's is a ``ValueError``. Raises
-    :class:`MissingCandidatesError` naming every grid candidate without records.
+    cover other items than the first one's is a ``ValueError``.
     """
     if bench is not None:
         return build_calibration_matrix(bench.correctness_vector, bench.item_ids, grid)
-    rows = dict(zip(grid, _grid_records(grid, records).values()))
-    item_ids = sorted(rows[grid[0]].item_ids)
-    for lam, row in rows.items():
-        if sorted(row.item_ids) != item_ids:
+    by_lam = dict(zip(grid, rows.values()))
+    codes = np.sort(records.item[by_lam[grid[0]]])
+    for lam, row in by_lam.items():
+        if not np.array_equal(np.sort(records.item[row]), codes):
             raise ValueError(f"candidate at lambda={lam} returned a different item set")
-    return build_calibration_matrix(lambda lam: rows[lam].select(item_ids).correct, item_ids, grid)
+    item_ids = sorted(records.item_ids[code] for code in codes.tolist())
+    return build_calibration_matrix(
+        lambda lam: records.correct[records.select(by_lam[lam], item_ids)], item_ids, grid)
 
 
-def _grid_records(grid, records) -> dict[str, Outcomes]:
-    """The records of each grid candidate by candidate id, in grid order.
+def _grid_records(grid, records: RecordTable) -> dict[str, np.ndarray]:
+    """The record rows of each grid candidate by candidate id, in grid order.
 
     Raises :class:`MissingCandidatesError` naming every grid candidate without records.
     """
@@ -597,12 +602,12 @@ def _grid_records(grid, records) -> dict[str, Outcomes]:
 _CALIBRATION_KEY_TAG = b"paretomerge calibration key 1"
 
 
-def _calibration_key(strategy, size, seed, grid, rows: dict[str, Outcomes]) -> str:
+def _calibration_key(strategy, size, seed, grid, records: RecordTable, rows: dict) -> str:
     """blake2b over everything the matrix and the subset depend on: the
-    selection parameters, the grid and each grid candidate's records in
-    loader order, lengths too: the matrix holds none, so an edited length costs
-    one rebuild that writes the same files. Every field is length-prefixed, so
-    the encoding is unambiguous."""
+    selection parameters, the grid and the records of each grid candidate's
+    ``rows`` in loader order, lengths too: the matrix holds none, so an edited
+    length costs one rebuild that writes the same files. Every field is
+    length-prefixed, so the encoding is unambiguous."""
     h = hashlib.blake2b(digest_size=32)
 
     def put(data: bytes) -> None:
@@ -611,11 +616,12 @@ def _calibration_key(strategy, size, seed, grid, rows: dict[str, Outcomes]) -> s
 
     put(_CALIBRATION_KEY_TAG)
     put(json.dumps([strategy.value, size, seed, grid]).encode("utf-8"))
+    item_ids = np.array(records.item_ids, dtype=object)
     for cid, row in rows.items():
         put(cid.encode("utf-8"))
-        put(json.dumps(row.item_ids).encode("utf-8"))
-        put(row.correct.astype("i1").tobytes())
-        put(row.lengths.astype("<f8").tobytes())
+        put(json.dumps(item_ids[records.item[row]].tolist()).encode("utf-8"))
+        put(records.correct[row].astype("i1").tobytes())
+        put(records.length[row].astype("<f8").tobytes())
     return h.hexdigest()
 
 
@@ -710,8 +716,8 @@ def _cmd_report(args) -> int:
                 f"(available: {', '.join(sorted(records)[:8])})"
             )
     report = build_report(
-        _group_by_benchmark(records[args.candidate]),
-        _group_by_benchmark(records[args.baseline]),
+        _group_by_benchmark(records, args.candidate),
+        _group_by_benchmark(records, args.baseline),
     )
     print(format_report_table(report))
     if args.out:
@@ -722,12 +728,14 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _group_by_benchmark(outcomes: Outcomes) -> dict[str, Outcomes]:
-    """Split items by the benchmark prefix of their id (before the first '/'), keeping order."""
-    groups: dict[str, list[str]] = {}
-    for iid in outcomes.item_ids:
-        groups.setdefault(iid.split("/", 1)[0] if "/" in iid else "default", []).append(iid)
-    return {name: outcomes.select(ids) for name, ids in groups.items()}
+def _group_by_benchmark(records: RecordTable, cid: str) -> dict:
+    """Split candidate ``cid``'s records by the benchmark prefix of their item
+    id (before the first '/'), keeping order: one ``(correct, lengths)`` pair per benchmark."""
+    groups: dict[str, list[int]] = {}
+    for row in records[cid].tolist():
+        iid = records.item_ids[records.item[row]]
+        groups.setdefault(iid.split("/", 1)[0] if "/" in iid else "default", []).append(row)
+    return {name: (records.correct[rows], records.length[rows]) for name, rows in groups.items()}
 
 
 # ---------------------------------------------------------------------------

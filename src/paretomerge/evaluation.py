@@ -8,8 +8,8 @@ Two fitness backends share one contract (genotype in, accuracy/length out):
 * ``RecordsFitness`` replays per-item outcomes produced by an external
   harness from a JSONL record file, keyed by deterministic candidate ids.
 
-Per-item results are held per candidate as columns (``Outcomes``: item ids,
-0/1 correctness, output lengths) and reduced by ``Outcomes.objectives``.
+A record file loads as one ``RecordTable`` of columns that maps each candidate
+id to its rows, and ``objectives`` reduces a candidate's correctness and lengths.
 
 The search scores each generation with one serial
 ``FitnessEvaluator.evaluate_population(genotypes)`` call on the candidates
@@ -25,7 +25,9 @@ import json
 import math
 import struct
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -77,48 +79,14 @@ def left_sum(values) -> float:
         return 0.0 + np.add.accumulate(np.asarray(values, dtype=np.float64))[-1].item()
 
 
-@dataclass(frozen=True, eq=False)
-class Outcomes:
-    """One candidate's per-item results as columns: entry i of ``correct`` (0/1,
-    ``int8``) and ``lengths`` (output tokens, ``float64``) belongs to ``item_ids[i]``.
-
-    Values are not checked here; the record loader and the benchmark produce them.
-    """
-
-    item_ids: tuple[str, ...]
-    correct: np.ndarray
-    lengths: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "item_ids", tuple(self.item_ids))
-        object.__setattr__(self, "correct", np.asarray(self.correct, dtype=np.int8))
-        object.__setattr__(self, "lengths", np.asarray(self.lengths, dtype=np.float64))
-        if not len(self.item_ids) == len(self.correct) == len(self.lengths):
-            raise ValueError("item_ids, correct and lengths must have the same length")
-
-    def __len__(self) -> int:
-        return len(self.item_ids)
-
-    def objectives(self) -> ObjectiveVector:
-        """Mean correctness and mean length over a non-empty column set."""
-        n = len(self)
-        if n == 0:
-            raise ValueError("cannot compute objectives from no outcomes")
-        # A left-to-right sum in item order: ``np.mean`` sums pairwise, which
-        # changes the last bit of the mean and with it the output files.
-        return ObjectiveVector(
-            accuracy=np.count_nonzero(self.correct) / n,
-            mean_length=left_sum(self.lengths) / n,
-        )
-
-    def select(self, item_ids: Sequence[str]) -> "Outcomes":
-        """The outcomes of ``item_ids`` in that order; ``KeyError(missing ids)`` if any lack one."""
-        index = {iid: i for i, iid in enumerate(self.item_ids)}
-        missing = [iid for iid in item_ids if iid not in index]
-        if missing:
-            raise KeyError(missing)
-        rows = np.array([index[iid] for iid in item_ids], dtype=np.intp)
-        return Outcomes(tuple(item_ids), self.correct[rows], self.lengths[rows])
+def objectives(correct, lengths) -> ObjectiveVector:
+    """Mean correctness and mean length over equal-length, non-empty columns of
+    one candidate's 0/1 outcomes and lengths. The length sum is ``left_sum`` in
+    item order: ``np.mean`` sums pairwise, which changes the last bit of the mean."""
+    n = len(correct)
+    if n == 0:
+        raise ValueError("cannot compute objectives from no outcomes")
+    return ObjectiveVector(np.count_nonzero(correct) / n, left_sum(lengths) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +132,12 @@ class SimulatedBenchmark:
         for name, col in zip(("kinds", *_NUMBER_FIELDS), (kinds, t, a, len_long, len_short)):
             entries = np.asarray(col, dtype=object)
             if entries.shape != (len(self),):
+                try:  # numpy's own dtype for the column; a ragged one has none
+                    dtype = np.asarray(col).dtype
+                except ValueError:
+                    dtype = entries.dtype
                 raise ValueError(f"{name} must hold one number per item, "
-                                 f"got {np.asarray(col).dtype}{list(entries.shape)}")
+                                 f"got {dtype}{list(entries.shape)}")
             given[name] = list(map(_python_value, entries.tolist()))
         t, a, len_long, len_short = numbers = [  # NaN where an entry is no number
             np.array([v if is_json_number(v) else math.nan for v in given[name]], dtype=np.float64)
@@ -382,19 +354,19 @@ _RECORD_FIELDS = ("candidate_id", "item_id", "correct", "length")
 _decode = json.JSONDecoder().raw_decode
 
 
-def load_record_evaluations(path) -> dict[str, Outcomes]:
-    """Parse a JSONL record file into one ``Outcomes`` per candidate id.
+def load_record_evaluations(path) -> RecordTable:
+    """Parse a JSONL record file into a ``RecordTable``.
 
     One UTF-8 object per line (lines split at newline bytes only):
     ``{"candidate_id", "item_id", "correct", "length"}``. Candidates appear in
-    order of their first record and each one's columns follow record order.
+    order of their first record and each one's rows follow record order.
     The per-line checks here are the only validation of record values: invalid
     UTF-8, malformed lines, correctness other than 0/1, booleans, negative or
     non-finite lengths and duplicate (candidate, item) pairs are rejected with
     the line number. A line is accepted exactly when ``json.loads`` accepts
     it, and a line it refuses is reported with its message.
 
-    The resume index ``<path>.index`` (see ``_RecordColumns``) serves a file
+    The resume index ``<path>.index`` (see ``RecordTable``) serves a file
     that only grows. When it covers a byte-identical prefix of the file (same
     sha256), only the lines after that prefix are parsed, with line numbers
     and the duplicate check continuing across it. An index that is missing,
@@ -408,7 +380,7 @@ def load_record_evaluations(path) -> dict[str, Outcomes]:
         resumed = _resume(index, fh)
         if resumed is None:
             fh.seek(0)
-            resumed = _RecordColumns.empty(), hashlib.sha256()
+            resumed = RecordTable.empty(), hashlib.sha256()
         prefix, hasher = resumed
         cands = {cand: code for code, cand in enumerate(prefix.cand_ids)}
         items = {iid: code for code, iid in enumerate(prefix.item_ids)}
@@ -476,7 +448,7 @@ def load_record_evaluations(path) -> dict[str, Outcomes]:
             correct_col.append(correct)
             length_col.append(length)
         nbytes = fh.tell()
-    columns = _RecordColumns(
+    table = RecordTable(
         nbytes=nbytes,
         nlines=lineno,
         cand_ids=list(cands),
@@ -488,8 +460,8 @@ def load_record_evaluations(path) -> dict[str, Outcomes]:
     )
     if raw[-1:] == b"\n":
         with contextlib.suppress(OSError):  # read-only dir or lost race: next load parses all
-            write_atomic(index, columns.to_index(hasher.digest()))
-    return columns.outcomes()
+            write_atomic(index, table.to_index(hasher.digest()))
+    return table
 
 
 # Resume index layout (the record path with ``.index`` appended), little-endian:
@@ -509,11 +481,13 @@ _RECORD_BYTES = sum(np.dtype(stored).itemsize for stored, _ in _INDEX_COLUMNS)
 
 
 @dataclass(frozen=True, eq=False)
-class _RecordColumns:
+class RecordTable(Mapping):
     """The records of a file's first ``nbytes`` bytes (``nlines`` lines), in
     file order: codes into the candidate and item id tables (each in order of
-    first appearance), 0/1 correctness and length. These, with the digest of
-    those bytes, are the content of a resume index."""
+    first appearance), 0/1 correctness (int8) and length (float64). These, with
+    the digest of those bytes, are the content of a resume index. As a mapping,
+    ``table[cid]`` is the indices of ``cid``'s rows in record order, grouped on first use.
+    """
 
     nbytes: int
     nlines: int
@@ -523,25 +497,42 @@ class _RecordColumns:
     item: np.ndarray
     correct: np.ndarray
     length: np.ndarray
+    __eq__ = object.__eq__  # by identity: ``Mapping.__eq__`` would compare row arrays
 
     @classmethod
-    def empty(cls) -> "_RecordColumns":
+    def empty(cls) -> RecordTable:
         no_codes = np.zeros(0, dtype=np.int32)
         return cls(0, 0, [], [], no_codes, no_codes,
                    np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.float64))
 
-    def outcomes(self) -> dict[str, Outcomes]:
-        order = np.argsort(self.cand, kind="stable")
-        ends = np.cumsum(np.bincount(self.cand, minlength=len(self.cand_ids))).tolist()
-        item_ids = np.array(self.item_ids, dtype=object)
-        out, start = {}, 0
-        for cand, end in zip(self.cand_ids, ends):
-            rows = order[start:end]
-            out[cand] = Outcomes(
-                tuple(item_ids[self.item[rows]]), self.correct[rows], self.length[rows]
-            )
-            start = end
-        return out
+    @cached_property
+    def _rows(self) -> dict[str, np.ndarray]:
+        ends = np.cumsum(np.bincount(self.cand, minlength=len(self.cand_ids)))[:-1]
+        return dict(zip(self.cand_ids, np.split(np.argsort(self.cand, kind="stable"), ends)))
+
+    @cached_property
+    def _item_codes(self) -> dict[str, int]:
+        return {iid: code for code, iid in enumerate(self.item_ids)}
+
+    def __getitem__(self, cid: str) -> np.ndarray:
+        return self._rows[cid]
+
+    def __iter__(self):
+        return iter(self.cand_ids)
+
+    def __len__(self) -> int:
+        return len(self.cand_ids)
+
+    def select(self, rows: np.ndarray, item_ids: Sequence[str]) -> np.ndarray:
+        """The rows among one candidate's ``rows`` that hold ``item_ids``, in
+        that order; ``KeyError(missing ids)`` if any lacks one."""
+        # The row of each item code, -1 for none; an id the table lacks reads the last slot.
+        at = np.full(len(self.item_ids) + 1, -1, dtype=np.intp)
+        at[self.item[rows]] = rows
+        picked = at[np.array([self._item_codes.get(iid, -1) for iid in item_ids], dtype=np.intp)]
+        if (picked < 0).any():
+            raise KeyError([iid for iid, row in zip(item_ids, picked.tolist()) if row < 0])
+        return picked
 
     def to_index(self, digest: bytes) -> bytes:
         cand_table = json.dumps(self.cand_ids).encode("ascii")
@@ -557,7 +548,7 @@ class _RecordColumns:
         return body + hashlib.blake2b(body, digest_size=_CHECKSUM_SIZE).digest()
 
     @classmethod
-    def from_index(cls, blob: bytes) -> tuple["_RecordColumns", bytes]:
+    def from_index(cls, blob: bytes) -> tuple[RecordTable, bytes]:
         """The columns and prefix digest of an index; ``ValueError`` if it is malformed."""
         body, checksum = blob[:-_CHECKSUM_SIZE], blob[-_CHECKSUM_SIZE:]
         if (
@@ -597,7 +588,7 @@ def _resume(index, fh):
     with ``fh`` positioned after it; None when the index cannot be read or
     does not match the file's first bytes."""
     try:
-        prefix, digest = _RecordColumns.from_index(Path(index).read_bytes())
+        prefix, digest = RecordTable.from_index(Path(index).read_bytes())
     except (OSError, ValueError):
         return None
     hasher = hashlib.sha256()
@@ -681,15 +672,21 @@ class SimulatedFitness(FitnessEvaluator):
         # The bits of ``.mean()`` at less cost: a count of 0/1 values is exact,
         # and ``np.mean`` is ``np.add.reduce`` followed by this division.
         n = len(correct)
+        with np.errstate(over="ignore"):  # a sum past the float64 range is inf, refused below
+            total = lengths.sum()
         return ObjectiveVector(accuracy=np.count_nonzero(correct) / n,
-                               mean_length=float(lengths.sum() / n))
+                               mean_length=float(total / n))
 
     def evaluate(self, genotype: Genotype) -> ObjectiveVector:
-        return self.evaluate_at(self.coefficient_of(genotype))
+        lam = self.coefficient_of(genotype)
+        try:
+            return self.evaluate_at(lam)
+        except ValueError as exc:  # a mean length past the float64 range
+            raise ValueError(f"candidate {candidate_id(genotype)!r}: {exc}") from None
 
 
 class RecordsFitness(FitnessEvaluator):
-    """Resolves genotypes against the per-candidate ``Outcomes`` of a record file.
+    """Resolves genotypes against the ``RecordTable`` of a record file.
 
     A candidate is scored on the subset items in subset order, or on all of
     its records in record order when no subset is given.
@@ -699,18 +696,18 @@ class RecordsFitness(FitnessEvaluator):
     one manifest round-trip per generation is enough.
     """
 
-    def __init__(self, records: dict[str, Outcomes], subset_ids: Sequence[str] | None = None):
+    def __init__(self, records: RecordTable, subset_ids: Sequence[str] | None = None):
         self.records = records
         self.subset_ids = list(subset_ids) if subset_ids is not None else None
 
     def evaluate(self, genotype: Genotype) -> ObjectiveVector:
         cid = candidate_id(genotype)
-        outcomes = self.records.get(cid)
-        if outcomes is None:
+        rows = self.records.get(cid)
+        if rows is None:
             raise MissingCandidatesError([(cid, genotype)])
         if self.subset_ids is not None:
             try:
-                outcomes = outcomes.select(self.subset_ids)
+                rows = self.records.select(rows, self.subset_ids)
             except KeyError as exc:
                 missing = exc.args[0]
                 raise RecordFormatError(
@@ -718,7 +715,7 @@ class RecordsFitness(FitnessEvaluator):
                     + ("" if len(missing) <= 5 else f" (+{len(missing) - 5} more)")
                 ) from None
         try:
-            return outcomes.objectives()
+            return objectives(self.records.correct[rows], self.records.length[rows])
         except ValueError as exc:  # a mean length past the float64 range
             raise ValueError(f"candidate {cid!r}: {exc}") from None
 

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .evaluation import Outcomes, left_sum
+from .evaluation import left_sum, objectives
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,15 @@ class AggregateReport:
 
 
 def build_report(
-    groups: Mapping[str, Outcomes],
-    baseline: Mapping[str, Outcomes],
+    groups: Mapping[str, tuple],
+    baseline: Mapping[str, tuple],
 ) -> AggregateReport:
     """Summarize candidate outcomes per benchmark against a baseline.
 
-    Each map holds one ``Outcomes`` per benchmark name; a row's accuracy and
-    mean length are ``Outcomes.objectives`` of that group. Both maps must
-    cover the same benchmark names and every group must be non-empty;
-    per-benchmark item counts come from the candidate side.
+    Each map holds one ``(correct, lengths)`` pair of per-item columns per
+    benchmark name; a row's accuracy and mean length are ``objectives`` of
+    that pair. Both maps must cover the same benchmark names and every group
+    must be non-empty; per-benchmark item counts come from the candidate side.
     """
     if set(groups) != set(baseline):
         only_g = sorted(set(groups) - set(baseline))
@@ -66,9 +66,9 @@ def build_report(
     rows = []
     for name in groups:
         sides = []
-        for side, outcomes in (("candidate", groups[name]), ("baseline", baseline[name])):
+        for side, (correct, lengths) in (("candidate", groups[name]), ("baseline", baseline[name])):
             try:
-                sides.append(outcomes.objectives())
+                sides.append(objectives(correct, lengths))
             except ValueError as exc:  # a mean length past the float64 range
                 raise ValueError(f"benchmark {name!r}: {side} {exc}") from None
         cand, base = sides
@@ -77,7 +77,7 @@ def build_report(
         rows.append(
             BenchmarkRow(
                 name=name,
-                item_count=len(groups[name]),
+                item_count=len(groups[name][0]),
                 accuracy=cand.accuracy,
                 mean_length=cand.mean_length,
                 baseline_accuracy=base.accuracy,

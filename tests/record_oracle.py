@@ -4,20 +4,21 @@ written out, which the tests compare ``load_record_evaluations`` against.
 It takes the same file contract (UTF-8 lines split at newline bytes, blank
 lines skipped) and raises the same ``RecordFormatError`` messages with the
 same line numbers, but reads no index and groups records per candidate as
-it goes.
+it goes, into plain lists.
 """
 
 import json
 import sys
 
 from paretomerge.errors import RecordFormatError
-from paretomerge.evaluation import Outcomes
 
 FIELDS = ("candidate_id", "item_id", "correct", "length")
 
 
-def reference_load(path) -> dict[str, Outcomes]:
-    """One ``Outcomes`` per candidate id, in order of first record."""
+def reference_load(path) -> dict[str, tuple[list[str], list[int], list[float]]]:
+    """Per candidate id, in order of first record, its ``(item_ids, correct,
+    lengths)`` lists in record order, each value as the loader's int8 and
+    float64 columns hold it."""
     columns, seen = {}, set()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -60,6 +61,6 @@ def reference_load(path) -> dict[str, Outcomes]:
             seen.add((cand, iid))
             ids, correct_col, length_col = columns.setdefault(cand, ([], [], []))
             ids.append(iid)
-            correct_col.append(correct)
-            length_col.append(length)
-    return {cand: Outcomes(*cols) for cand, cols in columns.items()}
+            correct_col.append(int(correct))
+            length_col.append(float(length))
+    return columns

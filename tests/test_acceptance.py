@@ -14,7 +14,7 @@ from mpmath import mp, mpf
 import paretomerge
 from paretomerge.checkpoint import Checkpoint
 from paretomerge.cli import main as cli_main
-from paretomerge.evaluation import Outcomes, generate_benchmark, load_benchmark
+from paretomerge.evaluation import generate_benchmark, load_benchmark
 from paretomerge.merge import Genotype, MergeKind, decode_genotype
 from paretomerge.nsga2 import SearchConfig, fast_nondominated_sort, run_nsga2
 from paretomerge.reporting import build_report
@@ -281,9 +281,7 @@ def test_report_arithmetic_and_sign_convention():
     """Weighted average equals pooled accuracy; longer candidate reports negative reduction."""
     with criterion("report arithmetic: pooled weighted average and negative reduction sign"):
         def group(n, n_correct, length):
-            return Outcomes(
-                [f"q{i}" for i in range(n)], [1] * n_correct + [0] * (n - n_correct), [length] * n
-            )
+            return [1] * n_correct + [0] * (n - n_correct), [length] * n
 
         # candidate slower than baseline on one benchmark: reduction -24.2%
         report = build_report(
@@ -296,6 +294,6 @@ def test_report_arithmetic_and_sign_convention():
         groups = {"small": group(30, 12, 100.0), "large": group(1319, 1056, 400.0)}
         base = {"small": group(30, 15, 300.0), "large": group(1319, 700, 800.0)}
         report = build_report(groups, base)
-        pooled = groups["small"].correct.tolist() + groups["large"].correct.tolist()
+        pooled = groups["small"][0] + groups["large"][0]
         assert report.weighted_average_accuracy == pytest.approx(sum(pooled) / len(pooled))
         assert report.average_accuracy == pytest.approx(0.5 * (12 / 30 + 1056 / 1319))

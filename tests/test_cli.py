@@ -1329,6 +1329,31 @@ def test_evolve_names_the_candidate_whose_mean_length_overflows(tmp_path, capsys
     assert not (run / "front_points.csv").exists()
 
 
+def test_simulated_evolve_names_the_candidate_whose_mean_length_overflows(
+    tmp_path, capsys, monkeypatch
+):
+    """A simulated evolve refuses a mean length whose sum passes the float64
+    range with the candidate's id and no numpy warning."""
+    bench, cfg = tmp_path / "bench.json", tmp_path / "config.json"
+    bench.write_text(json.dumps([{"item_id": f"q{i}", "response_kind": "THRESHOLD_UP", "t": 0.5,
+                                  "len_long": 1e308, "len_short": 1e308} for i in range(3)]))
+    cfg.write_text(json.dumps({
+        "search": {"population_size": 4, "generations": 1, "seed": 0},
+        "evaluator": {"simulated": {"benchmark": str(bench)}}, "output_dir": str(tmp_path / "run")}))
+    scored = []
+
+    class Recording(SimulatedFitness):
+        def evaluate(self, genotype):
+            scored.append(genotype)
+            return super().evaluate(genotype)
+
+    monkeypatch.setattr(cli, "SimulatedFitness", Recording)
+    assert main(["evolve", "--config", str(cfg)]) == 1
+    assert len(scored) == 1
+    assert capsys.readouterr().err == (f"error: candidate {candidate_id(scored[0])!r}: "
+                                       "mean_length must be a finite number >= 0, got inf\n")
+
+
 @pytest.mark.parametrize("lengths, message", [
     ({("cand", "gsm"): [1.5e308] * 2},
      "benchmark 'gsm': candidate mean_length must be a finite number >= 0, got inf"),

@@ -20,9 +20,9 @@ from paretomerge.evaluation import (
     UP_BAND,
     FitnessEvaluator,
     ObjectiveVector,
-    Outcomes,
     RESPONSE_KINDS,
     RecordsFitness,
+    RecordTable,
     SimulatedBenchmark,
     SimulatedFitness,
     candidate_id,
@@ -31,6 +31,7 @@ from paretomerge.evaluation import (
     load_benchmark,
     load_record_evaluations,
     logistic_response,
+    objectives,
     save_benchmark,
     write_manifest,
 )
@@ -85,17 +86,33 @@ def test_length_linear_interpolation():
     assert b.length_vector(1.0)[0] == 200.0
 
 
-def test_subset_restriction_and_unknown_id():
-    out = Outcomes(["a", "b", "c"], [1, 0, 1], [10.0, 20.0, 30.5])
-    picked = out.select(["c", "a"])
-    assert picked.item_ids == ("c", "a")
-    assert picked.correct.tolist() == [1, 1] and picked.lengths.tolist() == [30.5, 10.0]
-    assert picked.correct.dtype == np.int8 and picked.lengths.dtype == np.float64
+def record_table(tmp_path, records) -> RecordTable:
+    """The loaded table of a file of ``(candidate, item, correct, length)`` records."""
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(_record(*record) for record in records))
+    return load_record_evaluations(path)
+
+
+def items_of(table: RecordTable, rows) -> list[str]:
+    return [table.item_ids[code] for code in table.item[rows].tolist()]
+
+
+def test_subset_restriction_and_unknown_id(tmp_path):
+    table = record_table(tmp_path, [("m0", "a", 1, 10.0), ("m1", "a", 0, 5.0),
+                                    ("m0", "b", 0, 20.0), ("m0", "c", 1, 30.5)])
+    rows = table["m0"]
+    assert rows.tolist() == [0, 2, 3]
+    picked = table.select(rows, ["c", "a"])
+    assert picked.tolist() == [3, 0] and items_of(table, picked) == ["c", "a"]
+    assert table.correct[picked].tolist() == [1, 1] and table.length[picked].tolist() == [30.5, 10.0]
+    assert table.correct.dtype == np.int8 and table.length.dtype == np.float64
     with pytest.raises(KeyError) as info:
-        out.select(["a", "nope", "gone"])
+        table.select(rows, ["a", "nope", "gone"])
     assert info.value.args[0] == ["nope", "gone"]
-    with pytest.raises(ValueError, match="same length"):
-        Outcomes(["a", "b"], [1], [1.0, 2.0])
+    # an item of another candidate is missing for this one
+    with pytest.raises(KeyError) as info:
+        table.select(table["m1"], ["b", "a", "c"])
+    assert info.value.args[0] == ["b", "c"]
 
 
 def test_logistic_response_values():
@@ -204,33 +221,34 @@ def test_logistic_item_id_must_encode_as_utf8():
 
 
 def test_outcomes_objectives_examples():
-    ov = Outcomes(["a", "b", "c", "d"], [1, 0, 1, 1], [100.0, 200.0, 300.0, 400.0]).objectives()
+    ov = objectives([1, 0, 1, 1], [100.0, 200.0, 300.0, 400.0])
     assert ov.accuracy == 0.75
     assert ov.mean_length == 250.0
     assert ov.fitness == (-0.75, 250.0)
 
-    ov = Outcomes(["a", "b"], [1, 1], [0.0, 0.0]).objectives()
+    ov = objectives(np.array([1, 1], dtype=np.int8), np.array([0.0, 0.0]))
     assert ov.accuracy == 1.0 and ov.mean_length == 0.0
 
-    ov = Outcomes(["only"], [0], [1234.0]).objectives()
+    ov = objectives([0], [1234.0])
     assert ov.accuracy == 0.0 and ov.mean_length == 1234.0
 
     with pytest.raises(ValueError):
-        Outcomes([], [], []).objectives()
+        objectives([], [])
 
 
-def test_outcomes_mean_length_sums_left_to_right():
+def test_outcomes_mean_length_sums_left_to_right(tmp_path):
     # The mean is the left-to-right Python sum in item order, which differs
     # from numpy's pairwise mean in the last bit for these lengths.
     lengths = np.random.default_rng(0).uniform(100.0, 5000.0, 1000)
-    out = Outcomes([f"q{i}" for i in range(1000)], np.zeros(1000), lengths)
     expected = 0.0
     for v in lengths.tolist():
         expected += v
-    assert out.objectives().mean_length == expected / 1000
+    assert objectives(np.zeros(1000), lengths).mean_length == expected / 1000
     assert expected / 1000 != float(np.mean(lengths))
-    reversed_ids = list(reversed(out.item_ids))
-    assert out.select(reversed_ids).objectives().mean_length == left_to_right(lengths[::-1]) / 1000
+    table = record_table(tmp_path, [("m0", f"q{i}", 0, v) for i, v in enumerate(lengths.tolist())])
+    rows = table.select(table["m0"], [f"q{i}" for i in reversed(range(1000))])
+    assert (objectives(table.correct[rows], table.length[rows]).mean_length
+            == left_to_right(lengths[::-1]) / 1000)
 
 
 def left_to_right(values, start=0):
@@ -266,8 +284,8 @@ def test_record_means_are_left_to_right_sums_whatever_sum_does(monkeypatch):
     groups, baseline = {}, {}
     for g, correct in enumerate((1, 2, 3)):
         ids = [f"b{g}/q{i}" for i in range(10)]
-        groups[f"b{g}"] = Outcomes(ids, [1] * correct + [0] * (10 - correct), rng.uniform(100, 6000, 10))
-        baseline[f"b{g}"] = Outcomes(ids, [0] * 10, rng.uniform(100, 6000, 10))
+        groups[f"b{g}"] = [1] * correct + [0] * (10 - correct), rng.uniform(100, 6000, 10)
+        baseline[f"b{g}"] = [0] * 10, rng.uniform(100, 6000, 10)
 
     def bits():
         report = build_report(groups, baseline)
@@ -282,10 +300,10 @@ def test_record_means_are_left_to_right_sums_whatever_sum_does(monkeypatch):
             monkeypatch.setattr(module, "sum", total, raising=False)
         results.append(bits())
     assert results[0] == results[1]
-    for outcomes in groups.values():
-        assert outcomes.objectives().mean_length == left_to_right(outcomes.lengths.tolist()) / 10
+    for correct, lengths in groups.values():
+        assert objectives(correct, lengths).mean_length == left_to_right(lengths.tolist()) / 10
     # the sum starts at +0.0, so a column of -0.0 has the mean +0.0, as with sum()
-    assert math.copysign(1.0, Outcomes(["q"], [0], [-0.0]).objectives().mean_length) == 1.0
+    assert math.copysign(1.0, objectives([0], [-0.0]).mean_length) == 1.0
 
 
 def test_fitness_orientation():
@@ -385,6 +403,13 @@ def test_benchmark_constructor_names_the_item_that_holds_a_string(columns, messa
     with pytest.raises(ValueError) as info:
         SimulatedBenchmark(["a", "b"], *columns)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("t", [[0.5, [1, 2]], [[0.5], [1, 2]]], ids=["number-and-list", "lists"])
+def test_a_ragged_column_is_named_like_any_wrong_length_column(t):
+    # numpy cannot give such a column a dtype of its own, so none is asked of it
+    with pytest.raises(ValueError, match=r"^t must hold one number per item, got object\[2\]$"):
+        SimulatedBenchmark(["a"], [UP], t, [1.0], [9.0], [1.0])
 
 
 def test_benchmark_columns_have_one_entry_per_item_and_are_read_only():
@@ -725,9 +750,11 @@ def test_load_records_grouping(tmp_path):
     )
     recs = load_record_evaluations(path)
     assert list(recs) == ["m0"]
-    assert recs["m0"].item_ids == ("q1", "q2")
-    assert recs["m0"].correct.tolist() == [1, 0]
-    assert recs["m0"].lengths.tolist() == [120.0, 80.5]
+    rows = recs["m0"]
+    assert items_of(recs, rows) == ["q1", "q2"]
+    assert recs.correct[rows].tolist() == [1, 0]
+    assert recs.length[rows].tolist() == [120.0, 80.5]
+    assert recs == recs and recs != load_record_evaluations(path)  # tables compare by identity
 
 
 @pytest.mark.parametrize(
@@ -806,15 +833,7 @@ def reference_columns(lines):
 def test_load_records_matches_per_line_reference_property(tmp_path, lines, newline):
     path = tmp_path / "records.jsonl"
     path.write_bytes(newline.join(lines).encode("utf-8"))
-    loaded = load_record_evaluations(path)
-    expected = reference_columns(lines)
-    assert list(loaded) == list(expected)
-    for cand, (ids, correct, lengths) in expected.items():
-        out = loaded[cand]
-        assert len(out) == len(ids)
-        assert out.item_ids == tuple(ids)
-        assert out.correct.dtype == np.int8 and out.correct.tolist() == correct
-        assert out.lengths.dtype == np.float64 and out.lengths.tolist() == lengths
+    assert_same_outcomes(load_record_evaluations(path), reference_columns(lines))
 
 
 _BAD_RECORD = '{"candidate_id": "m0", "item_id": "x", "correct": %s, "length": %s}'
@@ -939,14 +958,18 @@ def test_load_records_duplicate_pair(tmp_path):
         load_record_evaluations(path)
 
 
-def assert_same_outcomes(loaded, expected):
-    """Same candidate ids in the same order, and equal columns of the same dtypes."""
-    assert list(loaded) == list(expected)
-    for cand, want in expected.items():
-        got = loaded[cand]
-        assert got.item_ids == want.item_ids
-        assert got.correct.dtype == np.int8 and got.correct.tolist() == want.correct.tolist()
-        assert got.lengths.dtype == np.float64 and got.lengths.tolist() == want.lengths.tolist()
+def assert_same_outcomes(table, expected):
+    """The candidate ids of ``expected`` (``(item_ids, correct, lengths)``
+    lists per candidate) in the same order, each one's rows in record order
+    holding those values, in int8 and float64 columns."""
+    assert table.correct.dtype == np.int8 and table.length.dtype == np.float64
+    assert list(table) == list(expected)
+    for cand, (ids, correct, lengths) in expected.items():
+        rows = table[cand]
+        assert (np.diff(rows) > 0).all()
+        assert items_of(table, rows) == ids
+        assert table.correct[rows].tolist() == correct
+        assert table.length[rows].tolist() == lengths
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None,
@@ -1085,10 +1108,8 @@ def test_load_records_unreadable_index_means_full_parse(tmp_path, damage):
 ])
 def test_load_records_forged_id_table_means_full_parse(tmp_path, item_ids):
     """A re-checksummed index whose item table breaks the id rule is not read."""
-    from paretomerge.evaluation import _RecordColumns
-
     def forge(index):
-        columns, digest = _RecordColumns.from_index(index.read_bytes())
+        columns, digest = RecordTable.from_index(index.read_bytes())
         index.write_bytes(dataclasses.replace(columns, item_ids=item_ids).to_index(digest))
 
     resumed, oracle = _index_then_load(tmp_path, GRID, GRID + MORE, forge)
@@ -1096,9 +1117,7 @@ def test_load_records_forged_id_table_means_full_parse(tmp_path, item_ids):
 
 
 def _covered_bytes(index) -> int:
-    from paretomerge.evaluation import _RecordColumns
-
-    return _RecordColumns.from_index(index.read_bytes())[0].nbytes
+    return RecordTable.from_index(index.read_bytes())[0].nbytes
 
 
 def test_load_records_index_covers_only_newline_terminated_files(tmp_path):
@@ -1203,9 +1222,9 @@ def _earlier_format_index(index, prefix: bytes, flip_correct=False) -> bytes:
     """The index an earlier version wrote for ``prefix``: magic ``PMRIDX1``
     and a blake2b prefix digest (or, with ``flip_correct``, a sha256 digest
     and the first record's correctness flipped, so reading it would show)."""
-    from paretomerge.evaluation import _CHECKSUM_SIZE, _INDEX_HEAD, _RecordColumns
+    from paretomerge.evaluation import _CHECKSUM_SIZE, _INDEX_HEAD
 
-    columns, _ = _RecordColumns.from_index(index.read_bytes())
+    columns, _ = RecordTable.from_index(index.read_bytes())
     if flip_correct:
         correct = columns.correct.copy()
         correct[0] ^= 1
@@ -1287,10 +1306,11 @@ def test_evaluate_at_reductions_are_the_bits_of_mean(size, lam, seed):
     assert ov.mean_length.hex() == float(lengths.mean()).hex()
 
 
-def test_records_fitness_resolution_and_errors():
+def test_records_fitness_resolution_and_errors(tmp_path):
     g_known = Genotype(MergeKind.TA, (0.5,))
     g_missing = Genotype(MergeKind.TA, (0.75,))
-    records = {candidate_id(g_known): Outcomes(["q1", "q2"], [1, 0], [100.0, 300.0])}
+    records = record_table(tmp_path, [(candidate_id(g_known), "q1", 1, 100.0),
+                                      (candidate_id(g_known), "q2", 0, 300.0)])
     fit = RecordsFitness(records, subset_ids=["q1", "q2"])
     ov = fit.evaluate(g_known)
     assert ov.accuracy == 0.5 and ov.mean_length == 200.0
@@ -1315,11 +1335,83 @@ def test_records_fitness_resolution_and_errors():
         narrow.evaluate(g_known)
 
 
-def test_records_fitness_full_outcomes_when_no_subset():
+def test_records_fitness_full_outcomes_when_no_subset(tmp_path):
     g = Genotype(MergeKind.TA, (0.0,))
-    records = {candidate_id(g): Outcomes(["q1"], [1], [50.0])}
+    records = record_table(tmp_path, [(candidate_id(g), "q1", 1, 50.0)])
     ov = RecordsFitness(records).evaluate(g)
     assert ov.accuracy == 1.0 and ov.mean_length == 50.0
+
+
+# Subset sizes on both sides of numpy's 8-element unrolled sum and its
+# 128-element pairwise blocks, which a reordered sum would show in the bits.
+RECORD_SUBSET_SIZES = (1, 7, 8, 9, 127, 128, 129)
+
+
+def oracle_objectives(oracle, cid, subset):
+    """``objectives`` over the oracle's lists of ``cid`` in ``subset`` order (all
+    of them with no subset), or the message ``RecordsFitness`` must raise."""
+    ids, correct, lengths = oracle[cid]
+    if subset is None:
+        return objectives(correct, lengths)
+    pos = {iid: k for k, iid in enumerate(ids)}
+    missing = [iid for iid in subset if iid not in pos]
+    if missing:
+        return (f"candidate {cid!r} has no record for item(s): {', '.join(missing[:5])}"
+                + ("" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"))
+    return objectives([correct[pos[i]] for i in subset], [lengths[pos[i]] for i in subset])
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_items=st.integers(130, 150), lams=st.lists(st.integers(0, 1000), min_size=1, max_size=3,
+                                                    unique=True), seed=st.integers(0, 2**32 - 1))
+def test_records_fitness_matches_objectives_over_the_oracle_lists(tmp_path, n_items, lams, seed):
+    """Each candidate's objectives on shuffled subsets, and on all of its
+    records with no subset, are those of ``objectives`` over the slow
+    oracle's lists, bit for bit; a subset item it lacks gives the same message."""
+    rng = np.random.default_rng(seed)
+    genotypes = [Genotype(MergeKind.TA, (k / 1000,)) for k in lams]
+    pool = [f"q{i}" for i in range(n_items)]
+    records = []
+    for g in genotypes:
+        # Most candidates lack no item; an item every candidate lacks is unknown to the table.
+        kept = rng.permutation(n_items)[rng.choice([0, 0, 1, 3]):]
+        lengths = np.where(rng.random(len(kept)) < 0.2, rng.integers(0, 6000, len(kept)),
+                           rng.uniform(0.0, 6000.0, len(kept)))
+        records += [(candidate_id(g), pool[i], int(rng.integers(0, 2)), length)
+                    for i, length in zip(kept.tolist(), lengths.tolist())]
+    records = [records[i] for i in rng.permutation(len(records)).tolist()]
+    table = record_table(tmp_path, records)
+    oracle = reference_load(tmp_path / "records.jsonl")
+    for subset in [None] + [[pool[i] for i in rng.permutation(n_items)[:size].tolist()]
+                            for size in RECORD_SUBSET_SIZES]:
+        fit = RecordsFitness(table, subset)
+        for g in genotypes:
+            want = oracle_objectives(oracle, candidate_id(g), subset)
+            try:
+                got = fit.evaluate(g)
+            except RecordFormatError as exc:
+                assert str(exc) == want
+            else:
+                assert (got.accuracy.hex(), got.mean_length.hex()) == (
+                    want.accuracy.hex(), want.mean_length.hex())
+
+
+@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "through-the-index"])
+def test_table_rows_count_every_record_in_record_order(tmp_path, resumed):
+    """The bench tracer counts the records parsed as the sum of the lengths of
+    the table's values; each value lists its candidate's rows in record order."""
+    path, index = tmp_path / "records.jsonl", tmp_path / "records.jsonl.index"
+    if resumed:
+        path.write_text(GRID)
+        load_record_evaluations(path)
+        assert RecordTable.from_index(index.read_bytes())[0].nbytes == len(GRID)
+    path.write_text(GRID + "\n" + MORE)
+    table = load_record_evaluations(path)
+    assert sum(len(rows) for rows in table.values()) == len((GRID + MORE).splitlines()) == 16
+    assert {cid: rows.tolist() for cid, rows in table.items()} == {
+        "m0": [0, 1, 2, 3], "m1": [4, 5, 6, 7], "m2": [8, 9, 10, 11, 12, 13], "m3": [14, 15]}
+    assert items_of(table, table["m2"]) == ["q0", "q1", "q2", "q3", "q4", "q5"]
 
 
 def test_default_batch_keeps_input_order():

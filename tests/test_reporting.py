@@ -1,13 +1,17 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
-from paretomerge.evaluation import Outcomes
 from paretomerge.reporting import build_report, front_points_csv, report_to_csv
+
+Group = namedtuple("Group", "correct lengths")
 
 
 def outcomes(n, acc, length):
+    """A ``(correct, lengths)`` pair of n items, ``acc`` of them solved."""
     correct = int(round(acc * n))
-    return Outcomes([f"q{i}" for i in range(n)], [1] * correct + [0] * (n - correct), [length] * n)
+    return Group(np.array([1] * correct + [0] * (n - correct), dtype=np.int8), np.full(n, length))
 
 
 def test_single_benchmark_reduction():
@@ -52,7 +56,7 @@ def test_name_mismatch_and_empty_group():
     with pytest.raises(ValueError, match="names differ"):
         build_report({"a": outcomes(5, 1.0, 10.0)}, {"b": outcomes(5, 1.0, 10.0)})
     with pytest.raises(ValueError):
-        build_report({"a": Outcomes([], [], [])}, {"a": outcomes(5, 1.0, 10.0)})
+        build_report({"a": ([], [])}, {"a": outcomes(5, 1.0, 10.0)})
 
 
 def test_report_csv_layout():
