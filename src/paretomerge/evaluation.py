@@ -130,7 +130,11 @@ class SimulatedBenchmark:
                 raise ValueError(f"item {pos}: item id {iid!r} repeats item {self._index[iid]}")
         given = {}  # each entry as a Python value, a numpy scalar by its .item()
         for name, col in zip(("kinds", *_NUMBER_FIELDS), (kinds, t, a, len_long, len_short)):
-            entries = np.asarray(col, dtype=object)
+            try:
+                entries = np.asarray(col, dtype=object)
+            except ValueError as exc:  # arrays of several shapes, which numpy cannot lay out
+                raise ValueError(f"{name} must hold one number per item, "
+                                 f"got object[{len(col)}]") from exc
             if entries.shape != (len(self),):
                 try:  # numpy's own dtype for the column; a ragged one has none
                     dtype = np.asarray(col).dtype

@@ -19,10 +19,18 @@ same size. It is the ``blocks`` hook of the checkpoint ``decode_genotype``
 returns, so a loaded endpoint is read straight from its file when a tensor
 of the merge is saved or looked up. All arithmetic runs in float32 with a
 fixed expression per operator so the results are reproducible bit-for-bit.
-TA and linear take one pass and hold only blocks. TIES takes two: the first
-writes a uint32 rank key per entry into one tensor-sized array and
-partitions it as integers to find its threshold, the second remakes the keys
-per block and selects bitwise between the merged value and system2's.
+TA and linear take one pass and hold only blocks. TIES takes two whenever
+its tensor's first block represents the rest. The first pass makes a uint32
+rank key per entry, block by block: the first block's keys bracket the
+threshold, the pass counts the keys below the bracket and holds only those
+inside it (at the default block, at most twice the first block's share,
+itself at most 1.6% of the tensor), and one partition of those finds the
+exact threshold. The second pass remakes the keys and selects bitwise
+between the merged value and system2's. When the first block misleads the
+bracket, two more passes find the same threshold from 65,536-bin histograms
+of the keys' high and then low 16 bits, holding a histogram and a few
+blocks. The keys held number at most about 8n/sqrt(BLOCK) for a tensor of
+n entries, so only a block of 64 elements or fewer can hold one per entry.
 Endpoints come back exactly at lam 0/1 only for finite inputs: under
 ``merge --no-validate`` a non-finite entry of the other endpoint makes the
 result NaN there (``0 * inf`` and ``0 * nan`` are NaN).
@@ -30,6 +38,7 @@ result NaN there (``0 * inf`` and ``0 * nan`` are NaN).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -115,16 +124,17 @@ def _merged_blocks(genotype, n: int, src2, src1, out=None) -> Iterator[np.ndarra
     one reused buffer, each valid until the next is drawn, or are views of
     ``out`` when a flat output array is given. TA and linear take one pass.
 
-    TIES takes two passes over the sources and keeps the first ceil(k*n)
-    entries of a stable sort of -|tau| (NaN last), found without sorting by
-    their uint32 ``_rank_key``. Pass 1 writes the keys into an
-    n-element uint32 array (``out`` when given) and partitions it in place:
-    the threshold t lands in slot ceil(k*n) - 1, and the keys below t (kept
-    whatever their index) all lie in the slots ahead of it, where they are
-    counted. Pass 2 remakes the keys block by block, keeps those below t,
-    gives the remaining slots to the keys equal to t, lowest flat index
-    first, and selects bitwise between the merged value and s2. The keys are
-    the only tensor-sized array; the rest of the scratch is a few blocks.
+    TIES keeps the first ceil(k*n) entries of a stable sort of -|tau| (NaN
+    last), found without sorting by their uint32 ``_rank_key``. Pass 1
+    finds the key t of rank ceil(k*n) - 1 and ``spare``, the kept slots
+    left for keys equal to t, from a bracket that the first block's keys
+    give (``_bracketed_threshold``), or, when that block misleads the
+    bracket, from two more passes of histograms (``_histogram_threshold``).
+    Pass 2 remakes the keys block by block, keeps those below t, gives the
+    spare slots to the keys equal to t, lowest flat index first, and
+    selects bitwise between the merged value and s2. The scratch is a few
+    blocks, the keys inside the bracket (bounded in the module docstring)
+    and, on the fallback, a histogram.
     """
     size = min(checkpoint.BLOCK, n)
     buf, scratch = (np.empty(size, dtype=np.float32) for _ in range(2))
@@ -136,19 +146,15 @@ def _merged_blocks(genotype, n: int, src2, src1, out=None) -> Iterator[np.ndarra
     ties = genotype.kind == MergeKind.TIES
     if ties:
         keep_count = min(n, math.ceil(genotype.values[1] * n))
-        key = np.empty(n, dtype=np.uint32) if out is None else out.view(np.uint32)
-        for b, b2, b1 in zip(block_slices(n), src2(), src1()):  # pass 1: the keys
-            _rank_key(b2, b1, key[b])
-        key.partition(keep_count - 1)
-        t = key[keep_count - 1]
         keep_scratch, tie_scratch = (np.empty(size, dtype=bool) for _ in range(2))
-        # every key below t now lies ahead of t's slot; the rest of the
-        # keep_count slots go to the keys equal to t
-        spare = keep_count - sum(
-            np.count_nonzero(np.less(key[b], t, out=keep_scratch[: b.stop - b.start]))
-            for b in block_slices(keep_count - 1)
-        )
-        del key  # pass 2 does not read it
+
+        def keys() -> Iterator[np.ndarray]:  # one pass of rank keys, each in scratch
+            for b2, b1 in zip(src2(), src1()):
+                yield _rank_key(b2, b1, scratch.view(np.uint32))
+
+        t, spare = _bracketed_threshold(
+            keys, n, keep_count, keep_scratch, tie_scratch
+        ) or _histogram_threshold(keys, keep_count)
     for b, b2, b1 in zip(block_slices(n), src2(), src1()):  # the merged values
         if ties:  # pass 2: the mask, made before the weighted sum reuses scratch
             k = _rank_key(b2, b1, scratch.view(np.uint32))
@@ -170,6 +176,84 @@ def _merged_blocks(genotype, n: int, src2, src1, out=None) -> Iterator[np.ndarra
             np.bitwise_and(m, select, out=m)
             np.bitwise_xor(m, v2, out=m)
         yield merged
+
+
+# Standard errors of the first block's quantile on either side of its bracket.
+_BRACKET_SE = 4.0
+
+
+def _bracketed_threshold(keys, n: int, keep_count: int, x, y):
+    """TIES pass 1: ``(t, spare)`` from a bracket around the key of rank
+    ``keep_count - 1``, or None when the first block misleads the bracket.
+
+    ``keys`` makes one pass of the ``n`` rank keys in blocks, and ``x`` and
+    ``y`` are bool scratch of a block each. The first block's keys, a
+    sample, give the bracket ``[lo, hi]``: ``_BRACKET_SE`` standard errors of
+    the sample quantile on either side of the rank, exact when the first
+    block is the whole tensor. The same pass counts the keys below ``lo``
+    and holds those inside the bracket (or, when ``lo == hi``, counts them),
+    and one partition of them, joined, gives t and ``spare = keep_count -
+    #(key < t)``. The block misleads when the rank lies outside the bracket,
+    or when the keys inside outnumber twice the block's own count of keys
+    strictly inside, scaled to the tensor (a long run of ties at one end
+    does); the pass stops there, before it holds them. This is the
+    sample bracket of Floyd and Rivest (CACM 18(3), 1975) in one pass; no
+    one pass in less than O(n) memory selects exactly for every order of
+    the keys (Munro and Paterson, TCS 12, 1980), hence the fallback.
+    """
+    rank = keep_count - 1
+    blocks = keys()
+    first = next(blocks)  # counted like any block, so its order is free
+    m = first.size
+    # the sample rank of ``rank`` and its standard error, drawn without replacement
+    q, at = (rank + 0.5) / n, (rank + 0.5) * m / n - 0.5
+    err = _BRACKET_SE * math.sqrt(q * (1 - q) * m * (n - m) / max(n - 1, 1))
+    i_lo, i_hi = math.floor(at - err), math.ceil(at + err)
+    top = min(i_hi, m - 1)  # two one-index partitions: numpy's two-index one is slower
+    first.partition(top)  # the keys ahead of first[top] are the smaller ones
+    if 0 <= i_lo < top:
+        first[:top].partition(i_lo)
+    lo = first[i_lo] if i_lo >= 0 else np.uint32(0)
+    hi = first[i_hi] if i_hi < m else np.uint32(0xFFFFFFFF)
+    # more keys inside than twice the first block's share of them: it misleads
+    budget = 2 * n * (np.count_nonzero((first > lo) & (first < hi)) + 1) // m
+    below = inside = 0  # the keys below lo, and in [lo, hi]
+    held = []
+    for k in itertools.chain([first], blocks):
+        lt, le = x[: k.size], y[: k.size]
+        below += np.count_nonzero(np.less(k, lo, out=lt))
+        block = np.compress(np.greater(np.less_equal(k, hi, out=le), lt, out=le), k)
+        inside += block.size
+        if lo < hi:  # else every key inside is lo, and counted
+            if inside > budget:
+                return None
+            held.append(block)
+    if not below <= rank < below + inside:
+        return None
+    if lo == hi:
+        return lo, keep_count - below
+    kept, i = np.concatenate(held), rank - below
+    kept.partition(i)
+    return kept[i], keep_count - below - np.count_nonzero(kept[:i] < kept[i])
+
+
+def _histogram_threshold(keys, keep_count: int):
+    """The exact ``(t, spare)`` of ``_bracketed_threshold`` in two more passes
+    of ``keys``, each holding one 65,536-bin histogram: the first counts
+    the keys' high 16 bits and finds t's, the second counts the low 16 bits
+    of the keys that share them."""
+    rank, t, n_below = keep_count - 1, 0, 0
+    for shift in (16, 0):
+        hist = np.zeros(1 << 16, dtype=np.int64)
+        for k in keys():
+            if shift == 0:
+                k = k[(k >> 16) == t >> 16]
+            hist += np.bincount((k >> shift) & 0xFFFF, minlength=1 << 16)
+        cum = np.cumsum(hist)
+        digit = int(np.searchsorted(cum, rank - n_below, side="right"))
+        n_below += int(cum[digit - 1]) if digit else 0
+        t |= digit << shift
+    return np.uint32(t), keep_count - n_below
 
 
 # NaN from 0 * inf and inf - inf is by design (``merge --no-validate``); errstate
@@ -208,9 +292,9 @@ def decode_genotype(genotype: Genotype, system2: Checkpoint, system1: Checkpoint
     follow system2's order. Its ``blocks`` hook is the kernel, which draws
     each of its passes from both endpoints' ``blocks`` hooks, so a loaded
     endpoint is read straight from its file, one block at a time, and
-    ``save_checkpoint`` of the result holds a few blocks (plus TIES's rank
-    keys) and no whole tensor; a lookup merges the whole tensor into a new
-    array.
+    ``save_checkpoint`` of the result holds a few blocks (plus, for TIES,
+    the rank keys inside its threshold's bracket) and no whole tensor; a
+    lookup merges the whole tensor into a new array.
     """
     genotype.validate()
     check_compatible(system2, system1)

@@ -5,7 +5,7 @@ what that must keep: results equal to the in-memory merge however reads on
 one file interleave, located errors whose index, offset and byte range do
 not depend on where a block starts, the ``--no-validate`` TIES ranking
 through the file reader, and a memory bound of a few blocks (plus the TIES
-sort key) whatever the tensor size.
+keys inside its threshold's bracket) whatever the tensor size.
 """
 
 import json
@@ -24,7 +24,7 @@ from paretomerge.checkpoint import Checkpoint, LazyTensors, load_checkpoint, sav
 from paretomerge.cli import main
 from paretomerge.errors import CheckpointFormatError
 from paretomerge.merge import Genotype, MergeKind, decode_genotype
-from tensor_merge import merge_tensor
+from tensor_merge import argsort_mask, layout_pair, merge_tensor
 
 SHAPES = {"head": (3,), "w": (5, 7), "tail": (4, 2)}
 OPS = [("ta", (0.3,)), ("linear", (0.6, 0.5)), ("ties", (0.5, 0.2)), ("ties", (0.7, 0.55))]
@@ -184,14 +184,6 @@ def test_merge_fault_in_a_later_block_exits_1_without_output(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s1.pmrg", "s2.pmrg"]
 
 
-def argsort_mask(tau, k):
-    """The first ceil(k*n) entries of a stable argsort of -|tau|, NaN last."""
-    flat = tau.ravel()
-    mask = np.zeros(flat.size, dtype=bool)
-    mask[np.argsort(-np.abs(flat), kind="stable")[: min(flat.size, math.ceil(k * flat.size))]] = True
-    return mask.reshape(tau.shape)
-
-
 @pytest.mark.parametrize("op, params", [
     ("ta", (0.0,)), ("ta", (0.4,)), ("ta", (1.0,)),
     ("ties", (0.5, 0.05)), ("ties", (0.5, 0.6)), ("ties", (0.3, 0.95)), ("ties", (1.0, 1.0)),
@@ -227,6 +219,22 @@ def test_no_validate_merge_of_non_finite_blocks_matches_the_oracle(
         assert kept[[2, 9, 30]].sum() == max(0, keep - 32)
 
 
+@pytest.mark.parametrize("params", [(0.5, 0.2), (0.3, 0.9), (1.0, 1.0)])
+def test_no_validate_merge_of_a_nan_first_block_matches_the_oracle(tmp_path, monkeypatch, params):
+    # NaN ranks after every number, so the first block's bracket sits above
+    # the threshold and TIES finds it by its histogram passes
+    monkeypatch.setattr(checkpoint, "BLOCK", 64)
+    s2, s1 = layout_pair("nan-first", 64 * 20 + 5, 64, params[1], seed=3)
+    p2, p1, out = tmp_path / "s2.pmrg", tmp_path / "s1.pmrg", tmp_path / "out.pmrg"
+    save_checkpoint(Checkpoint({"t": s2}), p2)
+    save_checkpoint(Checkpoint({"t": s1}), p1)
+    assert main(merge_argv(p2, p1, out, "ties", params)) == 1
+    assert main(merge_argv(p2, p1, out, "ties", params, "--no-validate")) == 0
+    lam = np.float32(params[0])
+    want = np.where(argsort_mask(s1 - s2, params[1]), (np.float32(1.0) - lam) * s2 + lam * s1, s2)
+    assert np.array_equal(read_payload(out)["t"].view(np.uint32), want.view(np.uint32))
+
+
 def write_one_tensor(tmp_path, n):
     rng = np.random.default_rng(9)
     paths = tmp_path / "s2.pmrg", tmp_path / "s1.pmrg"
@@ -238,7 +246,8 @@ def write_one_tensor(tmp_path, n):
 @pytest.mark.parametrize("op, params", [("ta", (0.3,)), ("linear", (0.6, 0.5)), ("ties", (0.5, 0.2))])
 def test_merge_peak_memory_is_blocks_not_tensors(tmp_path, op, params):
     # the endpoints are written before tracing starts; the traced peak is the
-    # merge's own: blocks, plus the tensor-sized sort key for TIES
+    # merge's own: blocks, plus for TIES the keys inside its threshold's
+    # bracket, bounded here by n bytes, a quarter of a uint32 key per entry
     n = 64 * checkpoint.BLOCK
     block_bytes = 4 * checkpoint.BLOCK
     p2, p1 = write_one_tensor(tmp_path, n)
@@ -248,7 +257,7 @@ def test_merge_peak_memory_is_blocks_not_tensors(tmp_path, op, params):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = 8 * block_bytes + (4 * n if op == "ties" else 0)
+    bound = 8 * block_bytes + (n if op == "ties" else 0)
     assert peak < bound, f"traced peak {peak / block_bytes:.1f} blocks"
 
 

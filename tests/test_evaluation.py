@@ -412,6 +412,15 @@ def test_a_ragged_column_is_named_like_any_wrong_length_column(t):
         SimulatedBenchmark(["a"], [UP], t, [1.0], [9.0], [1.0])
 
 
+@pytest.mark.parametrize("t", [
+    [np.zeros((2, 2)), np.zeros((2, 3))], [np.zeros((2, 3)), np.zeros((2, 1, 3))],
+])
+def test_a_column_of_unequal_arrays_is_named_like_any_wrong_length_column(t):
+    # numpy cannot even lay such a column out as objects
+    with pytest.raises(ValueError, match=r"^t must hold one number per item, got object\[2\]$"):
+        SimulatedBenchmark(["a", "b"], [UP] * 2, t, [1.0] * 2, [9.0] * 2, [1.0] * 2)
+
+
 def test_benchmark_columns_have_one_entry_per_item_and_are_read_only():
     with pytest.raises(ValueError, match="benchmark needs at least one item"):
         SimulatedBenchmark([], [], [], [], [], [])

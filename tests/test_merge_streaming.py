@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import paretomerge.checkpoint as checkpoint
 import paretomerge.cli as cli
 from paretomerge.checkpoint import (
     Checkpoint,
@@ -26,6 +27,7 @@ from paretomerge.checkpoint import (
 from paretomerge.cli import main
 from paretomerge.errors import CheckpointFormatError, CompatibilityError
 from paretomerge.merge import Genotype, MergeKind, decode_genotype
+from tensor_merge import argsort_mask, layout_pair
 
 SHAPES = {"a": (7,), "b": (3, 4), "c": (5, 2)}
 
@@ -209,6 +211,47 @@ def test_merge_draws_a_fixed_number_of_passes_from_each_endpoint(merge_block, ki
         merged.tensors[name]
     expected = [name for name in SHAPES for _ in range(passes)]
     assert calls2 == expected and calls1 == expected
+
+
+def ties_passes(s2, s1, k):
+    """The passes TIES at lambda 0.5 draws from each endpoint of one flat
+    tensor pair, after its output is checked against the oracle."""
+    calls2, calls1 = [], []
+    merged = decode_genotype(Genotype(MergeKind.TIES, (0.5, k)),
+                             counting(Checkpoint({"t": s2}), calls2),
+                             counting(Checkpoint({"t": s1}), calls1))
+    got = merged.tensors["t"]
+    want = np.where(argsort_mask(s1 - s2, k), np.float32(0.5) * s2 + np.float32(0.5) * s1, s2)
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    assert calls2 == calls1
+    return len(calls2)
+
+
+@pytest.mark.parametrize("layout, k, passes", [
+    # the first block brackets the threshold
+    ("random", 0.2, 2), ("random", 0.5, 2), ("random", 0.7, 2),
+    ("all-equal", 0.5, 2), ("all-equal", 0.7, 2),  # a bracket of one value
+    # it misleads (at k 0.5 a 64-key block's bracket spans half the keys,
+    # so "held" stays within twice the block's estimate; at k 0.2 it reaches
+    # below the block's smallest key, so "all-equal" has a run of ties at hi)
+    *((layout, k, 4) for layout in ("tied", "ascending", "zero-first", "nan-first", "held")
+      for k in (0.2, 0.7)),
+    ("all-equal", 0.2, 4),
+])
+def test_ties_takes_two_histogram_passes_more_when_the_first_block_misleads(
+    monkeypatch, layout, k, passes
+):
+    monkeypatch.setattr(checkpoint, "BLOCK", 64)
+    assert ties_passes(*layout_pair(layout, 64 * 40 + 9, 64, k, seed=4), k) == passes
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [0.001, 0.2, 0.5, 0.8, 0.999])
+def test_ties_takes_two_passes_when_the_first_block_is_a_fair_sample(k, seed):
+    # independent entries: the bracket of their first block holds the threshold
+    rng = np.random.default_rng(seed)
+    s2, s1 = (rng.standard_normal(4 * checkpoint.BLOCK + 5, dtype=np.float32) for _ in range(2))
+    assert ties_passes(s2, s1, k) == 2
 
 
 def test_incompatible_endpoints_raise_before_any_lookup(tmp_path):
