@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import statistics
 import sys
@@ -270,9 +269,7 @@ def _cmd_calibrate(args) -> int:
         bench = _resolve_bench(args, [("--k", args.k)])
         if args.save_bench:
             save_benchmark(bench, args.save_bench)
-    grid = default_lambda_grid(args.k)
-    rows = None if records is None else _grid_records(grid, records)
-    matrix = _calibration_matrix(grid, bench, records, rows)
+    matrix = _calibration_matrix(args.k, bench, records)
     save_matrix(matrix, args.out)
     print(f"calibration matrix: {len(matrix.model_ids)} models x {len(matrix.item_ids)} items")
     print(f"wrote {args.out}")
@@ -534,9 +531,8 @@ def _search_config(search: dict, merge: dict) -> SearchConfig:
 def _resolve_subset(subset_block, bench, records, out_dir) -> list[str] | None:
     """Turn the config subset block into explicit item ids (None = all items).
 
-    In records mode the subset is reused when ``calibration.key`` matches the
-    inputs of the matrix and the files it was written with (see
-    :func:`_calibration_key_file`); anything else rebuilds both files.
+    A strategy subset is selected anew on every run, which writes
+    ``matrix.json`` and ``subset.json`` and never reads them back.
     """
     if subset_block is None:
         return None
@@ -546,93 +542,38 @@ def _resolve_subset(subset_block, bench, records, out_dir) -> list[str] | None:
     strategy = SubsetStrategy(subset_block.get("strategy", "entropy"))
     size = subset_block.get("size", 50)
     seed = subset_block.get("seed", 0)
-    grid = default_lambda_grid(subset_block.get("calibration_k", 10))
-    key_path = out_dir / "calibration.key"
-    key = rows = None
-    if bench is None:
-        rows = _grid_records(grid, records)
-        key = _calibration_key(strategy, size, seed, grid, records, rows)
-        try:
-            reuse = key_path.read_bytes() == _calibration_key_file(key, out_dir)
-        except OSError:
-            reuse = False  # a missing file means a rebuild
-        if reuse:
-            return load_json(out_dir / "subset.json")["item_ids"]
-    key_path.unlink(missing_ok=True)
-    matrix = _calibration_matrix(grid, bench, records, rows)
+    matrix = _calibration_matrix(subset_block.get("calibration_k", 10), bench, records)
     save_matrix(matrix, out_dir / "matrix.json")
     subset_ids = [matrix.item_ids[i] for i in select_subset(matrix, strategy, size, seed=seed)]
     save_subset(out_dir / "subset.json", strategy, seed, subset_ids)
-    if key is not None:
-        write_atomic(key_path, _calibration_key_file(key, out_dir))
     return subset_ids
 
 
-def _calibration_matrix(grid, bench, records, rows) -> CorrectnessMatrix:
-    """One matrix row per grid coefficient, simulated when ``bench`` is given,
-    else from the ``records`` rows of each grid candidate (``_grid_records``).
+def _calibration_matrix(k: int, bench, records: RecordTable | None) -> CorrectnessMatrix:
+    """One matrix row per coefficient of the k-point grid, simulated when
+    ``bench`` is given, else from the ``records`` of each grid candidate.
 
-    Record columns are sorted by item id, and a grid candidate whose records
-    cover other items than the first one's is a ``ValueError``.
+    A grid candidate without records raises :class:`MissingCandidatesError`
+    naming every such candidate. Record columns are sorted by item id, and a
+    grid candidate whose records cover other items than the first one's is a
+    ``ValueError``.
     """
+    grid = default_lambda_grid(k)
     if bench is not None:
         return build_calibration_matrix(bench.correctness_vector, bench.item_ids, grid)
-    by_lam = dict(zip(grid, rows.values()))
-    codes = np.sort(records.item[by_lam[grid[0]]])
-    for lam, row in by_lam.items():
-        if not np.array_equal(np.sort(records.item[row]), codes):
-            raise ValueError(f"candidate at lambda={lam} returned a different item set")
-    item_ids = sorted(records.item_ids[code] for code in codes.tolist())
-    return build_calibration_matrix(
-        lambda lam: records.correct[records.select(by_lam[lam], item_ids)], item_ids, grid)
-
-
-def _grid_records(grid, records: RecordTable) -> dict[str, np.ndarray]:
-    """The record rows of each grid candidate by candidate id, in grid order.
-
-    Raises :class:`MissingCandidatesError` naming every grid candidate without records.
-    """
     genotypes = {candidate_id(g): g for g in (Genotype(MergeKind.TA, (lam,)) for lam in grid)}
     missing = [(c, g) for c, g in genotypes.items() if c not in records]
     if missing:
         raise MissingCandidatesError(missing)
-    return {c: records[c] for c in genotypes}
-
-
-_CALIBRATION_KEY_TAG = b"paretomerge calibration key 1"
-
-
-def _calibration_key(strategy, size, seed, grid, records: RecordTable, rows: dict) -> str:
-    """blake2b over everything the matrix and the subset depend on: the
-    selection parameters, the grid and the records of each grid candidate's
-    ``rows`` in loader order, lengths too: the matrix holds none, so an edited
-    length costs one rebuild that writes the same files. Every field is
-    length-prefixed, so the encoding is unambiguous."""
-    h = hashlib.blake2b(digest_size=32)
-
-    def put(data: bytes) -> None:
-        h.update(len(data).to_bytes(8, "little"))
-        h.update(data)
-
-    put(_CALIBRATION_KEY_TAG)
-    put(json.dumps([strategy.value, size, seed, grid]).encode("utf-8"))
-    item_ids = np.array(records.item_ids, dtype=object)
-    for cid, row in rows.items():
-        put(cid.encode("utf-8"))
-        put(json.dumps(item_ids[records.item[row]].tolist()).encode("utf-8"))
-        put(records.correct[row].astype("i1").tobytes())
-        put(records.length[row].astype("<f8").tobytes())
-    return h.hexdigest()
-
-
-def _calibration_key_file(key: str, out_dir: Path) -> bytes:
-    """The bytes of ``calibration.key``: the key and the blake2b digests of
-    ``matrix.json`` and ``subset.json`` as they are now in ``out_dir``."""
-    lines = [f"key {key}"] + [
-        f"{name} {hashlib.blake2b((out_dir / name).read_bytes(), digest_size=32).hexdigest()}"
-        for name in ("matrix.json", "subset.json")
-    ]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    by_lam = {lam: records[c] for lam, c in zip(grid, genotypes)}
+    items = np.sort(records.item[by_lam[grid[0]]])
+    for lam, row in by_lam.items():
+        if not np.array_equal(np.sort(records.item[row]), items):
+            raise ValueError(f"candidate at lambda={lam} returned a different item set")
+    item_ids = sorted(records.item_ids[code] for code in items.tolist())
+    codes = records.codes_of(item_ids)
+    return build_calibration_matrix(
+        lambda lam: records.correct[records.select(by_lam[lam], codes)], item_ids, grid)
 
 
 # ---------------------------------------------------------------------------

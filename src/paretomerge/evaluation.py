@@ -527,15 +527,20 @@ class RecordTable(Mapping):
     def __len__(self) -> int:
         return len(self.cand_ids)
 
-    def select(self, rows: np.ndarray, item_ids: Sequence[str]) -> np.ndarray:
-        """The rows among one candidate's ``rows`` that hold ``item_ids``, in
-        that order; ``KeyError(missing ids)`` if any lacks one."""
-        # The row of each item code, -1 for none; an id the table lacks reads the last slot.
+    def codes_of(self, item_ids: Sequence[str]) -> np.ndarray:
+        """The item code of each of ``item_ids``, -1 for an id the table lacks."""
+        return np.array([self._item_codes.get(iid, -1) for iid in item_ids], dtype=np.intp)
+
+    def select(self, rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """The rows among one candidate's ``rows`` that hold the items of
+        ``codes`` (from :meth:`codes_of`), in that order; ``KeyError(positions
+        in codes)`` if any lacks one."""
+        # The row of each item code, -1 for none; code -1 reads the last slot.
         at = np.full(len(self.item_ids) + 1, -1, dtype=np.intp)
         at[self.item[rows]] = rows
-        picked = at[np.array([self._item_codes.get(iid, -1) for iid in item_ids], dtype=np.intp)]
+        picked = at[codes]
         if (picked < 0).any():
-            raise KeyError([iid for iid, row in zip(item_ids, picked.tolist()) if row < 0])
+            raise KeyError(np.flatnonzero(picked < 0).tolist())
         return picked
 
     def to_index(self, digest: bytes) -> bytes:
@@ -703,17 +708,18 @@ class RecordsFitness(FitnessEvaluator):
     def __init__(self, records: RecordTable, subset_ids: Sequence[str] | None = None):
         self.records = records
         self.subset_ids = list(subset_ids) if subset_ids is not None else None
+        self.subset_codes = None if subset_ids is None else records.codes_of(self.subset_ids)
 
     def evaluate(self, genotype: Genotype) -> ObjectiveVector:
         cid = candidate_id(genotype)
         rows = self.records.get(cid)
         if rows is None:
             raise MissingCandidatesError([(cid, genotype)])
-        if self.subset_ids is not None:
+        if self.subset_codes is not None:
             try:
-                rows = self.records.select(rows, self.subset_ids)
+                rows = self.records.select(rows, self.subset_codes)
             except KeyError as exc:
-                missing = exc.args[0]
+                missing = [self.subset_ids[k] for k in exc.args[0]]
                 raise RecordFormatError(
                     f"candidate {cid!r} has no record for item(s): {', '.join(missing[:5])}"
                     + ("" if len(missing) <= 5 else f" (+{len(missing) - 5} more)")

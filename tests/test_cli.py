@@ -865,8 +865,8 @@ def test_budget_fails_before_a_benchmark_is_generated(
 BUILDERS = ("generate_benchmark", "load_benchmark")
 
 
-def benchmark_builders(source: str) -> list[tuple[int, str, str]]:
-    """``(line, function, name)`` for each reference to a benchmark builder, by
+def references(source: str, names) -> list[tuple[int, str, str]]:
+    """``(line, function, name)`` for each reference to one of ``names``, by
     name or as an attribute, in the innermost function around it (``""`` at
     module level); imports are not references."""
     tree = ast.parse(source)
@@ -879,7 +879,7 @@ def benchmark_builders(source: str) -> list[tuple[int, str, str]]:
         for node in ast.walk(tree)
         for name in [node.id if isinstance(node, ast.Name)
                      else node.attr if isinstance(node, ast.Attribute) else None]
-        if name in BUILDERS
+        if name in names
     )
 
 
@@ -894,7 +894,7 @@ def test_guard_finds_benchmark_builders():
         "    def inner(p):\n"
         "        return functools.partial(load_benchmark, p)\n"
     )
-    assert benchmark_builders(source) == [
+    assert references(source, BUILDERS) == [
         (2, "", "generate_benchmark"),
         (4, "_benchmark", "load_benchmark"),
         (6, "other", "generate_benchmark"),
@@ -906,9 +906,21 @@ def test_cli_builds_a_benchmark_only_in_the_resolver():
     """Only ``cli._benchmark`` loads or generates a benchmark, once each, so no
     command can build one past the machine budgets."""
     source = Path(cli.__file__).read_text(encoding="utf-8")
-    assert sorted((fn, name) for _, fn, name in benchmark_builders(source)) == [
+    assert sorted((fn, name) for _, fn, name in references(source, BUILDERS)) == [
         ("_benchmark", "generate_benchmark"),
         ("_benchmark", "load_benchmark"),
+    ]
+
+
+def test_cli_builds_a_calibration_matrix_only_in_one_function():
+    """Only ``cli._calibration_matrix`` makes the grid and builds the matrix,
+    so calibrate and evolve calibrate one way."""
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    names = ("build_calibration_matrix", "default_lambda_grid")
+    assert sorted((fn, name) for _, fn, name in references(source, names)) == [
+        ("_calibration_matrix", "build_calibration_matrix"),
+        ("_calibration_matrix", "build_calibration_matrix"),
+        ("_calibration_matrix", "default_lambda_grid"),
     ]
 
 
@@ -1412,10 +1424,10 @@ def calibrated_config(tmp_path, out_name="calrun"):
     )
 
 
-def run_calibrated_harness(tmp_path, between_rounds=lambda run_dir: None):
-    """The harness loop with the grid candidates recorded up front, so that the
-    first round builds the subset; ``between_rounds`` gets the run directory
-    after each round that exits 1. Returns the run directory."""
+def run_calibrated_harness(tmp_path, after_round=lambda run_dir: None):
+    """The harness loop with the grid candidates recorded up front, so that
+    every round builds the subset; ``after_round`` gets the run directory after
+    each round, before the harness appends records. Returns the run directory."""
     bench = generate_benchmark(seed=0, n_items=80)
     records_path = tmp_path / "records.jsonl"
     simulated_records_for(bench, CALIBRATION_GRID, records_path)
@@ -1423,12 +1435,12 @@ def run_calibrated_harness(tmp_path, between_rounds=lambda run_dir: None):
     known = list(CALIBRATION_GRID)
     for _ in range(4):
         rc = main(["evolve", "--config", str(cfg_path)])
+        after_round(run_dir)
         if rc == 0:
             return run_dir
         assert rc == 1
         known.extend(g for _, g in read_manifest(run_dir / "manifest.jsonl"))
         simulated_records_for(bench, known, records_path)
-        between_rounds(run_dir)
     pytest.fail("did not converge")
 
 
@@ -1442,7 +1454,6 @@ def run_dir_digests(tmp_path, run_dir) -> dict[str, str]:
 
 
 CALIBRATED_RUN_DIGESTS = {
-    "calibration.key": "367dfb67b3537ef4",
     "config.json": "7488f13490b4eb41",
     "front_points.csv": "90493edf5be02421",
     "history.jsonl": "b30859b731f90eda",
@@ -1465,16 +1476,11 @@ def test_evolve_records_with_strategy_subset_from_calibration(tmp_path):
     index = tmp_path / "records.jsonl.index"
     assert sha16(index) == CALIBRATED_INDEX_DIGEST
 
-    # The resume index and the calibration key written round by round are the
-    # ones a single run over the final record file writes: their bytes are a
-    # function of that file (and the config) alone.
+    # The resume index written round by round is the one a single read of the
+    # final record file writes: its bytes are a function of that file alone.
     index.unlink()
     load_record_evaluations(tmp_path / "records.jsonl")
     assert sha16(index) == CALIBRATED_INDEX_DIGEST
-    cfg_path, fresh_dir = calibrated_config(tmp_path, "fresh")
-    assert main(["evolve", "--config", str(cfg_path)]) == 0
-    key = (run_dir / "calibration.key").read_bytes()
-    assert (fresh_dir / "calibration.key").read_bytes() == key
 
 
 def assert_outputs_list_the_front(run_dir, evaluator, stdout):
@@ -1505,14 +1511,6 @@ def test_evolve_records_outputs_list_the_front(tmp_path, capsys):
     subset = json.loads((run_dir / "subset.json").read_text())["item_ids"]
     evaluator = RecordsFitness(load_record_evaluations(tmp_path / "records.jsonl"), subset)
     assert_outputs_list_the_front(run_dir, evaluator, capsys.readouterr().out)
-
-
-def _first_call_only(fn, calls):
-    def call(*args, **kwargs):
-        assert fn.__name__ not in calls, f"{fn.__name__} ran again after the first build"
-        calls.append(fn.__name__)
-        return fn(*args, **kwargs)
-    return call
 
 
 def _record_readers(base) -> list[list[str]]:
@@ -1591,41 +1589,75 @@ def test_unwritable_index_changes_no_output(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
-def test_evolve_records_reuses_calibration_across_rounds(tmp_path, monkeypatch):
-    """After the first build, each harness round takes its subset from subset.json."""
-    calls = []
-    for name in ("build_calibration_matrix", "save_matrix", "select_subset"):
-        monkeypatch.setattr(cli, name, _first_call_only(getattr(cli, name), calls))
+def _counted(fn, calls):
+    def call(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return call
+
+
+CALIBRATION_STEPS = ("build_calibration_matrix", "save_matrix", "select_subset")
+
+
+def test_evolve_records_rebuilds_the_calibration_every_round(tmp_path, monkeypatch):
+    """Each harness round builds, writes and selects the subset once, and its
+    matrix.json and subset.json equal those of a fresh run directory over the
+    record file of that round."""
+    calls, rounds = [], []
+    for name in CALIBRATION_STEPS:
+        monkeypatch.setattr(cli, name, _counted(getattr(cli, name), calls))
+
+    def after_round(run_dir):
+        assert calls == list(CALIBRATION_STEPS)
+        calls.clear()
+        rounds.append(run_dir)
+        cfg_path, fresh = calibrated_config(tmp_path, f"fresh{len(rounds)}")
+        assert main(["evolve", "--config", str(cfg_path)]) in (0, 1)
+        calls.clear()
+        for name in ("matrix.json", "subset.json"):
+            assert (run_dir / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    run_dir = run_calibrated_harness(tmp_path, after_round)
+    assert len(rounds) == 3
+    assert run_dir_digests(tmp_path, run_dir) == CALIBRATED_RUN_DIGESTS
+
+
+def test_evolve_records_ignores_a_calibration_key_left_by_an_earlier_version(tmp_path):
+    """A calibration.key in the run directory is neither read nor rewritten:
+    every output byte is the one a run without it writes."""
+    run_dir = tmp_path / "calrun"
+    run_dir.mkdir()
+    (run_dir / "calibration.key").write_bytes(b"junk")
     run_dir = run_calibrated_harness(tmp_path)
-    assert calls == ["build_calibration_matrix", "save_matrix", "select_subset"]
+    assert (run_dir / "calibration.key").read_bytes() == b"junk"
+    (run_dir / "calibration.key").unlink()
     assert run_dir_digests(tmp_path, run_dir) == CALIBRATED_RUN_DIGESTS
 
 
-@pytest.mark.parametrize("between_rounds", [
-    pytest.param(lambda run_dir: (run_dir / "calibration.key").unlink(), id="deleted"),
-    pytest.param(lambda run_dir: (run_dir / "calibration.key").write_bytes(b"junk"), id="junk"),
-])
-def test_evolve_records_calibration_key_is_disposable(tmp_path, between_rounds):
-    run_dir = run_calibrated_harness(tmp_path, between_rounds)
-    assert run_dir_digests(tmp_path, run_dir) == CALIBRATED_RUN_DIGESTS
+def test_evolve_simulated_ignores_a_calibration_key_left_by_an_earlier_version(tmp_path):
+    """A simulated run leaves a calibration.key as it is and writes the bytes
+    that a run directory without it receives."""
+    outputs = {}
+    for name in ("keyed", "plain"):
+        cfg_path, run_dir = evolve_config(tmp_path, name)
+        if name == "keyed":
+            run_dir.mkdir()
+            (run_dir / "calibration.key").write_bytes(b"junk")
+        assert main(["evolve", "--config", str(cfg_path)]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.name != "config.json"}
+    assert outputs["keyed"].pop("calibration.key") == b"junk"
+    assert outputs["keyed"] == outputs["plain"]
 
 
-def test_evolve_records_reuses_an_older_matrix_file_that_its_key_names(tmp_path, monkeypatch):
-    """A run directory written when matrix.json held lengths, whose key names
-    that file, is reused as it stands: no rebuild, and no file changes."""
+def test_evolve_records_rewrites_an_older_matrix_file_that_holds_lengths(tmp_path):
+    """A run directory written when matrix.json held lengths gets today's
+    matrix.json on its next run, and every other file stays as it was."""
     run_dir = run_calibrated_harness(tmp_path)
     matrix = json.loads((run_dir / "matrix.json").read_text())
     lengths = [[812.5] * len(matrix["item_ids"])] * len(matrix["model_ids"])
     (run_dir / "matrix.json").write_text(json.dumps({**matrix, "lengths": lengths}))
-    key = (run_dir / "calibration.key").read_text().split()[1]
-    (run_dir / "calibration.key").write_bytes(cli._calibration_key_file(key, run_dir))
-    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
-    calls = []
-    for name in ("build_calibration_matrix", "save_matrix", "select_subset"):
-        monkeypatch.setattr(cli, name, _first_call_only(getattr(cli, name), calls))
     assert main(["evolve", "--config", str(calibrated_config(tmp_path)[0])]) == 0
-    assert calls == []
-    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+    assert run_dir_digests(tmp_path, run_dir) == CALIBRATED_RUN_DIGESTS
 
 
 def _edit_subset(**change):
@@ -1661,10 +1693,6 @@ def _edit_file(name, edit):
                    id=f"{name}-edited") for name in ("matrix.json", "subset.json")),
     *(pytest.param(_edit_file(name, Path.unlink), id=f"{name}-deleted")
       for name in ("matrix.json", "subset.json")),
-    pytest.param(_edit_file("calibration.key", lambda p: p.write_bytes(b"junk")), id="key-junk"),
-    pytest.param(_edit_file("calibration.key", lambda p: p.write_bytes(b"")), id="key-empty"),
-    pytest.param(_edit_file("calibration.key", lambda p: p.write_bytes(p.read_bytes()[:-1])),
-                 id="key-cut-short"),
 ])
 def test_evolve_records_calibration_rebuilds_on_change(tmp_path, monkeypatch, capsys, change):
     """A change to anything the subset depends on rebuilds it, and the rebuilt
@@ -1684,25 +1712,25 @@ def test_evolve_records_calibration_rebuilds_on_change(tmp_path, monkeypatch, ca
     # Each round stops only on the search candidates that have no records yet.
     err = capsys.readouterr().err
     assert err.count("error: ") == err.count("have no evaluation records") == 3
-    for name in ("matrix.json", "subset.json", "calibration.key"):
+    for name in ("matrix.json", "subset.json"):
         assert (run_dir / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_evolve_records_new_grid_item_still_fails_the_rebuild(tmp_path, capsys):
-    """A grid candidate that gains a record for a new item changes the key, and
-    the rebuild rejects the mismatched rows as before."""
+    """A grid candidate that gains a record for a new item fails the next
+    round's rebuild, which leaves the previous round's files as they were."""
     records = tmp_path / "records.jsonl"
     simulated_records_for(generate_benchmark(seed=0, n_items=80), CALIBRATION_GRID, records)
     cfg_path, run_dir = calibrated_config(tmp_path)
     assert main(["evolve", "--config", str(cfg_path)]) == 1
-    assert (run_dir / "calibration.key").exists()
+    previous = {name: (run_dir / name).read_bytes() for name in ("matrix.json", "subset.json")}
     with open(records, "a") as fh:
         fh.write(json.dumps({"candidate_id": candidate_id(CALIBRATION_GRID[0]),
                              "item_id": "extra/q0", "correct": 1, "length": 10.0}) + "\n")
     capsys.readouterr()
     assert main(["evolve", "--config", str(cfg_path)]) == 1
     assert "returned a different item set" in capsys.readouterr().err
-    assert not (run_dir / "calibration.key").exists()
+    assert {name: (run_dir / name).read_bytes() for name in previous} == previous
 
 
 def _drop_last_record(records):
@@ -1727,23 +1755,25 @@ def _rename_last_item(records):
 def test_records_grid_row_over_other_items_fails_the_calibration(tmp_path, capsys, edit, command):
     """The last grid candidate's records lack an item the others have, hold one
     more, or swap one for another: the calibration stops with exit 1 naming
-    its coefficient, and neither calibration.key nor a matrix is left."""
+    its coefficient and writes no matrix; evolve leaves its previous round's."""
     records = tmp_path / "records.jsonl"
     simulated_records_for(generate_benchmark(seed=0, n_items=80), CALIBRATION_GRID, records)
     cfg_path, run_dir = calibrated_config(tmp_path)
-    matrix = tmp_path / "matrix.json"
-    argv = (["evolve", "--config", str(cfg_path)] if command == "evolve" else
-            ["calibrate", "--records", str(records), "--k", "4", "--out", str(matrix)])
+    if command == "evolve":
+        matrix, argv = run_dir / "matrix.json", ["evolve", "--config", str(cfg_path)]
+    else:
+        matrix = tmp_path / "matrix.json"
+        argv = ["calibrate", "--records", str(records), "--k", "4", "--out", str(matrix)]
     assert main(argv) == (1 if command == "evolve" else 0)
-    assert (run_dir / "calibration.key").exists() or matrix.exists()
-    matrix.unlink(missing_ok=True)
+    previous = matrix.read_bytes() if command == "evolve" else None
+    if command == "calibrate":
+        matrix.unlink()
     edit(records)
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err == (
         "error: candidate at lambda=1.0 returned a different item set\n")
-    assert not (run_dir / "calibration.key").exists()
-    assert not matrix.exists()
+    assert (matrix.read_bytes() if matrix.exists() else None) == previous
 
 
 def run_records_without_subset(tmp_path, between_rounds=lambda index: None, seeds=(3,)):

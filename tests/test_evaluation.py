@@ -102,17 +102,19 @@ def test_subset_restriction_and_unknown_id(tmp_path):
                                     ("m0", "b", 0, 20.0), ("m0", "c", 1, 30.5)])
     rows = table["m0"]
     assert rows.tolist() == [0, 2, 3]
-    picked = table.select(rows, ["c", "a"])
+    assert table.codes_of(["c", "a", "nope"]).tolist() == [2, 0, -1]
+    picked = table.select(rows, table.codes_of(["c", "a"]))
     assert picked.tolist() == [3, 0] and items_of(table, picked) == ["c", "a"]
     assert table.correct[picked].tolist() == [1, 1] and table.length[picked].tolist() == [30.5, 10.0]
     assert table.correct.dtype == np.int8 and table.length.dtype == np.float64
+    # KeyError names the positions of the missing items in the codes
     with pytest.raises(KeyError) as info:
-        table.select(rows, ["a", "nope", "gone"])
-    assert info.value.args[0] == ["nope", "gone"]
+        table.select(rows, table.codes_of(["a", "nope", "gone"]))
+    assert info.value.args[0] == [1, 2]
     # an item of another candidate is missing for this one
     with pytest.raises(KeyError) as info:
-        table.select(table["m1"], ["b", "a", "c"])
-    assert info.value.args[0] == ["b", "c"]
+        table.select(table["m1"], table.codes_of(["b", "a", "c"]))
+    assert info.value.args[0] == [0, 2]
 
 
 def test_logistic_response_values():
@@ -246,7 +248,7 @@ def test_outcomes_mean_length_sums_left_to_right(tmp_path):
     assert objectives(np.zeros(1000), lengths).mean_length == expected / 1000
     assert expected / 1000 != float(np.mean(lengths))
     table = record_table(tmp_path, [("m0", f"q{i}", 0, v) for i, v in enumerate(lengths.tolist())])
-    rows = table.select(table["m0"], [f"q{i}" for i in reversed(range(1000))])
+    rows = table.select(table["m0"], table.codes_of([f"q{i}" for i in reversed(range(1000))]))
     assert (objectives(table.correct[rows], table.length[rows]).mean_length
             == left_to_right(lengths[::-1]) / 1000)
 
@@ -1342,6 +1344,23 @@ def test_records_fitness_resolution_and_errors(tmp_path):
     narrow = RecordsFitness(records, subset_ids=["q1", "q9"])
     with pytest.raises(RecordFormatError, match="q9"):
         narrow.evaluate(g_known)
+    # the message names the first five missing items and counts the rest
+    wide = RecordsFitness(records, subset_ids=["q2", *(f"x{i}" for i in range(7)), "q1"])
+    with pytest.raises(RecordFormatError) as info:
+        wide.evaluate(g_known)
+    assert str(info.value) == (f"candidate {candidate_id(g_known)!r} has no record for item(s): "
+                               "x0, x1, x2, x3, x4 (+2 more)")
+
+
+def test_records_fitness_resolves_its_subset_once(tmp_path, monkeypatch):
+    g = Genotype(MergeKind.TA, (0.5,))
+    table = record_table(tmp_path, [(candidate_id(g), f"q{i}", i % 2, 10.0 * i) for i in range(4)])
+    calls, codes_of = [], RecordTable.codes_of
+    monkeypatch.setattr(RecordTable, "codes_of",
+                        lambda self, ids: calls.append(list(ids)) or codes_of(self, ids))
+    fit = RecordsFitness(table, ["q3", "q1"])
+    assert [fit.evaluate(g) for _ in range(3)] == [ObjectiveVector(1.0, 20.0)] * 3
+    assert calls == [["q3", "q1"]]
 
 
 def test_records_fitness_full_outcomes_when_no_subset(tmp_path):
@@ -1404,6 +1423,49 @@ def test_records_fitness_matches_objectives_over_the_oracle_lists(tmp_path, n_it
             else:
                 assert (got.accuracy.hex(), got.mean_length.hex()) == (
                     want.accuracy.hex(), want.mean_length.hex())
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n_cands=st.integers(1, 3), n_items=st.integers(1, 12))
+def test_codes_of_and_select_match_the_oracle_lookups(tmp_path, data, n_cands, n_items):
+    """``codes_of`` then ``select`` give, for any list of ids, the rows the
+    slow oracle finds id by id, or a ``KeyError`` naming the positions of the
+    ids the candidate lacks, ids unknown to the table among them; and
+    ``RecordsFitness`` names the first five of those ids and counts the rest."""
+    pool = [f"q{i}" for i in range(n_items + 6)]  # the last six ids have no record
+    genotypes = [Genotype(MergeKind.TA, (c / 4,)) for c in range(n_cands)]
+    records = []
+    for g in genotypes:
+        kept = data.draw(st.lists(st.sampled_from(pool[:n_items]), min_size=1, unique=True))
+        records += [(candidate_id(g), iid, data.draw(st.integers(0, 1)), float(k))
+                    for k, iid in enumerate(kept)]
+    table = record_table(tmp_path, data.draw(st.permutations(records)))
+    oracle = reference_load(tmp_path / "records.jsonl")
+    query = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
+    codes = table.codes_of(query)
+    assert [table.item_ids[c] if c >= 0 else None for c in codes.tolist()] == [
+        iid if iid in table.item_ids else None for iid in query]
+    fit = RecordsFitness(table, query)
+    for g in genotypes:
+        cid = candidate_id(g)
+        ids, correct, lengths = oracle[cid]
+        missing = [k for k, iid in enumerate(query) if iid not in ids]
+        want = oracle_objectives(oracle, cid, query)
+        if missing:
+            with pytest.raises(KeyError) as info:
+                table.select(table[cid], codes)
+            assert info.value.args[0] == missing
+            with pytest.raises(RecordFormatError) as info:
+                fit.evaluate(g)
+            assert str(info.value) == want
+            continue
+        rows = table.select(table[cid], codes)
+        at = [ids.index(iid) for iid in query]
+        assert items_of(table, rows) == query
+        assert table.correct[rows].tolist() == [correct[k] for k in at]
+        assert table.length[rows].tolist() == [lengths[k] for k in at]
+        assert fit.evaluate(g) == want
 
 
 @pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "through-the-index"])
