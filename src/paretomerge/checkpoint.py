@@ -21,6 +21,7 @@ bytes copy, so saving a loaded or merged checkpoint holds blocks, not tensors.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -348,3 +349,13 @@ def write_atomic(path, data: bytes | Iterable[bytes]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_changed(path, data: bytes) -> None:
+    """``write_atomic(path, data)`` unless ``path`` already holds exactly
+    ``data``: a file whose bytes would not change keeps its inode and mtime."""
+    with contextlib.suppress(OSError):  # no file, or none readable: write it
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size == len(data) and fh.read() == data:
+                return
+    write_atomic(path, data)

@@ -369,14 +369,17 @@ def _cmd_evolve(args) -> int:
     # rewritten from those chunks. The last call leaves the final files.
     encoded: dict[bytes, tuple[dict, str]] = {}
     history: list[bytes] = []
-    # The front so far as its members and their (m, 2) fitness; pareto.json,
-    # front_points.csv and the summary read it. A point left out of it stays
-    # dominated, or repeats the fitness of an earlier member, so the front of
-    # this front followed by the new points is the front of the whole history.
+    # The front so far as (member, its indented pareto.json text) pairs and
+    # their (m, 2) fitness; pareto.json, front_points.csv and the summary read
+    # it. A point left out of it stays dominated, or repeats the fitness of an
+    # earlier member, so the front of this front followed by the new points is
+    # the front of the whole history. A member's text is encoded once, when it
+    # enters the front, and pareto.json is written only when its bytes change.
     front, front_f = [], np.empty((0, 2))
+    written = b""  # the pareto.json bytes this run last wrote
 
     def on_generation(gen: int, x_new: np.ndarray, f_new: np.ndarray) -> None:
-        nonlocal front, front_f
+        nonlocal front, front_f, written
         new = []
         for row, values, (f0, f1) in zip(x_new, x_new.tolist(), f_new.tolist()):
             key = row.tobytes()
@@ -395,11 +398,18 @@ def _cmd_evolve(args) -> int:
             # test_evolve_writes_the_front_of_each_history_prefix rebind nsga2.extract_pareto.
             from .nsga2 import extract_pareto
 
-            front = front + [m for m, _ in new]  # not +=: the last write was handed that list
             f = np.vstack((front_f, f_new))
             keep = extract_pareto(f)
-            front, front_f = [front[i] for i in keep.tolist()], f[keep]
-            _write_json_atomic(out_dir / "pareto.json", {"members": front})
+            old = len(front)
+            front = [front[i] if i < old else (new[i - old][0], _pareto_member(new[i - old][0]))
+                     for i in keep.tolist()]
+            front_f = f[keep]
+            # json.dumps({"members": members}, indent=2) + "\n", from the members' texts.
+            data = ('{\n  "members": [\n' + ",\n".join(text for _, text in front)
+                    + "\n  ]\n}\n").encode("utf-8")
+            if data != written:
+                write_atomic(out_dir / "pareto.json", data)
+                written = data
 
     subset_ids = _resolve_subset(subset_block, bench, records, out_dir)
     if bench is not None:
@@ -423,7 +433,7 @@ def _cmd_evolve(args) -> int:
 
     print(f"evaluated {len(f)} candidates over {search.generations} generations")
     print(f"{'genotype':<28} {'accuracy':>9} {'mean_length':>12}")
-    for m in front:
+    for m, _ in front:
         values = ", ".join(f"{v:.4f}" for v in m["genotype"]["values"])
         print(
             f"{m['genotype']['kind']}[{values}]".ljust(28)
@@ -686,6 +696,12 @@ def _group_by_benchmark(records: RecordTable, cid: str) -> dict:
 
 def _write_json_atomic(path: Path, payload) -> None:
     write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+
+
+def _pareto_member(member: dict) -> str:
+    """``member`` as ``json.dumps(..., indent=2)`` writes it inside the
+    ``members`` list of a pareto.json object: each line indented 4 more."""
+    return "    " + json.dumps(member, indent=2).replace("\n", "\n    ")
 
 
 if __name__ == "__main__":

@@ -165,14 +165,14 @@ class SimulatedBenchmark:
         self.kinds = np.array(given["kinds"], dtype=np.int8)
         self.t, self.a, self.len_long, self.len_short = numbers
         # Per rule, the items it scores; threshold items also keep their t, and
-        # logistic items their (a, t) as floats and the UTF-8 key prefix of their draws.
+        # logistic items their a and t and the UTF-8 key prefix of their draws.
         self._up, self._down, self._logistic = (
             np.flatnonzero(self.kinds == kind) for kind in (_UP, _DOWN, _LOGISTIC))
         self._t_up, self._t_down = self.t[self._up], self.t[self._down]
+        self._a_log, self._t_log = self.a[self._logistic], self.t[self._logistic]
         for col in (self.kinds, *numbers, self._up, self._down, self._logistic,
-                    self._t_up, self._t_down):
+                    self._t_up, self._t_down, self._a_log, self._t_log):
             col.flags.writeable = False
-        self._slopes = tuple(zip(self.a[self._logistic].tolist(), self.t[self._logistic].tolist()))
         try:
             self._draw_keys = tuple(f"{self.item_ids[i]}:".encode("utf-8")
                                     for i in self._logistic.tolist())
@@ -190,23 +190,41 @@ class SimulatedBenchmark:
         except KeyError:
             raise ValueError(f"unknown item id {item_id!r}") from None
 
-    def correctness_vector(self, lam: float) -> np.ndarray:
-        """Binary outcome per item at interpolation coefficient ``lam``."""
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-        out = np.zeros(len(self), dtype=np.int8)
-        out[self._up] = lam >= self._t_up
-        out[self._down] = lam <= self._t_down
+    def correctness_vector(self, lam) -> np.ndarray:
+        """Binary outcome per item at interpolation coefficient ``lam``; for a
+        1-D array of coefficients, one such row per coefficient, each with the
+        bits of the scalar call."""
+        scalar = np.ndim(lam) == 0
+        if np.ndim(lam) > 1:
+            raise ValueError(f"lambda must be a number or a 1-D array, got shape {np.shape(lam)}")
+        lams = [lam] if scalar else np.asarray(lam, dtype=np.float64).tolist()
+        for value in lams:
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"lambda must lie in [0, 1], got {value}")
+        x = np.array(lams, dtype=np.float64)[:, None]
+        out = np.zeros((len(lams), len(self)), dtype=np.int8)
+        out[:, self._up] = x >= self._t_up
+        out[:, self._down] = x <= self._t_down
         if self._draw_keys:
             # A logistic item's draw is keyed by (item, lambda bucket, seed), so
             # the same candidate always gets the same outcome within one run:
             # blake2b-64 of "{item_id}:{bucket}:{seed}", little-endian, / 2**64.
-            suffix = f"{round(lam * 1_000_000)}:{self.noise_seed}".encode("utf-8")
+            suffixes = [f"{round(v * 1_000_000)}:{self.noise_seed}".encode("utf-8") for v in lams]
             digests = b"".join(hashlib.blake2b(key + suffix, digest_size=8).digest()
-                               for key in self._draw_keys)
-            uniform = np.frombuffer(digests, "<u8") / 2.0**64
-            out[self._logistic] = uniform < [logistic_response(a, t, lam) for a, t in self._slopes]
-        return out
+                               for suffix in suffixes for key in self._draw_keys)
+            shape = (len(lams), len(self._draw_keys))
+            uniform = np.frombuffer(digests, "<u8").reshape(shape) / 2.0**64
+            out[:, self._logistic] = uniform < self._sigmoid(x)
+        return out[0] if scalar else out
+
+    def _sigmoid(self, x: np.ndarray) -> np.ndarray:
+        """``logistic_response`` of each logistic item at each coefficient of the
+        (M, 1) column ``x``, with its bits: numpy's ``+``, ``-``, ``*`` and ``/``
+        round as Python's do, and each ``exp`` is ``math.exp``, not numpy's SIMD one."""
+        with np.errstate(over="ignore"):  # a * (lam - t) past the float64 range is ±inf
+            z = self._a_log * (x - self._t_log)
+        e = np.array([math.exp(v) for v in (-np.abs(z)).ravel().tolist()]).reshape(z.shape)
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def length_vector(self, lam: float) -> np.ndarray:
         """Deterministic per-item output length, linear between the endpoints."""
@@ -637,14 +655,21 @@ class FitnessEvaluator:
     vector per genotype, in input order. The search passes one batch per
     generation, holding only that generation's candidates not yet scored in
     the run, each once, in order of first occurrence; a batch may be empty.
-    The default scores each genotype with ``evaluate``, one after another.
-    Evaluators that must see the whole batch at once override it.
+    It returns ``evaluate_batch(genotypes)``, whose default scores each
+    genotype with ``evaluate``, one after another; an evaluator that scores a
+    batch at once overrides ``evaluate_batch``, and one that must see the
+    whole batch before it fails overrides ``evaluate_population``.
     """
 
     def evaluate(self, genotype: Genotype) -> ObjectiveVector:
         raise NotImplementedError
 
     def evaluate_population(self, genotypes: Sequence[Genotype]) -> list[ObjectiveVector]:
+        # Until evaluators score arrays, perfbench/tracing.py spans this base
+        # method, so a simulated batch is scored under it, by ``evaluate_batch``.
+        return self.evaluate_batch(genotypes)
+
+    def evaluate_batch(self, genotypes: Sequence[Genotype]) -> list[ObjectiveVector]:
         return [self.evaluate(g) for g in genotypes]
 
 
@@ -652,7 +677,9 @@ class SimulatedFitness(FitnessEvaluator):
     """Scores interpolation genotypes on a simulated benchmark subset.
 
     Only the TA kind is accepted: the simulator models responses as a
-    function of the single interpolation coefficient.
+    function of the single interpolation coefficient. A batch is scored with
+    one ``correctness_vector`` call over its coefficients, and one genotype,
+    or one coefficient, is the batch of one.
     """
 
     def __init__(self, bench: SimulatedBenchmark, subset_ids: Sequence[str] | None = None):
@@ -675,23 +702,35 @@ class SimulatedFitness(FitnessEvaluator):
         genotype.validate()
         return genotype.values[0]
 
+    def _objectives(self, lams: list[float]) -> list[tuple[float, float]]:
+        """Accuracy and mean length on the subset at each of ``lams``, with the
+        bits of ``.mean()`` at less cost: a count of 0/1 values is exact, and
+        ``np.mean`` is ``np.add.reduce`` followed by this division. A row sum of
+        the C-ordered (M, subset) lengths is the pairwise sum of that row alone."""
+        x = np.array(lams, dtype=np.float64)
+        correct = self.bench.correctness_vector(x)[:, self.subset_indices]
+        lengths = _lengths_at(self._len_long, self._len_short, x[:, None])
+        n = len(self.subset_indices)
+        with np.errstate(over="ignore"):  # a sum past the float64 range is inf, refused later
+            totals = lengths.sum(axis=1)
+        return list(zip((np.count_nonzero(correct, axis=1) / n).tolist(), (totals / n).tolist()))
+
     def evaluate_at(self, lam: float) -> ObjectiveVector:
-        correct = self.bench.correctness_vector(lam)[self.subset_indices]
-        lengths = _lengths_at(self._len_long, self._len_short, lam)
-        # The bits of ``.mean()`` at less cost: a count of 0/1 values is exact,
-        # and ``np.mean`` is ``np.add.reduce`` followed by this division.
-        n = len(correct)
-        with np.errstate(over="ignore"):  # a sum past the float64 range is inf, refused below
-            total = lengths.sum()
-        return ObjectiveVector(accuracy=np.count_nonzero(correct) / n,
-                               mean_length=float(total / n))
+        return ObjectiveVector(*self._objectives([lam])[0])
+
+    def evaluate_batch(self, genotypes: Sequence[Genotype]) -> list[ObjectiveVector]:
+        if not genotypes:
+            return []
+        results, lams = [], [self.coefficient_of(g) for g in genotypes]
+        for g, pair in zip(genotypes, self._objectives(lams)):
+            try:
+                results.append(ObjectiveVector(*pair))
+            except ValueError as exc:  # a mean length past the float64 range
+                raise ValueError(f"candidate {candidate_id(g)!r}: {exc}") from None
+        return results
 
     def evaluate(self, genotype: Genotype) -> ObjectiveVector:
-        lam = self.coefficient_of(genotype)
-        try:
-            return self.evaluate_at(lam)
-        except ValueError as exc:  # a mean length past the float64 range
-            raise ValueError(f"candidate {candidate_id(genotype)!r}: {exc}") from None
+        return self.evaluate_batch([genotype])[0]
 
 
 class RecordsFitness(FitnessEvaluator):

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .checkpoint import write_atomic
+from .checkpoint import write_changed
 from .errors import SubsetSelectionError
 from .evaluation import SimulatedBenchmark, candidate_id, is_id_list, load_json
 from .merge import Genotype, MergeKind
@@ -51,8 +51,9 @@ class CorrectnessMatrix:
 
 
 def save_matrix(matrix: CorrectnessMatrix, path) -> None:
+    """Write ``matrix`` as JSON; a file that already holds these bytes is left as it is."""
     payload = {"model_ids": matrix.model_ids, "item_ids": matrix.item_ids, "correct": matrix.correct.tolist()}
-    write_atomic(path, json.dumps(payload).encode("utf-8"))
+    write_changed(path, json.dumps(payload).encode("utf-8"))
 
 
 def load_matrix(path) -> CorrectnessMatrix:
@@ -75,9 +76,10 @@ class SubsetStrategy(str, Enum):
 
 
 def save_subset(path, strategy: SubsetStrategy | str, seed: int, item_ids: Sequence[str]) -> None:
-    """Write the item ids ``select_subset`` picked, with the strategy and seed that picked them."""
+    """Write the item ids ``select_subset`` picked, with the strategy and seed that
+    picked them; a file that already holds these bytes is left as it is."""
     payload = {"strategy": SubsetStrategy(strategy).value, "seed": seed, "item_ids": list(item_ids)}
-    write_atomic(path, json.dumps(payload).encode("utf-8"))
+    write_changed(path, json.dumps(payload).encode("utf-8"))
 
 
 def default_lambda_grid(k: int) -> list[float]:
@@ -223,7 +225,7 @@ def rank_fidelity_curve(
     rho = np.empty((len(strategies), len(sizes), len(seeds)))
     for s, seed in enumerate(seeds):
         lam_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-        corr = np.stack([bench.correctness_vector(lam) for lam in lam_rng.uniform(0.0, 1.0, n_models)])
+        corr = bench.correctness_vector(lam_rng.uniform(0.0, 1.0, n_models))
         full_acc = corr.mean(axis=1)
         for i, strategy in enumerate(strategies):
             for j, size in enumerate(sizes):

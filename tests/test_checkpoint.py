@@ -17,6 +17,7 @@ from paretomerge.checkpoint import (
     load_checkpoint,
     save_checkpoint,
     write_atomic,
+    write_changed,
 )
 from paretomerge.errors import CheckpointFormatError, CompatibilityError
 
@@ -367,3 +368,17 @@ def test_write_atomic_writes_each_chunk_before_drawing_the_next(tmp_path, size):
     path = tmp_path / "out.bin"
     write_atomic(path, chunks())
     assert path.read_bytes() == b"".join(bytes([i]) * size for i in range(5))
+
+
+def test_write_changed_replaces_only_a_file_whose_bytes_differ(tmp_path):
+    path = tmp_path / "out.json"
+    write_changed(path, b"abc")
+    assert path.read_bytes() == b"abc"
+    with path.open("rb") as held:  # a replaced file could not reuse this inode number
+        first = os.fstat(held.fileno())
+        write_changed(path, b"abc")
+        same = path.stat()
+        assert (same.st_ino, same.st_mtime_ns) == (first.st_ino, first.st_mtime_ns)
+        for data in (b"abd", b"abcd", b""):
+            write_changed(path, data)
+            assert path.read_bytes() == data and path.stat().st_ino != first.st_ino

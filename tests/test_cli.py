@@ -3,6 +3,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -538,21 +539,46 @@ def test_evolve_scores_and_encodes_each_distinct_candidate_once(tmp_path, monkey
         assert line == json.dumps({"generation": i // n, **member}) + "\n"
 
 
+def test_simulated_evolve_scores_each_generation_with_one_simulator_call(tmp_path, monkeypatch):
+    """A simulated evolve calls ``correctness_vector`` once per calibration
+    grid point, once over the coefficients of each generation with new rows,
+    and once for the lambda = 0 baseline: never once per candidate."""
+    from paretomerge.evaluation import SimulatedBenchmark
+
+    calls, vector = [], SimulatedBenchmark.correctness_vector
+    monkeypatch.setattr(SimulatedBenchmark, "correctness_vector",
+                        lambda self, lam: (calls.append(np.ndim(lam)), vector(self, lam))[1])
+    k, n = 6, CLAMPED["population_size"]
+    cfg_path, out_dir = evolve_config(tmp_path, "clamped", search=CLAMPED,
+                                      subset={"strategy": "entropy", "size": 20, "calibration_k": k})
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+
+    rows = [json.dumps(h["genotype"]) for h in history_rows(out_dir)[0]]
+    scored = [len(set(rows[gen * n:(gen + 1) * n]) - set(rows[:gen * n]))
+              for gen in range(CLAMPED["generations"] + 1)]
+    assert sum(scored) > len(scored)  # more candidates than generations
+    assert calls == [0] * k + [1] * sum(map(bool, scored)) + [1]
+
+
 def test_evolve_writes_the_front_of_each_history_prefix(tmp_path, monkeypatch):
-    """Each generation's pareto.json is the front of the history through it,
-    repeated fitness values keeping their first occurrence; front extraction
-    runs once per write plus once for the returned front."""
+    """pareto.json is written after a generation exactly when the front of the
+    history through it differs from the last one written, and then holds that
+    front as ``json.dumps(..., indent=2)`` writes it, repeated fitness values
+    keeping their first occurrence; the final file is the final front. Front
+    extraction runs once per generation plus once for the returned front."""
     import paretomerge.nsga2 as nsga2
 
-    fronts, extractions = [], []
-    write, extract = cli._write_json_atomic, nsga2.extract_pareto
+    writes, extractions = [], []  # per generation: the pareto.json bytes written, or None
+    write, extract = cli.write_atomic, nsga2.extract_pareto
 
-    def write_json(path, payload):
-        if path.name == "pareto.json":
-            fronts.append(payload["members"])
-        write(path, payload)
+    def recording_write(path, data):
+        if path.name == "history.jsonl":
+            writes.append(None)  # one history write per generation, first
+        elif path.name == "pareto.json":
+            writes[-1] = data
+        write(path, data)
 
-    monkeypatch.setattr(cli, "_write_json_atomic", write_json)
+    monkeypatch.setattr(cli, "write_atomic", recording_write)
     monkeypatch.setattr(nsga2, "extract_pareto",
                         lambda f: (extractions.append(len(f)), extract(f))[1])
     n, generations = CLAMPED["population_size"], CLAMPED["generations"]
@@ -561,12 +587,19 @@ def test_evolve_writes_the_front_of_each_history_prefix(tmp_path, monkeypatch):
 
     history, f = history_rows(out_dir)
     prefix_fronts = [extract(f[: (gen + 1) * n]).tolist() for gen in range(generations + 1)]
-    assert len(fronts) == generations + 1
+    assert len(writes) == generations + 1
     assert len(extractions) == generations + 2
-    for front, rows in zip(fronts, prefix_fronts):
-        assert front == [member(history[i]) for i in rows]
-    # The run covers the case that needs first occurrences: a later candidate
+    for gen, (data, rows) in enumerate(zip(writes, prefix_fronts)):
+        if gen > 0 and rows == prefix_fronts[gen - 1]:
+            assert data is None, gen
+        else:
+            payload = {"members": [member(history[i]) for i in rows]}
+            assert data == (json.dumps(payload, indent=2) + "\n").encode("utf-8"), gen
+    assert (out_dir / "pareto.json").read_bytes() == next(d for d in reversed(writes) if d)
+    # The run covers a generation that leaves the front as it was, one that
+    # changes it, and the case that needs first occurrences: a later candidate
     # repeats the fitness of a member of its generation's front.
+    assert None in writes[1:] and any(writes[1:])
     assert [j for gen, rows in enumerate(prefix_fronts) for r in rows if r < gen * n
             for j in range(gen * n, (gen + 1) * n) if f[j].tolist() == f[r].tolist()]
 
@@ -1352,17 +1385,18 @@ def test_simulated_evolve_names_the_candidate_whose_mean_length_overflows(
     cfg.write_text(json.dumps({
         "search": {"population_size": 4, "generations": 1, "seed": 0},
         "evaluator": {"simulated": {"benchmark": str(bench)}}, "output_dir": str(tmp_path / "run")}))
-    scored = []
+    batches = []
 
     class Recording(SimulatedFitness):
-        def evaluate(self, genotype):
-            scored.append(genotype)
-            return super().evaluate(genotype)
+        def evaluate_batch(self, genotypes):
+            batches.append(list(genotypes))
+            return super().evaluate_batch(genotypes)
 
     monkeypatch.setattr(cli, "SimulatedFitness", Recording)
     assert main(["evolve", "--config", str(cfg)]) == 1
-    assert len(scored) == 1
-    assert capsys.readouterr().err == (f"error: candidate {candidate_id(scored[0])!r}: "
+    # Every candidate overflows; the error names the first of the one batch.
+    assert len(batches) == 1 and len(batches[0]) == 4
+    assert capsys.readouterr().err == (f"error: candidate {candidate_id(batches[0][0])!r}: "
                                        "mean_length must be a finite number >= 0, got inf\n")
 
 
@@ -1620,6 +1654,30 @@ def test_evolve_records_rebuilds_the_calibration_every_round(tmp_path, monkeypat
     run_dir = run_calibrated_harness(tmp_path, after_round)
     assert len(rounds) == 3
     assert run_dir_digests(tmp_path, run_dir) == CALIBRATED_RUN_DIGESTS
+
+
+def test_evolve_records_leaves_matrix_and_subset_files_with_unchanged_bytes_in_place(tmp_path):
+    """A round that rebuilds the matrix and subset already on disk does not
+    rewrite them: each file keeps its inode and mtime. The first round's files
+    are held open, so a replaced file could not take back its inode number."""
+    held, rounds = {}, []
+
+    def after_round(run_dir):
+        for name in ("matrix.json", "subset.json"):
+            if name not in held:
+                held[name] = (run_dir / name).open("rb")
+        rounds.append({name: (os.fstat(fh.fileno()), (run_dir / name).stat())
+                       for name, fh in held.items()})
+
+    try:
+        run_calibrated_harness(tmp_path, after_round)
+    finally:
+        for fh in held.values():
+            fh.close()
+    assert len(rounds) == 3
+    for stats in rounds:
+        for name, (first, now) in stats.items():
+            assert (now.st_ino, now.st_mtime_ns) == (first.st_ino, first.st_mtime_ns), name
 
 
 def test_evolve_records_ignores_a_calibration_key_left_by_an_earlier_version(tmp_path):

@@ -203,6 +203,52 @@ def test_correctness_vector_matches_the_item_by_item_oracle(bench, lams):
         assert np.array_equal(got, slow_correctness(bench, lam))
 
 
+# Coefficients on a draw-bucket edge: lam * 1e6 lands on a half, which round()
+# sends to the even bucket.
+BUCKET_EDGES = [(k + 0.5) / 1e6 for k in (0, 1, 249_999, 500_000, 999_998)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(bench=simulated_benchmarks(),
+       lams=st.lists(st.one_of(lambdas, st.sampled_from([0.0, 1.0, -0.0, *BUCKET_EDGES])),
+                     min_size=1, max_size=12))
+@example(bench=logistic_bench([f"l{i}" for i in range(40)], 9), lams=[0.0, -0.0, 1.0, *BUCKET_EDGES])
+@example(bench=bench_of(("s", LOGISTIC, 0.5, 1e308, 1.0, 0.0), ("r", LOGISTIC, 0.0, 1e308, 1.0, 0.0)),
+         lams=[0.0, 0.25, 0.5, 1.0, -0.0])  # a * (lam - t) past the float64 range
+def test_batched_correctness_rows_are_the_scalar_calls(bench, lams):
+    """``correctness_vector`` over an array gives one int8 row per coefficient,
+    each the scalar call's bits and the item-by-item oracle's."""
+    got = bench.correctness_vector(np.array(lams))
+    assert got.dtype == np.int8 and got.shape == (len(lams), len(bench))
+    for row, lam in zip(got, lams):
+        assert np.array_equal(row, bench.correctness_vector(lam))
+        assert np.array_equal(row, slow_correctness(bench, lam))
+    assert np.array_equal(bench.correctness_vector(lams), got)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(slopes=st.lists(st.tuples(st.floats(0.5, 20.0) | st.floats(1e-300, 1e308),
+                                 st.floats(0.0, 1.0)), min_size=1, max_size=30),
+       lams=st.lists(lambdas | st.just(-0.0), min_size=1, max_size=8))
+def test_batched_sigmoid_is_the_bits_of_logistic_response(slopes, lams):
+    """The array sigmoid behind the batched draws is ``logistic_response``
+    bit for bit: numpy's own ``exp`` differs from the C library's in the last bit."""
+    bench = bench_of(*((f"l{i}", LOGISTIC, t, a, 1.0, 0.0) for i, (a, t) in enumerate(slopes)))
+    got = bench._sigmoid(np.array(lams)[:, None])
+    want = [[logistic_response(a, t, lam) for a, t in slopes] for lam in lams]
+    assert [[p.hex() for p in row] for row in got.tolist()] == [[p.hex() for p in row] for row in want]
+
+
+def test_batched_correctness_refuses_the_first_coefficient_out_of_range():
+    bench = logistic_bench(["a", "b"], 0)
+    for lams, bad in (([0.5, 1.5, -1.0], "1.5"), ([math.nan], "nan"), ([0.0, -1e-300], "-1e-300")):
+        with pytest.raises(ValueError, match=rf"^lambda must lie in \[0, 1\], got {bad}$"):
+            bench.correctness_vector(np.array(lams))
+    with pytest.raises(ValueError, match="1-D array"):
+        bench.correctness_vector(np.zeros((2, 2)))
+    assert bench.correctness_vector(np.zeros(0)).shape == (0, 2)
+
+
 def test_logistic_draws_vary_with_the_lambda_bucket_and_seed():
     """The oracle property needs outcomes that a wrong key would change."""
     ids = [f"i{k}" for k in range(64)]
@@ -1315,6 +1361,43 @@ def test_evaluate_at_reductions_are_the_bits_of_mean(size, lam, seed):
     ov = fit.evaluate_at(lam)
     assert ov.accuracy.hex() == float(correct.mean()).hex()
     assert ov.mean_length.hex() == float(lengths.mean()).hex()
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    size=st.sampled_from([1, 7, 8, 9, 127, 128, 129, 257, 400]) | st.integers(1, len(PAIRWISE_BENCH)),
+    lams=st.lists(st.sampled_from([0.0, 1.0, -0.0, *BUCKET_EDGES]) | st.floats(0.0, 1.0)
+                  | st.sampled_from(PAIRWISE_BENCH.t.tolist()), min_size=1, max_size=20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulated_batch_is_its_one_row_results(size, lams, seed):
+    """A ``SimulatedFitness`` batch gives, bit for bit, the objective vectors of
+    its genotypes scored one at a time, and of ``evaluate_at``; one batch makes
+    one ``correctness_vector`` call, and an empty batch none."""
+    bench = PAIRWISE_BENCH
+    order = np.random.default_rng(seed).permutation(len(bench)).tolist()
+    fit = SimulatedFitness(bench, [bench.item_ids[i] for i in order[:size]])
+    calls = []
+    fit.bench = type("Counting", (), {"correctness_vector": lambda _, lam: (
+        calls.append(np.ndim(lam)), bench.correctness_vector(lam))[1]})()
+    genotypes = [Genotype(MergeKind.TA, (lam,)) for lam in lams]
+    batch = fit.evaluate_population(genotypes)
+    assert calls == [1] and fit.evaluate_population([]) == [] and calls == [1]
+    bits = [(o.accuracy.hex(), o.mean_length.hex()) for o in batch]
+    assert bits == [(o.accuracy.hex(), o.mean_length.hex()) for o in map(fit.evaluate, genotypes)]
+    assert bits == [(o.accuracy.hex(), o.mean_length.hex()) for o in map(fit.evaluate_at, lams)]
+
+
+def test_simulated_batch_names_the_first_candidate_whose_mean_length_overflows():
+    bench = bench_of(up("a", 0.5, ll=1e308, ls=0.0), up("b", 0.5, ll=1e308, ls=0.0))
+    fit = SimulatedFitness(bench)
+    # The two lengths, 1e308 * (1 - lam) each, sum past the float64 range at lam <= 0.1.
+    genotypes = [Genotype(MergeKind.TA, (lam,)) for lam in (0.9, 0.1, 0.0)]
+    with pytest.raises(ValueError) as info:
+        fit.evaluate_population(genotypes)
+    assert str(info.value) == (f"candidate {candidate_id(genotypes[1])!r}: "
+                               "mean_length must be a finite number >= 0, got inf")
+    assert fit.evaluate_population(genotypes[:1])[0].mean_length == pytest.approx(1e307)
 
 
 def test_records_fitness_resolution_and_errors(tmp_path):
