@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic, write_changed
 from .errors import MissingCandidatesError, ParetoMergeError, RecordFormatError, SearchConfigError
 from .evaluation import (
     RecordsFitness,
@@ -376,10 +376,9 @@ def _cmd_evolve(args) -> int:
     # the front of the whole history. A member's text is encoded once, when it
     # enters the front, and pareto.json is written only when its bytes change.
     front, front_f = [], np.empty((0, 2))
-    written = b""  # the pareto.json bytes this run last wrote
 
     def on_generation(gen: int, x_new: np.ndarray, f_new: np.ndarray) -> None:
-        nonlocal front, front_f, written
+        nonlocal front, front_f
         new = []
         for row, values, (f0, f1) in zip(x_new, x_new.tolist(), f_new.tolist()):
             key = row.tobytes()
@@ -407,9 +406,7 @@ def _cmd_evolve(args) -> int:
             # json.dumps({"members": members}, indent=2) + "\n", from the members' texts.
             data = ('{\n  "members": [\n' + ",\n".join(text for _, text in front)
                     + "\n  ]\n}\n").encode("utf-8")
-            if data != written:
-                write_atomic(out_dir / "pareto.json", data)
-                written = data
+            write_changed(out_dir / "pareto.json", data)
 
     subset_ids = _resolve_subset(subset_block, bench, records, out_dir)
     if bench is not None:

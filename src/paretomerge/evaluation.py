@@ -103,6 +103,16 @@ _UP, _DOWN, _LOGISTIC = range(len(RESPONSE_KINDS))
 # a benchmark file's item objects, in this order.
 _NUMBER_FIELDS = ("t", "a", "len_long", "len_short")
 _ITEM_FIELDS = ("item_id", "response_kind", *_NUMBER_FIELDS)
+# A batch of coefficients is scored in blocks of rows holding about this many
+# (coefficient, item) cells, so the temporaries, up to about 150 bytes a
+# logistic cell, stay bounded whatever the batch; a block holds at least one row.
+_BLOCK_CELLS = 1 << 18
+
+
+def _row_blocks(m: int, n_items: int):
+    """Slices over ``m`` rows of ``n_items`` cells, about ``_BLOCK_CELLS`` each."""
+    step = max(1, _BLOCK_CELLS // max(n_items, 1))
+    return [slice(i, i + step) for i in range(0, m, step)]
 
 
 class SimulatedBenchmark:
@@ -201,8 +211,14 @@ class SimulatedBenchmark:
         for value in lams:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"lambda must lie in [0, 1], got {value}")
-        x = np.array(lams, dtype=np.float64)[:, None]
         out = np.zeros((len(lams), len(self)), dtype=np.int8)
+        for rows in _row_blocks(len(lams), len(self)):
+            self._fill(lams[rows], out[rows])
+        return out[0] if scalar else out
+
+    def _fill(self, lams: list[float], out: np.ndarray) -> None:
+        """Write the outcome rows of ``lams`` into the (M, items) ``out``."""
+        x = np.array(lams, dtype=np.float64)[:, None]
         out[:, self._up] = x >= self._t_up
         out[:, self._down] = x <= self._t_down
         if self._draw_keys:
@@ -215,7 +231,6 @@ class SimulatedBenchmark:
             shape = (len(lams), len(self._draw_keys))
             uniform = np.frombuffer(digests, "<u8").reshape(shape) / 2.0**64
             out[:, self._logistic] = uniform < self._sigmoid(x)
-        return out[0] if scalar else out
 
     def _sigmoid(self, x: np.ndarray) -> np.ndarray:
         """``logistic_response`` of each logistic item at each coefficient of the
@@ -706,14 +721,18 @@ class SimulatedFitness(FitnessEvaluator):
         """Accuracy and mean length on the subset at each of ``lams``, with the
         bits of ``.mean()`` at less cost: a count of 0/1 values is exact, and
         ``np.mean`` is ``np.add.reduce`` followed by this division. A row sum of
-        the C-ordered (M, subset) lengths is the pairwise sum of that row alone."""
+        the C-ordered (M, subset) lengths is the pairwise sum of that row alone,
+        so a batch is scored one block of rows at a time with the same bits."""
         x = np.array(lams, dtype=np.float64)
-        correct = self.bench.correctness_vector(x)[:, self.subset_indices]
-        lengths = _lengths_at(self._len_long, self._len_short, x[:, None])
+        counts, totals = np.empty(len(x), dtype=np.int64), np.empty(len(x))
+        for rows in _row_blocks(len(x), len(self.bench)):
+            correct = self.bench.correctness_vector(x[rows])[:, self.subset_indices]
+            counts[rows] = np.count_nonzero(correct, axis=1)
+            lengths = _lengths_at(self._len_long, self._len_short, x[rows, None])
+            with np.errstate(over="ignore"):  # a sum past the float64 range is inf, refused later
+                totals[rows] = lengths.sum(axis=1)
         n = len(self.subset_indices)
-        with np.errstate(over="ignore"):  # a sum past the float64 range is inf, refused later
-            totals = lengths.sum(axis=1)
-        return list(zip((np.count_nonzero(correct, axis=1) / n).tolist(), (totals / n).tolist()))
+        return list(zip((counts / n).tolist(), (totals / n).tolist()))
 
     def evaluate_at(self, lam: float) -> ObjectiveVector:
         return ObjectiveVector(*self._objectives([lam])[0])

@@ -566,10 +566,11 @@ def test_evolve_writes_the_front_of_each_history_prefix(tmp_path, monkeypatch):
     front as ``json.dumps(..., indent=2)`` writes it, repeated fitness values
     keeping their first occurrence; the final file is the final front. Front
     extraction runs once per generation plus once for the returned front."""
+    import paretomerge.checkpoint as checkpoint
     import paretomerge.nsga2 as nsga2
 
     writes, extractions = [], []  # per generation: the pareto.json bytes written, or None
-    write, extract = cli.write_atomic, nsga2.extract_pareto
+    write, extract = checkpoint.write_atomic, nsga2.extract_pareto
 
     def recording_write(path, data):
         if path.name == "history.jsonl":
@@ -578,7 +579,9 @@ def test_evolve_writes_the_front_of_each_history_prefix(tmp_path, monkeypatch):
             writes[-1] = data
         write(path, data)
 
+    # history.jsonl is written through cli's name, pareto.json through write_changed's.
     monkeypatch.setattr(cli, "write_atomic", recording_write)
+    monkeypatch.setattr(checkpoint, "write_atomic", recording_write)
     monkeypatch.setattr(nsga2, "extract_pareto",
                         lambda f: (extractions.append(len(f)), extract(f))[1])
     n, generations = CLAMPED["population_size"], CLAMPED["generations"]

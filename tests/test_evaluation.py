@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import unittest.mock
 from pathlib import Path
 
 import numpy as np
@@ -1378,7 +1379,7 @@ def test_simulated_batch_is_its_one_row_results(size, lams, seed):
     order = np.random.default_rng(seed).permutation(len(bench)).tolist()
     fit = SimulatedFitness(bench, [bench.item_ids[i] for i in order[:size]])
     calls = []
-    fit.bench = type("Counting", (), {"correctness_vector": lambda _, lam: (
+    fit.bench = type("Counting", (), {"__len__": lambda _: len(bench), "correctness_vector": lambda _, lam: (
         calls.append(np.ndim(lam)), bench.correctness_vector(lam))[1]})()
     genotypes = [Genotype(MergeKind.TA, (lam,)) for lam in lams]
     batch = fit.evaluate_population(genotypes)
@@ -1398,6 +1399,46 @@ def test_simulated_batch_names_the_first_candidate_whose_mean_length_overflows()
     assert str(info.value) == (f"candidate {candidate_id(genotypes[1])!r}: "
                                "mean_length must be a finite number >= 0, got inf")
     assert fit.evaluate_population(genotypes[:1])[0].mean_length == pytest.approx(1e307)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(bench=simulated_benchmarks(), block=st.integers(1, 40),
+       lams=st.lists(lambdas | st.sampled_from([-0.0, *BUCKET_EDGES]), min_size=1, max_size=30))
+@example(bench=logistic_bench([f"l{i}" for i in range(12)], 5), block=13, lams=[0.5] * 7 + BUCKET_EDGES)
+def test_a_batch_over_several_blocks_has_the_one_block_bits(bench, block, lams):
+    """With blocks of ``block`` cells, a batch over several blocks gives the rows
+    and objective vectors of the same batch scored as one block, and
+    ``SimulatedFitness`` hands ``correctness_vector`` one block of rows per call."""
+    assert len(lams) * len(bench) <= evaluation._BLOCK_CELLS  # the default is one block
+    fit = SimulatedFitness(bench)
+    rows, pairs = bench.correctness_vector(np.array(lams)), fit._objectives(lams)
+    step = max(1, block // len(bench))
+    calls = []
+    fit.bench = type("Counting", (), {"__len__": lambda _: len(bench), "correctness_vector": lambda _, lam: (
+        calls.append(len(lam)), bench.correctness_vector(lam))[1]})()
+    with unittest.mock.patch.object(evaluation, "_BLOCK_CELLS", block):
+        assert np.array_equal(bench.correctness_vector(np.array(lams)), rows)
+        got = fit._objectives(lams)
+    assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in pairs]
+    assert calls == [min(step, len(lams) - i) for i in range(0, len(lams), step)]
+
+
+def test_a_batch_of_logistic_items_allocates_one_block_at_a_time():
+    """A batch's peak allocation is bounded by the block, not by batch x items:
+    400 coefficients on 500 logistic items is 200,000 cells, about 30 MB if
+    scored at once."""
+    import tracemalloc
+
+    bench = logistic_bench([f"l{i}" for i in range(500)], 3)
+    fit, lams = SimulatedFitness(bench), np.linspace(0.0, 1.0, 400).tolist()
+    with unittest.mock.patch.object(evaluation, "_BLOCK_CELLS", 5_000):
+        tracemalloc.start()
+        try:
+            fit._objectives(lams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 3_000_000, peak
 
 
 def test_records_fitness_resolution_and_errors(tmp_path):
