@@ -1,5 +1,6 @@
 """Binary tensor-container checkpoints, the endpoint compatibility check and
-the atomic writer every output of the package goes through.
+the two writers every output of the package goes through: ``write_atomic``
+replaces a file, ``append_bytes`` extends one.
 
 Container layout (little-endian): 4 magic bytes ``PMRG``, a u32 header
 length, a UTF-8 JSON header describing tensor shapes/offsets plus free-form
@@ -331,8 +332,9 @@ def _align_up(n: int) -> int:
 
 def write_atomic(path, data: bytes | Iterable[bytes]) -> None:
     """Replace ``path`` with ``data`` (bytes, or bytes-like chunks written in order)
-    through a sibling ``.tmp`` file. This is the package's only file writer: on
-    any error the temp file is removed and ``path`` keeps its previous bytes.
+    through a sibling ``.tmp`` file. With ``append_bytes`` it is one of the
+    package's two file writers: on any error the temp file is removed and
+    ``path`` keeps its previous bytes.
 
     Each chunk is written before the next is drawn, so a chunk may be a view
     of a buffer that the iterable overwrites for the next one."""
@@ -349,6 +351,25 @@ def write_atomic(path, data: bytes | Iterable[bytes]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def append_bytes(path, data: bytes) -> None:
+    """Add ``data`` at the end of ``path``, a file that must exist: a missing
+    file is an error, not a new file holding only ``data``. On any error the
+    file is cut back to its previous length, so it keeps its previous bytes.
+    A process killed mid-call can leave part of ``data`` behind."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        size = os.fstat(fd).st_size
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        except BaseException:
+            os.ftruncate(fd, size)
+            raise
+    finally:
+        os.close(fd)
 
 
 def write_changed(path, data: bytes) -> None:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint, write_atomic, write_changed
+from .checkpoint import append_bytes, load_checkpoint, save_checkpoint, write_atomic, write_changed
 from .errors import MissingCandidatesError, ParetoMergeError, RecordFormatError, SearchConfigError
 from .evaluation import (
     RecordsFitness,
@@ -28,6 +28,7 @@ from .evaluation import (
     SimulatedFitness,
     candidate_id,
     generate_benchmark,
+    id_of,
     is_id_list,
     is_json_number,
     load_benchmark,
@@ -362,37 +363,26 @@ def _cmd_evolve(args) -> int:
         "output_dir": str(out_dir),
     }
 
-    # The search gives a repeated row the fitness of its first occurrence, so
-    # each distinct row's member dict, and the JSON of its history line after
-    # the generation, are built once, keyed by the row's bytes. history.jsonl
-    # only grows: each generation's lines are encoded once, and the file is
-    # rewritten from those chunks. The last call leaves the final files.
-    encoded: dict[bytes, tuple[dict, str]] = {}
-    history: list[bytes] = []
+    # history.jsonl takes each generation's lines in one write: generation 0
+    # replaces the file and every later generation appends to it, so a run
+    # writes each line once. The last call leaves the final files.
+    #
     # The front so far as (member, its indented pareto.json text) pairs and
     # their (m, 2) fitness; pareto.json, front_points.csv and the summary read
     # it. A point left out of it stays dominated, or repeats the fitness of an
     # earlier member, so the front of this front followed by the new points is
-    # the front of the whole history. A member's text is encoded once, when it
-    # enters the front, and pareto.json is written only when its bytes change.
+    # the front of the whole history. A member and its text are built once,
+    # when its row enters the front, and pareto.json is written only when its
+    # bytes change.
     front, front_f = [], np.empty((0, 2))
+    kind = search.genotype_kind.value
 
     def on_generation(gen: int, x_new: np.ndarray, f_new: np.ndarray) -> None:
         nonlocal front, front_f
-        new = []
-        for row, values, (f0, f1) in zip(x_new, x_new.tolist(), f_new.tolist()):
-            key = row.tobytes()
-            if key not in encoded:
-                g = Genotype(search.genotype_kind, values)
-                m = {"candidate_id": candidate_id(g), "genotype": g.to_dict(),
-                     "accuracy": -f0, "mean_length": f1, "fitness": [f0, f1]}
-                encoded[key] = m, json.dumps(m)[1:]
-            new.append(encoded[key])
-        # json.dumps({"generation": gen, **member}) with the member's JSON reused.
-        head = '{"generation": %d, ' % gen
-        history.append("".join(head + tail + "\n" for _, tail in new).encode("utf-8"))
-        write_atomic(out_dir / "history.jsonl", history)
-        if new:
+        rows, fits = x_new.tolist(), f_new.tolist()
+        data = "".join(_history_line(gen, kind, x, fit) for x, fit in zip(rows, fits)).encode("utf-8")
+        (append_bytes if gen else write_atomic)(out_dir / "history.jsonl", data)
+        if rows:
             # Not a top-level import: the bench tracer and
             # test_evolve_writes_the_front_of_each_history_prefix rebind nsga2.extract_pareto.
             from .nsga2 import extract_pareto
@@ -400,7 +390,7 @@ def _cmd_evolve(args) -> int:
             f = np.vstack((front_f, f_new))
             keep = extract_pareto(f)
             old = len(front)
-            front = [front[i] if i < old else (new[i - old][0], _pareto_member(new[i - old][0]))
+            front = [front[i] if i < old else _front_entry(kind, rows[i - old], fits[i - old])
                      for i in keep.tolist()]
             front_f = f[keep]
             # json.dumps({"members": members}, indent=2) + "\n", from the members' texts.
@@ -695,10 +685,28 @@ def _write_json_atomic(path: Path, payload) -> None:
     write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
 
 
-def _pareto_member(member: dict) -> str:
-    """``member`` as ``json.dumps(..., indent=2)`` writes it inside the
-    ``members`` list of a pareto.json object: each line indented 4 more."""
-    return "    " + json.dumps(member, indent=2).replace("\n", "\n    ")
+# A history line as json.dumps({"generation": gen, **member}) + "\n" writes it.
+_HISTORY_LINE = ('{"generation": %d, "candidate_id": "%s", "genotype": {"kind": "%s", "values": [%s]}, '
+                 '"accuracy": %r, "mean_length": %r, "fitness": [%r, %r]}\n')
+
+
+def _history_line(gen: int, kind: str, values: list, fitness: list) -> str:
+    """The history.jsonl line of a row of finite floats, with no member dict:
+    json writes a finite float as its repr, and the id hashes the same reprs."""
+    reprs = [repr(v) for v in values]
+    f0, f1 = fitness
+    return _HISTORY_LINE % (gen, id_of(kind, reprs), kind, ", ".join(reprs), -f0, f1, f0, f1)
+
+
+def _front_entry(kind: str, values: list, fitness: list) -> tuple[dict, str]:
+    """The pareto.json member of a history row, and its text as
+    ``json.dumps(..., indent=2)`` writes it inside the ``members`` list of a
+    pareto.json object: each line indented 4 more."""
+    f0, f1 = fitness
+    member = {"candidate_id": id_of(kind, [repr(v) for v in values]),
+              "genotype": {"kind": kind, "values": values},
+              "accuracy": -f0, "mean_length": f1, "fitness": [f0, f1]}
+    return member, "    " + json.dumps(member, indent=2).replace("\n", "\n    ")
 
 
 if __name__ == "__main__":

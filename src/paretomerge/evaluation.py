@@ -646,9 +646,14 @@ def _resume(index, fh):
 
 def candidate_id(genotype: Genotype) -> str:
     """Deterministic id derived from the genotype, stable across processes."""
-    canon = genotype.kind.value + ":" + ",".join(repr(v) for v in genotype.values)
-    digest = hashlib.blake2b(canon.encode("utf-8"), digest_size=6).hexdigest()
-    return f"{genotype.kind.value}-{digest}"
+    return id_of(genotype.kind.value, [repr(v) for v in genotype.values])
+
+
+def id_of(kind: str, reprs: Sequence[str]) -> str:
+    """``candidate_id`` of a genotype of kind value ``kind`` from the ``repr``
+    of each of its float values, for a caller that already holds them."""
+    digest = hashlib.blake2b(f"{kind}:{','.join(reprs)}".encode("utf-8"), digest_size=6).hexdigest()
+    return f"{kind}-{digest}"
 
 
 def write_manifest(path, pending: Sequence[tuple[str, Genotype]]) -> None:

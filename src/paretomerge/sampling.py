@@ -51,9 +51,16 @@ class CorrectnessMatrix:
 
 
 def save_matrix(matrix: CorrectnessMatrix, path) -> None:
-    """Write ``matrix`` as JSON; a file that already holds these bytes is left as it is."""
-    payload = {"model_ids": matrix.model_ids, "item_ids": matrix.item_ids, "correct": matrix.correct.tolist()}
-    write_changed(path, json.dumps(payload).encode("utf-8"))
+    """Write the bytes ``json.dumps`` gives for ``matrix``'s ``model_ids``,
+    ``item_ids`` and ``correct`` rows; a file that already holds them is left
+    as it is. The rows are laid out from the 0/1 array as bytes, ``"d, "`` per
+    entry, with no Python list of its entries."""
+    ids = json.dumps({"model_ids": matrix.model_ids, "item_ids": matrix.item_ids})
+    cells = np.empty(matrix.correct.shape + (3,), dtype=np.uint8)
+    cells[..., 0] = matrix.correct + ord("0")
+    cells[..., 1:] = np.frombuffer(b", ", dtype=np.uint8)
+    rows = b", ".join(b"[" + row.tobytes() + b"]" for row in cells.reshape(len(cells), -1)[:, :-2])
+    write_changed(path, ids[:-1].encode("utf-8") + b', "correct": [' + rows + b"]}")
 
 
 def load_matrix(path) -> CorrectnessMatrix:

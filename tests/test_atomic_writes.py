@@ -1,4 +1,5 @@
-"""Tier-1 lint: every file the package writes goes through ``write_atomic``."""
+"""Tier-1 lint: every file the package writes goes through ``write_atomic``,
+which replaces a file, or ``append_bytes``, which extends one."""
 
 import ast
 from pathlib import Path
@@ -10,7 +11,9 @@ import paretomerge
 MODULES = sorted(
     p for p in Path(paretomerge.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
-WRITER = "write_atomic"
+WRITERS = ("write_atomic", "append_bytes")
+# Descriptor-level calls that open, write or cut a file.
+OS_WRITES = ("open", "write", "writev", "pwrite", "pwritev", "ftruncate", "truncate")
 
 
 def _opens_for_writing(call: ast.Call) -> bool:
@@ -31,13 +34,20 @@ def _opens_for_writing(call: ast.Call) -> bool:
     )
 
 
+def _os_write(call: ast.Call) -> bool:
+    """``os.open``, ``os.write``, ``os.ftruncate`` and the like, whatever the flags."""
+    func = call.func
+    return (isinstance(func, ast.Attribute) and func.attr in OS_WRITES
+            and isinstance(func.value, ast.Name) and func.value.id == "os")
+
+
 def direct_writes(source: str) -> list[str]:
-    """Calls that write a file outside the body of a function named ``write_atomic``."""
+    """Calls that write a file outside the body of a function named in ``WRITERS``."""
     tree = ast.parse(source)
     inside_writer = {
         id(node)
         for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and fn.name == WRITER
+        if isinstance(fn, ast.FunctionDef) and fn.name in WRITERS
         for node in ast.walk(fn)
     }
     return [
@@ -49,6 +59,7 @@ def direct_writes(source: str) -> list[str]:
             isinstance(node.func, ast.Attribute)
             and node.func.attr in ("write_text", "write_bytes")
             or _opens_for_writing(node)
+            or _os_write(node)
         )
     ]
 
@@ -65,8 +76,19 @@ def test_guard_flags_direct_writes():
         "q.write_bytes(b)\n"
         "def write_atomic(p, d):\n"
         "    open(p, 'wb')\n"
+        "os.open(p, os.O_RDONLY)\n"
+        "os.open(p, os.O_WRONLY | os.O_APPEND)\n"
+        "os.write(fd, b)\n"
+        "os.ftruncate(fd, 0)\n"
+        "os.pwrite(fd, b, 0)\n"
+        "os.read(fd, 1)\n"
+        "os.preadv(fd, [b], 0)\n"
+        "def append_bytes(p, d):\n"
+        "    fd = os.open(p, os.O_WRONLY | os.O_APPEND)\n"
+        "    os.write(fd, d)\n"
+        "    os.ftruncate(fd, 0)\n"
     )
-    assert direct_writes(source) == [f"line {n}" for n in (3, 4, 5, 6, 7, 8)]
+    assert direct_writes(source) == [f"line {n}" for n in (3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

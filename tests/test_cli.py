@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -22,11 +23,12 @@ from paretomerge.evaluation import (
     SimulatedFitness,
     candidate_id,
     generate_benchmark,
+    id_of,
     load_benchmark,
     load_record_evaluations,
     save_benchmark,
 )
-from paretomerge.merge import Genotype, MergeKind
+from paretomerge.merge import Genotype, MergeKind, default_genotype_bounds
 from paretomerge.nsga2 import SearchConfig
 
 from manifests import read_manifest
@@ -498,7 +500,86 @@ CLAMPED = {
 }
 
 
-def test_evolve_scores_and_encodes_each_distinct_candidate_once(tmp_path, monkeypatch):
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e-300, 0.1 + 0.2]
+
+
+@st.composite
+def history_rows_of_every_kind(draw):
+    """A history row: a genotype of any kind, its values in the kind's box or
+    special floats, and a fitness pair whose entries may be special too."""
+    kind = draw(st.sampled_from([MergeKind.TA, MergeKind.TIES, MergeKind.LINEAR]))
+    values = [draw(st.sampled_from(SPECIAL_FLOATS + [lo, hi]) | st.floats(lo, hi))
+              for lo, hi in default_genotype_bounds(kind)]
+    f0 = draw(st.sampled_from(SPECIAL_FLOATS + [-1.0, -0.5]) | st.floats(-1.0, 0.0))
+    f1 = draw(st.sampled_from(SPECIAL_FLOATS + [1e308]) | st.floats(0.0, 1e308))
+    return draw(st.integers(0, 10**6)), kind, values, f0, f1
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(history_rows_of_every_kind())
+def test_history_line_is_the_json_of_its_member(row):
+    """evolve formats a history line without a member dict, and it is
+    ``json.dumps({"generation": g, **member}) + "\n"``; ``id_of`` on the
+    values' reprs is the genotype's ``candidate_id``, and a front member is
+    that member."""
+    gen, kind, values, f0, f1 = row
+    g = Genotype(kind, values)
+    m = {"candidate_id": candidate_id(g), "genotype": g.to_dict(),
+         "accuracy": -f0, "mean_length": f1, "fitness": [f0, f1]}
+    assert id_of(kind.value, [repr(v) for v in values]) == candidate_id(g)
+    line = cli._history_line(gen, kind.value, values, [f0, f1])
+    assert line == json.dumps({"generation": gen, **m}) + "\n"
+    entry, text = cli._front_entry(kind.value, values, [f0, f1])
+    assert json.dumps(entry) == json.dumps(m)
+    assert json.loads(f'{{"members": [\n{text}\n  ]}}') == {"members": [m]}
+
+
+def test_evolve_append_error_keeps_the_earlier_generations(tmp_path, monkeypatch):
+    """A history append that fails partway exits 1 and cuts history.jsonl back
+    to the generations written before it."""
+    import paretomerge.checkpoint as checkpoint
+
+    n = CLAMPED["population_size"]
+    cfg_path, out_dir = evolve_config(tmp_path, "whole", search=CLAMPED)
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+    lines = (out_dir / "history.jsonl").read_bytes().splitlines(keepends=True)
+
+    # Generation 1 appends whole; generation 2 writes half its bytes, then fails.
+    calls, write = [], os.write
+
+    def failing_write(fd, data):
+        calls.append(len(data))
+        if len(calls) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write(fd, data if len(calls) == 1 else bytes(data)[: len(data) // 2])
+
+    monkeypatch.setattr(checkpoint.os, "write", failing_write)
+    cfg_path, out_dir = evolve_config(tmp_path, "cut", search=CLAMPED)
+    assert main(["evolve", "--config", str(cfg_path)]) == 1
+    assert len(calls) == 3
+    assert (out_dir / "history.jsonl").read_bytes() == b"".join(lines[: 2 * n])
+
+
+def test_evolve_history_deleted_mid_run_is_an_error(tmp_path, monkeypatch):
+    """history.jsonl removed between generations exits 1: the next append
+    does not make a new file that holds only the later generations."""
+    scored = []
+
+    class DeletingFitness(SimulatedFitness):
+        def evaluate_population(self, genotypes):
+            scored.append(len(genotypes))
+            if len(scored) == 2:  # generation 1, after generation 0 is written
+                (out_dir / "history.jsonl").unlink()
+            return super().evaluate_population(genotypes)
+
+    monkeypatch.setattr(cli, "SimulatedFitness", DeletingFitness)
+    cfg_path, out_dir = evolve_config(tmp_path, "deleted", search=CLAMPED)
+    assert main(["evolve", "--config", str(cfg_path)]) == 1
+    assert len(scored) == 2
+    assert not [p.name for p in out_dir.iterdir() if p.name.startswith("history")]
+
+
+def test_evolve_scores_each_distinct_candidate_once(tmp_path, monkeypatch):
     """In a run that repeats candidates, each generation makes one
     ``evaluate_population`` call on its rows not scored before, once each in
     order of first occurrence; every row's fitness is a direct ``evaluate``
@@ -565,23 +646,33 @@ def test_evolve_writes_the_front_of_each_history_prefix(tmp_path, monkeypatch):
     history through it differs from the last one written, and then holds that
     front as ``json.dumps(..., indent=2)`` writes it, repeated fitness values
     keeping their first occurrence; the final file is the final front. Front
-    extraction runs once per generation plus once for the returned front."""
+    extraction runs once per generation plus once for the returned front.
+    history.jsonl holds each history prefix after its generation, and the
+    history bytes handed to the writers add up to the final file: each line
+    is written once."""
     import paretomerge.checkpoint as checkpoint
     import paretomerge.nsga2 as nsga2
 
     writes, extractions = [], []  # per generation: the pareto.json bytes written, or None
-    write, extract = checkpoint.write_atomic, nsga2.extract_pareto
+    handed, prefixes = [], []  # per generation: the history bytes written, and the file after
+    write, append, extract = checkpoint.write_atomic, checkpoint.append_bytes, nsga2.extract_pareto
 
-    def recording_write(path, data):
-        if path.name == "history.jsonl":
-            writes.append(None)  # one history write per generation, first
-        elif path.name == "pareto.json":
-            writes[-1] = data
-        write(path, data)
+    def recording(writer):
+        def record(path, data):
+            if path.name == "history.jsonl":
+                writes.append(None)  # one history write per generation, first
+                handed.append(bytes(data))
+            elif path.name == "pareto.json":
+                writes[-1] = data
+            writer(path, data)
+            if path.name == "history.jsonl":
+                prefixes.append(path.read_bytes())
+        return record
 
-    # history.jsonl is written through cli's name, pareto.json through write_changed's.
-    monkeypatch.setattr(cli, "write_atomic", recording_write)
-    monkeypatch.setattr(checkpoint, "write_atomic", recording_write)
+    # history.jsonl is written through cli's names, pareto.json through write_changed's.
+    monkeypatch.setattr(cli, "write_atomic", recording(write))
+    monkeypatch.setattr(cli, "append_bytes", recording(append))
+    monkeypatch.setattr(checkpoint, "write_atomic", recording(write))
     monkeypatch.setattr(nsga2, "extract_pareto",
                         lambda f: (extractions.append(len(f)), extract(f))[1])
     n, generations = CLAMPED["population_size"], CLAMPED["generations"]
@@ -599,6 +690,9 @@ def test_evolve_writes_the_front_of_each_history_prefix(tmp_path, monkeypatch):
             payload = {"members": [member(history[i]) for i in rows]}
             assert data == (json.dumps(payload, indent=2) + "\n").encode("utf-8"), gen
     assert (out_dir / "pareto.json").read_bytes() == next(d for d in reversed(writes) if d)
+    lines = (out_dir / "history.jsonl").read_bytes().splitlines(keepends=True)
+    assert prefixes == [b"".join(lines[: (gen + 1) * n]) for gen in range(generations + 1)]
+    assert sum(map(len, handed)) == (out_dir / "history.jsonl").stat().st_size
     # The run covers a generation that leaves the front as it was, one that
     # changes it, and the case that needs first occurrences: a later candidate
     # repeats the fitness of a member of its generation's front.
@@ -1592,7 +1686,7 @@ def _fail_index_writes(monkeypatch) -> list[Path]:
 
         def chunks():
             yield b"PMRIDX2\n"
-            raise OSError(28, "No space left on device")
+            raise OSError(errno.ENOSPC, "No space left on device")
 
         return write(path, chunks())
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -214,6 +214,30 @@ def test_select_subset_size_errors():
         select_subset(m, SubsetStrategy.ENTROPY, 3)
     with pytest.raises(SubsetSelectionError):
         select_subset(m, SubsetStrategy.ENTROPY, 0)
+
+
+@st.composite
+def matrix_payloads(draw):
+    """Ids that may need escaping and 0/1 rows of a K x n matrix, K >= 2, n >= 1."""
+    k, n = draw(st.integers(2, 6)), draw(st.integers(1, 30))
+    ids = [draw(st.lists(st.text(min_size=1, max_size=4), min_size=size, max_size=size, unique=True))
+           for size in (k, n)]
+    return *ids, draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=k, max_size=k))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(matrix_payloads())
+@example((["m0", "m1"], ["only"], [[1], [0]]))
+def test_save_matrix_writes_the_json_of_its_payload(tmp_path_factory, drawn):
+    """save_matrix lays out the rows from the array's bytes, and the file
+    holds exactly ``json.dumps`` of the payload, one-column matrices and ids
+    that need escaping included."""
+    model_ids, item_ids, correct = drawn
+    m = CorrectnessMatrix(model_ids, item_ids, np.array(correct))
+    path = tmp_path_factory.mktemp("matrix") / "m.json"
+    save_matrix(m, path)
+    payload = {"model_ids": model_ids, "item_ids": item_ids, "correct": correct}
+    assert path.read_bytes() == json.dumps(payload).encode("utf-8")
 
 
 def test_load_matrix_and_subset_malformed(tmp_path):
